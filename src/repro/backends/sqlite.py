@@ -48,18 +48,15 @@ from repro.config import DEFAULT_CONFIG, OptimizerConfig
 from repro.errors import ReproError, StatisticsError
 from repro.optimizer.cache import OptimizationRequest
 from repro.optimizer.cost_model import CostModel
-from repro.optimizer.optimizer import OptimizationResult
-from repro.optimizer.plans import (
-    AggregateNode,
-    HavingNode,
-    JoinAlgorithm,
-    JoinNode,
-    PlanNode,
-    ScanNode,
-    SortNode,
+from repro.optimizer.optimizer import (
+    OptimizationResult,
+    crossing_joins,
+    finish_plan,
+    pair_selectivities,
+    select_join,
 )
+from repro.optimizer.plans import JoinNode, PlanNode, ScanNode
 from repro.optimizer.selectivity import SelectivityEstimator
-from repro.optimizer.variables import GroupByVariable, JoinVariable
 from repro.sql.query import DmlStatement, Query
 from repro.sql.render import _Renderer, render_statement
 from repro.stats.statistic import StatKey, as_stat_key
@@ -788,16 +785,39 @@ class SqliteBackend(Backend):
         order: List[str],
         estimator: SelectivityEstimator,
     ) -> PlanNode:
+        """Physical plan for the EQP-given join order.
+
+        Each join goes through the memory optimizer's operator selection
+        with no inner index, so minus index nested loops:
+        statistics-backing indexes are not access paths here (the memory
+        engine's indexes come only from explicit tuning), so plan shape
+        reacts to *statistics*, not to their storage artifacts.
+        """
+        graph = query.join_graph
+        pair_selectivity = pair_selectivities(graph, estimator)
         plan = self._scan_node(order[0], query, estimator)
-        joined = [order[0]]
+        joined = graph.bit[order[0]]
         for table in order[1:]:
             right = self._scan_node(table, query, estimator)
-            joins = query.joins_between(joined, (table,))
-            plan = self._best_join(plan, right, joins, estimator)
-            joined.append(table)
-        plan = self._add_aggregation(query, estimator, plan)
-        plan = self._add_order_by(query, plan)
-        return plan
+            joins, selectivity = crossing_joins(
+                graph, joined, graph.bit[table], pair_selectivity
+            )
+            cost, rows, algorithm, build_side = select_join(
+                plan, right, joins, selectivity, self._cost, self._config, None
+            )
+            plan = JoinNode(
+                algorithm, plan, right, joins, rows, cost,
+                build_side=build_side,
+            )
+            joined |= graph.bit[table]
+        return finish_plan(
+            query,
+            estimator,
+            plan,
+            self._cost,
+            self._config,
+            self._cached_row_count,
+        )
 
     def _scan_node(
         self, table: str, query: Query, estimator: SelectivityEstimator
@@ -811,185 +831,6 @@ class SqliteBackend(Backend):
             len(predicates),
         )
         return ScanNode(table, predicates, rows * filter_sel, cost)
-
-    @staticmethod
-    def _better(a: PlanNode, b: PlanNode) -> bool:
-        """Deterministic plan comparison: cost, then signature — the same
-        tie-break as :meth:`repro.optimizer.optimizer.Optimizer._better`."""
-        if a.cost != b.cost:
-            return a.cost < b.cost
-        return str(a.signature()) < str(b.signature())
-
-    def _join_selectivity(
-        self, joins, estimator: SelectivityEstimator
-    ) -> float:
-        if not joins:
-            return 1.0
-        groups: Dict[tuple, list] = {}
-        for join in joins:
-            pair = tuple(sorted(join.tables()))
-            groups.setdefault(pair, []).append(join)
-        selectivity = 1.0
-        for _, preds in sorted(groups.items()):
-            variable = JoinVariable(tuple(preds))
-            selectivity *= estimator.join_group_selectivity(variable)
-        return selectivity
-
-    def _best_join(
-        self,
-        left: PlanNode,
-        right: PlanNode,
-        joins,
-        estimator: SelectivityEstimator,
-    ) -> PlanNode:
-        """Cheapest physical join for the EQP-given order.
-
-        Same candidate set and tie-break as the memory optimizer, minus
-        index nested loops: statistics-backing indexes are not access
-        paths here (the memory engine's indexes come only from explicit
-        tuning), so plan shape reacts to *statistics*, not to their
-        storage artifacts.
-        """
-        joins = tuple(joins)
-        selectivity = self._join_selectivity(joins, estimator)
-        out_rows = max(0.0, left.rows * right.rows * selectivity)
-        children_cost = left.cost + right.cost
-        candidates: List[PlanNode] = []
-        if self._config.enable_hash_join and joins:
-            build_rows = min(left.rows, right.rows)
-            probe_rows = max(left.rows, right.rows)
-            build_side = "right" if right.rows <= left.rows else "left"
-            candidates.append(
-                JoinNode(
-                    JoinAlgorithm.HASH,
-                    left,
-                    right,
-                    joins,
-                    out_rows,
-                    children_cost
-                    + self._cost.hash_join(build_rows, probe_rows, out_rows),
-                    build_side=build_side,
-                )
-            )
-        if self._config.enable_merge_join and joins:
-            candidates.append(
-                JoinNode(
-                    JoinAlgorithm.MERGE,
-                    left,
-                    right,
-                    joins,
-                    out_rows,
-                    children_cost
-                    + self._cost.merge_join(left.rows, right.rows, out_rows),
-                )
-            )
-        candidates.append(
-            JoinNode(
-                JoinAlgorithm.NESTED_LOOP_SCAN,
-                left,
-                right,
-                joins,
-                out_rows,
-                left.cost
-                + self._cost.nested_loop_scan(
-                    max(1.0, left.rows), right.cost
-                ),
-            )
-        )
-        best = candidates[0]
-        for candidate in candidates[1:]:
-            if self._better(candidate, best):
-                best = candidate
-        return best
-
-    def _add_aggregation(
-        self, query: Query, estimator: SelectivityEstimator, plan: PlanNode
-    ) -> PlanNode:
-        if not query.has_aggregation:
-            return plan
-        aggregates = query.all_aggregates()
-        if not query.group_by:
-            groups = 1.0
-            cost = plan.cost + self._cost.hash_aggregate(plan.rows, groups)
-            return AggregateNode(plan, (), aggregates, groups, cost)
-        groups = 1.0
-        for table in query.tables:
-            cols = query.group_by_columns_of(table)
-            if not cols:
-                continue
-            variable = GroupByVariable(
-                table, tuple(ref.column for ref in cols)
-            )
-            fraction = estimator.group_by_fraction(variable)
-            groups *= max(
-                1.0, fraction * self._cached_row_count(table)
-            )
-        groups = min(groups, max(1.0, plan.rows))
-        hash_plan = AggregateNode(
-            plan,
-            query.group_by,
-            aggregates,
-            groups,
-            plan.cost + self._cost.hash_aggregate(plan.rows, groups),
-            method="hash",
-        )
-        hash_full = self._add_order_by(
-            query, self._add_having(query, hash_plan)
-        )
-        stream_plan = AggregateNode(
-            plan,
-            query.group_by,
-            aggregates,
-            groups,
-            plan.cost + self._cost.stream_aggregate(plan.rows, groups),
-            method="stream",
-        )
-        stream_full = self._add_order_by(
-            query, self._add_having(query, stream_plan)
-        )
-        best = (
-            stream_full
-            if self._better(stream_full, hash_full)
-            else hash_full
-        )
-        best._order_by_applied = True
-        return best
-
-    def _add_having(self, query: Query, plan: PlanNode) -> PlanNode:
-        if not query.having:
-            return plan
-        magic = self._config.magic
-        selectivity = 1.0
-        for condition in query.having:
-            if condition.op == "=":
-                selectivity *= magic.equality
-            elif condition.op == "<>":
-                selectivity *= magic.inequality
-            else:
-                selectivity *= magic.range_
-        rows = plan.rows * selectivity
-        cost = plan.cost + plan.rows * (
-            len(query.having) * self._config.cost.cpu_compare_cost
-        )
-        return HavingNode(plan, query.having, rows, cost)
-
-    def _order_by_satisfied(self, query: Query, plan: PlanNode) -> bool:
-        if isinstance(plan, HavingNode):
-            return self._order_by_satisfied(query, plan.child)
-        if isinstance(plan, AggregateNode) and plan.method == "stream":
-            prefix = plan.group_by[: len(query.order_by)]
-            return tuple(query.order_by) == prefix
-        return False
-
-    def _add_order_by(self, query: Query, plan: PlanNode) -> PlanNode:
-        if getattr(plan, "_order_by_applied", False):
-            return plan
-        if not query.order_by or plan.rows <= 1.0:
-            return plan
-        if self._order_by_satisfied(query, plan):
-            return plan
-        cost = plan.cost + self._cost.sort(plan.rows)
-        return SortNode(plan, query.order_by, cost)
 
     # ------------------------------------------------------------------
 

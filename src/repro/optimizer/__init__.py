@@ -39,7 +39,11 @@ from repro.optimizer.plans import (
     SortNode,
     plan_signature,
 )
-from repro.optimizer.optimizer import OptimizationResult, Optimizer
+from repro.optimizer.optimizer import (
+    OptimizationResult,
+    Optimizer,
+    select_join,
+)
 
 __all__ = [
     "SelectivityVariable",
@@ -58,6 +62,7 @@ __all__ = [
     "plan_signature",
     "Optimizer",
     "OptimizationResult",
+    "select_join",
     "OptimizationRequest",
     "PlanCache",
     "statistics_fingerprint",

@@ -18,20 +18,42 @@ An optional :class:`~repro.optimizer.cache.PlanCache` memoizes results
 per request; see that module for the epoch / fingerprint invalidation
 contract.
 
-Join enumeration is left-deep dynamic programming (System R): states are
-table subsets; each extension joins one more base-table access path using
-the cheapest of index nested loops, naive nested loops, hash, and
-sort-merge.  Ties break on the plan signature so optimization is fully
-deterministic — essential for Execution-Tree equivalence experiments.
+Join enumeration is System-R dynamic programming in three stages:
+
+1. **Join graph** (:attr:`Query.join_graph`, built on the first optimize
+   of a query and kept on it): table -> bit, one edge per join predicate,
+   the predicates grouped per table pair.  Per request each pair's
+   selectivity is estimated once (:func:`pair_selectivities`).
+2. **DP over bitmasks** (:class:`_JoinSearch`): every table set gets its
+   cheapest plan, by extending a smaller set with one base-table access
+   path (left-deep; with ``enable_bushy_joins`` also by joining two
+   sub-plans).  A set with no join edge inside it falls back to a cross
+   product, and only such a set does.
+3. **Cost-first operator selection** (:func:`select_join`): the costs of
+   hash, sort-merge, index and naive nested loops are computed first; a
+   :class:`JoinNode` is built only for the winner of a table set.
+
+Plans, costs and row estimates are bit-identical to building and
+comparing every candidate plan (``tests/optimizer/golden_plans_u25c.json``
+pins them), which fixes the float order and the tie-break:
+
+* a join's selectivity is ``1.0 *= s_pair`` over the connecting table
+  pairs in sorted table-pair order; rows and costs use one expression
+  each, in :func:`select_join`;
+* ``JoinNode.join_predicates`` keeps ``query.joins`` order;
+* inner tables are tried in sorted-name order, and exact cost ties —
+  common: a hash join costs the same with its inputs swapped — go to
+  the smaller ``str(plan.signature())``
+  (:func:`~repro.optimizer.plans.better`), so optimization is fully
+  deterministic — essential for Execution-Tree equivalence experiments.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.concurrency import guarded_by, plan_source
 from repro.config import DEFAULT_CONFIG, OptimizerConfig
@@ -51,6 +73,7 @@ from repro.optimizer.plans import (
     PlanNode,
     ScanNode,
     SortNode,
+    better,
 )
 from repro.optimizer.selectivity import SelectivityEstimator
 from repro.optimizer.variables import (
@@ -58,8 +81,12 @@ from repro.optimizer.variables import (
     JoinVariable,
     SelectivityVariable,
 )
-from repro.sql.expressions import Aggregate
-from repro.sql.predicates import ComparisonPredicate, Predicate
+from repro.sql.predicates import (
+    BetweenPredicate,
+    ComparisonPredicate,
+    InPredicate,
+    Predicate,
+)
 from repro.sql.query import Query
 
 
@@ -81,6 +108,341 @@ class OptimizationResult:
     @property
     def signature(self) -> tuple:
         return self.plan.signature()
+
+
+def pair_selectivities(graph, estimator: SelectivityEstimator) -> List[float]:
+    """Selectivity of each joined table pair of ``graph`` (one per entry
+    of ``graph.groups``), estimated once per request."""
+    return [
+        estimator.join_group_selectivity(JoinVariable(group))
+        for group in graph.groups
+    ]
+
+
+def crossing_joins(graph, left_mask: int, right_mask: int, pair_selectivity):
+    """Join predicates between two table sets, in ``query.joins`` order,
+    and their combined selectivity: the pair selectivities multiplied in
+    sorted table-pair order."""
+    crossing = graph.crossing(left_mask, right_mask)
+    selectivity = 1.0
+    for group in sorted({edge.group for edge in crossing}):
+        selectivity *= pair_selectivity[group]
+    return tuple(edge.predicate for edge in crossing), selectivity
+
+
+def select_join(
+    left: PlanNode,
+    right: PlanNode,
+    joins,
+    selectivity: float,
+    cost_model: CostModel,
+    config: OptimizerConfig,
+    inner_index: Optional[str],
+) -> Tuple[float, float, JoinAlgorithm, str]:
+    """Operator selection for one join, cost-first.
+
+    Costs the (at most four) algorithms for ``left ⋈ right`` and returns
+    ``(cost, rows, algorithm, build_side)`` of the cheapest without
+    building a plan node.  ``inner_index`` names an index on a join
+    column of the bare base table ``right``; ``None`` rules index nested
+    loops out.
+
+    Candidates are tried in the order hash, merge, index nested loops,
+    naive nested loops and replaced only by a strictly cheaper one.  That
+    is :func:`~repro.optimizer.plans.better`'s tie-break: signatures of
+    the candidates agree up to the algorithm name, and ``'hash' <
+    'merge' < 'nl_index' < 'nl_scan'``.
+    """
+    left_rows, right_rows = left.rows, right.rows
+    rows = max(0.0, left_rows * right_rows * selectivity)
+    best = None
+    algorithm = JoinAlgorithm.NESTED_LOOP_SCAN
+    if joins:
+        children_cost = left.cost + right.cost
+        if config.enable_hash_join:
+            best = children_cost + cost_model.hash_join(
+                min(left_rows, right_rows), max(left_rows, right_rows), rows
+            )
+            algorithm = JoinAlgorithm.HASH
+        if config.enable_merge_join:
+            cost = children_cost + cost_model.merge_join(
+                left_rows, right_rows, rows
+            )
+            if best is None or cost < best:
+                best, algorithm = cost, JoinAlgorithm.MERGE
+        if inner_index is not None:
+            # seek the inner table's join column once per outer row
+            matches = right_rows * selectivity if left_rows > 0 else 0.0
+            cost = left.cost + cost_model.nested_loop_index(left_rows, matches)
+            if best is None or cost < best:
+                best, algorithm = cost, JoinAlgorithm.NESTED_LOOP_INDEX
+    # naive nested loops re-derive the inner side per outer row; the only
+    # option for a cartesian product
+    cost = left.cost + cost_model.nested_loop_scan(
+        max(1.0, left_rows), right.cost
+    )
+    if best is None or cost < best:
+        best, algorithm = cost, JoinAlgorithm.NESTED_LOOP_SCAN
+    build_side = "right"
+    if algorithm is JoinAlgorithm.HASH and not right_rows <= left_rows:
+        build_side = "left"  # hash builds on the smaller input
+    return best, rows, algorithm, build_side
+
+
+def finish_plan(
+    query: Query,
+    estimator: SelectivityEstimator,
+    plan: PlanNode,
+    cost_model: CostModel,
+    config: OptimizerConfig,
+    row_count,
+) -> PlanNode:
+    """Aggregation, HAVING and ORDER BY above the join tree ``plan``.
+
+    Shared by both engines; ``row_count`` maps a table name to its
+    cardinality.
+    """
+    if not query.group_by:
+        if query.has_aggregation:
+            cost = plan.cost + cost_model.hash_aggregate(plan.rows, 1.0)
+            plan = AggregateNode(plan, (), query.all_aggregates(), 1.0, cost)
+        return _add_order_by(query, plan, cost_model)
+
+    groups = 1.0
+    for table in query.tables:
+        cols = query.group_by_columns_of(table)
+        if not cols:
+            continue
+        variable = GroupByVariable(table, tuple(ref.column for ref in cols))
+        fraction = estimator.group_by_fraction(variable)
+        groups *= max(1.0, fraction * row_count(table))
+    groups = min(groups, max(1.0, plan.rows))
+
+    # hash aggregation pays a downstream sort for ORDER BY; stream
+    # aggregation pays an upstream sort but delivers grouped order.
+    # The choice hinges on the *estimated* group count, making it
+    # statistics-sensitive.
+    aggregates = query.all_aggregates()
+    candidates = []
+    for method, aggregate in (
+        ("hash", cost_model.hash_aggregate),
+        ("stream", cost_model.stream_aggregate),
+    ):
+        grouped = AggregateNode(
+            plan,
+            query.group_by,
+            aggregates,
+            groups,
+            plan.cost + aggregate(plan.rows, groups),
+            method=method,
+        )
+        candidates.append(
+            _add_order_by(query, _add_having(query, grouped, config), cost_model)
+        )
+    hash_full, stream_full = candidates
+    return stream_full if better(stream_full, hash_full) else hash_full
+
+
+def _add_having(
+    query: Query, plan: PlanNode, config: OptimizerConfig
+) -> PlanNode:
+    """Group filter after aggregation.
+
+    HAVING selectivity cannot come from base-table statistics, so it
+    is costed with the corresponding magic numbers and introduces no
+    selectivity variable.
+    """
+    if not query.having:
+        return plan
+    magic = config.magic
+    selectivity = 1.0
+    for condition in query.having:
+        if condition.op == "=":
+            selectivity *= magic.equality
+        elif condition.op == "<>":
+            selectivity *= magic.inequality
+        else:
+            selectivity *= magic.range_
+    rows = plan.rows * selectivity
+    cost = plan.cost + plan.rows * (
+        len(query.having) * config.cost.cpu_compare_cost
+    )
+    return HavingNode(plan, query.having, rows, cost)
+
+
+def _order_by_satisfied(query: Query, plan: PlanNode) -> bool:
+    """True if ``plan`` already delivers the requested order."""
+    if isinstance(plan, HavingNode):
+        return _order_by_satisfied(query, plan.child)
+    if isinstance(plan, AggregateNode) and plan.method == "stream":
+        prefix = plan.group_by[: len(query.order_by)]
+        return tuple(query.order_by) == prefix
+    return False
+
+
+def _add_order_by(
+    query: Query, plan: PlanNode, cost_model: CostModel
+) -> PlanNode:
+    if not query.order_by or plan.rows <= 1.0:
+        return plan
+    if _order_by_satisfied(query, plan):
+        return plan
+    return SortNode(plan, query.order_by, plan.cost + cost_model.sort(plan.rows))
+
+
+class _Candidate:
+    """A costed join whose plan node is built only when needed: to break
+    an exact cost tie, or because it won its table set."""
+
+    __slots__ = ("cost", "_choice", "_left", "_right", "_edge", "_node")
+
+    def __init__(self, choice, left: PlanNode, right: PlanNode, edge) -> None:
+        self.cost = choice[0]
+        self._choice = choice
+        self._left = left
+        self._right = right
+        self._edge = edge
+        self._node: Optional[JoinNode] = None
+
+    def node(self) -> JoinNode:
+        if self._node is None:
+            cost, rows, algorithm, build_side = self._choice
+            joins, _, inner_index = self._edge
+            if algorithm is not JoinAlgorithm.NESTED_LOOP_INDEX:
+                inner_index = None
+            self._node = JoinNode(
+                algorithm,
+                self._left,
+                self._right,
+                joins,
+                rows,
+                cost,
+                inner_index,
+                build_side,
+            )
+        return self._node
+
+
+class _JoinSearch:
+    """One request's join enumeration: dynamic programming over table
+    bitmasks on the query's join graph, operators chosen cost-first.
+
+    Per request, each table pair's selectivity is estimated once, and
+    the ``(join predicates, combined selectivity, usable inner index)``
+    of a left-deep extension is resolved once per ``(inner table,
+    connected tables)``.  The module docstring lists what keeps results
+    bit-identical to a search that builds and compares every plan.
+    """
+
+    def __init__(
+        self, graph, access, estimator, cost_model, config, indexes
+    ) -> None:
+        self._graph = graph
+        self._paths = [access[name] for name in graph.tables]
+        self._cost = cost_model
+        self._config = config
+        self._indexes = indexes
+        self._pair_selectivity = pair_selectivities(graph, estimator)
+        #: per inner table: connected mask -> resolved edge
+        self._edges: List[dict] = [{} for _ in graph.tables]
+        #: table mask -> best plan; complete below the mask in progress
+        self._plans: List[Optional[PlanNode]] = [None] * (
+            1 << len(graph.tables)
+        )
+
+    def best_plan(self) -> PlanNode:
+        plans = self._plans
+        for i, path in enumerate(self._paths):
+            plans[1 << i] = path
+        bushy = self._config.enable_bushy_joins
+        # ascending masks: every proper subset of a mask precedes it
+        for mask in range(3, len(plans)):
+            if not mask & (mask - 1):
+                continue
+            best = self._extend(mask, cartesian=False)
+            if bushy:
+                best = self._split(mask, best)
+            if best is None:
+                # no join edge inside this set: fall back to a cross product
+                best = self._extend(mask, cartesian=True)
+            plans[mask] = best.node()
+        return plans[-1]
+
+    def _extend(self, mask: int, cartesian: bool) -> Optional[_Candidate]:
+        """Cheapest left-deep plan for ``mask``: each member in turn (in
+        sorted-name order) as the inner base table."""
+        plans, edges = self._plans, self._edges
+        neighbors = self._graph.neighbors
+        best = None
+        for i, path in enumerate(self._paths):
+            bit = 1 << i
+            if not mask & bit:
+                continue
+            rest = mask ^ bit
+            connected = rest & neighbors[i]
+            if connected or cartesian:
+                edge = edges[i].get(connected)
+                if edge is None:
+                    edge = edges[i][connected] = self._edge(
+                        connected, bit, self._graph.tables[i]
+                    )
+                best = self._consider(best, plans[rest], path, edge)
+        return best
+
+    def _split(
+        self, mask: int, best: Optional[_Candidate]
+    ) -> Optional[_Candidate]:
+        """``best`` or a cheaper bushy split of ``mask`` into two joined
+        sub-plans of at least two tables each.  The lowest table stays on
+        the left, which halves the work."""
+        plans = self._plans
+        others = mask ^ (mask & -mask)
+        right = others
+        while right:
+            left = mask ^ right
+            if right & (right - 1) and left & (left - 1):
+                edge = self._edge(left, right)
+                if edge[0]:
+                    best = self._consider(
+                        best, plans[left], plans[right], edge
+                    )
+            right = (right - 1) & others
+        return best
+
+    def _edge(
+        self, left_mask: int, right_mask: int, inner: Optional[str] = None
+    ):
+        """:func:`crossing_joins` plus, for a base-table right side
+        ``inner``, the first index on one of its join columns."""
+        joins, selectivity = crossing_joins(
+            self._graph, left_mask, right_mask, self._pair_selectivity
+        )
+        inner_index = None
+        if inner is not None and self._config.enable_index_paths:
+            for join in joins:
+                index = self._indexes.index_on(join.side_for(inner))
+                if index is not None:
+                    inner_index = index.name
+                    break
+        return joins, selectivity, inner_index
+
+    def _consider(
+        self, best: Optional[_Candidate], left: PlanNode, right: PlanNode, edge
+    ) -> _Candidate:
+        """``best`` or the cheapest join of ``left`` with ``right``,
+        whichever :func:`~repro.optimizer.plans.better` prefers."""
+        joins, selectivity, inner_index = edge
+        choice = select_join(
+            left, right, joins, selectivity,
+            self._cost, self._config, inner_index,
+        )
+        if best is None or choice[0] < best.cost:
+            return _Candidate(choice, left, right, edge)
+        if choice[0] == best.cost:
+            candidate = _Candidate(choice, left, right, edge)
+            if better(candidate.node(), best.node()):
+                return candidate
+        return best
 
 
 class Optimizer:
@@ -324,9 +686,14 @@ class Optimizer:
             join_estimator=self._join_estimator,
             use_statistics=use_statistics,
         )
-        best = self._enumerate_joins(query, estimator)
-        plan = self._add_aggregation(query, estimator, best)
-        plan = self._add_order_by(query, plan)
+        plan = finish_plan(
+            query,
+            estimator,
+            self._enumerate_joins(query, estimator),
+            self._cost,
+            self._config,
+            self._db.row_count,
+        )
         return OptimizationResult(plan=plan, cost=plan.cost, rows=plan.rows)
 
     # ----- base table access paths ------------------------------------
@@ -370,352 +737,33 @@ class Optimizer:
     @staticmethod
     def _seekable(predicate: Predicate) -> bool:
         """Predicates our sorted indexes can seek on."""
-        from repro.sql.predicates import BetweenPredicate, InPredicate
-
         if isinstance(predicate, ComparisonPredicate):
             return predicate.op in ("=", "<", "<=", ">", ">=")
         return isinstance(predicate, (BetweenPredicate, InPredicate))
 
     def _best_access_path(self, table, query, estimator) -> PlanNode:
         paths = self._access_paths(table, query, estimator)
-        return min(paths, key=lambda p: (p.cost, str(p.signature())))
+        if len(paths) == 1:
+            return paths[0]
+        return min(paths, key=lambda p: (p.cost, p.signature_key()))
 
     # ----- join enumeration -------------------------------------------
 
     def _enumerate_joins(
         self, query: Query, estimator: SelectivityEstimator
     ) -> PlanNode:
-        tables = list(query.tables)
-        access: Dict[str, PlanNode] = {
-            t: self._best_access_path(t, query, estimator) for t in tables
+        access = {
+            t: self._best_access_path(t, query, estimator)
+            for t in query.tables
         }
-        if len(tables) == 1:
-            return access[tables[0]]
-
-        # dp over table subsets; left-deep extensions only
-        dp: Dict[FrozenSet[str], PlanNode] = {
-            frozenset((t,)): access[t] for t in tables
-        }
-        for size in range(2, len(tables) + 1):
-            for combo in itertools.combinations(tables, size):
-                subset = frozenset(combo)
-                best = self._best_extension(
-                    subset, dp, access, query, estimator, allow_cartesian=False
-                )
-                if self._config.enable_bushy_joins:
-                    bushy = self._best_bushy(
-                        subset, dp, query, estimator
-                    )
-                    if bushy is not None and (
-                        best is None or self._better(bushy, best)
-                    ):
-                        best = bushy
-                if best is None:
-                    # disconnected join graph: fall back to a cross product
-                    best = self._best_extension(
-                        subset,
-                        dp,
-                        access,
-                        query,
-                        estimator,
-                        allow_cartesian=True,
-                    )
-                if best is not None:
-                    dp[subset] = best
-        final = dp.get(frozenset(tables))
-        if final is None:
-            raise OptimizerError(f"no join order found for tables {tables}")
-        return final
-
-    def _best_extension(
-        self,
-        subset: FrozenSet[str],
-        dp,
-        access,
-        query: Query,
-        estimator: SelectivityEstimator,
-        allow_cartesian: bool,
-    ) -> Optional[PlanNode]:
-        """Cheapest left-deep plan for ``subset`` (one extension step)."""
-        best: Optional[PlanNode] = None
-        for inner in sorted(subset):
-            rest = subset - {inner}
-            left = dp.get(rest)
-            if left is None:
-                continue
-            joins = query.joins_between(rest, (inner,))
-            if not joins and not allow_cartesian:
-                continue
-            candidate = self._best_join(left, access[inner], joins, estimator)
-            if best is None or self._better(candidate, best):
-                best = candidate
-        return best
-
-    @staticmethod
-    def _better(a: PlanNode, b: PlanNode) -> bool:
-        """Deterministic plan comparison: cost, then signature."""
-        if a.cost != b.cost:
-            return a.cost < b.cost
-        return str(a.signature()) < str(b.signature())
-
-    def _best_bushy(
-        self,
-        subset: FrozenSet[str],
-        dp,
-        query: Query,
-        estimator: SelectivityEstimator,
-    ) -> Optional[PlanNode]:
-        """Cheapest bushy decomposition of ``subset`` into two joined
-        sub-plans of size >= 2 each (left-deep shapes are handled by
-        ``_best_extension``; considering both here would double work)."""
-        if len(subset) < 4:
-            return None
-        members = sorted(subset)
-        best: Optional[PlanNode] = None
-        # enumerate one side; fix members[0] on the left to halve the work
-        others = members[1:]
-        for size in range(1, len(others)):
-            for combo in itertools.combinations(others, size):
-                left_set = frozenset((members[0],) + combo)
-                right_set = subset - left_set
-                if len(left_set) < 2 or len(right_set) < 2:
-                    continue
-                left = dp.get(left_set)
-                right = dp.get(right_set)
-                if left is None or right is None:
-                    continue
-                joins = query.joins_between(left_set, right_set)
-                if not joins:
-                    continue
-                candidate = self._best_join(left, right, joins, estimator)
-                if best is None or self._better(candidate, best):
-                    best = candidate
-        return best
-
-    def _join_selectivity(
-        self, joins, estimator: SelectivityEstimator
-    ) -> float:
-        """Combined selectivity of join predicates (grouped per pair)."""
-        if not joins:
-            return 1.0
-        groups: Dict[tuple, list] = {}
-        for join in joins:
-            pair = tuple(sorted(join.tables()))
-            groups.setdefault(pair, []).append(join)
-        selectivity = 1.0
-        for _, preds in sorted(groups.items()):
-            variable = JoinVariable(tuple(preds))
-            selectivity *= estimator.join_group_selectivity(variable)
-        return selectivity
-
-    def _best_join(
-        self,
-        left: PlanNode,
-        right: PlanNode,
-        joins,
-        estimator: SelectivityEstimator,
-    ) -> PlanNode:
-        """Cheapest algorithm for joining ``left`` with base-path ``right``."""
-        selectivity = self._join_selectivity(joins, estimator)
-        out_rows = max(0.0, left.rows * right.rows * selectivity)
-        children_cost = left.cost + right.cost
-        candidates: List[PlanNode] = []
-
-        if self._config.enable_hash_join and joins:
-            build_rows = min(left.rows, right.rows)
-            probe_rows = max(left.rows, right.rows)
-            build_side = "right" if right.rows <= left.rows else "left"
-            cost = children_cost + self._cost.hash_join(
-                build_rows, probe_rows, out_rows
-            )
-            candidates.append(
-                JoinNode(
-                    JoinAlgorithm.HASH,
-                    left,
-                    right,
-                    joins,
-                    out_rows,
-                    cost,
-                    build_side=build_side,
-                )
-            )
-
-        if self._config.enable_merge_join and joins:
-            cost = children_cost + self._cost.merge_join(
-                left.rows, right.rows, out_rows
-            )
-            candidates.append(
-                JoinNode(
-                    JoinAlgorithm.MERGE, left, right, joins, out_rows, cost
-                )
-            )
-
-        # index nested loops: seek the inner table's join column per outer row
-        inner_index = self._usable_inner_index(right, joins)
-        if inner_index is not None:
-            matches_per_outer = (
-                right.rows * selectivity if left.rows > 0 else 0.0
-            )
-            cost = left.cost + self._cost.nested_loop_index(
-                left.rows, matches_per_outer
-            )
-            candidates.append(
-                JoinNode(
-                    JoinAlgorithm.NESTED_LOOP_INDEX,
-                    left,
-                    right,
-                    joins,
-                    out_rows,
-                    cost,
-                    inner_index=inner_index,
-                )
-            )
-
-        # naive nested loops (also the only option for cartesian products)
-        rescan_cost = right.cost  # re-derive the inner side per outer row
-        cost = left.cost + self._cost.nested_loop_scan(
-            max(1.0, left.rows), rescan_cost
+        if len(access) == 1:
+            return access[query.tables[0]]
+        search = _JoinSearch(
+            query.join_graph,
+            access,
+            estimator,
+            self._cost,
+            self._config,
+            self._db.indexes,
         )
-        candidates.append(
-            JoinNode(
-                JoinAlgorithm.NESTED_LOOP_SCAN,
-                left,
-                right,
-                joins,
-                out_rows,
-                cost,
-            )
-        )
-
-        best = candidates[0]
-        for candidate in candidates[1:]:
-            if self._better(candidate, best):
-                best = candidate
-        return best
-
-    def _usable_inner_index(self, right: PlanNode, joins) -> Optional[str]:
-        """Name of an index on the inner side's join column, if usable.
-
-        Index nested loops requires the inner side to be a bare base table
-        (we seek instead of using its access path) with an index on one of
-        the join columns.
-        """
-        if not joins:
-            return None
-        if not isinstance(right, (ScanNode, IndexSeekNode)):
-            return None
-        table = right.tables()[0]
-        if not self._config.enable_index_paths:
-            return None
-        for join in joins:
-            try:
-                inner_col = join.side_for(table)
-            except ValueError:
-                continue
-            index = self._db.indexes.index_on(inner_col)
-            if index is not None:
-                return index.name
-        return None
-
-    # ----- aggregation and ordering -----------------------------------
-
-    def _add_aggregation(
-        self, query: Query, estimator: SelectivityEstimator, plan: PlanNode
-    ) -> PlanNode:
-        if not query.has_aggregation:
-            return plan
-        aggregates = query.all_aggregates()
-        if not query.group_by:
-            groups = 1.0
-            cost = plan.cost + self._cost.hash_aggregate(plan.rows, groups)
-            return AggregateNode(plan, (), aggregates, groups, cost)
-
-        groups = 1.0
-        for table in query.tables:
-            cols = query.group_by_columns_of(table)
-            if not cols:
-                continue
-            variable = GroupByVariable(
-                table, tuple(ref.column for ref in cols)
-            )
-            fraction = estimator.group_by_fraction(variable)
-            groups *= max(1.0, fraction * self._db.row_count(table))
-        groups = min(groups, max(1.0, plan.rows))
-
-        # hash aggregation pays a downstream sort for ORDER BY; stream
-        # aggregation pays an upstream sort but delivers grouped order.
-        # The choice hinges on the *estimated* group count, making it
-        # statistics-sensitive.
-        hash_plan = AggregateNode(
-            plan,
-            query.group_by,
-            aggregates,
-            groups,
-            plan.cost + self._cost.hash_aggregate(plan.rows, groups),
-            method="hash",
-        )
-        hash_full = self._add_order_by(
-            query, self._add_having(query, hash_plan)
-        )
-        stream_plan = AggregateNode(
-            plan,
-            query.group_by,
-            aggregates,
-            groups,
-            plan.cost + self._cost.stream_aggregate(plan.rows, groups),
-            method="stream",
-        )
-        stream_full = self._add_order_by(
-            query, self._add_having(query, stream_plan)
-        )
-        best = (
-            stream_full
-            if self._better(stream_full, hash_full)
-            else hash_full
-        )
-        # mark so the caller does not add ORDER BY twice
-        best._order_by_applied = True
-        return best
-
-    def _add_having(self, query: Query, plan: PlanNode) -> PlanNode:
-        """Group filter after aggregation.
-
-        HAVING selectivity cannot come from base-table statistics, so it
-        is costed with the corresponding magic numbers and introduces no
-        selectivity variable.
-        """
-        if not query.having:
-            return plan
-        magic = self._config.magic
-        selectivity = 1.0
-        for condition in query.having:
-            if condition.op == "=":
-                selectivity *= magic.equality
-            elif condition.op == "<>":
-                selectivity *= magic.inequality
-            else:
-                selectivity *= magic.range_
-        rows = plan.rows * selectivity
-        cost = plan.cost + plan.rows * (
-            len(query.having) * self._config.cost.cpu_compare_cost
-        )
-        return HavingNode(plan, query.having, rows, cost)
-
-    def _order_by_satisfied(self, query: Query, plan: PlanNode) -> bool:
-        """True if ``plan`` already delivers the requested order."""
-        if isinstance(plan, HavingNode):
-            return self._order_by_satisfied(query, plan.child)
-        if isinstance(plan, AggregateNode) and plan.method == "stream":
-            prefix = plan.group_by[: len(query.order_by)]
-            return tuple(query.order_by) == prefix
-        return False
-
-    def _add_order_by(self, query: Query, plan: PlanNode) -> PlanNode:
-        if getattr(plan, "_order_by_applied", False):
-            return plan
-        if not query.order_by or plan.rows <= 1.0:
-            return plan
-        if self._order_by_satisfied(query, plan):
-            return plan
-        cost = plan.cost + self._cost.sort(plan.rows)
-        return SortNode(plan, query.order_by, cost)
+        return search.best_plan()

@@ -15,7 +15,7 @@ Every node carries its estimated output ``rows`` and cumulative estimated
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.catalog import ColumnRef
 from repro.sql.predicates import JoinPredicate, Predicate
@@ -29,7 +29,10 @@ class JoinAlgorithm(enum.Enum):
 
 
 class PlanNode:
-    """Base physical operator."""
+    """Base physical operator; immutable once built."""
+
+    _signature: Optional[tuple] = None
+    _signature_key: Optional[str] = None
 
     def __init__(self, children: Tuple["PlanNode", ...], rows: float, cost: float):
         self.children = children
@@ -43,15 +46,27 @@ class PlanNode:
 
     def tables(self) -> Tuple[str, ...]:
         """Base tables covered by this subtree (left-to-right order)."""
-        seen: List[str] = []
-        for child in self.children:
-            for name in child.tables():
-                if name not in seen:
-                    seen.append(name)
-        return tuple(seen)
+        return tuple(
+            dict.fromkeys(
+                name for child in self.children for name in child.tables()
+            )
+        )
 
     def signature(self) -> tuple:
+        """Execution-tree identity of the subtree, computed once."""
+        if self._signature is None:
+            self._signature = self._build_signature()
+        return self._signature
+
+    def _build_signature(self) -> tuple:
         raise NotImplementedError
+
+    def signature_key(self) -> str:
+        """``str(self.signature())``, computed once: the tie-break key
+        of :func:`better`."""
+        if self._signature_key is None:
+            self._signature_key = str(self.signature())
+        return self._signature_key
 
     def walk(self):
         """Yield every node of the subtree, pre-order."""
@@ -95,7 +110,7 @@ class ScanNode(PlanNode):
     def tables(self) -> Tuple[str, ...]:
         return (self.table,)
 
-    def signature(self) -> tuple:
+    def _build_signature(self) -> tuple:
         return (
             "scan",
             self.table,
@@ -134,7 +149,7 @@ class IndexSeekNode(PlanNode):
     def tables(self) -> Tuple[str, ...]:
         return (self.table,)
 
-    def signature(self) -> tuple:
+    def _build_signature(self) -> tuple:
         return (
             "seek",
             self.table,
@@ -178,7 +193,7 @@ class JoinNode(PlanNode):
     def right(self) -> PlanNode:
         return self.children[1]
 
-    def signature(self) -> tuple:
+    def _build_signature(self) -> tuple:
         return (
             "join",
             self.algorithm.value,
@@ -223,7 +238,7 @@ class AggregateNode(PlanNode):
     def child(self) -> PlanNode:
         return self.children[0]
 
-    def signature(self) -> tuple:
+    def _build_signature(self) -> tuple:
         return (
             "aggregate",
             self.method,
@@ -251,7 +266,7 @@ class HavingNode(PlanNode):
     def child(self) -> PlanNode:
         return self.children[0]
 
-    def signature(self) -> tuple:
+    def _build_signature(self) -> tuple:
         return (
             "having",
             tuple(sorted(str(p) for p in self.predicates)),
@@ -276,7 +291,7 @@ class SortNode(PlanNode):
     def child(self) -> PlanNode:
         return self.children[0]
 
-    def signature(self) -> tuple:
+    def _build_signature(self) -> tuple:
         return (
             "sort",
             tuple(str(k) for k in self.keys),
@@ -285,6 +300,13 @@ class SortNode(PlanNode):
 
     def _label(self) -> str:
         return f"Sort(by {', '.join(str(k) for k in self.keys)})"
+
+
+def better(a: PlanNode, b: PlanNode) -> bool:
+    """Deterministic plan comparison: cost, then signature string."""
+    if a.cost != b.cost:
+        return a.cost < b.cost
+    return a.signature_key() < b.signature_key()
 
 
 def plan_signature(plan: PlanNode) -> tuple:

@@ -79,11 +79,6 @@ class GroupByVariable(SelectivityVariable):
 
 
 def join_variables_of(query) -> list:
-    """Group a query's join predicates into per-table-pair variables."""
-    groups = {}
-    for join in query.joins:
-        pair = tuple(sorted(join.tables()))
-        groups.setdefault(pair, []).append(join)
-    return [
-        JoinVariable(tuple(preds)) for _, preds in sorted(groups.items())
-    ]
+    """A query's join predicates as per-table-pair variables, in sorted
+    table-pair order."""
+    return [JoinVariable(group) for group in query.join_graph.groups]

@@ -7,12 +7,17 @@ predicates, optional GROUP BY, ORDER BY, and a projection list.
 ``Query.relevant_columns()`` implements Sec 3.1: columns in the WHERE or
 GROUP BY clauses are relevant; columns appearing *only* in ORDER BY or the
 projection are not (footnote 1 of the paper).
+
+``Query.join_graph`` is the one adjacency structure over the join
+predicates; ``joins_between`` and the optimizer's join enumeration both
+read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.catalog import ColumnRef
 from repro.errors import SqlBindError
@@ -22,6 +27,67 @@ from repro.sql.predicates import JoinPredicate, Predicate
 
 class Statement:
     """Marker base class for all bound statements."""
+
+
+class JoinEdge(NamedTuple):
+    """One join predicate as an edge between two table bits."""
+
+    left_bit: int
+    right_bit: int
+    #: index into :attr:`JoinGraph.groups` of the edge's table pair
+    group: int
+    predicate: JoinPredicate
+
+
+class JoinGraph:
+    """A query's join predicates as a graph over table bits.
+
+    Attributes:
+        tables: the query's tables in sorted order; table ``i`` owns bit
+            ``1 << i``, so walking a mask's bits upwards visits tables in
+            sorted-name order.
+        bit: table name -> bit.
+        groups: the predicates of each joined table pair (each in
+            ``query.joins`` order), in sorted table-pair order.
+        edges: one :class:`JoinEdge` per predicate, in ``query.joins``
+            order.
+        neighbors: per table index, the mask of tables it joins.
+    """
+
+    def __init__(
+        self, tables: Tuple[str, ...], joins: Tuple[JoinPredicate, ...]
+    ) -> None:
+        self.tables = tuple(sorted(tables))
+        self.bit = {name: 1 << i for i, name in enumerate(self.tables)}
+        pairs = [tuple(sorted(join.tables())) for join in joins]
+        group_of = {pair: g for g, pair in enumerate(sorted(set(pairs)))}
+        groups: List[List[JoinPredicate]] = [[] for _ in group_of]
+        self.neighbors = [0] * len(self.tables)
+        edges = []
+        for join, pair in zip(joins, pairs):
+            low, high = self.bit[pair[0]], self.bit[pair[1]]
+            groups[group_of[pair]].append(join)
+            edges.append(JoinEdge(low, high, group_of[pair], join))
+            self.neighbors[low.bit_length() - 1] |= high
+            self.neighbors[high.bit_length() - 1] |= low
+        self.groups = tuple(tuple(group) for group in groups)
+        self.edges = tuple(edges)
+
+    def mask(self, tables: Iterable[str]) -> int:
+        """Bits of ``tables`` (names outside the query contribute none)."""
+        mask = 0
+        for name in tables:
+            mask |= self.bit.get(name, 0)
+        return mask
+
+    def crossing(self, left_mask: int, right_mask: int) -> List[JoinEdge]:
+        """Edges with one end in each mask, in ``query.joins`` order."""
+        return [
+            edge
+            for edge in self.edges
+            if (edge.left_bit & left_mask and edge.right_bit & right_mask)
+            or (edge.right_bit & left_mask and edge.left_bit & right_mask)
+        ]
 
 
 @dataclass(frozen=True)
@@ -148,18 +214,20 @@ class Query(Statement):
             pred for pred in self.predicates if pred.tables() == (table,)
         )
 
+    @cached_property
+    def join_graph(self) -> JoinGraph:
+        """The join graph, built on first use (the first optimize) and
+        kept: MNSA optimizes each query at least three times."""
+        return JoinGraph(self.tables, self.joins)
+
     def joins_between(self, left_tables, right_tables) -> Tuple:
-        """Join predicates connecting two disjoint table sets."""
-        left_set, right_set = set(left_tables), set(right_tables)
-        found = []
-        for join in self.joins:
-            t1, t2 = join.left.table, join.right.table
-            spans = (t1 in left_set and t2 in right_set) or (
-                t2 in left_set and t1 in right_set
-            )
-            if spans:
-                found.append(join)
-        return tuple(found)
+        """Join predicates connecting two disjoint table sets, in
+        ``joins`` order."""
+        graph = self.join_graph
+        crossing = graph.crossing(
+            graph.mask(left_tables), graph.mask(right_tables)
+        )
+        return tuple(edge.predicate for edge in crossing)
 
     @property
     def has_aggregation(self) -> bool:

@@ -109,6 +109,23 @@ class TestPerTableAccessors:
         assert len(query.joins_between(("emp",), ("dept",))) == 1
         assert query.joins_between(("emp",), ("emp",)) == ()
 
+    def test_joins_between_preserves_joins_order(self):
+        """Over the join graph the result still follows ``query.joins``,
+        not table, pair or string order; unknown names match nothing."""
+        a_b = JoinPredicate(ColumnRef("a", "x"), ColumnRef("b", "x"))
+        b_c = JoinPredicate(ColumnRef("c", "y"), ColumnRef("b", "y"))
+        a_c = JoinPredicate(ColumnRef("a", "z"), ColumnRef("c", "z"))
+        a_b2 = JoinPredicate(ColumnRef("b", "w"), ColumnRef("a", "w"))
+        query = Query(tables=("c", "a", "b"), joins=(b_c, a_c, a_b2, a_b))
+        assert query.joins_between(("a",), ("b", "c")) == (a_c, a_b2, a_b)
+        assert query.joins_between(("b", "c"), ("a",)) == (a_c, a_b2, a_b)
+        assert query.joins_between({"c"}, ["b", "nope"]) == (b_c,)
+        assert query.joins_between(("a", "b"), ("a", "b")) == (a_b2, a_b)
+        graph = query.join_graph
+        assert graph is query.join_graph
+        assert graph.tables == ("a", "b", "c")
+        assert graph.groups == ((a_b2, a_b), (a_c,), (b_c,))
+
 
 class TestAggregationFlag:
     def test_group_by_implies_aggregation(self):
