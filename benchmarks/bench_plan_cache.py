@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.backends.memory import MemoryBackend
 from repro.core.mnsa import mnsa_for_workload
 from repro.core.mnsad import mnsad_for_workload
 from repro.optimizer import OptimizationRequest, Optimizer, PlanCache
@@ -47,7 +48,7 @@ def _tune_and_serve(factory, workload_name, algorithm, cache):
     db, queries = _queries(factory, workload_name)
     optimizer = Optimizer(db, cache=cache)
     started = time.perf_counter()
-    result = algorithm(db, optimizer, queries)
+    result = algorithm(MemoryBackend(db, optimizer), queries)
     _serve(optimizer, queries)
     wall = time.perf_counter() - started
     return result, optimizer, queries, wall

@@ -78,6 +78,10 @@ class TableSchema:
                     f"duplicate column {col.name!r} in table {name!r}"
                 )
             self._by_name[col.name] = col
+        #: approximate stored width of one row, for the I/O cost model
+        self.row_width_bytes = sum(
+            col.type.storage_width_bytes for col in self.columns
+        )
         self.primary_key = tuple(primary_key) if primary_key else ()
         for key_col in self.primary_key:
             if key_col not in self._by_name:
@@ -113,11 +117,6 @@ class TableSchema:
     def refs(self) -> list:
         """``ColumnRef`` for every column, in declaration order."""
         return [ColumnRef(self.name, col.name) for col in self.columns]
-
-    @property
-    def row_width_bytes(self) -> int:
-        """Approximate stored width of one row, for the I/O cost model."""
-        return sum(col.type.storage_width_bytes for col in self.columns)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cols = ", ".join(c.name for c in self.columns)

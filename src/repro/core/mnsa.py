@@ -156,6 +156,25 @@ def resolve_config(
     return resolved
 
 
+def members_of(cache: dict, name: str, keys: List[StatKey]) -> set:
+    """The set mirror of the duplicate-free list ``keys``, kept in
+    ``cache`` between ``merge`` calls so membership tests stay O(1) over
+    a workload; rebuilt if the list was edited from outside."""
+    members = cache.get(name)
+    if members is None or len(members) != len(keys):
+        members = cache[name] = set(keys)
+    return members
+
+
+def append_new(keys: List[StatKey], members: set, more) -> None:
+    """Append those of ``more`` not yet in ``keys`` (mirrored by
+    ``members``), preserving order."""
+    for key in more:
+        if key not in members:
+            members.add(key)
+            keys.append(key)
+
+
 @dataclass
 class MnsaResult:
     """Outcome of one MNSA run.
@@ -179,17 +198,23 @@ class MnsaResult:
     stop_reason: str = ""
     creation_cost: float = 0.0
 
+    _members: dict = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
+
     def merge(self, other: "MnsaResult") -> None:
         """Fold a per-query result into a workload-level accumulator."""
-        for key in other.created:
-            if key not in self.created:
-                self.created.append(key)
+        created = members_of(self._members, "created", self.created)
+        skipped = members_of(self._members, "skipped", self.skipped)
+        append_new(self.created, created, other.created)
         self.iterations += other.iterations
         self.optimizer_calls += other.optimizer_calls
         self.creation_cost += other.creation_cost
-        for key in other.skipped:
-            if key not in self.skipped and key not in self.created:
-                self.skipped.append(key)
+        append_new(
+            self.skipped,
+            skipped,
+            [key for key in other.skipped if key not in created],
+        )
         self.stop_reason = "workload"
 
 

@@ -22,7 +22,12 @@ from repro.backends.base import (
     resolve_backend_entry,
 )
 from repro.core.candidates import candidate_statistics
-from repro.core.mnsa import MnsaConfig, resolve_config
+from repro.core.mnsa import (
+    MnsaConfig,
+    append_new,
+    members_of,
+    resolve_config,
+)
 from repro.core.next_stat import find_next_stat_to_build
 from repro.optimizer.cache import OptimizationRequest
 from repro.sql.query import Query
@@ -49,14 +54,26 @@ class MnsadResult:
     creation_cost: float = 0.0
     stop_reason: str = ""
 
+    _members: dict = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
+
     def merge(self, other: "MnsadResult") -> None:
-        for name in ("created", "retained", "dropped"):
-            ours = getattr(self, name)
-            for key in getattr(other, name):
-                if key not in ours:
-                    ours.append(key)
+        created, retained, dropped = (
+            members_of(self._members, name, getattr(self, name))
+            for name in ("created", "retained", "dropped")
+        )
+        append_new(self.created, created, other.created)
+        append_new(self.retained, retained, other.retained)
         # a statistic dropped for one query but retained for another stays
-        self.dropped = [k for k in self.dropped if k not in self.retained]
+        if not dropped.isdisjoint(retained):
+            self.dropped = [k for k in self.dropped if k not in retained]
+            dropped.difference_update(retained)
+        append_new(
+            self.dropped,
+            dropped,
+            [key for key in other.dropped if key not in retained],
+        )
         self.iterations += other.iterations
         self.optimizer_calls += other.optimizer_calls
         self.creation_cost += other.creation_cost

@@ -1,54 +1,147 @@
-"""Construction of :class:`~repro.stats.statistic.Statistic` objects from data."""
+"""Construction of :class:`~repro.stats.statistic.Statistic` objects from data.
+
+The build kernel works on dense integer codes.  One
+``np.unique(float64(column), return_inverse, return_counts)`` per key
+column gives the column's sorted distinct values and frequencies — the
+leading column's pair *is* the histogram's input and its length *is*
+``1 / prefix_densities[0]`` — plus each row's index into them.  The
+distinct tuples of prefix *i + 1* are then the distinct values of
+``group_i * cardinality_{i+1} + code_{i+1}``: one 1-D int64 sort per
+further prefix instead of a comparison sort of stacked float tuples.
+"""
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import OptimizerConfig
 from repro.stats.cost import statistic_build_cost
-from repro.stats.histogram import HistogramKind, build_histogram
+from repro.stats.histogram import (
+    HistogramKind,
+    histogram_from_summary,
+    summarize,
+)
 from repro.stats.statistic import StatKey, Statistic
 from repro.storage.table_data import TableData
 
+#: largest mixed-radix product the int64 group ids can hold
+_MAX_GROUP_CODE = np.iinfo(np.int64).max
 
-def _prefix_density(arrays) -> float:
-    """1 / (number of distinct tuples) over the given parallel arrays."""
-    if not arrays or arrays[0].shape[0] == 0:
-        return 1.0
-    stacked = np.stack([np.asarray(a, dtype=np.float64) for a in arrays])
-    distinct = np.unique(stacked, axis=1).shape[1]
-    return 1.0 / max(1, distinct)
+#: (sorted distinct float64 values, rows per value, per-row index into
+#: them — ``None`` when no multi-column key needs it)
+ColumnSummary = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
 
 
-def build_statistic(
+def summarize_column(values, with_codes: bool = True) -> ColumnSummary:
+    """Distinct values, frequencies and dense integer codes of a column.
+
+    Values are compared as float64, like the histogram's: int64 values
+    that collide beyond 2**53 are one value here as well.
+    """
+    if not with_codes:
+        return (*summarize(values), None)
+    distinct, codes, freqs = np.unique(
+        np.asarray(values, dtype=np.float64),
+        return_inverse=True,
+        return_counts=True,
+    )
+    return distinct, freqs, codes.astype(np.int64, copy=False)
+
+
+def _regroup(groups, n_groups: int, codes, cardinality: int, want_ids: bool):
+    """Count (and, if wanted, dense ids) of the distinct ``(group, code)``
+    pairs, for group ids below ``n_groups`` and codes below
+    ``cardinality``."""
+    if n_groups * cardinality <= _MAX_GROUP_CODE:
+        combined = groups * cardinality + codes
+        if not want_ids:
+            return None, np.unique(combined).shape[0]
+        distinct, ids = np.unique(combined, return_inverse=True)
+        return ids, distinct.shape[0]
+    # the mixed-radix product would wrap: sort the pairs themselves
+    order = np.lexsort((codes, groups))
+    g, c = groups[order], codes[order]
+    first = np.ones(order.shape[0], dtype=bool)
+    first[1:] = (g[1:] != g[:-1]) | (c[1:] != c[:-1])
+    if not want_ids:
+        return None, int(first.sum())
+    ids = np.empty(order.shape[0], dtype=np.int64)
+    ids[order] = np.cumsum(first) - 1
+    return ids, int(first.sum())
+
+
+def prefix_distinct_counts(summaries: Sequence[ColumnSummary]) -> List[int]:
+    """Number of distinct tuples over each leading prefix of the columns
+    whose (coded) summaries are given, shortest prefix first."""
+    distinct, _, groups = summaries[0]
+    counts = [distinct.shape[0]]
+    last = len(summaries) - 1
+    for position, (distinct, _, codes) in enumerate(summaries[1:], 1):
+        groups, count = _regroup(
+            groups, counts[-1], codes, distinct.shape[0], position < last
+        )
+        counts.append(count)
+    return counts
+
+
+def build_statistics(
     table: TableData,
-    key: StatKey,
+    keys: Sequence[StatKey],
     config: OptimizerConfig,
     histogram_kind: HistogramKind = HistogramKind.MAXDIFF,
     rng: Optional[np.random.Generator] = None,
-) -> Statistic:
-    """Build a statistic over ``key``'s columns from the stored data.
+) -> List[Statistic]:
+    """Build statistics over each of ``keys`` (all on ``table``) in one
+    pass: the row sample, if any, is drawn once, and a column is
+    summarized once however many keys name it.
 
-    If ``config.sample_rows`` is set, the histogram and densities come
-    from a uniform row sample (scaled back to the full table), otherwise
-    from a full scan.
-
-    The returned statistic's ``build_cost`` is the work-unit charge from
-    :func:`~repro.stats.cost.statistic_build_cost`.
+    If ``config.sample_rows`` is set, histograms and densities come from
+    a uniform row sample (scaled back to the full table), otherwise from
+    a full scan.  Each statistic's ``build_cost`` is the work-unit charge
+    from :func:`~repro.stats.cost.statistic_build_cost` — what building
+    it alone would cost.
     """
+    if not keys:
+        return []
     row_count = table.row_count
+    columns = list(dict.fromkeys(c for key in keys for c in key.columns))
     if config.sample_rows is not None and row_count > config.sample_rows:
-        sampled = table.sample_rows(config.sample_rows, rng=rng)
-        arrays = [sampled[name] for name in key.columns]
-        scale = row_count / max(1, arrays[0].shape[0])
+        arrays = table.sample_rows(
+            config.sample_rows, rng=rng, columns=columns
+        )
+        scale = row_count / max(1, arrays[columns[0]].shape[0])
     else:
-        arrays = [table.column_array(name) for name in key.columns]
+        arrays = {name: table.column_array(name) for name in columns}
         scale = 1.0
+    coded = {c for key in keys if key.is_multi_column for c in key.columns}
+    # shared by this call's keys only: summaries of a whole table would
+    # outweigh the statistics themselves if kept between builds
+    summaries: Dict[str, ColumnSummary] = {
+        name: summarize_column(arrays[name], name in coded)
+        for name in columns
+    }
+    return [
+        _build_one(
+            key,
+            [arrays[name] for name in key.columns],
+            [summaries[name] for name in key.columns],
+            row_count,
+            scale,
+            config,
+            histogram_kind,
+        )
+        for key in keys
+    ]
 
-    histogram = build_histogram(
-        arrays[0], config.histogram_buckets, kind=histogram_kind
+
+def _build_one(
+    key, arrays, summaries, row_count, scale, config, histogram_kind
+) -> Statistic:
+    distinct, freqs, _ = summaries[0]
+    histogram = histogram_from_summary(
+        distinct, freqs, config.histogram_buckets, histogram_kind
     )
     if scale != 1.0:
         # scale bucket counts back up to full-table cardinality
@@ -56,7 +149,7 @@ def build_statistic(
         histogram.row_count = row_count
 
     densities = tuple(
-        _prefix_density(arrays[: i + 1]) for i in range(len(arrays))
+        1.0 / max(1, count) for count in prefix_distinct_counts(summaries)
     )
     joint = None
     if config.enable_joint_histograms and len(arrays) >= 2:
@@ -86,3 +179,15 @@ def build_statistic(
         build_cost=build_cost,
         joint_histogram=joint,
     )
+
+
+def build_statistic(
+    table: TableData,
+    key: StatKey,
+    config: OptimizerConfig,
+    histogram_kind: HistogramKind = HistogramKind.MAXDIFF,
+    rng: Optional[np.random.Generator] = None,
+) -> Statistic:
+    """Build one statistic over ``key``'s columns from the stored data;
+    see :func:`build_statistics`."""
+    return build_statistics(table, (key,), config, histogram_kind, rng)[0]

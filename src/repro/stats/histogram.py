@@ -295,8 +295,8 @@ class MaxDiffHistogram(Histogram):
     kind = HistogramKind.MAXDIFF
 
 
-def _summarize(values: np.ndarray):
-    """Sorted distinct values and their frequencies."""
+def summarize(values: np.ndarray):
+    """Sorted distinct values (as float64) and their frequencies."""
     return np.unique(np.asarray(values, dtype=np.float64), return_counts=True)
 
 
@@ -319,51 +319,58 @@ def _buckets_from_boundaries(distinct, freqs, starts):
     )
 
 
-def build_equi_depth(values: np.ndarray, buckets: int) -> EquiDepthHistogram:
-    """Equi-depth histogram with at most ``buckets`` buckets."""
-    values = np.asarray(values)
-    if values.size == 0:
-        empty = np.empty(0)
-        return EquiDepthHistogram(empty, empty, empty, empty, 0)
-    distinct, freqs = _summarize(values)
-    buckets = max(1, min(buckets, distinct.shape[0]))
+def _equi_depth_starts(freqs: np.ndarray, buckets: int) -> list:
+    """Boundaries at the value quantiles ``b / buckets`` of the rows."""
     cumulative = np.cumsum(freqs)
-    target = values.size / buckets
+    target = int(cumulative[-1]) / buckets
     starts = [0]
     for b in range(1, buckets):
         # first distinct value whose cumulative count reaches b * target
         idx = int(np.searchsorted(cumulative, b * target, side="left")) + 1
-        if idx > starts[-1] and idx < distinct.shape[0]:
+        if idx > starts[-1] and idx < freqs.shape[0]:
             starts.append(idx)
-    lows, highs, counts, ndvs = _buckets_from_boundaries(
-        distinct, freqs, starts
-    )
-    return EquiDepthHistogram(lows, highs, counts, ndvs, values.size)
+    return starts
 
 
-def build_maxdiff(values: np.ndarray, buckets: int) -> MaxDiffHistogram:
-    """MaxDiff(V, F) histogram with at most ``buckets`` buckets.
+def _maxdiff_starts(freqs: np.ndarray, buckets: int) -> list:
+    """Boundaries after the ``buckets - 1`` largest differences in
+    frequency between adjacent distinct values."""
+    if buckets == 1:
+        return [0]
+    diffs = np.abs(np.diff(freqs.astype(np.float64)))
+    # boundary after position i means a bucket starts at i + 1
+    top = np.argsort(-diffs, kind="stable")[: buckets - 1]
+    return [0] + sorted(int(i) + 1 for i in top)
 
-    Boundaries are placed after the ``buckets - 1`` largest differences in
-    frequency between adjacent distinct values.
+
+_BUILDERS = {
+    HistogramKind.EQUI_DEPTH: (EquiDepthHistogram, _equi_depth_starts),
+    HistogramKind.MAXDIFF: (MaxDiffHistogram, _maxdiff_starts),
+}
+
+
+def histogram_from_summary(
+    distinct: np.ndarray,
+    freqs: np.ndarray,
+    buckets: int,
+    kind: HistogramKind = HistogramKind.MAXDIFF,
+) -> Histogram:
+    """Histogram with at most ``buckets`` buckets over a column given as
+    its :func:`summarize` output, so a caller that already holds the
+    sorted distinct values (the statistic builder) does not sort again.
     """
-    values = np.asarray(values)
-    if values.size == 0:
+    try:
+        cls, starts_of = _BUILDERS[kind]
+    except KeyError:
+        raise StatisticsError(f"unknown histogram kind {kind!r}") from None
+    if distinct.shape[0] == 0:
         empty = np.empty(0)
-        return MaxDiffHistogram(empty, empty, empty, empty, 0)
-    distinct, freqs = _summarize(values)
+        return cls(empty, empty, empty, empty, 0)
     buckets = max(1, min(buckets, distinct.shape[0]))
-    if buckets == 1 or distinct.shape[0] == 1:
-        starts = [0]
-    else:
-        diffs = np.abs(np.diff(freqs.astype(np.float64)))
-        # boundary after position i means a bucket starts at i + 1
-        top = np.argsort(-diffs, kind="stable")[: buckets - 1]
-        starts = [0] + sorted(int(i) + 1 for i in top)
     lows, highs, counts, ndvs = _buckets_from_boundaries(
-        distinct, freqs, starts
+        distinct, freqs, starts_of(freqs, buckets)
     )
-    return MaxDiffHistogram(lows, highs, counts, ndvs, values.size)
+    return cls(lows, highs, counts, ndvs, int(freqs.sum()))
 
 
 def build_histogram(
@@ -372,8 +379,14 @@ def build_histogram(
     kind: HistogramKind = HistogramKind.MAXDIFF,
 ) -> Histogram:
     """Build a histogram of the requested kind."""
-    if kind == HistogramKind.EQUI_DEPTH:
-        return build_equi_depth(values, buckets)
-    if kind == HistogramKind.MAXDIFF:
-        return build_maxdiff(values, buckets)
-    raise StatisticsError(f"unknown histogram kind {kind!r}")
+    return histogram_from_summary(*summarize(values), buckets, kind)
+
+
+def build_equi_depth(values: np.ndarray, buckets: int) -> EquiDepthHistogram:
+    """Equi-depth histogram with at most ``buckets`` buckets."""
+    return build_histogram(values, buckets, HistogramKind.EQUI_DEPTH)
+
+
+def build_maxdiff(values: np.ndarray, buckets: int) -> MaxDiffHistogram:
+    """MaxDiff(V, F) histogram with at most ``buckets`` buckets."""
+    return build_histogram(values, buckets, HistogramKind.MAXDIFF)

@@ -44,7 +44,7 @@ from repro.catalog import ColumnRef
 from repro.concurrency import guarded_by, protocol
 from repro.config import DEFAULT_CONFIG, OptimizerConfig
 from repro.errors import StatisticsError
-from repro.stats.builder import build_statistic
+from repro.stats.builder import build_statistic, build_statistics
 from repro.stats.cost import statistic_update_cost
 from repro.stats.histogram import HistogramKind
 from repro.stats.router import ShardRouter
@@ -110,6 +110,10 @@ class StatsShard:
         self._epoch = 0
         self._creation_cost = 0.0
         self._update_cost = 0.0
+        # (epoch built at, histograms, by_table) — see _visible().  A
+        # cache of the guarded state above, not epoch-versioned state of
+        # its own, hence no guarded_by (R006 would want lookups to bump).
+        self._view = None
 
     @property
     def _config(self) -> OptimizerConfig:
@@ -298,46 +302,61 @@ class StatsShard:
                 if self.is_visible(key)
             ]
 
-    def histogram_for(self, ref: ColumnRef):
-        single = StatKey.single(ref)
+    def _visible(self):
+        """``(histograms, by_table)`` over the visible statistics: the
+        histogram serving each leading :class:`ColumnRef` (a
+        single-column statistic's if one is visible, else the first
+        multi-column one's) and each table's ``(key, statistic)`` pairs,
+        both in ``_statistics`` order.
+
+        Rebuilt when the epoch has moved since it was built — every
+        mutation that changes what is visible bumps the epoch (R006) —
+        and never modified afterwards, so a lookup is one lock
+        acquisition plus reads of dicts no one else writes.
+        """
         with self._lock:
-            if self.is_visible(single):
-                return self._statistics[single].histogram
-            for key, stat in self._statistics.items():
-                if self.is_visible(key) and key.leading_column == ref:
-                    return stat.histogram
-            return None
+            view = self._view
+            if view is None or view[0] != self._epoch:
+                histograms: Dict[ColumnRef, object] = {}
+                by_table: Dict[str, list] = {}
+                for key, stat in self._statistics.items():
+                    if not self.is_visible(key):
+                        continue
+                    by_table.setdefault(key.table, []).append((key, stat))
+                    leading = key.leading_column
+                    if key.is_multi_column:
+                        histograms.setdefault(leading, stat.histogram)
+                    else:
+                        histograms[leading] = stat.histogram
+                view = self._view = (self._epoch, histograms, by_table)
+            return view[1], view[2]
+
+    def histogram_for(self, ref: ColumnRef):
+        histograms, _ = self._visible()
+        return histograms.get(ref)
 
     def density_for_columns(
         self, table: str, wanted: frozenset, size: int
     ) -> Optional[float]:
         best = None
-        with self._lock:
-            for key, stat in self._statistics.items():
-                if key.table != table or not self.is_visible(key):
-                    continue
-                if len(key.columns) < size:
-                    continue
-                if frozenset(key.columns[:size]) == wanted:
-                    density = stat.prefix_densities[size - 1]
-                    if best is None or density < best:
-                        best = density
+        _, by_table = self._visible()
+        for key, stat in by_table.get(table, ()):
+            if len(key.columns) < size:
+                continue
+            if frozenset(key.columns[:size]) == wanted:
+                density = stat.prefix_densities[size - 1]
+                if best is None or density < best:
+                    best = density
         return best
 
     def joint_for_columns(self, table: str, wanted: frozenset):
-        with self._lock:
-            for key, stat in self._statistics.items():
-                if key.table != table or not self.is_visible(key):
-                    continue
-                if stat.joint_histogram is None:
-                    continue
-                if frozenset(key.columns[:2]) == wanted:
-                    return (
-                        stat.joint_histogram,
-                        key.columns[0],
-                        key.columns[1],
-                    )
-            return None
+        _, by_table = self._visible()
+        for key, stat in by_table.get(table, ()):
+            if stat.joint_histogram is None:
+                continue
+            if frozenset(key.columns[:2]) == wanted:
+                return stat.joint_histogram, key.columns[0], key.columns[1]
+        return None
 
     # ------------------------------------------------------------------
     # refresh / incremental maintenance
@@ -347,18 +366,17 @@ class StatsShard:
         data = self._db.table(table_name)
         total = 0.0
         with self._lock:
-            for key in self.keys_on_table(table_name):
-                old = self._statistics[key]
-                rebuilt = build_statistic(data, key, self._config)
-                rebuilt.update_count = old.update_count + 1
-                self._statistics[key] = rebuilt
-                cost = statistic_update_cost(
+            keys = self.keys_on_table(table_name)
+            rebuilt = build_statistics(data, keys, self._config)
+            for key, fresh in zip(keys, rebuilt):
+                fresh.update_count = self._statistics[key].update_count + 1
+                self._statistics[key] = fresh
+                total += statistic_update_cost(
                     data.row_count,
                     key,
                     self._config.cost,
                     self._config.sample_rows,
                 )
-                total += cost
             data.reset_modification_counter()
             self._update_cost += total
             self._epoch += 1
@@ -445,6 +463,7 @@ class StatsShard:
             self._drop_list = set(drop_list)
             self._ignored = set(ignored)
             self._epoch = epoch_floor
+            self._view = None
             self._creation_cost = 0.0
             self._update_cost = 0.0
 

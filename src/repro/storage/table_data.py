@@ -242,12 +242,15 @@ class TableData:
                 )
             updated = int(mask.sum())
             if updated:
+                # copy-on-write, like insert/delete: lock-free readers of
+                # the old arrays must never see a half-applied UPDATE
+                replaced = {}
                 for name, value in assignments.items():
                     col = self.schema.column(name)
                     encoded = self.encode_value(name, value)
-                    self._columns[name][mask] = _NUMPY_DTYPE[col.type](
-                        encoded
-                    )
+                    replaced[name] = self._columns[name].copy()
+                    replaced[name][mask] = _NUMPY_DTYPE[col.type](encoded)
+                self._columns.update(replaced)
                 self.rows_modified_since_stats += updated
         return updated
 
@@ -257,20 +260,24 @@ class TableData:
             self.rows_modified_since_stats = 0
 
     def sample_rows(
-        self, max_rows: int, rng: Optional[np.random.Generator] = None
+        self,
+        max_rows: int,
+        rng: Optional[np.random.Generator] = None,
+        columns: Optional[Iterable[str]] = None,
     ) -> Dict[str, np.ndarray]:
         """A uniform random sample of at most ``max_rows`` rows.
 
-        Returns raw (encoded) column arrays; used by sampling-based
-        statistics construction.
+        Returns raw (encoded) column arrays — of ``columns`` only, when
+        given; the sampled row set does not depend on it — used by
+        sampling-based statistics construction.
         """
         with self.mutation_lock:
+            names = self._columns if columns is None else list(columns)
+            arrays = {name: self.column_array(name) for name in names}
             n = self.row_count
             if n <= max_rows:
-                return {
-                    name: arr.copy() for name, arr in self._columns.items()
-                }
+                return {name: arr.copy() for name, arr in arrays.items()}
             rng = rng or np.random.default_rng(0)
             idx = rng.choice(n, size=max_rows, replace=False)
             idx.sort()
-            return {name: arr[idx] for name, arr in self._columns.items()}
+            return {name: arr[idx] for name, arr in arrays.items()}

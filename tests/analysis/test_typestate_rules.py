@@ -175,6 +175,30 @@ def test_r012_catches_deleted_store_guard(tmp_path):
     assert "never checked the store '_statistics'" in findings[0].message
 
 
+def test_r012_catches_view_built_without_visibility_check(tmp_path):
+    """The three estimator lookups read the shard's visible view; its
+    constructor is the one place they consult ``is_visible``."""
+    paths = _mutated(
+        tmp_path,
+        [os.path.join(SRC, "stats", "manager.py")],
+        "manager.py",
+        """                    if not self.is_visible(key):
+                        continue
+                    by_table.setdefault""",
+        """                    by_table.setdefault""",
+    )
+    findings = lint_paths(paths, rules=["R012"])
+    assert [f.rule_id for f in findings] == ["R012"] * 3
+    for finding, lookup in zip(
+        findings,
+        ("histogram_for", "density_for_columns", "joint_for_columns"),
+    ):
+        assert f"StatsShard.{lookup} serves estimation reads" in (
+            finding.message
+        )
+        assert "without consulting is_visible()" in finding.message
+
+
 def test_r012_catches_sqlite_visibility_bypass(tmp_path):
     paths = _mutated(
         tmp_path,

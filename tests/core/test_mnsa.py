@@ -1,10 +1,13 @@
 """Tests for repro.core.mnsa (Figure 1)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backends.memory import MemoryBackend
 from repro.catalog import ColumnRef
 from repro.core.mnsa import MnsaConfig, MnsaResult, mnsa_for_query, mnsa_for_workload
+from repro.core.mnsad import MnsadResult
 from repro.core.candidates import candidate_statistics
 from repro.optimizer import Optimizer
 from repro.sql.builder import QueryBuilder
@@ -230,3 +233,69 @@ class TestMnsaResultMerge:
         b = MnsaResult(skipped=[StatKey("t", ("a",))])
         a.merge(b)
         assert a.skipped == []
+
+
+# ----------------------------------------------------------------------
+# merge() against the list-scanning versions it replaced
+# ----------------------------------------------------------------------
+
+
+def _scan_merge_mnsa(total: MnsaResult, other: MnsaResult) -> None:
+    for key in other.created:
+        if key not in total.created:
+            total.created.append(key)
+    for key in other.skipped:
+        if key not in total.skipped and key not in total.created:
+            total.skipped.append(key)
+
+
+def _scan_merge_mnsad(total, other) -> None:
+    for name in ("created", "retained", "dropped"):
+        ours = getattr(total, name)
+        for key in getattr(other, name):
+            if key not in ours:
+                ours.append(key)
+    total.dropped = [k for k in total.dropped if k not in total.retained]
+
+
+_MERGE_KEYS = [StatKey("t", (name,)) for name in "abcdefgh"]
+_key_lists = st.lists(st.sampled_from(_MERGE_KEYS), max_size=5, unique=True)
+
+
+class TestMergeOrder:
+    @given(st.lists(st.tuples(_key_lists, _key_lists), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_mnsa_merge_equals_list_scan(self, parts):
+        merged, scanned = MnsaResult(), MnsaResult()
+        for created, skipped in parts:
+            merged.merge(MnsaResult(created=created, skipped=skipped))
+            _scan_merge_mnsa(
+                scanned, MnsaResult(created=created, skipped=skipped)
+            )
+            assert merged.created == scanned.created
+            assert merged.skipped == scanned.skipped
+
+    @given(
+        st.lists(st.tuples(_key_lists, _key_lists, _key_lists), max_size=12)
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mnsad_merge_equals_list_scan(self, parts):
+        merged, scanned = MnsadResult(), MnsadResult()
+        for created, retained, dropped in parts:
+            lists = dict(created=created, retained=retained, dropped=dropped)
+            merged.merge(MnsadResult(**lists))
+            _scan_merge_mnsad(scanned, MnsadResult(**lists))
+            assert merged.created == scanned.created
+            assert merged.retained == scanned.retained
+            assert merged.dropped == scanned.dropped
+
+    def test_merge_into_a_result_whose_lists_were_appended_to(self):
+        """A per-query result is filled by ``list.append``; using it as
+        the accumulator afterwards must still see those keys."""
+        a, b = _MERGE_KEYS[:2]
+        total = MnsaResult()
+        total.merge(MnsaResult(created=[a]))
+        total.created.append(b)
+        total.merge(MnsaResult(created=[b, a], skipped=[b]))
+        assert total.created == [a, b]
+        assert total.skipped == []

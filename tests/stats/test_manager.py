@@ -1,5 +1,9 @@
 """Tests for repro.stats.manager."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -169,6 +173,52 @@ class TestEstimatorLookups:
             np.unique(db.table("emp").column_array("dept_id"))
         )
         assert ndv == pytest.approx(true_ndv)
+
+
+    def test_lookups_racing_the_drop_list_see_the_state_of_their_epoch(
+        self, db
+    ):
+        """One thread flips the single-column statistic on and off the
+        drop-list; a lookup bracketed by two equal epoch reads must
+        return what was visible at that epoch — the single-column
+        histogram, or the multi-column fallback while it is hidden."""
+        stats = db.stats
+        fallback = stats.create([AGE, SAL]).histogram
+        single = stats.create(AGE).histogram
+        visible_parity = stats.epoch % 2  # each flip bumps the epoch once
+        stop = threading.Event()
+        wrong = []
+        checked = [0]
+
+        def look_up():
+            while not stop.is_set():
+                before = stats.epoch
+                found = stats.histogram_for(AGE)
+                if stats.epoch != before:
+                    continue
+                checked[0] += 1
+                hidden = before % 2 != visible_parity
+                if found is not (fallback if hidden else single):
+                    wrong.append((before, found))
+
+        readers = [threading.Thread(target=look_up) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers:
+                thread.start()
+            deadline = time.monotonic() + 0.5
+            while time.monotonic() < deadline:
+                stats.mark_droppable(AGE)
+                stats.revive(AGE)
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert checked[0] > 0
+        assert wrong == []
 
 
 class TestRefresh:

@@ -1,9 +1,16 @@
 """Tests for repro.storage.table_data."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from repro.config import DEFAULT_CONFIG
 from repro.errors import StorageError
+from repro.stats.builder import build_statistic
+from repro.stats.statistic import StatKey
 from repro.storage.table_data import TableData
 
 from tests.util import simple_schema
@@ -172,6 +179,64 @@ class TestDml:
         with pytest.raises(StorageError):
             data.update_rows(np.ones(5, dtype=bool), {"age": 1})
 
+    def test_update_leaves_earlier_readers_array_untouched(self):
+        """Lock-free readers hold the array they were handed: UPDATE
+        replaces the column, like INSERT and DELETE, never writes into
+        it."""
+        data = _emp_data(4)
+        held = data.column_array("age")
+        untouched = data.column_array("salary")
+        data.update_rows(data.column_array("id") <= 2, {"age": 99})
+        assert held.tolist() == [30, 30, 30, 30]
+        assert data.column_array("age").tolist() == [99, 99, 30, 30]
+        assert data.column_array("age") is not held
+        assert data.column_array("salary") is untouched
+
+    def test_failed_update_changes_no_column(self):
+        data = _emp_data(2)
+        with pytest.raises(StorageError):
+            data.update_rows(
+                np.ones(2, dtype=bool), {"age": 41, "salary": "oops"}
+            )
+        assert data.column_array("age").tolist() == [30, 30]
+
+    def test_build_racing_updates_sees_one_version_of_the_column(self):
+        """Every UPDATE below rewrites the whole column to one value, so
+        a statistic built at any moment must see a single distinct
+        value; a write into the live array would let a build see two."""
+        rows = 50_000
+        data = _emp_data(rows)
+        everything = np.ones(rows, dtype=bool)
+        key = StatKey("emp", ("age",))
+        stop = threading.Event()
+        mixed = []
+
+        def build():
+            while not stop.is_set():
+                stat = build_statistic(data, key, DEFAULT_CONFIG)
+                if stat.histogram.distinct_count != 1:
+                    mixed.append(stat.histogram.distinct_count)
+
+        builders = [threading.Thread(target=build) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in builders:
+                thread.start()
+            deadline = time.monotonic() + 1.0
+            value = 0
+            while time.monotonic() < deadline:
+                value += 1
+                data.update_rows(everything, {"age": value})
+        finally:
+            stop.set()
+            for thread in builders:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in builders)
+        assert value > 1
+        assert mixed == []
+
     def test_reset_modification_counter(self):
         data = _emp_data(2)
         data.update_rows(np.ones(2, dtype=bool), {"age": 40})
@@ -189,6 +254,15 @@ class TestSampling:
         data = _emp_data(5)
         sample = data.sample_rows(100)
         assert sample["id"].shape[0] == 5
+
+    def test_sample_of_named_columns_is_the_same_rows(self):
+        data = _emp_data(50)
+        full = data.sample_rows(10)
+        some = data.sample_rows(10, columns=["salary", "id"])
+        assert list(some) == ["salary", "id"]
+        assert (some["id"] == full["id"]).all()
+        with pytest.raises(StorageError):
+            data.sample_rows(10, columns=["nope"])
 
     def test_sample_deterministic_with_rng(self):
         data = _emp_data(50)
