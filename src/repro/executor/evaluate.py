@@ -21,7 +21,7 @@ from repro.sql.predicates import (
     Predicate,
 )
 
-_COMPARATORS = {
+COMPARATORS = {
     "=": np.equal,
     "<>": np.not_equal,
     "<": np.less,
@@ -63,7 +63,7 @@ def predicate_mask(
             raise ExecutionError(
                 f"order comparison with unknown string in {predicate}"
             )
-        return _COMPARATORS[predicate.op](values, literal)
+        return COMPARATORS[predicate.op](values, literal)
     if isinstance(predicate, BetweenPredicate):
         return (values >= predicate.low) & (values <= predicate.high)
     if isinstance(predicate, InPredicate):

@@ -20,6 +20,7 @@ from repro.catalog import ColumnRef, ColumnType
 from repro.config import DEFAULT_CONFIG, OptimizerConfig
 from repro.errors import ExecutionError
 from repro.executor.evaluate import (
+    COMPARATORS,
     decode_output_value,
     encode_literal,
     evaluate_scalar,
@@ -265,18 +266,10 @@ class Executor:
         self, node: HavingNode, needed, sink
     ) -> Tuple[Relation, float]:
         child_rel, child_cost = self._run(node.child, needed, sink)
-        comparators = {
-            "=": np.equal,
-            "<>": np.not_equal,
-            "<": np.less,
-            "<=": np.less_equal,
-            ">": np.greater,
-            ">=": np.greater_equal,
-        }
         mask = np.ones(child_rel.row_count, dtype=bool)
         for condition in node.predicates:
             values = child_rel.column(str(condition.aggregate))
-            mask &= comparators[condition.op](values, condition.value)
+            mask &= COMPARATORS[condition.op](values, condition.value)
         out = child_rel.filter(mask)
         cost = child_cost + child_rel.row_count * (
             len(node.predicates) * self._cost_compare()
@@ -400,7 +393,7 @@ class Executor:
         if node.group_by:
             key_arrays = [child_rel.column(ref) for ref in node.group_by]
             if input_rows == 0:
-                columns = {ref: np.empty(0) for ref in node.group_by}
+                columns = dict(zip(node.group_by, key_arrays))
                 for aggregate in node.aggregates:
                     columns[str(aggregate)] = np.empty(0)
                 out = Relation(columns)
@@ -413,8 +406,8 @@ class Executor:
                 for ref, arr in zip(node.group_by, key_arrays)
             }
         else:
-            n_groups = 1 if input_rows > 0 else 1
-            group_ids = np.zeros(max(0, input_rows), dtype=np.int64)
+            n_groups = 1
+            group_ids = np.zeros(input_rows, dtype=np.int64)
             columns = {}
 
         for aggregate in node.aggregates:
@@ -450,7 +443,7 @@ class Executor:
                 dictionary = self._db.table(ref.table).string_dictionary(
                     ref.column
                 )
-                arr = np.asarray([dictionary.decode(int(c)) for c in arr])
+                arr = dictionary.sort_ranks()[arr]
             sort_keys.append(arr)
         return relation.take(np.lexsort(sort_keys))
 

@@ -193,20 +193,6 @@ class OptimizationRequest:
 # ----------------------------------------------------------------------
 
 
-def _is_relevant(key: StatKey, query: Query) -> bool:
-    """Can ``key`` affect ``query``'s plan?  Same filter as Figure 2's
-    step 4 (see :mod:`repro.core.shrinking`): a plan depends only on the
-    visible statistics over the query's own relevant columns."""
-    if key.table not in query.tables:
-        return False
-    relevant = {
-        ref.column
-        for ref in query.relevant_columns()
-        if ref.table == key.table
-    }
-    return bool(set(key.columns) & relevant)
-
-
 def statistics_fingerprint(
     database, query: Query, ignore: Iterable[StatKey] = ()
 ) -> tuple:
@@ -231,9 +217,17 @@ def statistics_fingerprint(
         )
         for name in sorted(query.tables)
     )
+    # Same filter as Figure 2's step 4 (see :mod:`repro.core.shrinking`):
+    # a plan depends only on the visible statistics over the query's own
+    # relevant columns — collected per table once, not once per key.
+    relevant_columns = {table: set() for table in query.tables}
+    for ref in query.relevant_columns():
+        if ref.table in relevant_columns:
+            relevant_columns[ref.table].add(ref.column)
     relevant = []
     for key in stats.visible_keys():
-        if key in hidden or not _is_relevant(key, query):
+        columns = relevant_columns.get(key.table)
+        if not columns or key in hidden or columns.isdisjoint(key.columns):
             continue
         try:
             stat = stats.get(key)

@@ -110,7 +110,7 @@ class StatsShard:
         self._epoch = 0
         self._creation_cost = 0.0
         self._update_cost = 0.0
-        # (epoch built at, histograms, by_table) — see _visible().  A
+        # (epoch built at, histograms, by_table, pairs) — see _visible().  A
         # cache of the guarded state above, not epoch-versioned state of
         # its own, hence no guarded_by (R006 would want lookups to bump).
         self._view = None
@@ -249,6 +249,7 @@ class StatsShard:
             for key in purged:
                 del self._statistics[key]
             self._drop_list.clear()
+            self._ignored.difference_update(purged)
             self._epoch += 1
             return purged
 
@@ -265,8 +266,10 @@ class StatsShard:
             return previous
 
     def restore_ignored(self, previous: Set[StatKey]) -> None:
+        """Leave an ignore scope.  A statistic dropped or purged inside
+        the scope stays forgotten: restoring must not name it again."""
         with self._lock:
-            self._ignored = set(previous)
+            self._ignored = {k for k in previous if k in self._statistics}
             self._epoch += 1
 
     def set_ignored(self, keys: Set[StatKey]) -> None:
@@ -291,23 +294,17 @@ class StatsShard:
             )
 
     def visible_keys(self) -> List[StatKey]:
-        with self._lock:
-            return [key for key in self._statistics if self.is_visible(key)]
+        return [key for key, _ in self._visible()[2]]
 
     def visible_statistics(self) -> List[Statistic]:
-        with self._lock:
-            return [
-                stat
-                for key, stat in self._statistics.items()
-                if self.is_visible(key)
-            ]
+        return [stat for _, stat in self._visible()[2]]
 
     def _visible(self):
-        """``(histograms, by_table)`` over the visible statistics: the
-        histogram serving each leading :class:`ColumnRef` (a
+        """``(histograms, by_table, pairs)`` over the visible statistics:
+        the histogram serving each leading :class:`ColumnRef` (a
         single-column statistic's if one is visible, else the first
-        multi-column one's) and each table's ``(key, statistic)`` pairs,
-        both in ``_statistics`` order.
+        multi-column one's), each table's ``(key, statistic)`` pairs, and
+        all the pairs, everything in ``_statistics`` order.
 
         Rebuilt when the epoch has moved since it was built — every
         mutation that changes what is visible bumps the epoch (R006) —
@@ -319,27 +316,30 @@ class StatsShard:
             if view is None or view[0] != self._epoch:
                 histograms: Dict[ColumnRef, object] = {}
                 by_table: Dict[str, list] = {}
+                pairs = []
                 for key, stat in self._statistics.items():
                     if not self.is_visible(key):
                         continue
                     by_table.setdefault(key.table, []).append((key, stat))
+                    pairs.append((key, stat))
                     leading = key.leading_column
                     if key.is_multi_column:
                         histograms.setdefault(leading, stat.histogram)
                     else:
                         histograms[leading] = stat.histogram
-                view = self._view = (self._epoch, histograms, by_table)
-            return view[1], view[2]
+                view = self._view = (
+                    self._epoch, histograms, by_table, pairs
+                )
+            return view[1:]
 
     def histogram_for(self, ref: ColumnRef):
-        histograms, _ = self._visible()
-        return histograms.get(ref)
+        return self._visible()[0].get(ref)
 
     def density_for_columns(
         self, table: str, wanted: frozenset, size: int
     ) -> Optional[float]:
         best = None
-        _, by_table = self._visible()
+        by_table = self._visible()[1]
         for key, stat in by_table.get(table, ()):
             if len(key.columns) < size:
                 continue
@@ -350,7 +350,7 @@ class StatsShard:
         return best
 
     def joint_for_columns(self, table: str, wanted: frozenset):
-        _, by_table = self._visible()
+        by_table = self._visible()[1]
         for key, stat in by_table.get(table, ()):
             if stat.joint_histogram is None:
                 continue

@@ -10,6 +10,7 @@ columns.
 from __future__ import annotations
 
 import re
+import weakref
 from typing import Iterable, List, Optional
 
 import numpy as np
@@ -21,6 +22,13 @@ class StringDictionary:
     def __init__(self, values: Iterable[str] = ()) -> None:
         self._code_of = {}
         self._value_of: List[str] = []
+        # derived arrays, each tagged with the dictionary length(s) it was
+        # computed at: codes are append-only, so equal lengths mean
+        # unchanged content
+        self._ranks: Optional[tuple] = None
+        self._codes_in: "weakref.WeakKeyDictionary" = (
+            weakref.WeakKeyDictionary()
+        )
         for value in values:
             self.encode(value)
 
@@ -79,6 +87,30 @@ class StringDictionary:
     def values(self) -> list:
         """All dictionary strings in code order."""
         return list(self._value_of)
+
+    def sort_ranks(self) -> np.ndarray:
+        """``ranks[code]``: the dense rank of the code's string among all
+        dictionary strings, compared as numpy compares unicode arrays —
+        sorting codes by rank sorts rows by string."""
+        cached = self._ranks
+        if cached is None or cached[0] != len(self._value_of):
+            strings = np.asarray(self._value_of, dtype=np.str_)
+            ranks = np.unique(strings, return_inverse=True)[1]
+            cached = self._ranks = (strings.shape[0], ranks.astype(np.int64))
+        return cached[1]
+
+    def codes_in(self, other: "StringDictionary") -> np.ndarray:
+        """``mapping[code]``: ``other``'s code for the same string, -1
+        where ``other`` never saw it.  Never empty, so it can be indexed
+        by an empty code array."""
+        lengths = (len(self._value_of), len(other))
+        cached = self._codes_in.get(other)
+        if cached is None or cached[0] != lengths:
+            mapping = np.full(max(1, lengths[0]), -1, dtype=np.int64)
+            for code, value in enumerate(self._value_of[: lengths[0]]):
+                mapping[code] = other._code_of.get(value, -1)
+            cached = self._codes_in[other] = (lengths, mapping)
+        return cached[1]
 
 
 def _like_to_regex(pattern: str) -> "re.Pattern":

@@ -176,8 +176,9 @@ def test_r012_catches_deleted_store_guard(tmp_path):
 
 
 def test_r012_catches_view_built_without_visibility_check(tmp_path):
-    """The three estimator lookups read the shard's visible view; its
-    constructor is the one place they consult ``is_visible``."""
+    """The three estimator lookups and the two visible-set listings read
+    the shard's visible view; its constructor is the one place they
+    consult ``is_visible``."""
     paths = _mutated(
         tmp_path,
         [os.path.join(SRC, "stats", "manager.py")],
@@ -188,10 +189,16 @@ def test_r012_catches_view_built_without_visibility_check(tmp_path):
         """                    by_table.setdefault""",
     )
     findings = lint_paths(paths, rules=["R012"])
-    assert [f.rule_id for f in findings] == ["R012"] * 3
+    assert [f.rule_id for f in findings] == ["R012"] * 5
     for finding, lookup in zip(
         findings,
-        ("histogram_for", "density_for_columns", "joint_for_columns"),
+        (
+            "visible_keys",
+            "visible_statistics",
+            "histogram_for",
+            "density_for_columns",
+            "joint_for_columns",
+        ),
     ):
         assert f"StatsShard.{lookup} serves estimation reads" in (
             finding.message

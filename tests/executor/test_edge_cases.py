@@ -149,3 +149,21 @@ class TestDegenerateValues:
         result = opt.optimize(query)
         assert result.rows == pytest.approx(100)
         assert _run(db, query).row_count == 100
+
+
+class TestEmptyGroupBy:
+    def test_group_keys_keep_their_dtype_over_empty_input(self, db):
+        """Zero groups still carry the key columns' own types."""
+        query = (
+            QueryBuilder(db.schema)
+            .where("emp.age", "=", -1)
+            .select("emp.dept_id", "emp.salary")
+            .group_by("emp.dept_id", "emp.salary")
+            .aggregate("count")
+            .build()
+        )
+        result = _run(db, query)
+        assert result.row_count == 0 and result.rows() == []
+        relation = result.relation
+        assert relation.column(ColumnRef("emp", "dept_id")).dtype == np.int64
+        assert relation.column(ColumnRef("emp", "salary")).dtype == np.float64

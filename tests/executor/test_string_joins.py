@@ -106,3 +106,37 @@ class TestStringJoins:
         )
         counts = dict(result.rows())
         assert counts == {"west": 3, "east": 2, "north": 2}
+
+    def test_translation_follows_dictionary_growth(self, string_join_db):
+        """The cached code mapping of a dictionary pair is rebuilt once an
+        insert adds a string to either side."""
+        from repro.executor.dml import apply_dml
+        from repro.sql.binder import parse_and_bind
+
+        db = string_join_db
+        query = (
+            QueryBuilder(db.schema)
+            .join("events.region", "regions.rname")
+            .build()
+        )
+
+        def joined_rows():
+            return Executor(db).execute(
+                Optimizer(db).optimize(query).plan, query
+            ).row_count
+
+        assert joined_rows() == 7
+        apply_dml(
+            db,
+            parse_and_bind(
+                "INSERT INTO regions VALUES ('nowhere', 5)", db.schema
+            ),
+        )
+        assert joined_rows() == 8
+        apply_dml(
+            db,
+            parse_and_bind(
+                "INSERT INTO events VALUES (8, 'south')", db.schema
+            ),
+        )
+        assert joined_rows() == 9

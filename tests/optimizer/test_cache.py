@@ -279,6 +279,67 @@ class TestFingerprint:
         assert ignoring != seeing
 
 
+    def test_fingerprint_equals_the_per_key_relevance_scan(
+        self, fresh_tpcd_db
+    ):
+        """The digest is pinned to what the per-key filter it replaced
+        produced: (tables, sorted visible statistics sharing a relevant
+        column with the query), for every query x statistics state."""
+        from repro.core.candidates import workload_candidate_statistics
+        from repro.workload import generate_workload
+
+        db = fresh_tpcd_db()
+        queries = generate_workload(db, "U0-C-30", seed=7).queries()
+
+        def per_key_scan(query, ignore=()):
+            tables = tuple(
+                (
+                    name,
+                    db.table(name).row_count,
+                    db.table(name).rows_modified_since_stats,
+                )
+                for name in sorted(query.tables)
+            )
+            relevant = []
+            for key in db.stats.visible_keys():
+                if key in set(ignore) or key.table not in query.tables:
+                    continue
+                columns = {
+                    ref.column
+                    for ref in query.relevant_columns()
+                    if ref.table == key.table
+                }
+                if not set(key.columns) & columns:
+                    continue
+                stat = db.stats.get(key)
+                relevant.append((key, stat.update_count, stat.row_count))
+            return (tables, tuple(sorted(relevant)))
+
+        candidates = list(workload_candidate_statistics(queries))
+        assert candidates
+        for state in range(4):
+            if state == 1:
+                for key in candidates:
+                    db.stats.create(key)
+            elif state == 2:
+                for key in candidates[::3]:
+                    db.stats.mark_droppable(key)
+                db.stats.refresh_table("orders")
+            elif state == 3:
+                db.stats.set_ignored(candidates[1::3])
+            nonempty = 0
+            for query in queries:
+                ignore = tuple(candidates[:2])
+                assert statistics_fingerprint(db, query) == per_key_scan(
+                    query
+                )
+                assert statistics_fingerprint(
+                    db, query, ignore
+                ) == per_key_scan(query, ignore)
+                nonempty += bool(statistics_fingerprint(db, query)[1])
+            assert (nonempty > 0) == (state > 0)
+
+
 class TestDeprecatedShims:
     def test_optimize_kwargs_warn(self, db):
         opt = Optimizer(db, cache=PlanCache(4))

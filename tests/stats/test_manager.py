@@ -109,6 +109,38 @@ class TestDropList:
         assert not db.stats.has(AGE)
         assert db.stats.has(SAL)
 
+    def test_purge_forgets_the_ignored_name_like_drop_does(self, db):
+        """Regression: a purged key used to stay in the ignore buffer, so
+        the same statistic built again came back invisible."""
+        key = StatKey("emp", ("age",))
+        db.stats.create(AGE)
+        db.stats.set_ignored([AGE])
+        db.stats.mark_droppable(AGE)
+        db.stats.purge_drop_list()
+        assert all(
+            key not in db.stats.shard(i).ignored()
+            for i in range(db.stats.shard_count)
+        )
+        db.stats.create(AGE)
+        assert db.stats.is_visible(key)
+        assert db.stats.histogram_for(AGE) is not None
+
+    def test_scope_exit_does_not_name_a_purged_statistic_again(self, db):
+        key = StatKey("emp", ("age",))
+        db.stats.create(AGE)
+        db.stats.create(SAL)
+        with db.stats.ignore_subset([AGE]):
+            with db.stats.ignore_subset([SAL]):
+                db.stats.mark_droppable(AGE)
+                db.stats.purge_drop_list()
+            # the inner scope's snapshot still named AGE
+            assert not any(
+                key in db.stats.shard(i).ignored()
+                for i in range(db.stats.shard_count)
+            )
+        db.stats.create(AGE)
+        assert db.stats.is_visible(key)
+
 
 class TestIgnoreSubset:
     def test_scoped_hiding(self, db):
