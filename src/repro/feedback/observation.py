@@ -140,19 +140,23 @@ class PlanInstrumenter:
     * having / sort — no targets (their cardinalities are derived from
       magic numbers or pass through unchanged).
 
-    Instrumenting is read-only and therefore safe on plans shared
-    through the plan cache.
+    Plans are immutable and shared through the plan cache, so the map
+    is derived once per plan and kept on its root; callers must treat it
+    as read-only.  A re-optimized plan is a new tree and gets a new map.
     """
 
     def instrument(self, plan: PlanNode) -> Dict[int, NodeAnnotation]:
-        annotations: Dict[int, NodeAnnotation] = {}
-        for node in plan.walk():
-            annotations[id(node)] = NodeAnnotation(
-                operator=self._operator_kind(node),
-                tables=node.tables(),
-                targets=tuple(self._targets(node)),
-                estimated_rows=node.rows,
-            )
+        annotations = plan.feedback_annotations
+        if annotations is None:
+            annotations = {}
+            for node in plan.walk():
+                annotations[id(node)] = NodeAnnotation(
+                    operator=self._operator_kind(node),
+                    tables=node.tables(),
+                    targets=tuple(self._targets(node)),
+                    estimated_rows=node.rows,
+                )
+            plan.feedback_annotations = annotations
         return annotations
 
     def observe(

@@ -36,6 +36,9 @@ class IndexManager:
     def __init__(self, database) -> None:
         self._db = database
         self._definitions: Dict[str, IndexDefinition] = {}
+        #: column -> its first-declared definition (what ``index_on``
+        #: answers), maintained by ``create_index`` / ``drop_index``
+        self._first_on: Dict[ColumnRef, IndexDefinition] = {}
         self._built: Dict[str, SortedIndex] = {}
 
     # ------------------------------------------------------------------
@@ -53,23 +56,28 @@ class IndexManager:
         self._db.schema.column(column)  # validates
         definition = IndexDefinition(name, column)
         self._definitions[name] = definition
+        self._first_on.setdefault(column, definition)
         return definition
 
     def drop_index(self, name: str) -> None:
         if name not in self._definitions:
             raise CatalogError(f"no index named {name!r}")
-        del self._definitions[name]
+        dropped = self._definitions.pop(name)
         self._built.pop(name, None)
+        if self._first_on[dropped.column] is dropped:
+            # the next-declared index on the column takes over, if any
+            del self._first_on[dropped.column]
+            for definition in self._definitions.values():
+                if definition.column == dropped.column:
+                    self._first_on[dropped.column] = definition
+                    break
 
     def definitions(self) -> List[IndexDefinition]:
         return list(self._definitions.values())
 
     def index_on(self, column: ColumnRef) -> Optional[IndexDefinition]:
         """The first declared index keyed on ``column``, if any."""
-        for definition in self._definitions.values():
-            if definition.column == column:
-                return definition
-        return None
+        return self._first_on.get(column)
 
     def indexed_columns(self) -> List[ColumnRef]:
         """All distinct indexed columns (the intro experiment's baseline

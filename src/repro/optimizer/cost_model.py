@@ -89,10 +89,29 @@ class CostModel:
         self, left_rows: float, right_rows: float, output_rows: float
     ) -> float:
         """Sort-merge join: both inputs sorted here (no order tracking)."""
+        return self.merge_join_sorted(
+            self.sort(left_rows),
+            self.sort(right_rows),
+            left_rows,
+            right_rows,
+            output_rows,
+        )
+
+    def merge_join_sorted(
+        self,
+        left_sort: float,
+        right_sort: float,
+        left_rows: float,
+        right_rows: float,
+        output_rows: float,
+    ) -> float:
+        """:meth:`merge_join` given each input's :meth:`sort` cost — the
+        join enumerator computes that once per sub-plan, not once per
+        candidate join over it."""
         c = self._c
         return (
-            self.sort(left_rows)
-            + self.sort(right_rows)
+            left_sort
+            + right_sort
             + (left_rows + right_rows) * c.cpu_compare_cost
             + output_rows * c.cpu_tuple_cost
         )

@@ -18,34 +18,59 @@ An optional :class:`~repro.optimizer.cache.PlanCache` memoizes results
 per request; see that module for the epoch / fingerprint invalidation
 contract.
 
-Join enumeration is System-R dynamic programming in three stages:
+Join enumeration is System-R dynamic programming, split by what each
+part depends on — graph → schedule → scalar DP → materialize:
 
 1. **Join graph** (:attr:`Query.join_graph`, built on the first optimize
    of a query and kept on it): table -> bit, one edge per join predicate,
-   the predicates grouped per table pair.  Per request each pair's
-   selectivity is estimated once (:func:`pair_selectivities`).
-2. **DP over bitmasks** (:class:`_JoinSearch`): every table set gets its
-   cheapest plan, by extending a smaller set with one base-table access
-   path (left-deep; with ``enable_bushy_joins`` also by joining two
-   sub-plans).  A set with no join edge inside it falls back to a cross
-   product, and only such a set does.
-3. **Cost-first operator selection** (:func:`select_join`): the costs of
-   hash, sort-merge, index and naive nested loops are computed first; a
-   :class:`JoinNode` is built only for the winner of a table set.
+   the predicates grouped per table pair.
+2. **Schedule** (:mod:`repro.optimizer.schedule`, compiled once per query
+   and kept on its graph; the part that depends only on the graph's shape
+   is shared between queries): for every table set, in ascending-mask
+   order, its candidate joins ``(left set, right set, edge)`` — left-deep
+   extensions with each member as the inner base table, with
+   ``enable_bushy_joins`` also the splits into two sub-plans, and for a
+   set with no join edge inside (only for such a set) the cross products
+   — and per edge the crossing predicates and table pairs.
+3. **Scalar DP** (:class:`_JoinSearch`): per request each pair's
+   selectivity is estimated once (:func:`pair_selectivities`) and each
+   edge's combined selectivity and inner index resolved once; then every
+   table set gets the ``(rows, cost, sort cost)`` of its cheapest join,
+   the operator chosen cost-first on those floats
+   (:func:`_join_chooser`; :func:`select_join` is its form over plan
+   nodes, for the SQLite backend).
+4. **Materialize**: a :class:`JoinNode` is built for each join of the
+   winning tree, n−1 of them — and, during the search, for the two sides
+   of an exact cost tie.
 
 Plans, costs and row estimates are bit-identical to building and
 comparing every candidate plan (``tests/optimizer/golden_plans_u25c.json``
-pins them), which fixes the float order and the tie-break:
+pins them, ``tests/property/test_join_search_props.py`` keeps the
+search that did so as an oracle), which fixes the float order and the
+tie-break:
 
 * a join's selectivity is ``1.0 *= s_pair`` over the connecting table
   pairs in sorted table-pair order; rows and costs use one expression
-  each, in :func:`select_join`;
+  each, in :func:`_join_chooser` over the :class:`CostModel` formulas;
+* a sub-plan's sort cost is ``CostModel.sort(rows)`` of its winner,
+  computed when its table set is decided, and a merge join adds the two
+  stored terms in the order ``sort(left) + sort(right)``
+  (:meth:`CostModel.merge_join_sorted`, which :meth:`CostModel.merge_join`
+  is now defined by);
 * ``JoinNode.join_predicates`` keeps ``query.joins`` order;
-* inner tables are tried in sorted-name order, and exact cost ties —
-  common: a hash join costs the same with its inputs swapped — go to
-  the smaller ``str(plan.signature())``
-  (:func:`~repro.optimizer.plans.better`), so optimization is fully
-  deterministic — essential for Execution-Tree equivalence experiments.
+* a candidate replaces the best so far only when strictly cheaper; exact
+  cost ties — common: a hash join costs the same with its inputs
+  swapped, and under MNSA's ε pins whole table sets cost the sum of
+  their scans — go to the smaller ``str(plan.signature())``
+  (:func:`~repro.optimizer.plans.better`).  That is a total order, so
+  the candidate order (extensions in sorted-name order, then splits,
+  cross products only as the fallback) decides nothing but which nodes
+  get built; :meth:`JoinNode.signature_key` composes the string from the
+  children's cached keys and the edge's cached predicate ``repr``
+  instead of rendering the nested tuple, and must stay equal to it.
+
+Optimization is therefore fully deterministic — essential for
+Execution-Tree equivalence experiments.
 """
 
 from __future__ import annotations
@@ -75,6 +100,7 @@ from repro.optimizer.plans import (
     SortNode,
     better,
 )
+from repro.optimizer.schedule import join_schedule
 from repro.optimizer.selectivity import SelectivityEstimator
 from repro.optimizer.variables import (
     GroupByVariable,
@@ -130,6 +156,89 @@ def crossing_joins(graph, left_mask: int, right_mask: int, pair_selectivity):
     return tuple(edge.predicate for edge in crossing), selectivity
 
 
+def _join_chooser(cost_model: CostModel, config: OptimizerConfig):
+    """Operator selection for one join on scalars, cost-first.
+
+    Returns ``choose(left, right, edge) -> (cost, rows, algorithm)``: the
+    cheapest of the (at most four) algorithms for a join.  ``left`` and
+    ``right`` are ``(rows, cost, sort)`` of the inputs — estimated rows,
+    cumulative cost and :meth:`CostModel.sort` cost (read only when merge
+    joins are enabled); ``edge`` is ``(equi, selectivity, indexed)`` —
+    whether the join has predicates, their combined selectivity, and
+    whether the right input is a bare base table with an index on one of
+    its join columns.  Each formula lives in :class:`CostModel`; this is
+    the one place that combines them.
+
+    Candidates are tried in the order hash, merge, index nested loops,
+    naive nested loops and replaced only by a strictly cheaper one.  That
+    is :func:`~repro.optimizer.plans.better`'s tie-break: signatures of
+    the candidates agree up to the algorithm name, and ``'hash' <
+    'merge' < 'nl_index' < 'nl_scan'``.
+    """
+    hash_join = cost_model.hash_join if config.enable_hash_join else None
+    merge_join = (
+        cost_model.merge_join_sorted if config.enable_merge_join else None
+    )
+    nested_loop_index = cost_model.nested_loop_index
+    nested_loop_scan = cost_model.nested_loop_scan
+    HASH = JoinAlgorithm.HASH
+    MERGE = JoinAlgorithm.MERGE
+    NESTED_LOOP_INDEX = JoinAlgorithm.NESTED_LOOP_INDEX
+    NESTED_LOOP_SCAN = JoinAlgorithm.NESTED_LOOP_SCAN
+
+    def choose(left, right, edge):
+        left_rows, left_cost, left_sort = left
+        right_rows, right_cost, right_sort = right
+        equi, selectivity, indexed = edge
+        # max(0.0, ·) and, below, min / max / max(1.0, ·) spelled as
+        # comparisons (same values): this runs once per candidate join
+        rows = left_rows * right_rows * selectivity
+        if not rows > 0.0:
+            rows = 0.0
+        best = None
+        algorithm = NESTED_LOOP_SCAN
+        if equi:
+            children_cost = left_cost + right_cost
+            if hash_join is not None:
+                if right_rows < left_rows:
+                    build, probe = right_rows, left_rows
+                else:
+                    build, probe = left_rows, right_rows
+                best = children_cost + hash_join(build, probe, rows)
+                algorithm = HASH
+            if merge_join is not None:
+                cost = children_cost + merge_join(
+                    left_sort, right_sort, left_rows, right_rows, rows
+                )
+                if best is None or cost < best:
+                    best, algorithm = cost, MERGE
+            if indexed:
+                # seek the inner table's join column once per outer row
+                matches = right_rows * selectivity if left_rows > 0 else 0.0
+                cost = left_cost + nested_loop_index(left_rows, matches)
+                if best is None or cost < best:
+                    best, algorithm = cost, NESTED_LOOP_INDEX
+        # naive nested loops re-derive the inner side per outer row; the
+        # only option for a cartesian product
+        cost = left_cost + nested_loop_scan(
+            left_rows if left_rows > 1.0 else 1.0, right_cost
+        )
+        if best is None or cost < best:
+            best, algorithm = cost, NESTED_LOOP_SCAN
+        return best, rows, algorithm
+
+    return choose
+
+
+def _build_side(
+    algorithm: JoinAlgorithm, left_rows: float, right_rows: float
+) -> str:
+    """A hash join builds on the smaller input, the right one on a tie."""
+    if algorithm is JoinAlgorithm.HASH and not right_rows <= left_rows:
+        return "left"
+    return "right"
+
+
 def select_join(
     left: PlanNode,
     right: PlanNode,
@@ -139,54 +248,21 @@ def select_join(
     config: OptimizerConfig,
     inner_index: Optional[str],
 ) -> Tuple[float, float, JoinAlgorithm, str]:
-    """Operator selection for one join, cost-first.
+    """Operator selection for ``left ⋈ right`` over plan nodes.
 
-    Costs the (at most four) algorithms for ``left ⋈ right`` and returns
-    ``(cost, rows, algorithm, build_side)`` of the cheapest without
-    building a plan node.  ``inner_index`` names an index on a join
-    column of the bare base table ``right``; ``None`` rules index nested
-    loops out.
-
-    Candidates are tried in the order hash, merge, index nested loops,
-    naive nested loops and replaced only by a strictly cheaper one.  That
-    is :func:`~repro.optimizer.plans.better`'s tie-break: signatures of
-    the candidates agree up to the algorithm name, and ``'hash' <
-    'merge' < 'nl_index' < 'nl_scan'``.
+    Returns ``(cost, rows, algorithm, build_side)`` of the cheapest
+    algorithm without building a plan node; the arithmetic and the
+    tie-break are :func:`_join_chooser`'s, which the join enumerator
+    calls on scalars.  ``inner_index`` names an index on a join column of
+    the bare base table ``right``; ``None`` rules index nested loops out.
     """
-    left_rows, right_rows = left.rows, right.rows
-    rows = max(0.0, left_rows * right_rows * selectivity)
-    best = None
-    algorithm = JoinAlgorithm.NESTED_LOOP_SCAN
-    if joins:
-        children_cost = left.cost + right.cost
-        if config.enable_hash_join:
-            best = children_cost + cost_model.hash_join(
-                min(left_rows, right_rows), max(left_rows, right_rows), rows
-            )
-            algorithm = JoinAlgorithm.HASH
-        if config.enable_merge_join:
-            cost = children_cost + cost_model.merge_join(
-                left_rows, right_rows, rows
-            )
-            if best is None or cost < best:
-                best, algorithm = cost, JoinAlgorithm.MERGE
-        if inner_index is not None:
-            # seek the inner table's join column once per outer row
-            matches = right_rows * selectivity if left_rows > 0 else 0.0
-            cost = left.cost + cost_model.nested_loop_index(left_rows, matches)
-            if best is None or cost < best:
-                best, algorithm = cost, JoinAlgorithm.NESTED_LOOP_INDEX
-    # naive nested loops re-derive the inner side per outer row; the only
-    # option for a cartesian product
-    cost = left.cost + cost_model.nested_loop_scan(
-        max(1.0, left_rows), right.cost
+    merge = bool(joins) and config.enable_merge_join
+    cost, rows, algorithm = _join_chooser(cost_model, config)(
+        (left.rows, left.cost, cost_model.sort(left.rows) if merge else 0.0),
+        (right.rows, right.cost, cost_model.sort(right.rows) if merge else 0.0),
+        (bool(joins), selectivity, inner_index is not None),
     )
-    if best is None or cost < best:
-        best, algorithm = cost, JoinAlgorithm.NESTED_LOOP_SCAN
-    build_side = "right"
-    if algorithm is JoinAlgorithm.HASH and not right_rows <= left_rows:
-        build_side = "left"  # hash builds on the smaller input
-    return best, rows, algorithm, build_side
+    return cost, rows, algorithm, _build_side(algorithm, left.rows, right.rows)
 
 
 def finish_plan(
@@ -290,159 +366,122 @@ def _add_order_by(
     return SortNode(plan, query.order_by, plan.cost + cost_model.sort(plan.rows))
 
 
-class _Candidate:
-    """A costed join whose plan node is built only when needed: to break
-    an exact cost tie, or because it won its table set."""
-
-    __slots__ = ("cost", "_choice", "_left", "_right", "_edge", "_node")
-
-    def __init__(self, choice, left: PlanNode, right: PlanNode, edge) -> None:
-        self.cost = choice[0]
-        self._choice = choice
-        self._left = left
-        self._right = right
-        self._edge = edge
-        self._node: Optional[JoinNode] = None
-
-    def node(self) -> JoinNode:
-        if self._node is None:
-            cost, rows, algorithm, build_side = self._choice
-            joins, _, inner_index = self._edge
-            if algorithm is not JoinAlgorithm.NESTED_LOOP_INDEX:
-                inner_index = None
-            self._node = JoinNode(
-                algorithm,
-                self._left,
-                self._right,
-                joins,
-                rows,
-                cost,
-                inner_index,
-                build_side,
-            )
-        return self._node
-
-
 class _JoinSearch:
-    """One request's join enumeration: dynamic programming over table
-    bitmasks on the query's join graph, operators chosen cost-first.
+    """One request's join enumeration: dynamic programming over the
+    compiled schedule of the query's join graph
+    (:mod:`repro.optimizer.schedule`), on floats.
 
-    Per request, each table pair's selectivity is estimated once, and
-    the ``(join predicates, combined selectivity, usable inner index)``
-    of a left-deep extension is resolved once per ``(inner table,
-    connected tables)``.  The module docstring lists what keeps results
-    bit-identical to a search that builds and compares every plan.
+    A table set keeps the ``(rows, cost, sort cost)`` of its cheapest
+    join and which candidate that was.  Per request, each table pair's
+    selectivity is estimated once and each schedule edge's combined
+    selectivity and usable inner index are resolved once.  Plan nodes are
+    built afterwards, for the joins of the winning tree — and, during the
+    search, for the two sides of an exact cost tie, which
+    :func:`~repro.optimizer.plans.better` decides.  The module docstring
+    lists what keeps the result bit-identical to a search that builds and
+    compares every plan.
+
+    ``paths`` are the access paths of ``graph.tables``, in that order.
     """
 
     def __init__(
-        self, graph, access, estimator, cost_model, config, indexes
+        self, graph, paths, estimator, cost_model, config, indexes
     ) -> None:
-        self._graph = graph
-        self._paths = [access[name] for name in graph.tables]
-        self._cost = cost_model
-        self._config = config
-        self._indexes = indexes
-        self._pair_selectivity = pair_selectivities(graph, estimator)
-        #: per inner table: connected mask -> resolved edge
-        self._edges: List[dict] = [{} for _ in graph.tables]
-        #: table mask -> best plan; complete below the mask in progress
-        self._plans: List[Optional[PlanNode]] = [None] * (
-            1 << len(graph.tables)
+        self._schedule = schedule = join_schedule(
+            graph, config.enable_bushy_joins
         )
+        self._choose = _join_chooser(cost_model, config)
+        self._sort = cost_model.sort if config.enable_merge_join else None
+        pair_selectivity = pair_selectivities(graph, estimator)
+        #: edge id -> name of the first index on one of the inner
+        #: table's join columns
+        self._edge_index: List[Optional[str]] = [None] * len(schedule.inner)
+        if config.enable_index_paths:
+            for e, inner in enumerate(schedule.inner):
+                if inner is None:
+                    continue
+                for join in schedule.predicates[e]:
+                    index = indexes.index_on(join.side_for(inner))
+                    if index is not None:
+                        self._edge_index[e] = index.name
+                        break
+        #: edge id -> (equi, selectivity, indexed) for the chooser
+        self._edges = []
+        for groups, index in zip(schedule.shape.groups, self._edge_index):
+            selectivity = 1.0
+            for group in groups:
+                selectivity *= pair_selectivity[group]
+            self._edges.append((bool(groups), selectivity, index is not None))
+        size = 1 << len(paths)
+        #: table mask -> (rows, cost, sort cost) of its cheapest plan;
+        #: complete below the mask in progress
+        self._plans: List[Optional[tuple]] = [None] * size
+        #: table mask -> (candidate, algorithm) of its cheapest join
+        self._winners: List[Optional[tuple]] = [None] * size
+        #: table mask -> plan node, where one has been built
+        self._nodes: List[Optional[PlanNode]] = [None] * size
+        for i, path in enumerate(paths):
+            self._nodes[1 << i] = path
+            self._plans[1 << i] = self._summary(path.rows, path.cost)
+
+    def _summary(self, rows: float, cost: float) -> tuple:
+        """What a sub-plan contributes to the joins over it; its sort
+        cost is computed here, once, not per merge-join candidate."""
+        return rows, cost, self._sort(rows) if self._sort is not None else 0.0
 
     def best_plan(self) -> PlanNode:
-        plans = self._plans
-        for i, path in enumerate(self._paths):
-            plans[1 << i] = path
-        bushy = self._config.enable_bushy_joins
-        # ascending masks: every proper subset of a mask precedes it
-        for mask in range(3, len(plans)):
-            if not mask & (mask - 1):
-                continue
-            best = self._extend(mask, cartesian=False)
-            if bushy:
-                best = self._split(mask, best)
-            if best is None:
-                # no join edge inside this set: fall back to a cross product
-                best = self._extend(mask, cartesian=True)
-            plans[mask] = best.node()
-        return plans[-1]
+        plans, edges, choose = self._plans, self._edges, self._choose
+        shape = self._schedule.shape
+        for mask, candidates in zip(shape.masks, shape.candidates):
+            best_cost = None
+            for candidate in candidates:
+                left, right, e = candidate
+                cost, rows, algorithm = choose(
+                    plans[left], plans[right], edges[e]
+                )
+                if best_cost is None or cost < best_cost:
+                    best_cost, best_rows = cost, rows
+                    best = (candidate, algorithm)
+                    best_node = None
+                elif cost == best_cost:
+                    node = self._join(candidate, algorithm, rows, cost)
+                    if best_node is None:
+                        best_node = self._join(*best, best_rows, best_cost)
+                    if better(node, best_node):
+                        best_rows = rows
+                        best = (candidate, algorithm)
+                        best_node = node
+            plans[mask] = self._summary(best_rows, best_cost)
+            self._winners[mask], self._nodes[mask] = best, best_node
+        return self._node(len(plans) - 1)
 
-    def _extend(self, mask: int, cartesian: bool) -> Optional[_Candidate]:
-        """Cheapest left-deep plan for ``mask``: each member in turn (in
-        sorted-name order) as the inner base table."""
-        plans, edges = self._plans, self._edges
-        neighbors = self._graph.neighbors
-        best = None
-        for i, path in enumerate(self._paths):
-            bit = 1 << i
-            if not mask & bit:
-                continue
-            rest = mask ^ bit
-            connected = rest & neighbors[i]
-            if connected or cartesian:
-                edge = edges[i].get(connected)
-                if edge is None:
-                    edge = edges[i][connected] = self._edge(
-                        connected, bit, self._graph.tables[i]
-                    )
-                best = self._consider(best, plans[rest], path, edge)
-        return best
+    def _node(self, mask: int) -> PlanNode:
+        """The plan node of a decided table set, built on first use."""
+        node = self._nodes[mask]
+        if node is None:
+            rows, cost, _ = self._plans[mask]
+            node = self._nodes[mask] = self._join(
+                *self._winners[mask], rows, cost
+            )
+        return node
 
-    def _split(
-        self, mask: int, best: Optional[_Candidate]
-    ) -> Optional[_Candidate]:
-        """``best`` or a cheaper bushy split of ``mask`` into two joined
-        sub-plans of at least two tables each.  The lowest table stays on
-        the left, which halves the work."""
-        plans = self._plans
-        others = mask ^ (mask & -mask)
-        right = others
-        while right:
-            left = mask ^ right
-            if right & (right - 1) and left & (left - 1):
-                edge = self._edge(left, right)
-                if edge[0]:
-                    best = self._consider(
-                        best, plans[left], plans[right], edge
-                    )
-            right = (right - 1) & others
-        return best
-
-    def _edge(
-        self, left_mask: int, right_mask: int, inner: Optional[str] = None
-    ):
-        """:func:`crossing_joins` plus, for a base-table right side
-        ``inner``, the first index on one of its join columns."""
-        joins, selectivity = crossing_joins(
-            self._graph, left_mask, right_mask, self._pair_selectivity
+    def _join(self, candidate, algorithm, rows, cost) -> JoinNode:
+        left, right, e = candidate
+        return JoinNode(
+            algorithm,
+            self._node(left),
+            self._node(right),
+            self._schedule.predicates[e],
+            rows,
+            cost,
+            self._edge_index[e]
+            if algorithm is JoinAlgorithm.NESTED_LOOP_INDEX
+            else None,
+            _build_side(
+                algorithm, self._plans[left][0], self._plans[right][0]
+            ),
+            self._schedule.predicates_key(e),
         )
-        inner_index = None
-        if inner is not None and self._config.enable_index_paths:
-            for join in joins:
-                index = self._indexes.index_on(join.side_for(inner))
-                if index is not None:
-                    inner_index = index.name
-                    break
-        return joins, selectivity, inner_index
-
-    def _consider(
-        self, best: Optional[_Candidate], left: PlanNode, right: PlanNode, edge
-    ) -> _Candidate:
-        """``best`` or the cheapest join of ``left`` with ``right``,
-        whichever :func:`~repro.optimizer.plans.better` prefers."""
-        joins, selectivity, inner_index = edge
-        choice = select_join(
-            left, right, joins, selectivity,
-            self._cost, self._config, inner_index,
-        )
-        if best is None or choice[0] < best.cost:
-            return _Candidate(choice, left, right, edge)
-        if choice[0] == best.cost:
-            candidate = _Candidate(choice, left, right, edge)
-            if better(candidate.node(), best.node()):
-                return candidate
-        return best
 
 
 class Optimizer:
@@ -758,9 +797,10 @@ class Optimizer:
         }
         if len(access) == 1:
             return access[query.tables[0]]
+        graph = query.join_graph
         search = _JoinSearch(
-            query.join_graph,
-            access,
+            graph,
+            [access[name] for name in graph.tables],
             estimator,
             self._cost,
             self._config,

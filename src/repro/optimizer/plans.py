@@ -33,6 +33,10 @@ class PlanNode:
 
     _signature: Optional[tuple] = None
     _signature_key: Optional[str] = None
+    _tables: Optional[Tuple[str, ...]] = None
+    #: on a plan root, the per-node annotation map of
+    #: :class:`repro.feedback.observation.PlanInstrumenter`
+    feedback_annotations: Optional[dict] = None
 
     def __init__(self, children: Tuple["PlanNode", ...], rows: float, cost: float):
         self.children = children
@@ -45,12 +49,15 @@ class PlanNode:
         return self.cost - sum(child.cost for child in self.children)
 
     def tables(self) -> Tuple[str, ...]:
-        """Base tables covered by this subtree (left-to-right order)."""
-        return tuple(
-            dict.fromkeys(
-                name for child in self.children for name in child.tables()
+        """Base tables covered by this subtree (left-to-right order),
+        computed once."""
+        if self._tables is None:
+            self._tables = tuple(
+                dict.fromkeys(
+                    name for child in self.children for name in child.tables()
+                )
             )
-        )
+        return self._tables
 
     def signature(self) -> tuple:
         """Execution-tree identity of the subtree, computed once."""
@@ -178,12 +185,17 @@ class JoinNode(PlanNode):
         cost: float,
         inner_index: Optional[str] = None,
         build_side: str = "right",
+        predicates_key: Optional[str] = None,
     ) -> None:
+        """``predicates_key``, when the caller has it cached, is ``repr``
+        of the sorted strings of ``join_predicates`` (the predicate
+        element of :meth:`signature_key`)."""
         super().__init__((left, right), rows, cost)
         self.algorithm = algorithm
         self.join_predicates = tuple(join_predicates)
         self.inner_index = inner_index
         self.build_side = build_side
+        self._predicates_key = predicates_key
 
     @property
     def left(self) -> PlanNode:
@@ -203,6 +215,27 @@ class JoinNode(PlanNode):
             self.left.signature(),
             self.right.signature(),
         )
+
+    def signature_key(self) -> str:
+        """``str(self.signature())`` composed from the children's cached
+        keys, without building the nested signature tuple: the join
+        enumerator compares keys of sub-plans that never reach a final
+        plan."""
+        if self._signature_key is None:
+            predicates = self._predicates_key
+            if predicates is None:
+                predicates = repr(
+                    tuple(sorted(str(p) for p in self.join_predicates))
+                )
+            hash_side = (
+                self.build_side if self.algorithm == JoinAlgorithm.HASH else None
+            )
+            self._signature_key = (
+                f"('join', {self.algorithm.value!r}, {self.inner_index!r}, "
+                f"{hash_side!r}, {predicates}, "
+                f"{self.left.signature_key()}, {self.right.signature_key()})"
+            )
+        return self._signature_key
 
     def _label(self) -> str:
         preds = " AND ".join(str(p) for p in self.join_predicates)

@@ -52,6 +52,9 @@ class JoinGraph:
         edges: one :class:`JoinEdge` per predicate, in ``query.joins``
             order.
         neighbors: per table index, the mask of tables it joins.
+        schedules: the optimizer's compiled enumeration schedules for
+            this graph, by ``enable_bushy_joins``
+            (:func:`repro.optimizer.schedule.join_schedule` fills it).
     """
 
     def __init__(
@@ -72,6 +75,7 @@ class JoinGraph:
             self.neighbors[high.bit_length() - 1] |= low
         self.groups = tuple(tuple(group) for group in groups)
         self.edges = tuple(edges)
+        self.schedules: Dict[bool, object] = {}
 
     def mask(self, tables: Iterable[str]) -> int:
         """Bits of ``tables`` (names outside the query contribute none)."""

@@ -258,18 +258,19 @@ class StatsShard:
     # ------------------------------------------------------------------
 
     def add_ignored(self, keys: Set[StatKey]) -> Set[StatKey]:
-        """Hide ``keys``; returns the previous ignore set (a copy)."""
+        """Hide ``keys``; returns those that were not hidden already."""
         with self._lock:
-            previous = set(self._ignored)
-            self._ignored |= keys
+            hidden = keys - self._ignored
+            self._ignored |= hidden
             self._epoch += 1
-            return previous
+            return hidden
 
-    def restore_ignored(self, previous: Set[StatKey]) -> None:
-        """Leave an ignore scope.  A statistic dropped or purged inside
-        the scope stays forgotten: restoring must not name it again."""
+    def remove_ignored(self, keys: Set[StatKey]) -> None:
+        """Leave an ignore scope: show the keys it hid again.  Nothing is
+        ever re-added here, so a statistic dropped or purged inside the
+        scope stays forgotten."""
         with self._lock:
-            self._ignored = {k for k in previous if k in self._statistics}
+            self._ignored -= keys
             self._epoch += 1
 
     def set_ignored(self, keys: Set[StatKey]) -> None:
@@ -750,21 +751,28 @@ class StatisticsManager:
         shards owning the keys' tables are touched (and epoch-bumped).
         """
         added = {self._as_key(k) for k in keys}
+        #: the keys this scope itself hid (not those hidden before it)
+        hidden: Set[StatKey] = set()
+        try:
+            for shard_id, shard_keys in self._by_shard(added):
+                hidden |= self._shards[shard_id].add_ignored(shard_keys)
+            yield
+        finally:
+            # By key, through the router current *now*: a reshard inside
+            # the scope moved the ignore buffers to other shards.  Every
+            # shard owning one of ``added`` is bumped, hidden here or not.
+            for shard_id, shard_keys in self._by_shard(added):
+                self._shards[shard_id].remove_ignored(shard_keys & hidden)
+
+    def _by_shard(self, keys: Set[StatKey]):
+        """``(shard id, its keys)`` for ``keys`` under the current
+        router, in ascending shard-id order."""
         by_shard: Dict[int, Set[StatKey]] = {}
-        for key in added:
+        for key in keys:
             by_shard.setdefault(self._router.shard_of(key.table), set()).add(
                 key
             )
-        previous: Dict[int, Set[StatKey]] = {}
-        try:
-            for shard_id in sorted(by_shard):
-                previous[shard_id] = self._shards[shard_id].add_ignored(
-                    by_shard[shard_id]
-                )
-            yield
-        finally:
-            for shard_id in sorted(previous):
-                self._shards[shard_id].restore_ignored(previous[shard_id])
+        return sorted(by_shard.items())
 
     def set_ignored(self, keys: Iterable) -> None:
         """Non-scoped variant used by long-running experiments."""

@@ -2,6 +2,7 @@
 
 import math
 
+from repro.catalog import ColumnRef
 from repro.executor import Executor
 from repro.feedback.observation import (
     MIN_CARDINALITY,
@@ -138,6 +139,58 @@ class TestPlanInstrumenter:
         assert observation.actual_rows == 7
         assert observation.estimated_rows == plan.rows
         assert observation.q_error == q_error(plan.rows, 7)
+
+
+class TestAnnotationMapCachedOnThePlan:
+    """The annotation map is a function of the immutable plan: derived
+    once, kept on the root, never carried over to another plan."""
+
+    def _query(self, db):
+        return (
+            QueryBuilder(db.schema)
+            .join("emp.dept_id", "dept.id")
+            .where("emp.age", "<", 40)
+            .group_by("dept.dname")
+            .build()
+        )
+
+    def test_observations_equal_with_and_without_the_cached_map(self, db):
+        query = self._query(db)
+        plan = Optimizer(db).optimize(query).plan
+        executor = Executor(db)
+        first = executor.execute(plan, query).operator_observations
+        assert plan.feedback_annotations is not None
+        cached = executor.execute(plan, query).operator_observations
+        plan.feedback_annotations = None
+        rederived = executor.execute(plan, query).operator_observations
+        assert len(first) == len(list(plan.walk()))
+        for a, b, c in zip(first, cached, rederived):
+            assert a == b == c
+
+    def test_instrument_returns_the_same_map_for_the_same_plan(self, db):
+        plan = Optimizer(db).optimize(self._query(db)).plan
+        first = PlanInstrumenter().instrument(plan)
+        assert PlanInstrumenter().instrument(plan) is first
+        assert set(first) == {id(node) for node in plan.walk()}
+
+    def test_reoptimized_plan_gets_a_fresh_map(self, db):
+        query = self._query(db)
+        optimizer = Optimizer(db)
+        plan = optimizer.optimize(query).plan
+        before = PlanInstrumenter().instrument(plan)
+        db.stats.create(ColumnRef("emp", "age"))
+        replanned = optimizer.optimize(query).plan
+        assert replanned is not plan
+        after = PlanInstrumenter().instrument(replanned)
+        assert after is not before
+        assert set(after) == {id(node) for node in replanned.walk()}
+        scan = next(n for n in replanned.walk() if n.tables() == ("emp",))
+        assert after[id(scan)].estimated_rows == scan.rows
+
+    def test_tables_are_computed_once_per_node(self, db):
+        plan = Optimizer(db).optimize(self._query(db)).plan
+        assert plan.tables() is plan.tables()
+        assert sorted(plan.tables()) == ["dept", "emp"]
 
 
 class TestEmptyRelationPlans:

@@ -35,6 +35,35 @@ class TestIndexManager:
         db.indexes.drop_index("idx")
         assert db.indexes.index_on(ColumnRef("emp", "age")) is None
 
+    def test_index_on_answers_the_first_declared_through_drops(self):
+        """``index_on`` reads a column -> definition map; it must answer
+        what a scan of the definitions in declaration order answers."""
+        db = simple_db()
+        age, salary = ColumnRef("emp", "age"), ColumnRef("emp", "salary")
+
+        def scan(column):
+            for definition in db.indexes.definitions():
+                if definition.column == column:
+                    return definition
+            return None
+
+        for step in (
+            lambda: db.indexes.create_index("a1", age),
+            lambda: db.indexes.create_index("s1", salary),
+            lambda: db.indexes.create_index("a2", age),
+            lambda: db.indexes.create_index("a3", age),
+            lambda: db.indexes.drop_index("a2"),
+            lambda: db.indexes.drop_index("a1"),
+            lambda: db.indexes.create_index("a1", age),
+            lambda: db.indexes.drop_index("a3"),
+            lambda: db.indexes.drop_index("a1"),
+        ):
+            step()
+            for column in (age, salary):
+                assert db.indexes.index_on(column) is scan(column)
+        assert db.indexes.index_on(age) is None
+        assert db.indexes.index_on(salary).name == "s1"
+
     def test_drop_unknown_rejected(self):
         with pytest.raises(CatalogError):
             simple_db().indexes.drop_index("nope")

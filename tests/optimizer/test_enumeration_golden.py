@@ -14,6 +14,9 @@
 The file was generated from the enumerator *before* it was rewritten as
 the join-graph kernel; regenerate (only when a plan change is intended)
 with ``PYTHONPATH=src python tests/optimizer/test_enumeration_golden.py``.
+``... test_enumeration_golden.py --diff`` recomputes the digests without
+touching the file, names the arms that changed and prints the first
+changed plan; CI runs it so a red golden test says what moved.
 
 The remaining tests pin the enumeration rules the digests cannot name:
 cartesian fallback, composite joins, signature tie-breaks, bushy shapes.
@@ -22,6 +25,7 @@ cartesian fallback, composite joins, signature tie-breaks, bushy shapes.
 import hashlib
 import itertools
 import json
+import sys
 from pathlib import Path
 
 from repro.config import OptimizerConfig
@@ -50,7 +54,7 @@ def _digest(result) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _pinned_arms(optimizer, query, label, out, index):
+def _pinned_arms(optimizer, query, label, index):
     missing = optimizer.magic_variables(query)
     for pin, value in (
         ("magic", None),
@@ -58,34 +62,62 @@ def _pinned_arms(optimizer, query, label, out, index):
         ("one_minus_eps", 1.0 - EPSILON),
     ):
         overrides = None if value is None else {v: value for v in missing}
-        result = optimizer.optimize_request(
+        yield f"q{index:02d}/{label}/{pin}", optimizer.optimize_request(
             OptimizationRequest.of(query, overrides, None)
         )
-        out[f"q{index:02d}/{label}/{pin}"] = _digest(result)
 
 
-def compute_digests() -> dict:
+def golden_arms():
+    """``(arm key, OptimizationResult)`` of every pinned arm."""
     database = make_tpcd_database(scale=0.002, z=2.0, seed=42)
     queries = generate_workload(database, "U25-C-100", seed=7).queries()
-    out: dict = {}
     optimizer = Optimizer(database)
     bushy = Optimizer(database, OptimizerConfig(enable_bushy_joins=True))
     for index, query in enumerate(queries):
-        _pinned_arms(optimizer, query, "none", out, index)
+        yield from _pinned_arms(optimizer, query, "none", index)
         if len(query.tables) >= 4:
-            out[f"q{index:02d}/bushy/magic"] = _digest(
-                bushy.optimize_request(OptimizationRequest(query))
+            yield f"q{index:02d}/bushy/magic", bushy.optimize_request(
+                OptimizationRequest(query)
             )
     for key in workload_candidate_statistics(queries):
         database.stats.create(key)
     for index, query in enumerate(queries):
-        _pinned_arms(optimizer, query, "all", out, index)
+        yield from _pinned_arms(optimizer, query, "all", index)
     apply_tuned_tpcd_indexes(database)
     for index, query in enumerate(queries):
-        out[f"q{index:02d}/indexed/magic"] = _digest(
-            optimizer.optimize_request(OptimizationRequest(query))
+        yield f"q{index:02d}/indexed/magic", optimizer.optimize_request(
+            OptimizationRequest(query)
         )
-    return out
+
+
+def compute_digests() -> dict:
+    return {key: _digest(result) for key, result in golden_arms()}
+
+
+def diff_against_golden() -> int:
+    """Print the arms whose digest left the golden file and the first
+    changed plan; the file is only read.  Returns the process exit code."""
+    golden = json.loads(GOLDEN.read_text())
+    changed, first, seen = [], None, set()
+    for key, result in golden_arms():
+        seen.add(key)
+        if golden.get(key) != _digest(result):
+            changed.append(key)
+            first = first or (key, result)
+    missing = sorted(set(golden) - seen)
+    if not changed and not missing:
+        print(f"{len(seen)} arms match {GOLDEN.name}")
+        return 0
+    for key in changed:
+        print("changed" if key in golden else "new    ", key)
+    for key in missing:
+        print("gone   ", key)
+    if first is not None:
+        key, result = first
+        print(f"\nfirst changed arm {key}: cost {result.cost!r} "
+              f"({result.cost.hex()}), rows {result.rows!r}")
+        print(result.plan.pretty())
+    return 1
 
 
 def test_u25c_plans_match_golden_digests():
@@ -94,6 +126,35 @@ def test_u25c_plans_match_golden_digests():
     assert sorted(actual) == sorted(golden)
     changed = sorted(k for k in golden if actual[k] != golden[k])
     assert not changed, f"{len(changed)} plans changed, first: {changed[:5]}"
+
+
+def test_diff_mode_names_changed_arms_and_leaves_the_file(
+    tpcd_db_readonly, tmp_path, monkeypatch, capsys
+):
+    db = tpcd_db_readonly
+    query = (
+        QueryBuilder(db.schema)
+        .join("nation.n_regionkey", "region.r_regionkey")
+        .build()
+    )
+    result = Optimizer(db).optimize_request(OptimizationRequest(query))
+    module = sys.modules[__name__]
+    golden = tmp_path / "golden.json"
+    monkeypatch.setattr(module, "GOLDEN", golden)
+    monkeypatch.setattr(
+        module, "golden_arms", lambda: iter([("q00/a", result), ("q00/b", result)])
+    )
+    golden.write_text(json.dumps({"q00/a": _digest(result), "q00/b": "0" * 64}))
+    before = golden.read_text()
+    assert diff_against_golden() == 1
+    out = capsys.readouterr().out
+    assert "changed q00/b" in out and "q00/a" not in out
+    assert result.plan.pretty() in out
+    assert golden.read_text() == before
+    golden.write_text(
+        json.dumps({"q00/a": _digest(result), "q00/b": _digest(result)})
+    )
+    assert diff_against_golden() == 0
 
 
 # ----------------------------------------------------------------------
@@ -367,6 +428,10 @@ class TestBushy:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        sys.exit(diff_against_golden())
+    if sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--diff]")
     GOLDEN.write_text(
         json.dumps(compute_digests(), indent=0, sort_keys=True) + "\n"
     )

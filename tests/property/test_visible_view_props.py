@@ -147,9 +147,7 @@ def _apply(stats, scopes, op, a, b):
     elif op == "note_data_change":
         stats.note_data_change(_pick(sorted(COLUMNS), a) if b % 2 else None)
     elif op == "reshard":
-        # reshard is a startup operation: never under an open ignore scope
-        if not scopes:
-            stats.reshard(3 if stats.shard_count == 1 else 1)
+        stats.reshard(3 if stats.shard_count == 1 else 1)
 
 
 steps = st.lists(

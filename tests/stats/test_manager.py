@@ -168,6 +168,29 @@ class TestIgnoreSubset:
             pass
         assert db.stats.histogram_for(AGE) is not None
 
+    def test_reshard_inside_a_scope_restores_by_key(self, db):
+        """The scope exit must reach the shard that owns the key *now*:
+        restoring by the shard ids captured at entry left the statistic
+        hidden for ever in the shard it moved to."""
+        db.stats.create(AGE)
+        db.stats.create(SAL)
+        db.stats.set_ignored([SAL])
+        assert db.stats.shard_count == 1
+        with db.stats.ignore_subset([AGE, SAL]):
+            db.stats.reshard(3)
+            assert db.stats.router.shard_of("emp") != 0
+            assert db.stats.histogram_for(AGE) is None
+        assert db.stats.histogram_for(AGE) is not None
+        # hidden before the scope, so still hidden after it
+        assert db.stats.histogram_for(SAL) is None
+        ignored = set()
+        for i in range(db.stats.shard_count):
+            ignored |= db.stats.shard(i).ignored()
+        assert ignored == {StatKey("emp", ("salary",))}
+        with db.stats.ignore_subset([AGE]):
+            db.stats.reshard(1)
+        assert db.stats.histogram_for(AGE) is not None
+
     def test_set_and_clear(self, db):
         db.stats.create(AGE)
         db.stats.set_ignored([AGE])
