@@ -8,7 +8,9 @@ consumes a database engine through a deliberately narrow interface:
   honouring the Sec 7.2 server extensions carried by the request —
   selectivity pins (``overrides``) and ``Ignore_Statistics_Subset``
   (``ignore``);
-* ``magic_variables(query)`` — step (a) of the Sec 4.1 sensitivity test;
+* ``magic_variables(query)`` — step (a) of the Sec 4.1 sensitivity test,
+  and ``probe(query, epsilon)`` — the whole test's inputs: the missing
+  variables plus the ε and 1−ε plans;
 * statistics lifecycle with the paper's scope semantics: create / drop,
   the Sec 5 drop-list (hidden but not deleted), and visibility;
 * table cardinalities and a DML / epoch notification hook.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import abc
 import warnings
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.concurrency import protocol
 from repro.errors import ReproDeprecationWarning
@@ -67,6 +69,7 @@ class Backend(abc.ABC):
                 "optimize",
                 "optimize_query",
                 "magic_variables",
+                "probe",
                 "execute",
                 "checksum",
                 "create_stats",
@@ -126,6 +129,28 @@ class Backend(abc.ABC):
     @abc.abstractmethod
     def magic_variables(self, query: Query) -> List:
         """Selectivity variables of ``query`` forced onto magic numbers."""
+
+    def probe(
+        self, query: Query, epsilon: float
+    ) -> Tuple[List, Optional[OptimizationResult], Optional[OptimizationResult]]:
+        """The Sec 4.1 sensitivity probe: ``(missing, low, high)``.
+
+        ``missing`` are :meth:`magic_variables` of ``query``; ``low`` and
+        ``high`` its plans with every one of them pinned to ``epsilon``
+        and to ``1 - epsilon`` — both ``None`` when nothing is missing.
+        Two optimizer calls (none when nothing is missing), whatever an
+        engine shares between them.
+        """
+        missing = self.magic_variables(query)
+        if not missing:
+            return missing, None, None
+        low = self.optimize(
+            OptimizationRequest(query, {v: epsilon for v in missing})
+        )
+        high = self.optimize(
+            OptimizationRequest(query, {v: 1.0 - epsilon for v in missing})
+        )
+        return missing, low, high
 
     @property
     @abc.abstractmethod

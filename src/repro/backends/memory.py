@@ -121,6 +121,9 @@ class MemoryBackend(Backend):
     def magic_variables(self, query: Query) -> List:
         return self._optimizer.magic_variables(query)
 
+    def probe(self, query: Query, epsilon: float):
+        return self._optimizer.probe(query, epsilon)
+
     @property
     def optimizer_calls(self) -> int:
         return self._optimizer.call_count

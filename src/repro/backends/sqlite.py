@@ -265,9 +265,6 @@ class _SqliteStatsView:
             return None
         return _Stat1Histogram(stat, self._backend._config.magic.range_)
 
-    def has_histogram_for(self, ref: ColumnRef) -> bool:
-        return self.histogram_for(ref) is not None
-
     def density_for_columns(
         self, table: str, columns: Iterable[str]
     ) -> Optional[float]:

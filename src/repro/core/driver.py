@@ -206,16 +206,4 @@ class WorkloadDriver:
             join_estimator=self._optimizer.join_estimator,
         )
         optimizer.optimize_request(OptimizationRequest(query))
-        missing = optimizer.magic_variables(query)
-        if not missing:
-            return
-        optimizer.optimize_request(
-            OptimizationRequest(
-                query, {v: config.epsilon for v in missing}
-            )
-        )
-        optimizer.optimize_request(
-            OptimizationRequest(
-                query, {v: 1.0 - config.epsilon for v in missing}
-            )
-        )
+        optimizer.probe(query, config.epsilon)

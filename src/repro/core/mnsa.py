@@ -32,7 +32,6 @@ from repro.core.equivalence import (
 )
 from repro.core.next_stat import find_next_stat_to_build
 from repro.errors import ReproDeprecationWarning
-from repro.optimizer.cache import OptimizationRequest
 from repro.optimizer.variables import EPSILON
 from repro.sql.query import Query
 from repro.stats.statistic import StatKey
@@ -268,20 +267,11 @@ def mnsa_for_query(
     max_iterations = len(remaining) + 1
     for _ in range(max_iterations):
         result.iterations += 1
-        missing = backend.magic_variables(query)  # step 4
+        # steps 4-6: missing variables, P_low, P_high
+        missing, low, high = backend.probe(query, config.epsilon)
         if not missing:
             result.stop_reason = "no_missing_variables"
             break
-        low = backend.optimize(
-            OptimizationRequest(
-                query, {v: config.epsilon for v in missing}
-            )
-        )
-        high = backend.optimize(
-            OptimizationRequest(
-                query, {v: 1.0 - config.epsilon for v in missing}
-            )
-        )
         if config.equivalence == "execution_tree":
             insensitive = low.signature == high.signature
         else:

@@ -29,7 +29,6 @@ from repro.core.mnsa import (
     resolve_config,
 )
 from repro.core.next_stat import find_next_stat_to_build
-from repro.optimizer.cache import OptimizationRequest
 from repro.sql.query import Query
 from repro.stats.statistic import StatKey
 
@@ -136,20 +135,10 @@ def mnsad_for_query(
     max_iterations = len(remaining) + 1
     for _ in range(max_iterations):
         result.iterations += 1
-        missing = backend.magic_variables(query)
+        missing, low, high = backend.probe(query, config.epsilon)
         if not missing:
             result.stop_reason = "no_missing_variables"
             break
-        low = backend.optimize(
-            OptimizationRequest(
-                query, {v: config.epsilon for v in missing}
-            )
-        )
-        high = backend.optimize(
-            OptimizationRequest(
-                query, {v: 1.0 - config.epsilon for v in missing}
-            )
-        )
         if criterion.costs_equivalent(low.cost, high.cost):
             result.stop_reason = "insensitive"
             break

@@ -31,7 +31,7 @@ from repro.core.mnsad import mnsad_for_workload
 from repro.core.next_stat import find_next_stat_to_build
 from repro.core.shrinking import shrinking_set
 from repro.experiments.common import workload_execution_cost
-from repro.optimizer import OptimizationRequest, Optimizer
+from repro.optimizer import Optimizer
 from repro.workload import generate_workload
 
 
@@ -95,19 +95,9 @@ def _mnsa_arbitrary_order(db, optimizer, query, config, rng):
     rng.shuffle(remaining)
     created = []
     for _ in range(len(remaining) + 1):
-        missing = optimizer.magic_variables(query)
+        missing, low, high = optimizer.probe(query, config.epsilon)
         if not missing:
             break
-        low = optimizer.optimize_request(
-            OptimizationRequest(
-                query, {v: config.epsilon for v in missing}
-            )
-        )
-        high = optimizer.optimize_request(
-            OptimizationRequest(
-                query, {v: 1 - config.epsilon for v in missing}
-            )
-        )
         if criterion.costs_equivalent(low.cost, high.cost):
             break
         if not remaining:

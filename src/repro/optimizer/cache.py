@@ -127,15 +127,9 @@ class OptimizationRequest:
         self.ignore = _canonical_ignore(ignore)
         self.learned = learned
         self.degraded = bool(degraded)
-        self._hash = hash(
-            (
-                self.query,
-                self.overrides,
-                self.ignore,
-                self.learned,
-                self.degraded,
-            )
-        )
+        #: computed by the first ``hash()``: hashing the whole bound query
+        #: is wasted on a request that never meets a plan cache
+        self._hash: Optional[int] = None
 
     @classmethod
     def of(
@@ -168,7 +162,18 @@ class OptimizationRequest:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        value = self._hash
+        if value is None:
+            value = self._hash = hash(
+                (
+                    self.query,
+                    self.overrides,
+                    self.ignore,
+                    self.learned,
+                    self.degraded,
+                )
+            )
+        return value
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OptimizationRequest):

@@ -581,7 +581,7 @@ class Optimizer:
     # ------------------------------------------------------------------
 
     def optimize_request(
-        self, request: OptimizationRequest
+        self, request: OptimizationRequest, memo: Optional[dict] = None
     ) -> OptimizationResult:
         """Choose the cheapest plan for a canonical request.
 
@@ -599,11 +599,16 @@ class Optimizer:
         they key under epoch 0 with an empty fingerprint: after the first
         planning they are permanent cache hits that touch no statistics
         lock at all.
+
+        ``memo`` is :meth:`probe`'s: statistics reads shared with the
+        other estimators of that call.  Only the uncached path uses it —
+        a plan stored in the cache must come from statistics read after
+        the epoch it is stored under.
         """
         with self._count_lock:
             self._call_count += 1
         if self._cache is None:
-            return self._execute_request(request)
+            return self._execute_request(request, memo)
         request = self._keyed_request(request)
         if request.degraded:
             epoch = 0
@@ -663,6 +668,37 @@ class Optimizer:
         estimator = SelectivityEstimator(self._db, self._config)
         return estimator.missing_variables(query)
 
+    def probe(
+        self, query: Query, epsilon: float
+    ) -> Tuple[
+        List[SelectivityVariable],
+        Optional[OptimizationResult],
+        Optional[OptimizationResult],
+    ]:
+        """MNSA's sensitivity probe (Sec 4.1): :meth:`magic_variables`
+        and the plans with all of them pinned to ``epsilon`` and to
+        ``1 - epsilon`` (``None`` twice when nothing is missing).
+
+        Counted as the two :meth:`optimize_request` calls it makes.  The
+        three estimators see one statistics state, so they share one memo
+        of what they read from it; the memo lives in this frame and dies
+        with it.
+        """
+        memo: dict = {}
+        missing = SelectivityEstimator(
+            self._db, self._config, memo=memo
+        ).missing_variables(query)
+        if not missing:
+            return missing, None, None
+        low = self.optimize_request(
+            OptimizationRequest(query, {v: epsilon for v in missing}), memo
+        )
+        high = self.optimize_request(
+            OptimizationRequest(query, {v: 1.0 - epsilon for v in missing}),
+            memo,
+        )
+        return missing, low, high
+
     def _learned_version(self) -> Optional[Tuple[int, int]]:
         """The combined learned-component version for cache keying, or
         ``None`` when no learned component is attached."""
@@ -700,7 +736,7 @@ class Optimizer:
     # ------------------------------------------------------------------
 
     def _execute_request(
-        self, request: OptimizationRequest
+        self, request: OptimizationRequest, memo: Optional[dict] = None
     ) -> OptimizationResult:
         """Run the actual plan search for a request (cache miss path)."""
         with self._count_lock:
@@ -708,14 +744,15 @@ class Optimizer:
         overrides = request.overrides_dict() if request.overrides else None
         use_statistics = not request.degraded
         if request.ignore and use_statistics:
+            # another visible set than the memo's: read it afresh
             with self._db.stats.ignore_subset(request.ignore):
                 return self._optimize(request.query, overrides)
         return self._optimize(
-            request.query, overrides, use_statistics=use_statistics
+            request.query, overrides, use_statistics=use_statistics, memo=memo
         )
 
     def _optimize(
-        self, query, overrides, use_statistics: bool = True
+        self, query, overrides, use_statistics: bool = True, memo=None
     ) -> OptimizationResult:
         estimator = SelectivityEstimator(
             self._db,
@@ -724,6 +761,7 @@ class Optimizer:
             corrections=self._corrections,
             join_estimator=self._join_estimator,
             use_statistics=use_statistics,
+            memo=memo,
         )
         plan = finish_plan(
             query,

@@ -48,6 +48,9 @@ from repro.sql.predicates import (
 
 _MAX_LIKE_CODES = 512
 
+#: "not read yet" in an estimator's memo, where ``None`` is an answer
+_UNREAD = object()
+
 
 class SelectivityEstimator:
     """Estimates selectivities for one query-optimization call.
@@ -69,10 +72,18 @@ class SelectivityEstimator:
             (:class:`~repro.optimizer.cache.OptimizationRequest`'s
             ``degraded`` flag).  The estimator then takes no statistics
             lock at all.
+        memo: what this estimator reads of the visible statistics — a
+            column's histogram, a histogram-backed selectivity, a
+            distinct count, a density — depends on no override and no
+            correction, so it is read once and kept in this dict: by
+            default a private one, or one shared by the estimators of an
+            :meth:`Optimizer.probe <repro.optimizer.Optimizer.probe>`
+            call, which guarantees them one statistics state.
     """
 
     # repro-lint: optimize-path
     # repro-lint: plan-state-exempt=_join_cache: per-invocation memo on an estimator that lives for exactly one optimizer call; it never outlives the plan it shaped
+    # repro-lint: plan-state-exempt=_memo: per-invocation memo, private to one optimizer call or owned by the stack frame of one Optimizer.probe call; it never outlives the plans that call shaped
 
     # R012, read side: every statistics lookup that can shape an
     # estimate must go through the manager's drop-list-aware accessors
@@ -100,6 +111,7 @@ class SelectivityEstimator:
         corrections=None,
         join_estimator=None,
         use_statistics: bool = True,
+        memo: Optional[dict] = None,
     ) -> None:
         self._db = database
         self._config = config
@@ -109,6 +121,10 @@ class SelectivityEstimator:
         self._join_estimator = join_estimator
         self._use_statistics = use_statistics
         self._join_cache: Dict[JoinVariable, float] = {}
+        #: ColumnRef -> histogram, Predicate -> histogram selectivity,
+        #: (table, frozenset) -> density, (table, tuple) -> distinct count,
+        #: (table, x, y) -> joint histogram lookup
+        self._memo: dict = {} if memo is None else memo
         for variable, value in self._overrides.items():
             if not 0.0 <= value <= 1.0:
                 raise OptimizerError(
@@ -133,12 +149,19 @@ class SelectivityEstimator:
     # single predicates
     # ------------------------------------------------------------------
 
+    def _histogram_for(self, ref: ColumnRef):
+        """The visible histogram over ``ref``, or None."""
+        found = self._memo.get(ref, _UNREAD)
+        if found is _UNREAD:
+            found = self._memo[ref] = self._db.stats.histogram_for(ref)
+        return found
+
     def predicate_has_statistics(self, predicate: Predicate) -> bool:
         """True if a visible histogram covers the predicate's column."""
         if not self._use_statistics:
             return False
         (ref,) = predicate.columns()
-        return self._db.stats.has_histogram_for(ref)
+        return self._histogram_for(ref) is not None
 
     # joins use join magic separately
     # repro-lint: dispatch=Predicate except=JoinPredicate
@@ -163,7 +186,7 @@ class SelectivityEstimator:
     # repro-lint: dispatch=Predicate except=JoinPredicate
     def _histogram_selectivity(self, predicate: Predicate) -> float:
         (ref,) = predicate.columns()
-        histogram = self._db.stats.histogram_for(ref)
+        histogram = self._histogram_for(ref)
         assert histogram is not None
         if isinstance(predicate, ComparisonPredicate):
             value = self._encode(ref, predicate.value)
@@ -211,7 +234,12 @@ class SelectivityEstimator:
     def predicate_selectivity(self, predicate: Predicate) -> float:
         """Selectivity of one selection predicate (resolution order above)."""
         if self.predicate_has_statistics(predicate):
-            return self._histogram_selectivity(predicate)
+            found = self._memo.get(predicate, _UNREAD)
+            if found is _UNREAD:
+                found = self._memo[predicate] = self._histogram_selectivity(
+                    predicate
+                )
+            return found
         variable = PredicateVariable(predicate)
         if variable in self._overrides:
             return self._overrides[variable]
@@ -262,7 +290,10 @@ class SelectivityEstimator:
         columns = list(boxable)
         for i, cx in enumerate(columns):
             for cy in columns[i + 1 :]:
-                found = self._db.stats.joint_for_columns(table, {cx, cy})
+                found = self._memo.get((table, cx, cy), _UNREAD)
+                if found is _UNREAD:
+                    found = self._db.stats.joint_for_columns(table, (cx, cy))
+                    self._memo[table, cx, cy] = found
                 if found is None:
                     continue
                 joint, x_name, y_name = found
@@ -307,7 +338,7 @@ class SelectivityEstimator:
         if len(equality) >= 2 and self._use_statistics:
             columns = {p.column.column for p in equality}
             if len(columns) == len(equality):
-                density = self._db.stats.density_for_columns(table, columns)
+                density = self._density_for(table, columns)
                 if density is not None:
                     total *= density
                     covered = True
@@ -327,18 +358,31 @@ class SelectivityEstimator:
     # joins
     # ------------------------------------------------------------------
 
+    def _density_for(self, table: str, columns) -> Optional[float]:
+        """Density of a visible statistic covering exactly ``columns``."""
+        key = (table, frozenset(columns))
+        found = self._memo.get(key, _UNREAD)
+        if found is _UNREAD:
+            found = self._memo[key] = self._db.stats.density_for_columns(
+                table, key[1]
+            )
+        return found
+
     def _side_distinct(self, table: str, columns) -> Optional[float]:
         """Estimated distinct count of a join side's column set."""
         if not self._use_statistics:
             return None
-        columns = list(columns)
+        key = (table, tuple(columns))
+        found = self._memo.get(key, _UNREAD)
+        if found is _UNREAD:
+            found = self._memo[key] = self._read_side_distinct(*key)
+        return found
+
+    def _read_side_distinct(self, table: str, columns) -> Optional[float]:
         if len(columns) == 1:
-            histogram = self._db.stats.histogram_for(
-                ColumnRef(table, columns[0])
-            )
+            histogram = self._histogram_for(ColumnRef(table, columns[0]))
             if histogram is not None:
                 return max(1.0, histogram.distinct_count)
-            return self._db.stats.distinct_for_columns(table, columns)
         return self._db.stats.distinct_for_columns(table, columns)
 
     def join_has_statistics(self, variable: JoinVariable) -> bool:
@@ -404,10 +448,10 @@ class SelectivityEstimator:
             and self._config.enable_histogram_join_estimation
             and self._use_statistics
         ):
-            left_hist = self._db.stats.histogram_for(
+            left_hist = self._histogram_for(
                 ColumnRef(left_table, left_cols[0])
             )
-            right_hist = self._db.stats.histogram_for(
+            right_hist = self._histogram_for(
                 ColumnRef(right_table, right_cols[0])
             )
             if left_hist is not None and right_hist is not None:
@@ -471,9 +515,7 @@ class SelectivityEstimator:
             if len(equality) >= 2 and self._use_statistics:
                 columns = {p.column.column for p in equality}
                 if len(columns) == len(equality):
-                    density = self._db.stats.density_for_columns(
-                        table, columns
-                    )
+                    density = self._density_for(table, columns)
                     if density is not None:
                         covered_by_density.update(equality)
         for predicate in query.predicates:

@@ -1,13 +1,16 @@
 """Construction of :class:`~repro.stats.statistic.Statistic` objects from data.
 
 The build kernel works on dense integer codes.  One
-``np.unique(float64(column), return_inverse, return_counts)`` per key
-column gives the column's sorted distinct values and frequencies — the
-leading column's pair *is* the histogram's input and its length *is*
-``1 / prefix_densities[0]`` — plus each row's index into them.  The
-distinct tuples of prefix *i + 1* are then the distinct values of
-``group_i * cardinality_{i+1} + code_{i+1}``: one 1-D int64 sort per
-further prefix instead of a comparison sort of stacked float tuples.
+:func:`~repro.stats.histogram.summarize_column` per key column gives the
+column's sorted distinct values and frequencies — the leading column's
+pair *is* the histogram's input and its length *is*
+``1 / prefix_densities[0]`` — plus each row's index into them: from one
+``bincount`` when the column is a dense integer one (keys, dates,
+dictionary codes), else from one float64 sort.  The distinct tuples of
+prefix *i + 1* are then the distinct values of
+``group_i * cardinality_{i+1} + code_{i+1}``: counted when that product
+is small, else one 1-D int64 sort per further prefix, instead of a
+comparison sort of stacked float tuples.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from repro.config import OptimizerConfig
 from repro.stats.cost import statistic_build_cost
 from repro.stats.histogram import (
     HistogramKind,
+    counting_pays,
     histogram_from_summary,
-    summarize,
+    summarize_column,
 )
 from repro.stats.statistic import StatKey, Statistic
 from repro.storage.table_data import TableData
@@ -34,22 +38,6 @@ _MAX_GROUP_CODE = np.iinfo(np.int64).max
 ColumnSummary = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
 
 
-def summarize_column(values, with_codes: bool = True) -> ColumnSummary:
-    """Distinct values, frequencies and dense integer codes of a column.
-
-    Values are compared as float64, like the histogram's: int64 values
-    that collide beyond 2**53 are one value here as well.
-    """
-    if not with_codes:
-        return (*summarize(values), None)
-    distinct, codes, freqs = np.unique(
-        np.asarray(values, dtype=np.float64),
-        return_inverse=True,
-        return_counts=True,
-    )
-    return distinct, freqs, codes.astype(np.int64, copy=False)
-
-
 def _regroup(groups, n_groups: int, codes, cardinality: int, want_ids: bool):
     """Count (and, if wanted, dense ids) of the distinct ``(group, code)``
     pairs, for group ids below ``n_groups`` and codes below
@@ -57,6 +45,8 @@ def _regroup(groups, n_groups: int, codes, cardinality: int, want_ids: bool):
     if n_groups * cardinality <= _MAX_GROUP_CODE:
         combined = groups * cardinality + codes
         if not want_ids:
+            if counting_pays(n_groups * cardinality, combined.shape[0]):
+                return None, int(np.count_nonzero(np.bincount(combined)))
             return None, np.unique(combined).shape[0]
         distinct, ids = np.unique(combined, return_inverse=True)
         return ids, distinct.shape[0]

@@ -16,6 +16,7 @@ which is the textbook model.
 
 from __future__ import annotations
 
+import copy
 import enum
 from typing import Optional
 
@@ -227,6 +228,18 @@ class Histogram:
         np.add.at(self.counts, idx, 1.0)
         self.row_count += int(values.size)
 
+    def with_values(self, values) -> "Histogram":
+        """A copy of this histogram with ``values`` folded in
+        (:meth:`add_values` on the copy): a reader still holding this one
+        sees its arrays unchanged."""
+        updated = copy.copy(self)
+        # distincts and the build-time baseline are never written in place
+        updated.lows = self.lows.copy()
+        updated.highs = self.highs.copy()
+        updated.counts = self.counts.copy()
+        updated.add_values(values)
+        return updated
+
     def needs_rebuild(self, divergence_threshold: float = 0.15) -> bool:
         """Has incremental maintenance degraded this histogram?
 
@@ -295,9 +308,63 @@ class MaxDiffHistogram(Histogram):
     kind = HistogramKind.MAXDIFF
 
 
+#: float64 holds every integer of this magnitude or less, and not beyond
+_MAX_EXACT_INT = 2**53
+
+
+def counting_pays(span: int, rows: int) -> bool:
+    """Whether ``rows`` integers spread over ``span`` consecutive values
+    are better counted (one ``bincount`` table of ``span`` entries) than
+    sorted.  A property of the data alone: keys, dates and dictionary
+    codes are dense, measures and hashes are not."""
+    return span <= 4 * rows + 1024
+
+
+def _count_column(values: np.ndarray, with_codes: bool):
+    """:func:`summarize_column` by counting, for a dense integer column;
+    ``None`` when ``values`` is not one."""
+    if values.dtype.kind not in "iu" or values.ndim != 1 or not values.size:
+        return None
+    low, high = int(values.min()), int(values.max())
+    if low < -_MAX_EXACT_INT or high > _MAX_EXACT_INT:
+        return None  # neighbours collide once compared as float64
+    span = high - low + 1
+    if not counting_pays(span, values.size):
+        return None
+    offsets = values.astype(np.int64, copy=False) - low
+    table = np.bincount(offsets, minlength=span)
+    present = np.flatnonzero(table)
+    codes = None
+    if with_codes:
+        # rank of each present value among them, gathered per row
+        codes = (np.cumsum(table != 0) - 1)[offsets]
+    return (present + low).astype(np.float64), table[present], codes
+
+
+def summarize_column(values, with_codes: bool = True):
+    """Sorted distinct values (as float64), their frequencies and — with
+    ``with_codes`` — each row's index into them as int64, else ``None``.
+
+    Values are compared as float64: int64 values that collide beyond
+    2**53 are one value.  A dense integer column is counted
+    (:func:`counting_pays`); everything else is sorted.
+    """
+    values = np.asarray(values)
+    counted = _count_column(values, with_codes)
+    if counted is not None:
+        return counted
+    values = values.astype(np.float64, copy=False)
+    if not with_codes:
+        return (*np.unique(values, return_counts=True), None)
+    distinct, codes, freqs = np.unique(
+        values, return_inverse=True, return_counts=True
+    )
+    return distinct, freqs, codes.astype(np.int64, copy=False)
+
+
 def summarize(values: np.ndarray):
     """Sorted distinct values (as float64) and their frequencies."""
-    return np.unique(np.asarray(values, dtype=np.float64), return_counts=True)
+    return summarize_column(values, with_codes=False)[:2]
 
 
 def _buckets_from_boundaries(distinct, freqs, starts):

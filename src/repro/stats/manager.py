@@ -110,10 +110,12 @@ class StatsShard:
         self._epoch = 0
         self._creation_cost = 0.0
         self._update_cost = 0.0
-        # (epoch built at, histograms, by_table, pairs) — see _visible().  A
-        # cache of the guarded state above, not epoch-versioned state of
-        # its own, hence no guarded_by (R006 would want lookups to bump).
-        self._view = None
+        # table -> its visible view, see _table_view(); and the visible
+        # (key, statistic) pairs of the whole shard, see _visible_pairs().
+        # Caches of the guarded state above, not epoch-versioned state of
+        # their own, hence no guarded_by (R006 would want lookups to bump).
+        self._views: Dict[str, tuple] = {}
+        self._listing: Optional[list] = None
 
     @property
     def _config(self) -> OptimizerConfig:
@@ -144,6 +146,7 @@ class StatsShard:
             if key in self._statistics:
                 if key in self._drop_list:
                     self._drop_list.discard(key)
+                    self._discard_views((key.table,))
                     self._epoch += 1
                     return self._statistics[key]
                 raise StatisticsError(f"statistic {key} already exists")
@@ -155,6 +158,7 @@ class StatsShard:
             )
             self._statistics[key] = statistic
             self._creation_cost += statistic.build_cost
+            self._discard_views((key.table,))
             self._epoch += 1
             return statistic
 
@@ -165,6 +169,7 @@ class StatsShard:
             del self._statistics[key]
             self._drop_list.discard(key)
             self._ignored.discard(key)
+            self._discard_views((key.table,))
             self._epoch += 1
 
     def drop_all(self) -> None:
@@ -172,6 +177,7 @@ class StatsShard:
             self._statistics.clear()
             self._drop_list.clear()
             self._ignored.clear()
+            self._discard_views()
             self._epoch += 1
 
     def has(self, key: StatKey) -> bool:
@@ -226,6 +232,7 @@ class StatsShard:
             if key not in self._statistics:
                 raise StatisticsError(f"no statistic {key}")
             self._drop_list.add(key)
+            self._discard_views((key.table,))
             self._epoch += 1
 
     def revive(self, key: StatKey) -> None:
@@ -233,6 +240,7 @@ class StatsShard:
             if key not in self._statistics:
                 raise StatisticsError(f"no statistic {key}")
             self._drop_list.discard(key)
+            self._discard_views((key.table,))
             self._epoch += 1
 
     def drop_list(self) -> List[StatKey]:
@@ -250,6 +258,7 @@ class StatsShard:
                 del self._statistics[key]
             self._drop_list.clear()
             self._ignored.difference_update(purged)
+            self._discard_views()
             self._epoch += 1
             return purged
 
@@ -262,6 +271,7 @@ class StatsShard:
         with self._lock:
             hidden = keys - self._ignored
             self._ignored |= hidden
+            self._discard_views({key.table for key in hidden})
             self._epoch += 1
             return hidden
 
@@ -270,12 +280,16 @@ class StatsShard:
         ever re-added here, so a statistic dropped or purged inside the
         scope stays forgotten."""
         with self._lock:
-            self._ignored -= keys
+            shown = keys & self._ignored
+            self._ignored -= shown
+            self._discard_views({key.table for key in shown})
             self._epoch += 1
 
     def set_ignored(self, keys: Set[StatKey]) -> None:
         with self._lock:
+            moved = self._ignored.symmetric_difference(keys)
             self._ignored = set(keys)
+            self._discard_views({key.table for key in moved})
             self._epoch += 1
 
     def ignored(self) -> Set[StatKey]:
@@ -295,53 +309,75 @@ class StatsShard:
             )
 
     def visible_keys(self) -> List[StatKey]:
-        return [key for key, _ in self._visible()[2]]
+        return [key for key, _ in self._visible_pairs()]
 
     def visible_statistics(self) -> List[Statistic]:
-        return [stat for _, stat in self._visible()[2]]
+        return [stat for _, stat in self._visible_pairs()]
 
-    def _visible(self):
-        """``(histograms, by_table, pairs)`` over the visible statistics:
-        the histogram serving each leading :class:`ColumnRef` (a
+    def _visible_pairs(self) -> list:
+        """The visible ``(key, statistic)`` pairs of the whole shard, in
+        ``_statistics`` order (sums over ``visible_keys()`` are float
+        sums, so the order is part of the contract).  Kept until a
+        mutation discards it, never modified."""
+        with self._lock:
+            pairs = self._listing
+            if pairs is None:
+                pairs = self._listing = [
+                    (key, stat)
+                    for key, stat in self._statistics.items()
+                    if self.is_visible(key)
+                ]
+            return pairs
+
+    def _table_view(self, table: str) -> tuple:
+        """``(histograms, pairs)`` over the visible statistics of
+        ``table``: the histogram serving each leading column name (a
         single-column statistic's if one is visible, else the first
-        multi-column one's), each table's ``(key, statistic)`` pairs, and
-        all the pairs, everything in ``_statistics`` order.
+        multi-column one's) and the ``(key, statistic)`` pairs, both in
+        ``_statistics`` order.
 
-        Rebuilt when the epoch has moved since it was built — every
-        mutation that changes what is visible bumps the epoch (R006) —
-        and never modified afterwards, so a lookup is one lock
-        acquisition plus reads of dicts no one else writes.
+        Built on the first lookup after a mutation that can have changed
+        it (:meth:`_discard_views`) and never modified afterwards, so a
+        lookup is one lock acquisition plus reads of objects no one else
+        writes — and a statistics-set change costs the next lookups one
+        table's entry, not the shard's.
         """
         with self._lock:
-            view = self._view
-            if view is None or view[0] != self._epoch:
-                histograms: Dict[ColumnRef, object] = {}
-                by_table: Dict[str, list] = {}
+            view = self._views.get(table)
+            if view is None:
+                histograms: Dict[str, object] = {}
                 pairs = []
                 for key, stat in self._statistics.items():
-                    if not self.is_visible(key):
+                    if key.table != table or not self.is_visible(key):
                         continue
-                    by_table.setdefault(key.table, []).append((key, stat))
                     pairs.append((key, stat))
-                    leading = key.leading_column
+                    leading = key.columns[0]
                     if key.is_multi_column:
                         histograms.setdefault(leading, stat.histogram)
                     else:
                         histograms[leading] = stat.histogram
-                view = self._view = (
-                    self._epoch, histograms, by_table, pairs
-                )
-            return view[1:]
+                view = self._views[table] = (histograms, pairs)
+            return view
+
+    def _discard_views(self, tables: Optional[Iterable[str]] = None) -> None:
+        """Forget the cached views a mutation can have changed: those of
+        ``tables`` (all of them when ``None``) and the shard listing.
+        Call with the lock held, next to the mutation itself."""
+        self._listing = None
+        if tables is None:
+            self._views = {}
+        else:
+            for table in tables:
+                self._views.pop(table, None)
 
     def histogram_for(self, ref: ColumnRef):
-        return self._visible()[0].get(ref)
+        return self._table_view(ref.table)[0].get(ref.column)
 
     def density_for_columns(
         self, table: str, wanted: frozenset, size: int
     ) -> Optional[float]:
         best = None
-        by_table = self._visible()[1]
-        for key, stat in by_table.get(table, ()):
+        for key, stat in self._table_view(table)[1]:
             if len(key.columns) < size:
                 continue
             if frozenset(key.columns[:size]) == wanted:
@@ -351,8 +387,7 @@ class StatsShard:
         return best
 
     def joint_for_columns(self, table: str, wanted: frozenset):
-        by_table = self._visible()[1]
-        for key, stat in by_table.get(table, ()):
+        for key, stat in self._table_view(table)[1]:
             if stat.joint_histogram is None:
                 continue
             if frozenset(key.columns[:2]) == wanted:
@@ -380,6 +415,7 @@ class StatsShard:
                 )
             data.reset_modification_counter()
             self._update_cost += total
+            self._discard_views((table_name,))
             self._epoch += 1
         return total
 
@@ -395,10 +431,13 @@ class StatsShard:
                 if values is None:
                     continue
                 statistic = self._statistics[key]
-                statistic.histogram.add_values(values)
+                # copy-on-write: estimators read a histogram they
+                # fetched earlier outside this lock
+                statistic.histogram = statistic.histogram.with_values(values)
                 statistic.row_count += len(values)
                 total += len(values) * per_row
             self._update_cost += total
+            self._discard_views((table_name,))
             self._epoch += 1
         return total
 
@@ -430,6 +469,7 @@ class StatsShard:
                 self._config.sample_rows,
             )
             self._update_cost += cost
+            self._discard_views((key.table,))
             self._epoch += 1
         return cost
 
@@ -464,7 +504,7 @@ class StatsShard:
             self._drop_list = set(drop_list)
             self._ignored = set(ignored)
             self._epoch = epoch_floor
-            self._view = None
+            self._discard_views()
             self._creation_cost = 0.0
             self._update_cost = 0.0
 

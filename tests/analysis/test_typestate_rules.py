@@ -145,6 +145,7 @@ def test_r012_catches_deleted_revive_branch(tmp_path):
         """            if key in self._statistics:
                 if key in self._drop_list:
                     self._drop_list.discard(key)
+                    self._discard_views((key.table,))
                     self._epoch += 1
                     return self._statistics[key]
                 raise StatisticsError(f"statistic {key} already exists")""",
@@ -176,34 +177,52 @@ def test_r012_catches_deleted_store_guard(tmp_path):
 
 
 def test_r012_catches_view_built_without_visibility_check(tmp_path):
-    """The three estimator lookups and the two visible-set listings read
-    the shard's visible view; its constructor is the one place they
-    consult ``is_visible``."""
+    """The three estimator lookups read a table's visible view; its
+    constructor is the one place they consult ``is_visible``."""
     paths = _mutated(
         tmp_path,
         [os.path.join(SRC, "stats", "manager.py")],
         "manager.py",
-        """                    if not self.is_visible(key):
+        """                    if key.table != table or not self.is_visible(key):
                         continue
-                    by_table.setdefault""",
-        """                    by_table.setdefault""",
+                    pairs.append""",
+        """                    if key.table != table:
+                        continue
+                    pairs.append""",
     )
     findings = lint_paths(paths, rules=["R012"])
-    assert [f.rule_id for f in findings] == ["R012"] * 5
+    assert [f.rule_id for f in findings] == ["R012"] * 3
     for finding, lookup in zip(
         findings,
-        (
-            "visible_keys",
-            "visible_statistics",
-            "histogram_for",
-            "density_for_columns",
-            "joint_for_columns",
-        ),
+        ("histogram_for", "density_for_columns", "joint_for_columns"),
     ):
         assert f"StatsShard.{lookup} serves estimation reads" in (
             finding.message
         )
         assert "without consulting is_visible()" in finding.message
+
+
+def test_r012_catches_listing_built_without_visibility_check(tmp_path):
+    """``visible_keys`` / ``visible_statistics`` read the shard listing,
+    whose constructor filters through ``is_visible``."""
+    paths = _mutated(
+        tmp_path,
+        [os.path.join(SRC, "stats", "manager.py")],
+        "manager.py",
+        """                    for key, stat in self._statistics.items()
+                    if self.is_visible(key)
+                ]""",
+        """                    for key, stat in self._statistics.items()
+                ]""",
+    )
+    findings = lint_paths(paths, rules=["R012"])
+    assert [f.rule_id for f in findings] == ["R012"] * 2
+    for finding, listing in zip(
+        findings, ("visible_keys", "visible_statistics")
+    ):
+        assert f"StatsShard.{listing} serves estimation reads" in (
+            finding.message
+        )
 
 
 def test_r012_catches_sqlite_visibility_bypass(tmp_path):

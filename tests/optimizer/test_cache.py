@@ -55,6 +55,29 @@ class TestOptimizationRequest:
             query, backward
         )
 
+    def test_differently_ordered_pins_collide(self, db):
+        """The hash is computed on first use: two spellings of one
+        request must still land in one cache slot, whichever of them is
+        hashed first and however often."""
+        query = (
+            QueryBuilder(db.schema)
+            .where("emp.age", "<", 30)
+            .where("emp.salary", ">", 50_000.0)
+            .build()
+        )
+        first, second = Optimizer(db).magic_variables(query)
+        forward = OptimizationRequest(query, [(first, 0.1), (second, 0.9)])
+        backward = OptimizationRequest(query, [(second, 0.9), (first, 0.1)])
+        assert hash(backward) == hash(forward) == hash(forward)
+        assert {forward: "plan"}[backward] == "plan"
+        versioned = forward.with_learned_version(3)
+        assert versioned != forward
+        assert versioned.with_learned_version(3) is versioned
+        assert hash(versioned) == hash(backward.with_learned_version(3))
+        assert OptimizationRequest(query, [(first, 0.9), (second, 0.1)]) != (
+            forward
+        )
+
     def test_ignore_set_deduped_and_sorted(self, db):
         query = _age_query(db)
         a = OptimizationRequest(query, ignore=[AGE, SALARY, AGE])

@@ -1,5 +1,6 @@
 """The integer-code prefix-distinct kernel against the stacked-unique
-kernel it replaced (kept here as the oracle)."""
+kernel it replaced, and the counting column summary against the float64
+sort it short-cuts (both kept here as the oracles)."""
 
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats import builder
+from repro.stats import builder, histogram
 from repro.stats.builder import prefix_distinct_counts, summarize_column
 
 
@@ -105,3 +106,128 @@ def test_real_product_overflow_takes_the_fallback():
     ids, count = builder._regroup(groups, 2**40, codes, 2**40, True)
     assert count == 2
     assert ids.tolist() == [0, 1, 1]
+
+
+# ----------------------------------------------------------------------
+# the counting summary against the float64 sort
+# ----------------------------------------------------------------------
+
+
+def sorted_summary(values, with_codes):
+    """``summarize_column`` as it was before dense integer columns were
+    counted: always one float64 ``np.unique``."""
+    as_float = np.asarray(values, dtype=np.float64)
+    if not with_codes:
+        return (*np.unique(as_float, return_counts=True), None)
+    distinct, codes, freqs = np.unique(
+        as_float, return_inverse=True, return_counts=True
+    )
+    return distinct, freqs, codes.astype(np.int64, copy=False)
+
+
+def assert_same_summary(values, with_codes):
+    actual = summarize_column(values, with_codes)
+    expected = sorted_summary(values, with_codes)
+    for got, want in zip(actual, expected):
+        if want is None:
+            assert got is None
+            continue
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def took_counting_path(values) -> bool:
+    return histogram._count_column(np.asarray(values), False) is not None
+
+
+_INT_DTYPES = (
+    np.int8, np.int16, np.int32, np.int64,
+    np.uint8, np.uint16, np.uint32, np.uint64,
+)
+
+
+@st.composite
+def integer_columns(draw):
+    dtype = np.dtype(draw(st.sampled_from(_INT_DTYPES)))
+    info = np.iinfo(dtype)
+    rows = draw(st.integers(min_value=0, max_value=60))
+    # a window somewhere in the dtype's range, negative minima included;
+    # narrow windows are dense, wide ones fail the guard
+    width = draw(st.sampled_from([0, 1, 5, 300, 1500, 10**6, 2**60]))
+    low = draw(st.integers(info.min, info.max))
+    high = min(info.max, low + width)
+    values = draw(
+        st.lists(st.integers(low, high), min_size=rows, max_size=rows)
+    )
+    return np.asarray(values, dtype=dtype)
+
+
+@given(integer_columns(), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_counting_summary_equals_float_sort(values, with_codes):
+    assert_same_summary(values, with_codes)
+
+
+@pytest.mark.parametrize("with_codes", [False, True])
+def test_counting_guard_boundaries(with_codes):
+    rows = 10
+    at_guard = 4 * rows + 1024  # span allowed for this many rows
+    for low in (-7, 0, 2**40):
+        inside = np.full(rows, low, dtype=np.int64)
+        inside[-1] = low + at_guard - 1
+        assert took_counting_path(inside)
+        assert_same_summary(inside, with_codes)
+        past = inside.copy()
+        past[-1] += 1
+        assert not took_counting_path(past)
+        assert_same_summary(past, with_codes)
+    # a single value, and nothing at all
+    assert took_counting_path(np.array([5], dtype=np.int16))
+    assert_same_summary(np.array([5], dtype=np.int16), with_codes)
+    assert not took_counting_path(np.array([], dtype=np.int64))
+    assert_same_summary(np.array([], dtype=np.int64), with_codes)
+    # floats are sorted however dense
+    assert not took_counting_path(np.array([1.0, 2.0, 2.0]))
+
+
+@pytest.mark.parametrize("with_codes", [False, True])
+def test_counting_stops_where_float64_stops_being_exact(with_codes):
+    exact = np.array([_BIG - 2, _BIG, _BIG - 2, _BIG - 1], dtype=np.int64)
+    for values in (exact, -exact, exact.astype(np.uint64)):
+        assert took_counting_path(values)
+        assert_same_summary(values, with_codes)
+    # one past 2**53 neighbours collide as floats: must be sorted
+    beyond = np.array([_BIG - 1, _BIG + 1, _BIG], dtype=np.int64)
+    for values in (beyond, -beyond, beyond.astype(np.uint64)):
+        assert not took_counting_path(values)
+        assert_same_summary(values, with_codes)
+    huge = np.array([2**64 - 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64)
+    assert not took_counting_path(huge)
+    assert_same_summary(huge, with_codes)
+
+
+@st.composite
+def integer_key_columns(draw):
+    """2-4 parallel integer columns; small cardinalities keep the
+    mixed-radix product under the counting guard, wide ones over it."""
+    rows = draw(st.integers(min_value=1, max_value=50))
+    columns = []
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        high = draw(st.sampled_from([1, 3, 40, 10**9]))
+        values = draw(
+            st.lists(st.integers(-2, high), min_size=rows, max_size=rows)
+        )
+        columns.append(np.asarray(values, dtype=np.int64))
+    return columns
+
+
+@given(integer_key_columns())
+@settings(max_examples=300, deadline=None)
+def test_counted_regroup_equals_sorted_regroup(arrays):
+    """``_regroup``'s count-only branch counts when the guard allows and
+    sorts otherwise; with the guard forced shut it always sorts."""
+    expected = reference_prefix_densities(arrays)
+    assert kernel_prefix_densities(arrays) == expected
+    with mock.patch.object(builder, "counting_pays", lambda span, rows: False):
+        assert kernel_prefix_densities(arrays) == expected

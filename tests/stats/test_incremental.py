@@ -95,6 +95,34 @@ class TestManagerIntegration:
         assert db.stats.get(AGE).histogram.row_count == before_rows + 3
         assert db.stats.update_cost_total == cost
 
+    def test_fold_is_copy_on_write(self, db):
+        """An estimator reads a histogram it fetched earlier outside the
+        shard lock: the fold must leave that object alone and hand the
+        next lookup a new one with the folded counts."""
+        db.stats.create(AGE)
+        held = db.stats.histogram_for(AGE)
+        arrays = (held.lows, held.highs, held.counts, held.distincts)
+        before = [array.tobytes() for array in arrays]
+        rows = held.row_count
+        # out-of-range values stretch the boundary buckets as well
+        db.stats.apply_incremental_inserts(
+            "emp", {"age": np.array([-5, 30, 30, 31, 500])}
+        )
+        assert [array.tobytes() for array in arrays] == before
+        assert held.row_count == rows
+        fresh = db.stats.histogram_for(AGE)
+        assert fresh is not held and fresh is db.stats.get(AGE).histogram
+        assert fresh.row_count == rows + 5
+        assert fresh.counts.sum() == held.counts.sum() + 5
+        assert fresh.lows[0] == -5 and fresh.highs[-1] == 500
+        # same arithmetic as the in-place fold
+        held.add_values(np.array([-5, 30, 30, 31, 500]))
+        for a, b in zip(arrays[:3], (fresh.lows, fresh.highs, fresh.counts)):
+            assert a.tobytes() == b.tobytes()
+        # the second fold keeps the first one's build-time baseline
+        db.stats.apply_incremental_inserts("emp", {"age": np.full(500, 64)})
+        assert db.stats.keys_needing_rebuild("emp")
+
     def test_uncovered_columns_ignored(self, db):
         db.stats.create(AGE)
         cost = db.stats.apply_incremental_inserts(
