@@ -28,9 +28,8 @@ from repro.executor.evaluate import (
 )
 from repro.executor.operators import (
     align_join_keys,
-    equi_join_indices,
     group_indices,
-    joint_composite_keys,
+    join_indices,
 )
 from repro.executor.relation import Relation
 from repro.feedback.observation import OperatorObservation, PlanInstrumenter
@@ -193,30 +192,13 @@ class Executor:
     # ------------------------------------------------------------------
 
     def _needed_columns(self, query: Query):
-        needed = {}
-
-        def note(ref: ColumnRef):
-            needed.setdefault(ref.table, set()).add(ref.column)
-
-        for predicate in query.predicates:
-            for ref in predicate.columns():
-                note(ref)
-        for join in query.joins:
-            for ref in join.columns():
-                note(ref)
-        for ref in query.group_by + query.order_by:
-            note(ref)
-        for item in query.projections:
-            for ref in item.columns():
-                note(ref)
-        for condition in query.having:
-            for ref in condition.columns():
-                note(ref)
-        if not query.projections:
-            for table in query.tables:
-                for name in self._db.table(table).schema.column_names():
-                    needed.setdefault(table, set()).add(name)
-        return needed
+        if query.projections:
+            return query.referenced_columns
+        # SELECT *: every column of every table
+        return {
+            table: set(self._db.table(table).schema.column_names())
+            for table in query.tables
+        }
 
     def _table_relation(self, table: str, needed) -> Relation:
         data = self._db.table(table)
@@ -345,13 +327,14 @@ class Executor:
         right_rel, right_cost = self._run(node.right, needed, sink)
 
         if node.join_predicates:
-            left_arrays, right_arrays = align_join_keys(
+            left_arrays, right_arrays, right_refs = align_join_keys(
                 self._db, left_rel, right_rel, node.join_predicates
             )
-            left_keys, right_keys = joint_composite_keys(
-                left_arrays, right_arrays
+            left_idx, right_idx = join_indices(
+                left_arrays,
+                right_arrays,
+                self._kept_join_index(node.right, right_refs, right_arrays),
             )
-            left_idx, right_idx = equi_join_indices(left_keys, right_keys)
             out = left_rel.take(left_idx).merged_with(right_rel.take(right_idx))
         else:
             # cartesian product
@@ -379,6 +362,25 @@ class Executor:
             local = self._cost.nested_loop_scan(max(1, l_rows), right_cost)
             total = left_cost + local
         return out, total
+
+    def _kept_join_index(self, right: PlanNode, right_refs, right_arrays):
+        """The index the right input's table keeps over the join columns,
+        when ``right`` is an unfiltered scan of the stored arrays; ``None``
+        (build for this join alone) otherwise."""
+        if (
+            not isinstance(right, ScanNode)
+            or right.predicates
+            or None in right_refs
+        ):
+            return None
+        index = self._db.table(right.table).join_index(
+            ref.column for ref in right_refs
+        )
+        # the relation may predate a DML: the index must describe the
+        # arrays this join reads, not the table's current ones
+        if index is not None and index.built_from(right_arrays):
+            return index
+        return None
 
     # ------------------------------------------------------------------
     # aggregation / sort
@@ -410,9 +412,10 @@ class Executor:
             group_ids = np.zeros(input_rows, dtype=np.int64)
             columns = {}
 
+        counts = np.bincount(group_ids, minlength=n_groups).astype(np.float64)
         for aggregate in node.aggregates:
             columns[str(aggregate)] = self._aggregate_values(
-                aggregate, child_rel, group_ids, n_groups
+                aggregate, child_rel, group_ids, counts
             )
         if not columns:
             # GROUP BY with no aggregates and no keys cannot happen; guard
@@ -452,10 +455,12 @@ class Executor:
         aggregate: Aggregate,
         relation: Relation,
         group_ids: np.ndarray,
-        n_groups: int,
+        counts: np.ndarray,
     ) -> np.ndarray:
+        """One aggregate per group; ``counts`` are the groups' row counts
+        (float64), computed once per aggregate node."""
         function = aggregate.function
-        counts = np.bincount(group_ids, minlength=n_groups).astype(np.float64)
+        n_groups = counts.shape[0]
         if function == AggregateFunction.COUNT:
             return counts
         values = evaluate_scalar(self._db, relation, aggregate.argument)

@@ -8,107 +8,62 @@ import numpy as np
 
 from repro.catalog import ColumnType
 from repro.errors import ExecutionError
+from repro.storage.join_index import (
+    KEY_LIMIT,
+    JoinIndex,
+    column_radices,
+    counting_pays,
+    int64_columns,
+    mixed_radix_keys,
+)
 
 
-#: a join whose integer keys span at most this many values per input row
-#: (plus a floor) is probed through a counting table instead of a search
-_DENSE_SPAN_PER_ROW = 4
-_DENSE_SPAN_FLOOR = 1024
-#: mixed-radix keys stay below this so int64 arithmetic cannot wrap
-_KEY_LIMIT = 2**62
+def join_indices(
+    left_arrays: List[np.ndarray],
+    right_arrays: List[np.ndarray],
+    index: Optional[JoinIndex] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Matching row-index pairs of an equijoin on parallel key columns.
 
-
-def _as_int64(array: np.ndarray) -> Optional[np.ndarray]:
-    """``array`` as int64 if its dtype fits losslessly (not uint64, not
-    float), else ``None``."""
-    if np.can_cast(array.dtype, np.int64):
-        return array.astype(np.int64, copy=False)
-    return None
-
-
-def _match_ranges(left_keys: np.ndarray, right_keys: np.ndarray):
-    """``(order, lo, counts)``: the stable sort permutation of the right
-    keys, and per left row the start and length of its run of equal keys
-    in that sorted order."""
-    left, right = _as_int64(left_keys), _as_int64(right_keys)
-    if left is not None and right is not None:
-        low = min(int(left.min()), int(right.min()))
-        span = max(int(left.max()), int(right.max())) - low + 1
-        rows = left.shape[0] + right.shape[0]
-        if span <= _DENSE_SPAN_PER_ROW * rows + _DENSE_SPAN_FLOOR:
-            # dense keys: a 16-bit key sorts by radix, and a counting
-            # table replaces both binary searches
-            slots = right - low
-            narrow = slots.astype(np.uint16) if span <= 2**16 else slots
-            order = np.argsort(narrow, kind="stable")
-            per_key = np.bincount(slots, minlength=span)
-            ends = np.cumsum(per_key)
-            probe = left - low
-            counts = per_key[probe]
-            return order, ends[probe] - counts, counts
-    order = np.argsort(right_keys, kind="stable")
-    sorted_right = right_keys[order]
-    lo = np.searchsorted(sorted_right, left_keys, side="left")
-    hi = np.searchsorted(sorted_right, left_keys, side="right")
-    return order, lo, hi - lo
+    Build / probe: a :class:`~repro.storage.join_index.JoinIndex` over the
+    right side's keys — ``index`` when the caller kept one built from
+    these very ``right_arrays`` — probed with the left side's.  Returns
+    parallel ``(left_idx, right_idx)`` arrays, left rows in order and each
+    one's matches in right row order.
+    """
+    left = int64_columns(left_arrays)
+    if left is not None and index is None:
+        index = JoinIndex.build(right_arrays)
+    if left is None or index is None:
+        # float / uint64 columns, overflowing radices: rank both sides'
+        # rows jointly first, then join on the ranks
+        left_keys, right_keys = joint_composite_keys(left_arrays, right_arrays)
+        return join_indices([left_keys], [right_keys])
+    return index.probe(left)
 
 
 def equi_join_indices(
     left_keys: np.ndarray, right_keys: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Matching row-index pairs of an equijoin on single key arrays.
-
-    Sort-probe implementation: sort the right side once (stably, so equal
-    keys keep their row order), find each left key's run of matches, and
-    expand the runs.  Returns parallel ``(left_idx, right_idx)`` arrays,
-    left rows in order and each one's matches in right row order.
-    """
-    left_keys = np.asarray(left_keys)
-    right_keys = np.asarray(right_keys)
-    empty = np.empty(0, dtype=np.int64)
-    if left_keys.shape[0] == 0 or right_keys.shape[0] == 0:
-        return empty, empty
-    order, lo, counts = _match_ranges(left_keys, right_keys)
-    total = int(counts.sum())
-    if total == 0:
-        return empty, empty
-    left_idx = np.repeat(np.arange(left_keys.shape[0]), counts)
-    # position of each output row within its left row's run of matches
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    right_idx = order[np.repeat(lo, counts) + offsets]
-    return (
-        left_idx.astype(np.int64, copy=False),
-        right_idx.astype(np.int64, copy=False),
-    )
+    """:func:`join_indices` on single key arrays."""
+    return join_indices([np.asarray(left_keys)], [np.asarray(right_keys)])
 
 
-def _radix_keys(sides: List[List[np.ndarray]]) -> Optional[List[np.ndarray]]:
-    """One int64 key per row of each side, by mixed-radix arithmetic.
-
-    ``sides[s][c]`` is key column *c* of side *s*; every side must be
-    encoded against the same value ranges for its keys to be comparable.
-    Column *c*'s digit is ``value - min`` and its radix the column's value
-    span, the first column least significant — order-isomorphic to the
-    rank factorization of :func:`_factorized_keys`.  ``None`` when a
-    column is not integer-typed or the radices overflow.
-    """
-    keys = [np.zeros(side[0].shape[0], dtype=np.int64) for side in sides]
-    multiplier = 1
-    for parts in zip(*sides):
-        parts = [_as_int64(part) for part in parts]
-        if any(part is None for part in parts):
-            return None
-        filled = [part for part in parts if part.shape[0]]
-        if not filled:
-            continue
-        low = min(int(part.min()) for part in filled)
-        span = max(int(part.max()) for part in filled) - low + 1
-        if multiplier * span > _KEY_LIMIT:
-            return None
-        for key, part in zip(keys, parts):
-            key += (part - low) * multiplier
-        multiplier *= span
-    return keys
+def _radix_keys(arrays: List[np.ndarray]) -> Optional[np.ndarray]:
+    """One int64 key per row by mixed-radix arithmetic: column *c*'s digit
+    is ``value - min`` and its radix the column's value span, the first
+    column least significant — order-isomorphic to the rank factorization
+    of :func:`_factorized_keys`.  ``None`` when a column is not
+    integer-typed or the radices overflow."""
+    columns = int64_columns(arrays)
+    if columns is None:
+        return None
+    if columns[0].shape[0] == 0:
+        return np.zeros(0, dtype=np.int64)
+    radices = column_radices(columns)
+    if radices is None:
+        return None
+    return mixed_radix_keys(columns, radices)
 
 
 def _factorized_keys(arrays: List[np.ndarray]) -> np.ndarray:
@@ -123,24 +78,9 @@ def _factorized_keys(arrays: List[np.ndarray]) -> np.ndarray:
         domain = int(inverse.max()) + 1 if inverse.size else 1
         combined = combined + inverse.astype(np.int64) * multiplier
         multiplier *= max(1, domain)
-        if multiplier > _KEY_LIMIT:
+        if multiplier > KEY_LIMIT:
             raise ExecutionError("composite join key domain overflow")
     return combined
-
-
-def _side_keys(sides: List[List[np.ndarray]]) -> List[np.ndarray]:
-    """One int64 key per row of each side, equal exactly where the rows'
-    column tuples are equal — within a side and across sides."""
-    keys = _radix_keys(sides)
-    if keys is None:
-        # one factorization over all sides' rows, split back per side
-        joint = _factorized_keys(
-            [np.concatenate(parts) for parts in zip(*sides)]
-        )
-        keys = np.split(
-            joint, np.cumsum([side[0].shape[0] for side in sides])[:-1]
-        )
-    return keys
 
 
 def composite_keys(arrays: List[np.ndarray]) -> np.ndarray:
@@ -152,7 +92,10 @@ def composite_keys(arrays: List[np.ndarray]) -> np.ndarray:
     arrays = [np.asarray(array) for array in arrays]
     if len(arrays) == 1:
         return arrays[0]
-    return _side_keys([arrays])[0]
+    keys = _radix_keys(arrays)
+    if keys is None:
+        keys = _factorized_keys(arrays)
+    return keys
 
 
 def translate_string_codes(
@@ -170,14 +113,22 @@ def translate_string_codes(
 def align_join_keys(database, relation_left, relation_right, join_predicates):
     """Key arrays for both sides of a join, in comparable domains.
 
-    STRING join columns are translated into a shared code space via their
-    dictionaries; other types compare natively.
+    Returns ``(left_arrays, right_arrays, right_refs)``, parallel and in
+    the order of the right side's column refs, so that every spelling of
+    a composite key presents its columns alike.  STRING join columns are
+    translated into a shared code space via their dictionaries — the
+    right side's array is then no stored one and its ref is ``None``;
+    other types compare natively.
     """
-    left_arrays, right_arrays = [], []
+    pairs = []
     for predicate in join_predicates:
         left_ref, right_ref = predicate.left, predicate.right
         if left_ref not in relation_left:
             left_ref, right_ref = right_ref, left_ref
+        pairs.append((right_ref, left_ref))
+    pairs.sort()
+    left_arrays, right_arrays, right_refs = [], [], []
+    for right_ref, left_ref in pairs:
         left_values = relation_left.column(left_ref)
         right_values = relation_right.column(right_ref)
         if database.schema.column(left_ref).type == ColumnType.STRING:
@@ -190,27 +141,60 @@ def align_join_keys(database, relation_left, relation_right, join_predicates):
             right_values = translate_string_codes(
                 left_dict, right_dict, right_values
             )
+            right_ref = None
         left_arrays.append(left_values)
         right_arrays.append(right_values)
-    return left_arrays, right_arrays
+        right_refs.append(right_ref)
+    return left_arrays, right_arrays, right_refs
 
 
 def joint_composite_keys(
     left_arrays: List[np.ndarray], right_arrays: List[np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Single comparable key per row for both join sides.
+    """Single comparable int64 key per row for both join sides, for key
+    columns a :class:`JoinIndex` cannot encode.
 
-    The encoding must be *joint* (one value range, or one factorization,
-    over both sides) so that equal values get equal keys on both sides.
+    One factorization over both sides' rows, so that equal values get
+    equal keys on both sides; a single column is ranked in its own dtype.
     """
     if len(left_arrays) != len(right_arrays):
         raise ExecutionError("join sides must have equal key column counts")
-    left_arrays = [np.asarray(array) for array in left_arrays]
-    right_arrays = [np.asarray(array) for array in right_arrays]
-    if len(left_arrays) == 1:
-        return left_arrays[0], right_arrays[0]
-    left_keys, right_keys = _side_keys([left_arrays, right_arrays])
-    return left_keys, right_keys
+    joint = [
+        np.concatenate([np.asarray(left), np.asarray(right)])
+        for left, right in zip(left_arrays, right_arrays)
+    ]
+    if len(joint) == 1:
+        keys = np.unique(joint[0], return_inverse=True)[1].astype(
+            np.int64, copy=False
+        )
+    else:
+        keys = _factorized_keys(joint)
+    n_left = np.asarray(left_arrays[0]).shape[0]
+    return keys[:n_left], keys[n_left:]
+
+
+def _counted_groups(keys: np.ndarray):
+    """:func:`group_indices` of dense integer ``keys`` by counting, or
+    ``None`` when they are not (:func:`counting_pays`)."""
+    columns = int64_columns([keys])
+    if columns is None or not keys.shape[0]:
+        return None
+    (keys,) = columns
+    low = int(keys.min())
+    span = int(keys.max()) - low + 1
+    rows = keys.shape[0]
+    if not counting_pays(span, rows):
+        return None
+    slots = keys - low if low else keys
+    present = np.zeros(span, dtype=bool)
+    present[slots] = True
+    # rank of each present key among them: groups number in key order
+    ranks = np.cumsum(present)
+    group_ids = ranks[slots] - 1
+    # minimum.at is defined for repeated indices; assignment is not
+    representatives = np.full(int(ranks[-1]), rows, dtype=np.int64)
+    np.minimum.at(representatives, group_ids, np.arange(rows))
+    return group_ids, representatives
 
 
 def group_indices(arrays: List[np.ndarray]):
@@ -218,12 +202,16 @@ def group_indices(arrays: List[np.ndarray]):
 
     Returns:
         (group_ids, representative_indices): ``group_ids[i]`` is the dense
-        group number of row *i*; ``representative_indices[g]`` is the first
-        row of group *g* (useful for emitting group key values).
+        group number of row *i*, groups numbered in ascending key order;
+        ``representative_indices[g]`` is the first row of group *g*
+        (useful for emitting group key values).  Both int64.
     """
     if not arrays:
         raise ExecutionError("group_indices requires at least one column")
     keys = composite_keys(arrays)
+    counted = _counted_groups(keys)
+    if counted is not None:
+        return counted
     _, representative, inverse = np.unique(
         keys, return_index=True, return_inverse=True
     )

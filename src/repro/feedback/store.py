@@ -137,26 +137,33 @@ class FeedbackStore:
 
     def record(self, observation: OperatorObservation) -> None:
         """Fold one operator observation into its targets' trackers."""
-        with self._lock:
-            self.observations_total += 1
-            for key in observation.targets:
-                tracker = self._trackers.get(key)
-                if tracker is None:
-                    tracker = QErrorTracker(self._decay)
-                    self._trackers[key] = tracker
-                    while len(self._trackers) > self.capacity:
-                        self._trackers.popitem(last=False)
-                        self.evicted_total += 1
-                else:
-                    self._trackers.move_to_end(key)
-                tracker.absorb(observation)
-        self._publish_metrics()
+        self.record_all((observation,))
 
     def record_all(
         self, observations: Iterable[OperatorObservation]
     ) -> None:
-        for observation in observations:
-            self.record(observation)
+        """Fold a batch — one executed plan's operators — under one lock
+        acquisition, and publish the gauges once: they are last-write, so
+        a reader after the batch sees what it would after n single
+        :meth:`record` calls."""
+        folded = False
+        with self._lock:
+            for observation in observations:
+                folded = True
+                self.observations_total += 1
+                for key in observation.targets:
+                    tracker = self._trackers.get(key)
+                    if tracker is None:
+                        tracker = QErrorTracker(self._decay)
+                        self._trackers[key] = tracker
+                        while len(self._trackers) > self.capacity:
+                            self._trackers.popitem(last=False)
+                            self.evicted_total += 1
+                    else:
+                        self._trackers.move_to_end(key)
+                    tracker.absorb(observation)
+        if folded:
+            self._publish_metrics()
 
     # ------------------------------------------------------------------
     # consumer side

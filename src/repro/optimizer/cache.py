@@ -48,7 +48,7 @@ from collections import OrderedDict
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.concurrency import guarded_by
-from repro.errors import OptimizerError, StatisticsError
+from repro.errors import OptimizerError
 from repro.optimizer.variables import SelectivityVariable
 from repro.sql.query import Query
 from repro.stats.statistic import StatKey, as_stat_key
@@ -214,35 +214,27 @@ def statistics_fingerprint(
     """
     stats = database.stats
     hidden = set(ignore)
-    tables = tuple(
-        (
-            name,
-            database.table(name).row_count,
-            database.table(name).rows_modified_since_stats,
-        )
-        for name in sorted(query.tables)
-    )
     # Same filter as Figure 2's step 4 (see :mod:`repro.core.shrinking`):
     # a plan depends only on the visible statistics over the query's own
-    # relevant columns — collected per table once, not once per key.
-    relevant_columns = {table: set() for table in query.tables}
+    # relevant columns — read per table, from that table's visible view.
+    relevant_columns: Dict[str, set] = {table: set() for table in query.tables}
     for ref in query.relevant_columns():
         if ref.table in relevant_columns:
             relevant_columns[ref.table].add(ref.column)
+    tables = []
     relevant = []
-    for key in stats.visible_keys():
-        columns = relevant_columns.get(key.table)
-        if not columns or key in hidden or columns.isdisjoint(key.columns):
+    for name in sorted(query.tables):
+        data = database.table(name)
+        tables.append((name, data.row_count, data.rows_modified_since_stats))
+        columns = relevant_columns[name]
+        if not columns:
             continue
-        try:
-            stat = stats.get(key)
-        except StatisticsError:
-            # dropped between visible_keys() and get(); the epoch bump
-            # that accompanied the drop keeps the fast path honest
-            continue
-        relevant.append((key, stat.update_count, stat.row_count))
+        for key, stat in stats.visible_on_table(name):
+            if key in hidden or columns.isdisjoint(key.columns):
+                continue
+            relevant.append((key, stat.update_count, stat.row_count))
     relevant.sort()
-    return (tables, tuple(relevant))
+    return (tuple(tables), tuple(relevant))
 
 
 # ----------------------------------------------------------------------
@@ -252,14 +244,17 @@ def statistics_fingerprint(
 
 class _Entry:
     """One cached optimization: the epoch and fingerprint it was
-    computed under, plus the result."""
+    computed under, the result, and — once asked for — the query's
+    missing selectivity variables under that fingerprint."""
 
-    __slots__ = ("epoch", "fingerprint", "result")
+    __slots__ = ("epoch", "fingerprint", "result", "missing")
 
     def __init__(self, epoch: int, fingerprint: tuple, result) -> None:
         self.epoch = epoch
         self.fingerprint = fingerprint
         self.result = result
+        #: ``None`` until :meth:`PlanCache.keep_missing`
+        self.missing: Optional[tuple] = None
 
 
 class PlanCache:
@@ -279,7 +274,7 @@ class PlanCache:
     """
 
     # repro-lint: optimize-path
-    # repro-lint: plan-state-exempt=_entries: entries are keyed by the full request (learned version included) and each carries the epoch+fingerprint it was stored under, so mutation can never redirect an existing key to a different plan
+    # repro-lint: plan-state-exempt=_entries: entries are keyed by the full request (learned version included) and each carries the epoch+fingerprint it was stored under, so mutation can never redirect an existing key to a different plan; an entry's missing-variable slot is reset by every store and is a pure function of that fingerprint, so it cannot redirect one either
 
     _entries = guarded_by("_lock")
     _hits = guarded_by("_lock")
@@ -375,6 +370,31 @@ class PlanCache:
             self._note_counter("plan_cache.evictions", evicted)
         if self._metrics is not None:
             self._metrics.gauge("plan_cache.size", size)
+
+    def missing_for(
+        self, request: OptimizationRequest, epoch: int
+    ) -> Optional[tuple]:
+        """The missing selectivity variables kept on ``request``'s entry,
+        iff the entry is current at ``epoch`` and has them."""
+        with self._lock:
+            entry = self._entries.get(request)
+            if entry is None or entry.epoch != epoch:
+                return None
+            return entry.missing
+
+    def keep_missing(
+        self, request: OptimizationRequest, epoch: int, missing: tuple
+    ) -> None:
+        """Keep ``missing`` — computed while the statistics stood at
+        ``epoch`` — on ``request``'s entry, if it is current at that
+        epoch.  It lives and dies with the entry: a re-:meth:`store`
+        resets it, revalidation keeps it (an equal fingerprint means the
+        same visible statistics over the query's relevant columns, which
+        is all the missing set reads)."""
+        with self._lock:
+            entry = self._entries.get(request)
+            if entry is not None and entry.epoch == epoch:
+                entry.missing = missing
 
     def clear(self) -> None:
         with self._lock:

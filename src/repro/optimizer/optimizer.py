@@ -658,6 +658,37 @@ class Optimizer:
             )
         )
 
+    def optimize_with_missing(
+        self, request: OptimizationRequest
+    ) -> Tuple[OptimizationResult, Tuple[SelectivityVariable, ...]]:
+        """:meth:`optimize_request` plus :meth:`magic_variables` of the
+        request's query (none for a degraded request, which consults no
+        statistics) — what serving one query needs.
+
+        With a cache the missing set is a function of the plan-cache
+        entry: computed on the first ask after the entry was stored, kept
+        on it, and served with it from then on.  Only for a request with
+        an empty ignore-set — the entry's fingerprint leaves ignored
+        statistics out, :meth:`magic_variables` does not — and only when
+        the statistics epoch stood still around the computation, so the
+        kept set is the one of the entry's fingerprint.
+        """
+        result = self.optimize_request(request)
+        if request.degraded:
+            return result, ()
+        query = request.query
+        if self._cache is None or request.ignore:
+            return result, tuple(self.magic_variables(query))
+        request = self._keyed_request(request)
+        stats = self._db.stats
+        epoch = stats.epoch_for_tables(query.tables)
+        missing = self._cache.missing_for(request, epoch)
+        if missing is None:
+            missing = tuple(self.magic_variables(query))
+            if stats.epoch_for_tables(query.tables) == epoch:
+                self._cache.keep_missing(request, epoch, missing)
+        return result, missing
+
     def magic_variables(self, query: Query) -> List[SelectivityVariable]:
         """Selectivity variables of ``query`` forced onto magic numbers.
 

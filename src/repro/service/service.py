@@ -630,11 +630,8 @@ class StatsService:
                     stack.enter_context(
                         self._shards[shard_id].statement_lock
                     )
-                optimized = self._optimizer.optimize_request(opt_request)
-                missing = (
-                    ()
-                    if degraded
-                    else self._optimizer.magic_variables(query)
+                optimized, missing = self._optimizer.optimize_with_missing(
+                    opt_request
                 )
                 executed = None
                 if self.config.execute_queries:

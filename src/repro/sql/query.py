@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.catalog import ColumnRef
@@ -172,19 +173,33 @@ class Query(Statement):
         are relevant; ORDER-BY-only and projection-only columns are not
         (paper Sec 3.1, footnote 1).
         """
-        seen = []
+        return self._relevant_columns
+
+    @cached_property
+    def _relevant_columns(self) -> Tuple[ColumnRef, ...]:
+        # asked per request by the plan cache's fingerprint
+        seen: Dict[ColumnRef, None] = {}
         for pred in self.predicates:
-            for ref in pred.columns():
-                if ref not in seen:
-                    seen.append(ref)
+            seen.update(dict.fromkeys(pred.columns()))
         for join in self.joins:
-            for ref in join.columns():
-                if ref not in seen:
-                    seen.append(ref)
-        for ref in self.group_by:
-            if ref not in seen:
-                seen.append(ref)
+            seen.update(dict.fromkeys(join.columns()))
+        seen.update(dict.fromkeys(self.group_by))
         return tuple(seen)
+
+    @cached_property
+    def referenced_columns(self) -> Dict[str, frozenset]:
+        """Per table, the names of the columns any clause mentions — what
+        an executor must read of each table (all of it for ``SELECT *``,
+        which only the schema can spell out)."""
+        needed: Dict[str, set] = {}
+        for clause in chain(
+            self.predicates, self.joins, self.projections, self.having
+        ):
+            for ref in clause.columns():
+                needed.setdefault(ref.table, set()).add(ref.column)
+        for ref in chain(self.group_by, self.order_by):
+            needed.setdefault(ref.table, set()).add(ref.column)
+        return {table: frozenset(names) for table, names in needed.items()}
 
     def selection_columns_of(self, table: str) -> Tuple[ColumnRef, ...]:
         """Distinct columns of ``table`` used in selection predicates."""

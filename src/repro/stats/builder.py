@@ -23,11 +23,11 @@ from repro.config import OptimizerConfig
 from repro.stats.cost import statistic_build_cost
 from repro.stats.histogram import (
     HistogramKind,
-    counting_pays,
     histogram_from_summary,
     summarize_column,
 )
 from repro.stats.statistic import StatKey, Statistic
+from repro.storage.join_index import counting_pays
 from repro.storage.table_data import TableData
 
 #: largest mixed-radix product the int64 group ids can hold

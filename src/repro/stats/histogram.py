@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import StatisticsError
+from repro.storage.join_index import counting_pays
 
 
 class HistogramKind(enum.Enum):
@@ -312,14 +313,6 @@ class MaxDiffHistogram(Histogram):
 _MAX_EXACT_INT = 2**53
 
 
-def counting_pays(span: int, rows: int) -> bool:
-    """Whether ``rows`` integers spread over ``span`` consecutive values
-    are better counted (one ``bincount`` table of ``span`` entries) than
-    sorted.  A property of the data alone: keys, dates and dictionary
-    codes are dense, measures and hashes are not."""
-    return span <= 4 * rows + 1024
-
-
 def _count_column(values: np.ndarray, with_codes: bool):
     """:func:`summarize_column` by counting, for a dense integer column;
     ``None`` when ``values`` is not one."""
@@ -347,7 +340,8 @@ def summarize_column(values, with_codes: bool = True):
 
     Values are compared as float64: int64 values that collide beyond
     2**53 are one value.  A dense integer column is counted
-    (:func:`counting_pays`); everything else is sorted.
+    (:func:`~repro.storage.join_index.counting_pays`); everything else is
+    sorted.
     """
     values = np.asarray(values)
     counted = _count_column(values, with_codes)

@@ -89,6 +89,7 @@ class StatsShard:
             "joint_for_columns",
             "visible_keys",
             "visible_statistics",
+            "visible_on_table",
             "drop_list",
             "is_droppable",
         ),
@@ -313,6 +314,11 @@ class StatsShard:
 
     def visible_statistics(self) -> List[Statistic]:
         return [stat for _, stat in self._visible_pairs()]
+
+    def visible_on_table(self, table: str) -> list:
+        """The visible ``(key, statistic)`` pairs of ``table``, in
+        ``_statistics`` order.  The list is shared: read it only."""
+        return self._table_view(table)[1]
 
     def _visible_pairs(self) -> list:
         """The visible ``(key, statistic)`` pairs of the whole shard, in
@@ -848,6 +854,11 @@ class StatisticsManager:
         for shard in self._shards:
             found.extend(shard.visible_statistics())
         return found
+
+    def visible_on_table(self, table: str) -> list:
+        """The visible ``(key, statistic)`` pairs of one table — one lock
+        acquisition, the statistics already in hand.  Read only."""
+        return self._shard_for_table(table).visible_on_table(table)
 
     def histogram_for(self, ref: ColumnRef):
         """Histogram usable for predicates on ``ref``, or None.

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.catalog import ColumnType, TableSchema
 from repro.concurrency import guarded_by
 from repro.errors import StorageError
+from repro.storage.join_index import JoinIndex
 from repro.storage.strings import StringDictionary
 
 _NUMPY_DTYPE = {
@@ -36,11 +37,17 @@ class TableData:
     concurrent sessions never observe a half-applied delete/update or lose
     counter increments.  Single-column reads are lock-free: column arrays
     are replaced atomically, never resized in place.
+
+    :meth:`join_index` keeps the build side of equijoins over the stored
+    arrays; every mutation that replaces an array drops them all.
     """
 
     #: mutations_only — column arrays are replaced atomically, never
     #: resized in place, so unlocked single-column reads are safe
     _columns = guarded_by("mutation_lock", mutations_only=True)
+    #: mutations_only — an index is immutable and records the arrays it
+    #: describes, so an unlocked reader checks it instead of the lock
+    _join_indexes = guarded_by("mutation_lock", mutations_only=True)
     rows_modified_since_stats = guarded_by("mutation_lock")
 
     def __init__(self, schema: TableSchema) -> None:
@@ -54,6 +61,8 @@ class TableData:
             for col in schema.columns
             if col.type == ColumnType.STRING
         }
+        #: sorted column names -> the index over those stored arrays
+        self._join_indexes: Dict[Tuple[str, ...], JoinIndex] = {}
         self.mutation_lock = threading.RLock()
         self.rows_modified_since_stats = 0
 
@@ -163,6 +172,7 @@ class TableData:
             arrays[col.name] = arr
         with self.mutation_lock:
             self._columns = arrays
+            self._join_indexes = {}
             self.rows_modified_since_stats = 0
 
     def attach_dictionary(
@@ -203,6 +213,7 @@ class TableData:
                 self._columns[name] = np.concatenate(
                     [self._columns[name], arr]
                 )
+            self._join_indexes = {}
             self.rows_modified_since_stats += len(rows)
         return len(rows)
 
@@ -223,6 +234,7 @@ class TableData:
                 keep = ~mask
                 for name in self._columns:
                     self._columns[name] = self._columns[name][keep]
+                self._join_indexes = {}
                 self.rows_modified_since_stats += deleted
         return deleted
 
@@ -251,8 +263,38 @@ class TableData:
                     replaced[name] = self._columns[name].copy()
                     replaced[name][mask] = _NUMPY_DTYPE[col.type](encoded)
                 self._columns.update(replaced)
+                self._join_indexes = {}
                 self.rows_modified_since_stats += updated
         return updated
+
+    # ------------------------------------------------------------------
+    # join indexes
+    # ------------------------------------------------------------------
+
+    def join_index(self, columns: Iterable[str]) -> Optional[JoinIndex]:
+        """The :class:`JoinIndex` over the stored arrays of ``columns``
+        (in sorted name order, so every spelling of a composite key shares
+        one), built on the first ask and kept until a mutation replaces an
+        array.  ``None`` when the columns have no integer key encoding.
+
+        The index may describe arrays a concurrent mutation has since
+        replaced: a caller joining a relation it took earlier must check
+        :meth:`JoinIndex.built_from` against that relation's arrays.
+        """
+        names = tuple(sorted(columns))
+        index = self._join_indexes.get(names)
+        if index is None:
+            with self.mutation_lock:
+                arrays = [self.column_array(name) for name in names]
+            # built outside the lock: DML need not wait for a sort
+            index = JoinIndex.build(arrays)
+            if index is not None:
+                with self.mutation_lock:
+                    if index.built_from(
+                        [self._columns[name] for name in names]
+                    ):
+                        index = self._join_indexes.setdefault(names, index)
+        return index
 
     def reset_modification_counter(self) -> None:
         """Called after statistics on this table are (re)built."""

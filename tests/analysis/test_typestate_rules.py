@@ -177,7 +177,8 @@ def test_r012_catches_deleted_store_guard(tmp_path):
 
 
 def test_r012_catches_view_built_without_visibility_check(tmp_path):
-    """The three estimator lookups read a table's visible view; its
+    """The three estimator lookups and the plan cache's per-table
+    fingerprint read all go through a table's visible view; its
     constructor is the one place they consult ``is_visible``."""
     paths = _mutated(
         tmp_path,
@@ -191,10 +192,15 @@ def test_r012_catches_view_built_without_visibility_check(tmp_path):
                     pairs.append""",
     )
     findings = lint_paths(paths, rules=["R012"])
-    assert [f.rule_id for f in findings] == ["R012"] * 3
+    assert [f.rule_id for f in findings] == ["R012"] * 4
     for finding, lookup in zip(
         findings,
-        ("histogram_for", "density_for_columns", "joint_for_columns"),
+        (
+            "visible_on_table",
+            "histogram_for",
+            "density_for_columns",
+            "joint_for_columns",
+        ),
     ):
         assert f"StatsShard.{lookup} serves estimation reads" in (
             finding.message

@@ -156,6 +156,48 @@ class TestFeedbackStore:
         assert metrics.gauge_value("feedback.tracked_targets") == 0
         assert metrics.gauge_value("feedback.worst_q_error") == 1.0
 
+    def test_record_all_publishes_once_what_single_records_publish(
+        self, monkeypatch
+    ):
+        """One executed plan's observations fold under one lock hold and
+        one gauge publication; the gauges a reader sees afterwards are
+        those of n single ``record`` calls (capacity 2: evictions too)."""
+        batch = [
+            obs("emp", ["age"], 100, 1),
+            obs("dept", ["budget"], 5, 1),
+            obs("emp", ["salary"], 3, 30),
+            obs("emp", ["age"], 10, 10),
+        ]
+        gauges = (
+            "feedback.observations",
+            "feedback.tracked_targets",
+            "feedback.evicted",
+            "feedback.worst_q_error",
+        )
+        single_metrics = MetricsRegistry()
+        single = FeedbackStore(capacity=2, metrics=single_metrics)
+        for observation in batch:
+            single.record(observation)
+        batched_metrics = MetricsRegistry()
+        batched = FeedbackStore(capacity=2, metrics=batched_metrics)
+        published = []
+        publish = FeedbackStore._publish_metrics
+        monkeypatch.setattr(
+            FeedbackStore,
+            "_publish_metrics",
+            lambda self: published.append(1) or publish(self),
+        )
+        batched.record_all(batch)
+        assert published == [1]
+        for name in gauges:
+            assert batched_metrics.gauge_value(name) == (
+                single_metrics.gauge_value(name)
+            )
+        assert batched_metrics.gauge_value("feedback.evicted") == 2
+        assert batched.snapshot() == single.snapshot()
+        batched.record_all([])
+        assert published == [1]
+
     def test_worst_q_error_across_targets(self):
         store = FeedbackStore()
         assert store.worst_q_error() == 1.0

@@ -7,14 +7,19 @@ deprecated ``optimize(...)`` kwargs shim, and call-count atomicity.
 
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog import ColumnRef
+from repro.config import ServiceConfig
 from repro.errors import OptimizerError, ReproDeprecationWarning
 from repro.optimizer import OptimizationRequest, Optimizer, PlanCache
 from repro.optimizer.cache import statistics_fingerprint
+from repro.optimizer.selectivity import SelectivityEstimator
 from repro.optimizer.variables import PredicateVariable
-from repro.service import MetricsRegistry
+from repro.service import MetricsRegistry, ServiceRequest, StatsService
 from repro.sql.builder import QueryBuilder
 from repro.sql.predicates import ComparisonPredicate
 from repro.stats import StatKey
@@ -361,6 +366,243 @@ class TestFingerprint:
                 ) == per_key_scan(query, ignore)
                 nonempty += bool(statistics_fingerprint(db, query)[1])
             assert (nonempty > 0) == (state > 0)
+
+
+#: statistics the operation sequences below create, hide and drop
+_KEYS = (
+    StatKey.single(AGE),
+    StatKey.single(SALARY),
+    StatKey.single(DEPT_ID),
+    StatKey.single(ColumnRef("dept", "id")),
+    StatKey("emp", ("dept_id", "age")),
+)
+
+_STAT_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            [
+                "create",
+                "drop-list",
+                "revive",
+                "drop",
+                "refresh",
+                "ignore-scope",
+                "insert",
+                "delete",
+                "update",
+            ]
+        ),
+        st.integers(0, len(_KEYS) - 1),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _missing_queries(db):
+    return [
+        QueryBuilder(db.schema)
+        .where("emp.age", "<", 30)
+        .where("emp.salary", ">", 50_000.0)
+        .build(),
+        QueryBuilder(db.schema)
+        .join("emp.dept_id", "dept.id")
+        .where("emp.age", ">", 40)
+        .select("emp.dept_id")
+        .group_by("emp.dept_id")
+        .aggregate("count")
+        .build(),
+    ]
+
+
+class TestEntryCarriedMissingVariables:
+    """``optimize_with_missing``: the plan-cache entry carries the missing
+    set of its fingerprint, and what it serves is always what a fresh
+    ``magic_variables`` returns."""
+
+    @staticmethod
+    def _check(db, opt, queries):
+        fresh = Optimizer(db)
+        for query in queries:
+            for _ in range(2):  # the first ask computes, the second is kept
+                _, missing = opt.optimize_with_missing(
+                    OptimizationRequest(query)
+                )
+                assert list(missing) == fresh.magic_variables(query)
+
+    @given(ops=_STAT_OPS)
+    @settings(max_examples=60, deadline=None)
+    def test_served_set_equals_a_fresh_one_after_any_operations(self, ops):
+        from tests.util import simple_db
+
+        db = simple_db(n_emp=60)
+        opt = Optimizer(db, cache=PlanCache(8))
+        queries = _missing_queries(db)
+        stats = db.stats
+        self._check(db, opt, queries)
+        for op, pick in ops:
+            key = _KEYS[pick]
+            if op == "create":
+                if not stats.has(key) or stats.is_droppable(key):
+                    stats.create(key)
+            elif op == "drop-list":
+                if stats.has(key):
+                    stats.mark_droppable(key)
+            elif op == "revive":
+                if stats.has(key):
+                    stats.revive(key)
+            elif op == "drop":
+                if stats.has(key):
+                    stats.drop(key)
+            elif op == "refresh":
+                stats.refresh_table(key.table)
+            elif op == "ignore-scope":
+                with stats.ignore_subset(_KEYS[: pick + 1]):
+                    self._check(db, opt, queries)
+            elif op == "insert":
+                db.insert(
+                    "dept", [{"id": 90 + pick, "dname": "new", "budget": 1.0}]
+                )
+            elif op == "delete":
+                db.delete("emp", db.table("emp").column_array("id") == 1 + pick)
+            else:
+                db.update(
+                    "emp",
+                    db.table("emp").column_array("id") == 7 + pick,
+                    {"age": 20 + pick},
+                )
+            self._check(db, opt, queries)
+
+    def test_kept_across_hits_and_revalidations(self, db, monkeypatch):
+        calls = []
+        real = SelectivityEstimator.missing_variables
+        monkeypatch.setattr(
+            SelectivityEstimator,
+            "missing_variables",
+            lambda self, query: calls.append(1) or real(self, query),
+        )
+        cache = PlanCache(4)
+        opt = Optimizer(db, cache=cache)
+        request = OptimizationRequest(_age_query(db))
+        first = opt.optimize_with_missing(request)[1]
+        assert len(first) == 1 and len(calls) == 1
+        assert opt.optimize_with_missing(request)[1] is first  # fresh hit
+        db.stats.create(StatKey.single(ColumnRef("dept", "budget")))
+        assert opt.optimize_with_missing(request)[1] is first  # revalidated
+        assert cache.revalidation_count == 1
+        assert len(calls) == 1
+
+    def test_a_re_store_resets_the_kept_set(self, db):
+        cache = PlanCache(4)
+        opt = Optimizer(db, cache=cache)
+        request = OptimizationRequest(_age_query(db))
+        result, missing = opt.optimize_with_missing(request)
+        epoch = db.stats.epoch_for_tables(request.query.tables)
+        assert cache.missing_for(request, epoch) is missing
+        cache.store(
+            request, epoch, statistics_fingerprint(db, request.query), result
+        )
+        assert cache.missing_for(request, epoch) is None
+        # ... and a statistics change that re-optimizes re-stores
+        opt.optimize_with_missing(request)
+        db.stats.create(StatKey.single(AGE))
+        epoch = db.stats.epoch_for_tables(request.query.tables)
+        assert cache.missing_for(request, epoch) is None
+        assert opt.optimize_with_missing(request)[1] == ()
+        assert cache.missing_for(request, epoch) == ()
+
+    def test_kept_only_at_the_epoch_it_was_computed_under(self, db):
+        cache = PlanCache(4)
+        opt = Optimizer(db, cache=cache)
+        request = OptimizationRequest(_age_query(db))
+        opt.optimize_request(request)
+        epoch = db.stats.epoch_for_tables(request.query.tables)
+        cache.keep_missing(request, epoch + 1, ("stale",))
+        assert cache.missing_for(request, epoch) is None
+        cache.keep_missing(request, epoch, ("current",))
+        assert cache.missing_for(request, epoch) == ("current",)
+        assert cache.missing_for(request, epoch + 1) is None
+
+    def test_an_ignore_set_request_is_never_served_a_kept_set(
+        self, db, monkeypatch
+    ):
+        db.stats.create(StatKey.single(AGE))
+        calls = []
+        real = SelectivityEstimator.missing_variables
+        monkeypatch.setattr(
+            SelectivityEstimator,
+            "missing_variables",
+            lambda self, query: calls.append(1) or real(self, query),
+        )
+        cache = PlanCache(4)
+        opt = Optimizer(db, cache=cache)
+        query = _age_query(db)
+        ignoring = OptimizationRequest(query, ignore=[AGE])
+        for asked in (1, 2, 3):
+            # the fingerprint of this entry leaves the ignored statistic
+            # out; magic_variables(query) does not
+            assert opt.optimize_with_missing(ignoring)[1] == ()
+            assert len(calls) == asked
+        epoch = db.stats.epoch_for_tables(query.tables)
+        assert cache.missing_for(ignoring, epoch) is None
+
+    def test_degraded_and_uncached_requests(self, db):
+        query = _age_query(db)
+        cached = Optimizer(db, cache=PlanCache(4))
+        degraded = OptimizationRequest(query, degraded=True)
+        assert cached.optimize_with_missing(degraded)[1] == ()
+        uncached = Optimizer(db)
+        result, missing = uncached.optimize_with_missing(
+            OptimizationRequest(query)
+        )
+        assert list(missing) == uncached.magic_variables(query)
+        assert result.signature == uncached.optimize(query).signature
+
+    def test_serving_computes_the_missing_set_once_per_stored_entry(
+        self, db, monkeypatch
+    ):
+        """A ``serve_repeat``-shaped loop: recurring reads, lock-step
+        drain, an advisor that keeps creating and drop-listing."""
+        events = []
+        real = Optimizer.magic_variables
+        monkeypatch.setattr(
+            Optimizer,
+            "magic_variables",
+            lambda self, query: events.append(("ask", query))
+            or real(self, query),
+        )
+        store = PlanCache.store
+
+        def noting_store(self, request, *rest):
+            if not request.overrides and not request.ignore:
+                events.append(("store", request.query))
+            store(self, request, *rest)
+
+        monkeypatch.setattr(PlanCache, "store", noting_store)
+        queries = _missing_queries(db) + [_age_query(db, value=25)]
+        service = StatsService(
+            db, ServiceConfig(advisor_workers=1, staleness_poll_seconds=3600.0)
+        )
+        service.start()
+        try:
+            rounds = 6
+            for _ in range(rounds):
+                for query in queries:
+                    service.submit(ServiceRequest(query))
+                    service.drain()
+        finally:
+            service.stop()
+        asks = [query for kind, query in events if kind == "ask"]
+        assert len(queries) <= len(asks) < rounds * len(queries)
+        # every ask is the first one after a store of that query's entry
+        # (the advisor shares the cache and stores plans too)
+        stored_since_ask = set()
+        for kind, query in events:
+            if kind == "store":
+                stored_since_ask.add(query)
+            else:
+                assert query in stored_since_ask
+                stored_since_ask.discard(query)
 
 
 class TestDeprecatedShims:
