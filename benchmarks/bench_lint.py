@@ -1,6 +1,7 @@
 """Lint-engine performance and hygiene on the repo's own source tree.
 
-Three arms over ``src/`` with all rules (R001-R015) enabled:
+Three arms over ``src/`` with all fourteen rules (R001-R015; R008 is
+retired) enabled:
 
 * **cold** — no cache: every file rule and every project rule runs,
   including the interprocedural typestate engine behind R012-R015;

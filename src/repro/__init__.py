@@ -68,11 +68,7 @@ from repro.core import (
     shrinking_set,
     workload_candidate_statistics,
 )
-from repro.errors import (
-    ReproDeprecationWarning,
-    ReproError,
-    ServiceRejectedError,
-)
+from repro.errors import ReproError, ServiceRejectedError
 from repro.datagen import (
     SkewSpec,
     TpcdGenerator,
@@ -217,7 +213,6 @@ __all__ = [
     "WorkloadDriver",
     # errors
     "ReproError",
-    "ReproDeprecationWarning",
     "ServiceRejectedError",
     # online service
     "StatsService",

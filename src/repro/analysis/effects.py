@@ -2,27 +2,24 @@
 
 Every function in the analyzed project gets a computed **effect
 summary** — which ``self`` attributes it mutates, whether it bumps the
-statistics epoch, which metric names it emits, which warning categories
-it raises, and which locks it acquires — propagated to a fixpoint
-through ``self.method()`` and module-call edges, the same machinery the
-lock-order rule (R002) uses for its acquire-summaries.  This is the
+statistics epoch, which metric names it emits, and which locks it
+acquires — propagated to a fixpoint through ``self.method()`` and
+module-call edges, the same machinery the lock-order rule (R002) uses
+for its acquire-summaries.  This is the
 paper's Sec 4 idea ("decide without building") applied to our own
 invariants: cheap static reasoning standing in for expensive runtime
 checking, in the spirit of compiler-checked lock annotations
 (Clang Thread Safety Analysis ``guarded_by``, our R001) and
 FlowDroid-style summary-based dataflow.
 
-Three rule families consume the summaries:
+The summaries feed, among others:
 
 * **R006** (:mod:`repro.analysis.rules.epoch`) — methods mutating
   guarded statistics state must bump ``_epoch`` on every mutating path;
 * **R007** (:mod:`repro.analysis.rules.metrics_registry`) — every
   metric name reaching ``MetricsRegistry.inc/gauge/timer`` (directly or
   through a wrapper parameter) must be a resolvable literal in the
-  committed registry;
-* **R008** (:mod:`repro.analysis.rules.deprecation`) — every
-  ``warnings.warn(..., ReproDeprecationWarning)`` site must map to a
-  documented, test-covered shim.
+  committed registry.
 
 The engine is purely syntactic (no analyzed module is imported) and is
 built once per :class:`~repro.analysis.model.Project` — rules share the
@@ -98,19 +95,6 @@ class MetricSite:
     # function (validated at that function's call sites instead)
 
 
-@dataclass(frozen=True)
-class WarnSite:
-    """One ``warnings.warn(..., <Category>)`` call site."""
-
-    module: SourceModule
-    cls: Optional[ClassInfo]
-    fn: ast.FunctionDef
-    node: ast.Call
-    category: str  # last component of the category expression
-    lineno: int
-    col: int
-
-
 @dataclass
 class EffectSummary:
     """Transitive effects of calling one function.
@@ -123,7 +107,6 @@ class EffectSummary:
     mutated_attrs: Set[str] = field(default_factory=set)
     bumps_epoch: bool = False
     metric_params: Set[str] = field(default_factory=set)
-    warned_categories: Set[str] = field(default_factory=set)
     acquires: Set[str] = field(default_factory=set)
 
     def key(self) -> Tuple:
@@ -131,7 +114,6 @@ class EffectSummary:
             frozenset(self.mutated_attrs),
             self.bumps_epoch,
             frozenset(self.metric_params),
-            frozenset(self.warned_categories),
             frozenset(self.acquires),
         )
 
@@ -195,9 +177,6 @@ class EffectAnalysis:
                     summary.mutated_attrs.add(mutated)
             if not isinstance(node, ast.Call):
                 continue
-            warn = classify_warn_call(node)
-            if warn is not None:
-                summary.warned_categories.add(warn)
             emission = _metric_name_expr(node)
             if emission is not None:
                 name_expr = emission[1]
@@ -207,7 +186,6 @@ class EffectAnalysis:
                 callee = self.summaries.get(callee_key)
                 if callee is None:
                     continue
-                summary.warned_categories |= callee.warned_categories
                 summary.acquires |= callee.acquires
                 if callee_key[0] == module.path and callee_key[1] == (
                     cls.name if cls is not None else None
@@ -327,30 +305,6 @@ class EffectAnalysis:
             via_param=via_param,
         )
 
-    # ------------------------------------------------------------------
-    # warn sites (R008's input)
-    # ------------------------------------------------------------------
-
-    def iter_warn_sites(self) -> Iterator[WarnSite]:
-        for _, (module, cls, fn) in sorted(
-            self._fns.items(), key=lambda kv: _sort_key(kv[0])
-        ):
-            for node in _walk_same_scope(fn):
-                if not isinstance(node, ast.Call):
-                    continue
-                category = classify_warn_call(node)
-                if category is None:
-                    continue
-                yield WarnSite(
-                    module=module,
-                    cls=cls,
-                    fn=fn,
-                    node=node,
-                    category=category,
-                    lineno=node.lineno,
-                    col=node.col_offset,
-                )
-
 
 def effect_analysis(project: Project) -> EffectAnalysis:
     """The shared per-project :class:`EffectAnalysis` (built lazily once)."""
@@ -401,25 +355,6 @@ def direct_mutation_target(node: ast.AST) -> Optional[str]:
         ):
             return receiver.attr
     return None
-
-
-def classify_warn_call(node: ast.Call) -> Optional[str]:
-    """Warning category name for a ``warnings.warn(...)`` call, if any."""
-    callee = dotted(node.func)
-    if callee not in ("warnings.warn", "warn"):
-        return None
-    category_expr: Optional[ast.expr] = None
-    if len(node.args) >= 2:
-        category_expr = node.args[1]
-    for keyword in node.keywords:
-        if keyword.arg == "category":
-            category_expr = keyword.value
-    if category_expr is None:
-        return "UserWarning"
-    path = dotted(category_expr)
-    if path is None:
-        return None
-    return path.rsplit(".", 1)[-1]
 
 
 def resolve_string(

@@ -9,17 +9,15 @@ cold serial run; the regression tests in ``tests/analysis`` pin that.
 
 Incrementality splits on :attr:`~repro.analysis.framework.Rule.scope`:
 
-* **file-scope** rules (R001, R004) — findings depend only on the file
-  they are in, so each ``(rule, file)`` pair caches independently under
-  the file's content hash and the rule's version;
-* **project-scope** rules (R002/R003/R005/R006/R007/R008) — any file
-  can change the result (the lock graph, a dispatch family, an effect
-  summary), so their findings cache as one block under a **project
-  fingerprint**: a digest of every analyzed file's content hash *plus
-  the external inputs* R008 reads (each enclosing ``CONTRIBUTING.md``
-  and the ``tests/**/*.py`` tree next to it).  Editing any one file —
-  or a deprecation-table row, or a test — re-runs every project rule;
-  nothing can serve a stale cross-file finding.
+* **file-scope** rules (R001, R004, R010, R011) — findings depend only
+  on the file they are in, so each ``(rule, file)`` pair caches
+  independently under the file's content hash and the rule's version;
+* **project-scope** rules (every other rule) — any file can change the
+  result (the lock graph, a dispatch family, an effect summary), so
+  their findings cache as one block under a **project fingerprint**: a
+  digest of every analyzed file's content hash.  Editing any one file
+  re-runs every project rule; nothing can serve a stale cross-file
+  finding.
 
 Multi-process execution partitions the same work units (one task per
 project rule, one per uncached ``(file-rule, file)``) over a
@@ -218,41 +216,7 @@ def _project_fingerprint(
         digest.update(f"{path}:{hashes[path]}".encode())
     for rule_id in sorted(project_rules):
         digest.update(f"{rule_id}:{RULES[rule_id].version}".encode())
-    for root in _external_roots(hashes):
-        contributing = os.path.join(root, "CONTRIBUTING.md")
-        digest.update(f"root:{root}:{_hash_file(contributing)}".encode())
-        tests_dir = os.path.join(root, "tests")
-        if os.path.isdir(tests_dir):
-            for walk_root, dirs, names in os.walk(tests_dir):
-                dirs[:] = sorted(
-                    d
-                    for d in dirs
-                    if d != "__pycache__" and not d.startswith(".")
-                )
-                for name in sorted(names):
-                    if name.endswith(".py"):
-                        full = os.path.join(walk_root, name)
-                        digest.update(f"{full}:{_hash_file(full)}".encode())
     return digest.hexdigest()
-
-
-def _external_roots(hashes: Dict[str, str]) -> List[str]:
-    """Distinct nearest-CONTRIBUTING.md roots of the analyzed files —
-    the out-of-tree inputs the deprecation rule (R008) reads."""
-    roots = set()
-    seen_dirs = set()
-    for path in hashes:
-        current = os.path.dirname(path)
-        while current not in seen_dirs:
-            seen_dirs.add(current)
-            if os.path.exists(os.path.join(current, "CONTRIBUTING.md")):
-                roots.add(current)
-                break
-            parent = os.path.dirname(current)
-            if parent == current or current == "":
-                break
-            current = parent
-    return sorted(roots)
 
 
 # ----------------------------------------------------------------------

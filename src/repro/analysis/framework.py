@@ -68,8 +68,7 @@ class Rule:
     description: str = ""
     #: "file" when findings depend only on the file they are in (the
     #: incremental cache may reuse them per file); "project" when other
-    #: files — or inputs outside the analyzed set, like CONTRIBUTING.md
-    #: for R008 — can change the result.
+    #: analyzed files can change the result.
     scope: str = "project"
     #: bump on any behavior change so stale cache entries self-invalidate
     version: int = 1

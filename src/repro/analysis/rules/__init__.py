@@ -8,7 +8,6 @@ from repro.analysis.rules.blocking import NoBlockingUnderLockRule
 from repro.analysis.rules.literals import MagicLiteralRule
 from repro.analysis.rules.epoch import EpochBumpRule
 from repro.analysis.rules.metrics_registry import MetricsRegistryRule
-from repro.analysis.rules.deprecation import DeprecationShimRule
 from repro.analysis.rules.plan_state import PlanStateRule
 from repro.analysis.rules.escape import GuardedEscapeRule
 from repro.analysis.rules.check_then_act import CheckThenActRule
@@ -25,7 +24,6 @@ __all__ = [
     "MagicLiteralRule",
     "EpochBumpRule",
     "MetricsRegistryRule",
-    "DeprecationShimRule",
     "PlanStateRule",
     "GuardedEscapeRule",
     "CheckThenActRule",

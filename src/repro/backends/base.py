@@ -27,11 +27,9 @@ for the contract details and how to add a backend.
 from __future__ import annotations
 
 import abc
-import warnings
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.concurrency import protocol
-from repro.errors import ReproDeprecationWarning
 from repro.optimizer.cache import OptimizationRequest
 from repro.optimizer.optimizer import OptimizationResult
 from repro.sql.query import Query
@@ -277,72 +275,3 @@ def backend_from_name(
         f"unknown backend {name!r}; expected one of {', '.join(BACKEND_NAMES)}"
     )
 
-
-def _legacy_backend(first, second, caller: str, optimizer_first: bool):
-    # repro-lint: deprecation-shim=(database, optimizer
-    """Adapt a legacy ``(database, optimizer, ...)`` call to a backend.
-
-    Shared warn site for every ``repro.core`` entry point that kept its
-    pre-Backend argument order as a deprecation shim (``mnsa_for_query``
-    and friends take ``(database, optimizer, ...)``; the essential-set
-    checkers take ``(optimizer, database, ...)``).
-    """
-    from repro.backends.memory import MemoryBackend
-
-    if optimizer_first:
-        optimizer, database = first, second
-        old = f"{caller}(optimizer, database, ...)"
-    else:
-        database, optimizer = first, second
-        old = f"{caller}(database, optimizer, ...)"
-    warnings.warn(
-        f"{old} is deprecated; pass a Backend instead — e.g. "
-        f"{caller}(MemoryBackend(database, optimizer), ...)",
-        ReproDeprecationWarning,
-        stacklevel=4,
-    )
-    return MemoryBackend(database, optimizer=optimizer)
-
-
-def resolve_backend_entry(
-    first,
-    second,
-    legacy: Sequence,
-    caller: str,
-    optimizer_first: bool = False,
-):
-    """Normalize a backend entry point's arguments to the new layout.
-
-    New spelling: ``caller(backend, primary, *rest)``.  Legacy spelling:
-    ``caller(database, optimizer, primary, *rest)`` (or optimizer-first
-    for the essential-set checkers).  Returns ``(backend, primary,
-    rest)`` either way; the legacy path warns through
-    :func:`_legacy_backend`.
-    """
-    if isinstance(first, Backend):
-        return first, second, tuple(legacy)
-    backend = _legacy_backend(first, second, caller, optimizer_first)
-    if not legacy:
-        raise TypeError(
-            f"{caller}: legacy (database, optimizer, ...) call is missing "
-            "its positional query/workload argument"
-        )
-    return backend, legacy[0], tuple(legacy[1:])
-
-
-def bind_legacy_tail(extra: Iterable, values: Sequence) -> list:
-    """Overlay trailing positional arguments over keyword defaults.
-
-    ``extra`` holds positionals past the primary argument (legacy calls
-    passed ``candidates`` / ``config`` / ... positionally); ``values``
-    holds the keyword-supplied defaults in declaration order.
-    """
-    merged = list(values)
-    for index, value in enumerate(extra):
-        if index >= len(merged):
-            raise TypeError(
-                f"too many positional arguments ({len(tuple(extra))} past "
-                "the query/workload argument)"
-            )
-        merged[index] = value
-    return merged

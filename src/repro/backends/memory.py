@@ -5,8 +5,7 @@ A thin adapter over the existing :class:`~repro.storage.Database` /
 :class:`~repro.optimizer.Optimizer` / :class:`~repro.executor.Executor`
 stack.  Every method delegates 1:1, so running an algorithm through
 ``MemoryBackend(database, optimizer)`` is byte-identical to calling it
-against the pair directly — the parity suite and the deprecation shims
-both rely on that.
+against the pair directly — the parity suite relies on that.
 """
 
 from __future__ import annotations

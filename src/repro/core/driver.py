@@ -29,7 +29,6 @@ silently degrades to the serial path elsewhere.
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, List, Optional
 
@@ -37,7 +36,7 @@ from repro.backends.base import Backend
 from repro.backends.memory import MemoryBackend
 from repro.core.mnsa import MnsaConfig, MnsaResult, mnsa_for_workload
 from repro.core.mnsad import MnsadResult, mnsad_for_workload
-from repro.errors import PolicyError, ReproDeprecationWarning
+from repro.errors import PolicyError
 from repro.optimizer.cache import OptimizationRequest, PlanCache
 from repro.optimizer.optimizer import Optimizer
 from repro.sql.query import Query
@@ -48,72 +47,30 @@ class WorkloadDriver:
 
     Args:
         backend: the engine to tune — any
-            :class:`~repro.backends.base.Backend`.  Passing a raw
-            :class:`~repro.storage.Database` (with an optional
-            ``optimizer`` second argument) is deprecated and adapts to a
-            :class:`~repro.backends.memory.MemoryBackend`.
+            :class:`~repro.backends.base.Backend`.
         parallelism: worker threads for the read-only pre-warm phase;
             ``1`` disables the phase entirely.
         cache: the shared :class:`~repro.optimizer.cache.PlanCache`
-            (memory backend only).  Defaults to a fresh cache when an
-            optimizer must be created; when the backend already carries
-            an optimizer with a cache, they must agree (the pre-warm
-            phase is useless against a cache the serial pass will not
-            read).
-        corrections: optional :class:`~repro.learned.CorrectionStore`
-            for a legacy auto-created optimizer — the A/B hook for
-            running the same workload with and without learned
-            corrections.  Ignored when an optimizer is supplied (the
-            optimizer's own attachments win); the pre-warm optimizers
-            always mirror the primary's learned attachments so cache
-            keys line up.
-        join_estimator: optional
-            :class:`~repro.learned.SketchJoinEstimator` for a legacy
-            auto-created optimizer; same rules as ``corrections``.
+            (memory backend only), attached to the backend's optimizer;
+            if that optimizer already has a cache, they must agree (the
+            pre-warm phase is useless against a cache the serial pass
+            will not read).  The pre-warm optimizers mirror the
+            primary's learned attachments so cache keys line up.
     """
 
     def __init__(
         self,
-        backend,
-        optimizer: Optional[Optimizer] = None,
+        backend: Backend,
         *,
         parallelism: int = 1,
         cache: Optional[PlanCache] = None,
-        corrections=None,
-        join_estimator=None,
     ) -> None:
-        # repro-lint: deprecation-shim=WorkloadDriver(
         if parallelism < 1:
             raise PolicyError(
                 f"parallelism must be >= 1, got {parallelism}"
             )
         self.parallelism = int(parallelism)
-        if not isinstance(backend, Backend):
-            database = backend
-            warnings.warn(
-                "WorkloadDriver(database, optimizer, ...) is deprecated; "
-                "pass a Backend instead — e.g. "
-                "WorkloadDriver(MemoryBackend(database, optimizer))",
-                ReproDeprecationWarning,
-                stacklevel=2,
-            )
-            if optimizer is None:
-                cache = cache if cache is not None else PlanCache()
-                optimizer = Optimizer(
-                    database,
-                    cache=cache,
-                    corrections=corrections,
-                    join_estimator=join_estimator,
-                )
-            elif cache is not None:
-                optimizer.attach_cache(cache)  # raises if they disagree
-            backend = MemoryBackend(database, optimizer=optimizer)
-        elif optimizer is not None:
-            raise TypeError(
-                "WorkloadDriver(backend, optimizer) is ambiguous: the "
-                "backend already carries its optimizer"
-            )
-        elif cache is not None and isinstance(backend, MemoryBackend):
+        if cache is not None and isinstance(backend, MemoryBackend):
             backend.optimizer.attach_cache(cache)
         self._backend = backend
         if isinstance(backend, MemoryBackend):

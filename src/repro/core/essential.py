@@ -17,16 +17,12 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, List, Optional, Sequence
 
-from repro.backends.base import (
-    Backend,
-    bind_legacy_tail,
-    resolve_backend_entry,
-)
+from repro.backends.base import Backend
 from repro.core.equivalence import (
     EquivalenceCriterion,
     ExecutionTreeEquivalence,
 )
-from repro.core.mnsa import MnsaConfig, resolve_config
+from repro.core.mnsa import MnsaConfig
 from repro.errors import StatisticsError
 from repro.optimizer.cache import OptimizationRequest
 from repro.optimizer.optimizer import OptimizationResult
@@ -35,10 +31,7 @@ from repro.stats.statistic import StatKey
 
 
 def plan_with_stats(
-    backend: Backend,
-    query: Optional[Query] = None,
-    *legacy,
-    keys: Optional[Iterable[StatKey]] = None,
+    backend: Backend, query: Query, keys: Iterable[StatKey]
 ) -> OptimizationResult:
     """The paper's ``Plan(Q, X)``: optimize with exactly ``keys`` available.
 
@@ -46,17 +39,7 @@ def plan_with_stats(
     ``Ignore_Statistics_Subset`` mechanism.  Statistics already on the
     drop-list stay hidden regardless (callers doing essential-set analysis
     should not have an active drop-list).
-
-    .. deprecated::
-        ``plan_with_stats(optimizer, database, query, keys)`` is a shim;
-        pass a :class:`~repro.backends.base.Backend` instead.
     """
-    backend, query, extra = resolve_backend_entry(
-        backend, query, legacy, "plan_with_stats", optimizer_first=True
-    )
-    (keys,) = bind_legacy_tail(extra, (keys,))
-    if keys is None:
-        raise TypeError("plan_with_stats: missing the keys argument")
     available = set(keys)
     for key in available:
         if not backend.has_stats(key):
@@ -69,32 +52,12 @@ def plan_with_stats(
 
 def is_equivalent_to_candidates(
     backend: Backend,
-    query: Optional[Query] = None,
-    *legacy,
-    subset: Optional[Sequence[StatKey]] = None,
-    candidates: Optional[Sequence[StatKey]] = None,
+    query: Query,
+    subset: Sequence[StatKey],
+    candidates: Sequence[StatKey],
     criterion: Optional[EquivalenceCriterion] = None,
 ) -> bool:
-    """Is ``subset`` equivalent to the full candidate set for ``query``?
-
-    .. deprecated::
-        ``is_equivalent_to_candidates(optimizer, database, query, ...)``
-        is a shim; pass a :class:`~repro.backends.base.Backend` instead.
-    """
-    backend, query, extra = resolve_backend_entry(
-        backend,
-        query,
-        legacy,
-        "is_equivalent_to_candidates",
-        optimizer_first=True,
-    )
-    subset, candidates, criterion = bind_legacy_tail(
-        extra, (subset, candidates, criterion)
-    )
-    if subset is None or candidates is None:
-        raise TypeError(
-            "is_equivalent_to_candidates: missing subset/candidates"
-        )
+    """Is ``subset`` equivalent to the full candidate set for ``query``?"""
     criterion = criterion or ExecutionTreeEquivalence()
     with_all = plan_with_stats(backend, query, keys=candidates)
     with_subset = plan_with_stats(backend, query, keys=subset)
@@ -103,10 +66,9 @@ def is_equivalent_to_candidates(
 
 def is_essential_set(
     backend: Backend,
-    query: Optional[Query] = None,
-    *legacy,
-    subset: Optional[Sequence[StatKey]] = None,
-    candidates: Optional[Sequence[StatKey]] = None,
+    query: Query,
+    subset: Sequence[StatKey],
+    candidates: Sequence[StatKey],
     criterion: Optional[EquivalenceCriterion] = None,
 ) -> bool:
     """Definition 1: equivalent to C, and minimally so.
@@ -114,19 +76,7 @@ def is_essential_set(
     Minimality is checked against all subsets of ``subset`` lacking one
     element, which suffices for the monotone optimizers this library
     models (and mirrors Example 1's conditions (2)-(4)).
-
-    .. deprecated::
-        ``is_essential_set(optimizer, database, query, ...)`` is a shim;
-        pass a :class:`~repro.backends.base.Backend` instead.
     """
-    backend, query, extra = resolve_backend_entry(
-        backend, query, legacy, "is_essential_set", optimizer_first=True
-    )
-    subset, candidates, criterion = bind_legacy_tail(
-        extra, (subset, candidates, criterion)
-    )
-    if subset is None or candidates is None:
-        raise TypeError("is_essential_set: missing subset/candidates")
     criterion = criterion or ExecutionTreeEquivalence()
     if not is_equivalent_to_candidates(
         backend,
@@ -151,13 +101,11 @@ def is_essential_set(
 
 def find_minimal_essential_set(
     backend: Backend,
-    query: Optional[Query] = None,
-    *legacy,
-    candidates: Optional[Sequence[StatKey]] = None,
+    query: Query,
+    candidates: Sequence[StatKey],
     criterion: Optional[EquivalenceCriterion] = None,
     max_candidates: int = 12,
     config: Optional[MnsaConfig] = None,
-    t_percent: Optional[float] = None,
 ) -> List[StatKey]:
     """Brute-force smallest essential set (exponential; tests only).
 
@@ -165,28 +113,7 @@ def find_minimal_essential_set(
     equivalent to the full candidate set.  Guarded by ``max_candidates``
     because the search is O(2^|C|).  The criterion defaults to
     execution-tree equivalence; ``config`` uses ``config.criterion()``.
-
-    .. deprecated::
-        ``find_minimal_essential_set(optimizer, database, query, ...)``
-        is a shim — pass a :class:`~repro.backends.base.Backend`;
-        ``t_percent`` is an alias for
-        ``MnsaConfig(t_percent=..., equivalence="t_cost").criterion()``;
-        pass a criterion or config instead.
     """
-    backend, query, extra = resolve_backend_entry(
-        backend,
-        query,
-        legacy,
-        "find_minimal_essential_set",
-        optimizer_first=True,
-    )
-    candidates, criterion, max_candidates, config, t_percent = (
-        bind_legacy_tail(
-            extra, (candidates, criterion, max_candidates, config, t_percent)
-        )
-    )
-    if candidates is None:
-        raise TypeError("find_minimal_essential_set: missing candidates")
     candidates = list(candidates)
     if len(candidates) > max_candidates:
         raise StatisticsError(
@@ -194,12 +121,7 @@ def find_minimal_essential_set(
             f"(max {max_candidates})"
         )
     if criterion is None:
-        if t_percent is not None:
-            base = config if config is not None else MnsaConfig()
-            criterion = resolve_config(
-                base, "find_minimal_essential_set", t_percent=t_percent
-            ).cost_criterion()
-        elif config is not None:
+        if config is not None:
             criterion = config.criterion()
         else:
             criterion = ExecutionTreeEquivalence()

@@ -15,15 +15,10 @@ to the creation-cost ledger via ``optimizer_call_cost``.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
-from repro.backends.base import (
-    Backend,
-    bind_legacy_tail,
-    resolve_backend_entry,
-)
+from repro.backends.base import Backend
 from repro.core.candidates import CandidateMode, candidate_statistics
 from repro.core.equivalence import (
     EquivalenceCriterion,
@@ -31,7 +26,6 @@ from repro.core.equivalence import (
     TOptimizerCostEquivalence,
 )
 from repro.core.next_stat import find_next_stat_to_build
-from repro.errors import ReproDeprecationWarning
 from repro.optimizer.variables import EPSILON
 from repro.sql.query import Query
 from repro.stats.statistic import StatKey
@@ -108,8 +102,7 @@ class MnsaConfig:
         """The plan-equivalence criterion the ``equivalence`` field names.
 
         This is the single construction point shared by MNSA, the
-        Shrinking Set, and the essential-set search, replacing the loose
-        ``t_percent`` floats those entry points used to take.
+        Shrinking Set, and the essential-set search.
         """
         if self.equivalence == "execution_tree":
             return ExecutionTreeEquivalence()
@@ -120,39 +113,6 @@ class MnsaConfig:
         if self.mnsad_drop_equivalence == "execution_tree":
             return ExecutionTreeEquivalence()
         return self.cost_criterion()
-
-
-def resolve_config(
-    config: Optional[MnsaConfig],
-    caller: str,
-    *,
-    t_percent: Optional[float] = None,
-    epsilon: Optional[float] = None,
-) -> MnsaConfig:
-    # repro-lint: deprecation-shim=t_percent=
-    """Fold deprecated loose ``t_percent`` / ``epsilon`` floats into a
-    :class:`MnsaConfig`, warning when the old spellings are used.
-
-    Shared by every entry point that kept the old kwargs as aliases
-    (``mnsad_for_query``, ``shrinking_set``,
-    ``find_minimal_essential_set``, ``run_figure4``).
-    """
-    resolved = config if config is not None else MnsaConfig()
-    overrides = {}
-    if t_percent is not None:
-        overrides["t_percent"] = t_percent
-    if epsilon is not None:
-        overrides["epsilon"] = epsilon
-    if overrides:
-        warnings.warn(
-            f"{caller}: passing loose "
-            f"{'/'.join(sorted(overrides))} floats is deprecated; "
-            "pass an MnsaConfig (or an EquivalenceCriterion) instead",
-            ReproDeprecationWarning,
-            stacklevel=3,
-        )
-        resolved = replace(resolved, **overrides)
-    return resolved
 
 
 def members_of(cache: dict, name: str, keys: List[StatKey]) -> set:
@@ -219,8 +179,7 @@ class MnsaResult:
 
 def mnsa_for_query(
     backend: Backend,
-    query: Optional[Query] = None,
-    *legacy,
+    query: Query,
     candidates: Optional[Sequence[StatKey]] = None,
     config: MnsaConfig = MnsaConfig(),
     feedback=None,
@@ -233,17 +192,7 @@ def mnsa_for_query(
     ``FindNextStatToBuild`` break candidate ties toward the
     highest-error observed predicate columns; ``None`` reproduces the
     paper's candidate-order choice exactly.
-
-    .. deprecated::
-        ``mnsa_for_query(database, optimizer, query, ...)`` is a shim;
-        pass a :class:`~repro.backends.base.Backend` instead.
     """
-    backend, query, extra = resolve_backend_entry(
-        backend, query, legacy, "mnsa_for_query"
-    )
-    candidates, config, feedback = bind_legacy_tail(
-        extra, (candidates, config, feedback)
-    )
     result = MnsaResult()
     criterion = config.cost_criterion()
     calls_before = backend.optimizer_calls
@@ -303,8 +252,7 @@ def mnsa_for_query(
 
 def mnsa_for_workload(
     backend: Backend,
-    queries: Optional[Iterable[Query]] = None,
-    *legacy,
+    queries: Iterable[Query],
     config: MnsaConfig = MnsaConfig(),
 ) -> MnsaResult:
     """Create a sufficient statistics set for a workload (Sec 4.3):
@@ -313,15 +261,7 @@ def mnsa_for_workload(
     With ``config.min_query_cost_fraction > 0``, queries whose estimated
     cost (under current statistics) falls below that fraction of the
     total are skipped — the Sec 6 off-line workload optimization.
-
-    .. deprecated::
-        ``mnsa_for_workload(database, optimizer, queries, ...)`` is a
-        shim; pass a :class:`~repro.backends.base.Backend` instead.
     """
-    backend, queries, extra = resolve_backend_entry(
-        backend, queries, legacy, "mnsa_for_workload"
-    )
-    (config,) = bind_legacy_tail(extra, (config,))
     queries = list(queries)
     if config.min_query_cost_fraction > 0.0 and queries:
         estimates = [backend.optimize_query(q).cost for q in queries]

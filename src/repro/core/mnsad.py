@@ -16,18 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
-from repro.backends.base import (
-    Backend,
-    bind_legacy_tail,
-    resolve_backend_entry,
-)
+from repro.backends.base import Backend
 from repro.core.candidates import candidate_statistics
-from repro.core.mnsa import (
-    MnsaConfig,
-    append_new,
-    members_of,
-    resolve_config,
-)
+from repro.core.mnsa import MnsaConfig, append_new, members_of
 from repro.core.next_stat import find_next_stat_to_build
 from repro.sql.query import Query
 from repro.stats.statistic import StatKey
@@ -81,12 +72,9 @@ class MnsadResult:
 
 def mnsad_for_query(
     backend: Backend,
-    query: Optional[Query] = None,
-    *legacy,
+    query: Query,
     candidates: Optional[Sequence[StatKey]] = None,
-    config: Optional[MnsaConfig] = None,
-    t_percent: Optional[float] = None,
-    epsilon: Optional[float] = None,
+    config: MnsaConfig = MnsaConfig(),
     feedback=None,
 ) -> MnsadResult:
     """Run MNSA/D for one query against ``backend``.
@@ -95,22 +83,7 @@ def mnsad_for_query(
     :class:`~repro.feedback.store.FeedbackStore`) biases
     ``FindNextStatToBuild`` toward the highest-error observed predicate
     columns, as in :func:`~repro.core.mnsa.mnsa_for_query`.
-
-    .. deprecated::
-        ``mnsad_for_query(database, optimizer, query, ...)`` is a shim —
-        pass a :class:`~repro.backends.base.Backend`; ``t_percent`` /
-        ``epsilon`` are aliases for the corresponding
-        :class:`~repro.core.mnsa.MnsaConfig` fields; pass a config.
     """
-    backend, query, extra = resolve_backend_entry(
-        backend, query, legacy, "mnsad_for_query"
-    )
-    candidates, config, t_percent, epsilon, feedback = bind_legacy_tail(
-        extra, (candidates, config, t_percent, epsilon, feedback)
-    )
-    config = resolve_config(
-        config, "mnsad_for_query", t_percent=t_percent, epsilon=epsilon
-    )
     result = MnsadResult()
     criterion = config.cost_criterion()
     drop_criterion = config.drop_criterion()
@@ -174,33 +147,15 @@ def mnsad_for_query(
 
 def mnsad_for_workload(
     backend: Backend,
-    queries: Optional[Iterable[Query]] = None,
-    *legacy,
-    config: Optional[MnsaConfig] = None,
-    t_percent: Optional[float] = None,
-    epsilon: Optional[float] = None,
+    queries: Iterable[Query],
+    config: MnsaConfig = MnsaConfig(),
 ) -> MnsadResult:
     """Run MNSA/D over a workload, query by query.
 
     A statistic dropped while processing one query is *revived* if a later
     query creates (and retains) it — the paper's motivation for the
     drop-list over physical deletion.
-
-    .. deprecated::
-        ``mnsad_for_workload(database, optimizer, queries, ...)`` is a
-        shim — pass a :class:`~repro.backends.base.Backend`;
-        ``t_percent`` / ``epsilon`` are aliases for the corresponding
-        :class:`~repro.core.mnsa.MnsaConfig` fields; pass a config.
     """
-    backend, queries, extra = resolve_backend_entry(
-        backend, queries, legacy, "mnsad_for_workload"
-    )
-    config, t_percent, epsilon = bind_legacy_tail(
-        extra, (config, t_percent, epsilon)
-    )
-    config = resolve_config(
-        config, "mnsad_for_workload", t_percent=t_percent, epsilon=epsilon
-    )
     total = MnsadResult()
     for query in queries:
         partial = mnsad_for_query(backend, query, config=config)

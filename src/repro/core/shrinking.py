@@ -25,16 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from repro.backends.base import (
-    Backend,
-    bind_legacy_tail,
-    resolve_backend_entry,
-)
+from repro.backends.base import Backend
 from repro.core.equivalence import (
     EquivalenceCriterion,
     ExecutionTreeEquivalence,
 )
-from repro.core.mnsa import MnsaConfig, resolve_config
+from repro.core.mnsa import MnsaConfig
 from repro.optimizer.cache import OptimizationRequest
 from repro.optimizer.optimizer import OptimizationResult
 from repro.sql.query import Query
@@ -79,13 +75,11 @@ def _relevant_subset(
 
 def shrinking_set(
     backend: Backend,
-    workload: Optional[Iterable[Query]] = None,
-    *legacy,
+    workload: Iterable[Query],
     initial: Optional[Sequence[StatKey]] = None,
     criterion: Optional[EquivalenceCriterion] = None,
     memoize: bool = True,
     config: Optional[MnsaConfig] = None,
-    t_percent: Optional[float] = None,
 ) -> ShrinkingSetResult:
     """Run Figure 2 over ``workload`` starting from set ``initial``.
 
@@ -105,27 +99,9 @@ def shrinking_set(
 
     Side effect: removed statistics are physically dropped from the
     backend (Figure 2 discards them and never considers them again).
-
-    .. deprecated::
-        ``shrinking_set(database, optimizer, workload, ...)`` is a shim —
-        pass a :class:`~repro.backends.base.Backend`; ``t_percent`` is an
-        alias for
-        ``MnsaConfig(t_percent=..., equivalence="t_cost").criterion()``;
-        pass a criterion or config instead.
     """
-    backend, workload, extra = resolve_backend_entry(
-        backend, workload, legacy, "shrinking_set"
-    )
-    initial, criterion, memoize, config, t_percent = bind_legacy_tail(
-        extra, (initial, criterion, memoize, config, t_percent)
-    )
     if criterion is None:
-        if t_percent is not None:
-            base = config if config is not None else MnsaConfig()
-            criterion = resolve_config(
-                base, "shrinking_set", t_percent=t_percent
-            ).cost_criterion()
-        elif config is not None:
+        if config is not None:
             criterion = config.criterion()
         else:
             criterion = ExecutionTreeEquivalence()

@@ -87,12 +87,3 @@ class ServiceRejectedError(ServiceError):
         super().__init__(message)
         self.retry_after = float(retry_after)
         self.reason = reason
-
-
-class ReproDeprecationWarning(DeprecationWarning):
-    """A deprecated repro API was used.
-
-    Distinct from the built-in :class:`DeprecationWarning` so the test
-    suite can escalate *first-party* deprecations to errors without being
-    derailed by third-party libraries deprecating their own internals.
-    """

@@ -14,14 +14,14 @@ candidate set is restricted to single-column statistics (reduction above
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.backends.memory import MemoryBackend
 from repro.core.candidates import (
     CandidateMode,
     workload_candidate_statistics,
 )
-from repro.core.mnsa import MnsaConfig, mnsa_for_workload, resolve_config
+from repro.core.mnsa import MnsaConfig, mnsa_for_workload
 from repro.experiments.common import (
     percent_increase,
     percent_reduction,
@@ -112,20 +112,10 @@ def run_figure4(
     z,
     workload_name: str = "U25-S-100",
     max_queries: int = 40,
-    t_percent: Optional[float] = None,
-    epsilon: Optional[float] = None,
     workload_seed: int = 7,
-    config: Optional[MnsaConfig] = None,
+    config: MnsaConfig = MnsaConfig(),
 ) -> Figure4Result:
-    """Run one Figure 4 bar (heuristic candidates, MNSA defaults).
-
-    .. deprecated::
-        ``t_percent`` / ``epsilon`` are aliases for the corresponding
-        :class:`~repro.core.mnsa.MnsaConfig` fields; pass ``config``.
-    """
-    config = resolve_config(
-        config, "run_figure4", t_percent=t_percent, epsilon=epsilon
-    )
+    """Run one Figure 4 bar (heuristic candidates, MNSA defaults)."""
     config = replace(config, candidate_mode=CandidateMode.HEURISTIC)
     return _run(
         database_factory,

@@ -8,7 +8,7 @@ A System-R-style optimizer over the SPJ + aggregation subset:
 * hash aggregation and top-level sorts,
 * selectivity estimation from statistics with **magic-number** fallbacks,
 * the two server extensions the paper required of SQL Server (Sec 7.2):
-  per-variable selectivity injection (``selectivity_overrides``) and
+  per-variable selectivity injection (``OptimizationRequest.overrides``) and
   ``Ignore_Statistics_Subset`` (via the statistics manager).
 
 Public API::

@@ -4,11 +4,10 @@ Every advisor loop in this reproduction — MNSA's ε / 1−ε pinning (Sec 4),
 MNSA/D's drop-detection re-optimizations (Sec 5.1), the Shrinking Set's
 ignore-subset probes (Sec 5.2), and the essential-set search (Sec 3.3) —
 re-invokes the optimizer on the same ``(query, overrides, ignore-set)``
-combination over and over.  The blocker to memoizing those calls was
-API-shaped: ``optimize(query, selectivity_overrides=…,
-ignore_statistics=…)`` takes loose kwargs with no canonical identity.
+combination over and over.  Memoizing those calls needs a canonical
+identity for them.
 
-:class:`OptimizationRequest` fixes the API: a frozen, hashable value
+:class:`OptimizationRequest` is that identity: a frozen, hashable value
 object carrying the query, the override pins sorted by variable, and the
 ignore-set sorted by :class:`~repro.stats.statistic.StatKey`.  Two
 requests that mean the same optimization compare and hash equal no
@@ -130,16 +129,6 @@ class OptimizationRequest:
         #: computed by the first ``hash()``: hashing the whole bound query
         #: is wasted on a request that never meets a plan cache
         self._hash: Optional[int] = None
-
-    @classmethod
-    def of(
-        cls,
-        query: Query,
-        selectivity_overrides=None,
-        ignore_statistics=None,
-    ) -> "OptimizationRequest":
-        """Build a request from the legacy ``optimize()`` kwarg shapes."""
-        return cls(query, selectivity_overrides, ignore_statistics)
 
     def overrides_dict(self) -> Dict[SelectivityVariable, float]:
         return dict(self.overrides)

@@ -10,9 +10,8 @@ algorithms need:
   Set algorithm uses to obtain ``Plan(Q, S')`` for S' ⊂ S.
 
 ``magic_variables(query)`` reports which selectivity variables currently
-fall back to magic numbers (step (a) of the Sec 4.1 test).  The legacy
-``optimize(query, selectivity_overrides=..., ignore_statistics=...)``
-kwargs survive as a deprecated shim over ``optimize_request``.
+fall back to magic numbers (step (a) of the Sec 4.1 test).
+``optimize(query)`` is shorthand for the default request.
 
 An optional :class:`~repro.optimizer.cache.PlanCache` memoizes results
 per request; see that module for the epoch / fingerprint invalidation
@@ -75,14 +74,14 @@ Execution-Tree equivalence experiments.
 
 from __future__ import annotations
 
+import contextlib
 import threading
-import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.concurrency import guarded_by, plan_source
 from repro.config import DEFAULT_CONFIG, OptimizerConfig
-from repro.errors import OptimizerError, ReproDeprecationWarning
+from repro.errors import OptimizerError
 from repro.optimizer.cache import (
     OptimizationRequest,
     PlanCache,
@@ -630,33 +629,10 @@ class Optimizer:
         self._cache.store(request, epoch, fingerprint, result)
         return result
 
-    def optimize(
-        self,
-        query: Query,
-        selectivity_overrides: Optional[Dict[SelectivityVariable, float]] = None,
-        ignore_statistics: Optional[Iterable] = None,
-    ) -> OptimizationResult:
-        """Choose the cheapest plan for ``query``.
-
-        .. deprecated::
-            The ``selectivity_overrides`` / ``ignore_statistics`` kwargs
-            are a shim over :meth:`optimize_request`; build an
-            :class:`~repro.optimizer.cache.OptimizationRequest` instead.
-            Calling with just a query stays supported.
-        """
-        if selectivity_overrides is not None or ignore_statistics is not None:
-            warnings.warn(
-                "optimize(query, selectivity_overrides=..., "
-                "ignore_statistics=...) is deprecated; pass an "
-                "OptimizationRequest to Optimizer.optimize_request()",
-                ReproDeprecationWarning,
-                stacklevel=2,
-            )
-        return self.optimize_request(
-            OptimizationRequest.of(
-                query, selectivity_overrides, ignore_statistics
-            )
-        )
+    def optimize(self, query: Query) -> OptimizationResult:
+        """Choose the cheapest plan for ``query`` under the default
+        request (no pins, nothing ignored)."""
+        return self.optimize_request(OptimizationRequest(query))
 
     def optimize_with_missing(
         self, request: OptimizationRequest
@@ -772,36 +748,31 @@ class Optimizer:
         """Run the actual plan search for a request (cache miss path)."""
         with self._count_lock:
             self._cold_count += 1
-        overrides = request.overrides_dict() if request.overrides else None
+        query = request.query
         use_statistics = not request.degraded
+        scope = contextlib.nullcontext()
         if request.ignore and use_statistics:
             # another visible set than the memo's: read it afresh
-            with self._db.stats.ignore_subset(request.ignore):
-                return self._optimize(request.query, overrides)
-        return self._optimize(
-            request.query, overrides, use_statistics=use_statistics, memo=memo
-        )
-
-    def _optimize(
-        self, query, overrides, use_statistics: bool = True, memo=None
-    ) -> OptimizationResult:
-        estimator = SelectivityEstimator(
-            self._db,
-            self._config,
-            overrides,
-            corrections=self._corrections,
-            join_estimator=self._join_estimator,
-            use_statistics=use_statistics,
-            memo=memo,
-        )
-        plan = finish_plan(
-            query,
-            estimator,
-            self._enumerate_joins(query, estimator),
-            self._cost,
-            self._config,
-            self._db.row_count,
-        )
+            scope = self._db.stats.ignore_subset(request.ignore)
+            memo = None
+        with scope:
+            estimator = SelectivityEstimator(
+                self._db,
+                self._config,
+                request.overrides_dict() if request.overrides else None,
+                corrections=self._corrections,
+                join_estimator=self._join_estimator,
+                use_statistics=use_statistics,
+                memo=memo,
+            )
+            plan = finish_plan(
+                query,
+                estimator,
+                self._enumerate_joins(query, estimator),
+                self._cost,
+                self._config,
+                self._db.row_count,
+            )
         return OptimizationResult(plan=plan, cost=plan.cost, rows=plan.rows)
 
     # ----- base table access paths ------------------------------------

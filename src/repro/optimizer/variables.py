@@ -13,8 +13,8 @@ Three variable kinds exist, one per way the optimizer consumes statistics:
 * :class:`GroupByVariable` — the fraction of rows that are distinct in
   one table's GROUP BY columns (Sec 4.1's aggregation extension).
 
-MNSA pins variables that *lack statistics* to ε or 1-ε via the optimizer's
-``selectivity_overrides`` parameter.
+MNSA pins variables that *lack statistics* to ε or 1-ε via the
+``overrides`` of an :class:`~repro.optimizer.cache.OptimizationRequest`.
 """
 
 from __future__ import annotations

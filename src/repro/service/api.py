@@ -1,13 +1,11 @@
 """Typed request/response surface of the statistics-management service.
 
-:class:`ServiceRequest` / :class:`ServiceResponse` are the canonical
-currency of :meth:`~repro.service.service.StatsService.submit`.  The old
-positional entry points (``submit(sql_text)``, ``submit_statement``)
-survive as deprecation shims; new code builds a request explicitly —
-usually through :meth:`Session.submit`, which fills in the session id —
-and gets back a response that says *how* the service handled it: which
-shards were locked, whether the plan was degraded, and how long the
-request waited in the admission queue.
+:class:`ServiceRequest` / :class:`ServiceResponse` are the currency of
+:meth:`~repro.service.service.StatsService.submit`.  Callers build a
+request explicitly — usually through :meth:`Session.submit`, which fills
+in the session id — and get back a response that says *how* the service
+handled it: which shards were locked, whether the plan was degraded, and
+how long the request waited in the admission queue.
 
 Both types are frozen: a request can be retried verbatim after a
 :class:`~repro.errors.ServiceRejectedError`, and a response can be

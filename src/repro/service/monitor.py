@@ -24,11 +24,9 @@ from __future__ import annotations
 
 import math
 import threading
-import warnings
 from typing import Dict, List, Optional, Tuple
 
 from repro.concurrency import guarded_by
-from repro.errors import ReproDeprecationWarning
 from repro.service.metrics import MetricsRegistry
 
 
@@ -54,9 +52,6 @@ class StalenessMonitor(threading.Thread):
             A successful refresh invalidates the table's learned
             corrections — a rebuilt histogram starts from
             trust-the-stats.
-        update_threshold: deprecated alias for ``fraction``; configure
-            :class:`~repro.config.ServiceConfig` (``staleness_fraction``
-            and ``refresh_policy``) instead.
         router: optional :class:`~repro.stats.router.ShardRouter`.  With
             ``shard_id`` it scopes the monitor to one service shard: only
             tables routed to that shard are considered due, so each
@@ -87,7 +82,6 @@ class StalenessMonitor(threading.Thread):
         purge_drop_list: bool = False,
         policy=None,
         corrections=None,
-        update_threshold: Optional[float] = None,
         router=None,
         shard_id: Optional[int] = None,
         starvation_cycles: int = 8,
@@ -98,15 +92,6 @@ class StalenessMonitor(threading.Thread):
             else f"stats-staleness-monitor-{shard_id}"
         )
         super().__init__(name=name, daemon=True)
-        if update_threshold is not None:
-            warnings.warn(
-                "StalenessMonitor(update_threshold=...) is deprecated; "
-                "pass fraction=..., or configure the service through "
-                "ServiceConfig(staleness_fraction=..., refresh_policy=...)",
-                ReproDeprecationWarning,
-                stacklevel=2,
-            )
-            fraction = update_threshold
         self._db = database
         self._metrics = metrics
         self._db_lock = db_lock

@@ -47,7 +47,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-import warnings
 from contextlib import ExitStack
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -55,11 +54,7 @@ from repro.backends.base import Backend, backend_from_name
 from repro.concurrency import guarded_by
 from repro.config import ServiceConfig
 from repro.core.mnsa import MnsaConfig
-from repro.errors import (
-    ReproDeprecationWarning,
-    ServiceError,
-    ServiceRejectedError,
-)
+from repro.errors import ServiceError, ServiceRejectedError
 from repro.executor.dml import apply_dml
 from repro.executor.executor import ExecutionResult, Executor
 from repro.feedback import FeedbackPolicy, FeedbackStore, worst_plan_q_error
@@ -73,7 +68,7 @@ from repro.service.metrics import MetricsRegistry
 from repro.service.monitor import StalenessMonitor
 from repro.service.worker import AdvisorWorker
 from repro.sql.binder import parse_and_bind
-from repro.sql.query import DmlStatement, Query
+from repro.sql.query import DmlStatement
 from repro.stats.statistic import StatKey
 
 
@@ -515,18 +510,13 @@ class StatsService:
         self.metrics.inc("service.sessions")
         return session
 
-    def submit(
-        self, request: Union[ServiceRequest, str]
-    ) -> ServiceResponse:
+    def submit(self, request: ServiceRequest) -> ServiceResponse:
         """Submit one :class:`~repro.service.api.ServiceRequest`.
 
         The canonical entry point: routes the request to its shard(s),
         applies admission control (queueing, rate limits, degradation),
         and returns a :class:`~repro.service.api.ServiceResponse`.
-
-        Passing raw SQL text is **deprecated** (it parses, executes, and
-        returns the bare result for backward compatibility) — parse with
-        a :class:`Session` or build a ``ServiceRequest`` explicitly.
+        To submit SQL text, open a :class:`Session`.
 
         Raises:
             ServiceRejectedError: the admission queue is past its
@@ -534,16 +524,6 @@ class StatsService:
                 retry after ``exc.retry_after`` seconds.
         """
         self._require_started()
-        if isinstance(request, str):
-            warnings.warn(
-                "StatsService.submit(sql_text) is deprecated; open a "
-                "Session (Session.submit parses for you) or build a "
-                "ServiceRequest from a bound statement",
-                ReproDeprecationWarning,
-                stacklevel=2,
-            )
-            statement = parse_and_bind(request, self.database.schema)
-            return self.submit(ServiceRequest(statement)).result
         if not isinstance(request, ServiceRequest):
             raise ServiceError(
                 "StatsService.submit takes a ServiceRequest, got "
@@ -563,25 +543,6 @@ class StatsService:
             self.metrics.gauge("service.queue.depth", self._queue.depth)
             return ticket.wait()
         return self._dispatch(request, queue_wait=0.0)
-
-    def submit_statement(
-        self, statement
-    ) -> Union[ExecutionResult, OptimizationResult, int]:
-        """Execute one bound statement (deprecated entry point).
-
-        Deprecated: wrap the statement in a
-        :class:`~repro.service.api.ServiceRequest` and call
-        :meth:`submit`, or use :meth:`Session.submit_statement`.
-        """
-        warnings.warn(
-            "StatsService.submit_statement is deprecated; wrap the "
-            "statement in a ServiceRequest and call submit(), or use "
-            "Session.submit_statement",
-            ReproDeprecationWarning,
-            stacklevel=2,
-        )
-        self._require_started()
-        return self.submit(ServiceRequest(statement)).result
 
     # ------------------------------------------------------------------
     # request execution (called by submit or by a request worker)

@@ -40,7 +40,7 @@ def write(tmp_path, name, source):
 
 def test_all_builtin_rules_registered():
     assert all_rule_ids() == [
-        "R001", "R002", "R003", "R004", "R005", "R006", "R007", "R008",
+        "R001", "R002", "R003", "R004", "R005", "R006", "R007",
         "R009", "R010", "R011", "R012", "R013", "R014", "R015",
     ]
 

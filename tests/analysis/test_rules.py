@@ -223,32 +223,3 @@ def test_r007_real_tree_registry_matches_emissions():
     findings = lint_paths([os.path.join(REPO_ROOT, "src")], rules=["R007"])
     assert findings == []
 
-
-# ----------------------------------------------------------------------
-# R008 deprecation-shim policy
-# ----------------------------------------------------------------------
-
-
-def test_r008_flags_undocumented_untested_and_unnamed_shims():
-    findings = lint_paths(fixture("r008_bad/mod.py"), rules=["R008"])
-    assert ids_and_lines(findings) == [
-        ("R008", 10),  # Widget.old_speed: not in the table ...
-        ("R008", 10),  # ... and not covered by any test
-        ("R008", 21),  # Gauge: documented but never tested
-        ("R008", 30),  # legacy_mode: tested but not documented
-        ("R008", 38),  # marker without a needle
-    ]
-    widget = [f.message for f in findings if f.line == 10]
-    assert any("not documented" in m for m in widget)
-    assert any("not exercised" in m for m in widget)
-
-
-def test_r008_clean_on_good_fixture():
-    assert lint_paths(fixture("r008_good/mod.py"), rules=["R008"]) == []
-
-
-def test_r008_silent_without_contributing(tmp_path):
-    source = open(os.path.join(FIXTURES, "r008_bad", "mod.py")).read()
-    copy = tmp_path / "mod.py"
-    copy.write_text(source)
-    assert lint_paths([str(copy)], rules=["R008"]) == []

@@ -10,10 +10,9 @@ import pytest
 
 from repro.backends.memory import MemoryBackend
 from repro.core import WorkloadDriver
-from repro.errors import ReproDeprecationWarning
 from repro.core.mnsa import MnsaConfig, mnsa_for_workload
 from repro.core.mnsad import mnsad_for_workload
-from repro.errors import PolicyError
+from repro.errors import OptimizerError, PolicyError
 from repro.optimizer import Optimizer, PlanCache
 
 
@@ -126,32 +125,29 @@ class TestSerialParallelEquivalence:
 class TestDriverConstruction:
     def test_parallelism_must_be_positive(self):
         with pytest.raises(PolicyError):
-            WorkloadDriver(_fresh_db(), parallelism=0)
+            WorkloadDriver(MemoryBackend(_fresh_db()), parallelism=0)
 
     def test_default_optimizer_gets_a_cache(self):
-        # legacy database-first construction still works, with a warning
-        with pytest.warns(ReproDeprecationWarning, match="WorkloadDriver"):
-            driver = WorkloadDriver(_fresh_db())
-        assert driver.cache is not None
+        # a backend built around a cache hands it to the driver
+        cache = PlanCache(64)
+        driver = WorkloadDriver(MemoryBackend(_fresh_db(), cache=cache))
+        assert driver.cache is cache
         assert driver.optimizer.cache is driver.cache
 
     def test_existing_optimizer_adopts_cache(self):
         db = _fresh_db()
         optimizer = Optimizer(db)
         cache = PlanCache(64)
-        with pytest.warns(ReproDeprecationWarning, match="WorkloadDriver"):
-            driver = WorkloadDriver(db, optimizer, cache=cache)
+        driver = WorkloadDriver(MemoryBackend(db, optimizer), cache=cache)
         assert driver.optimizer is optimizer
         assert optimizer.cache is cache
+        assert driver.cache is cache
 
     def test_conflicting_caches_rejected(self):
-        from repro.errors import OptimizerError
-
         db = _fresh_db()
         optimizer = Optimizer(db, cache=PlanCache(8))
-        with pytest.warns(ReproDeprecationWarning, match="WorkloadDriver"):
-            with pytest.raises(OptimizerError):
-                WorkloadDriver(db, optimizer, cache=PlanCache(8))
+        with pytest.raises(OptimizerError):
+            WorkloadDriver(MemoryBackend(db, optimizer), cache=PlanCache(8))
 
     def test_dml_statements_are_skipped(self, figure4_queries):
         db = _fresh_db()

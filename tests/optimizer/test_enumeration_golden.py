@@ -63,7 +63,7 @@ def _pinned_arms(optimizer, query, label, index):
     ):
         overrides = None if value is None else {v: value for v in missing}
         yield f"q{index:02d}/{label}/{pin}", optimizer.optimize_request(
-            OptimizationRequest.of(query, overrides, None)
+            OptimizationRequest(query, overrides)
         )
 
 

@@ -410,7 +410,7 @@ def test_kernel_equals_the_search_it_replaced(case):
     overrides = None
     if pin is not None:
         overrides = {v: pin for v in new.magic_variables(query)}
-    request = OptimizationRequest.of(query, overrides, None)
+    request = OptimizationRequest(query, overrides)
     result = new.optimize_request(request)
     assert _digest(result) == _digest(old.optimize_request(request))
     joins = [n for n in result.plan.walk() if isinstance(n, JoinNode)]

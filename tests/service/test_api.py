@@ -1,11 +1,11 @@
-"""Tests for the typed service surface (repro.service.api) and shims."""
+"""Tests for the typed service surface (repro.service.api)."""
 
 import dataclasses
 
 import pytest
 
 from repro.config import ServiceConfig
-from repro.errors import ReproDeprecationWarning, ServiceError
+from repro.errors import ServiceError
 from repro.optimizer.cache import OptimizationRequest
 from repro.service import ServiceRequest, ServiceResponse, StatsService
 from repro.sql.binder import parse_and_bind
@@ -101,26 +101,3 @@ class TestSessionSurface:
             assert (a.statements, a.queries, a.dml) == (2, 1, 1)
             assert (b.statements, b.queries, b.dml) == (1, 1, 0)
 
-
-class TestDeprecatedEntryPoints:
-    def test_sql_text_submit_warns_and_still_works(self, db):
-        with make_service(db) as service:
-            with pytest.warns(ReproDeprecationWarning):
-                result = service.submit(
-                    "SELECT COUNT(*) FROM emp WHERE age > 30"
-                )
-            assert result.actual_cost > 0
-
-    def test_submit_statement_warns_and_still_works(self, db):
-        with make_service(db) as service:
-            statement = bind(db, "SELECT COUNT(*) FROM emp")
-            with pytest.warns(ReproDeprecationWarning):
-                result = service.submit_statement(statement)
-            assert result.actual_cost > 0
-
-    def test_submit_statement_warns_for_dml_too(self, db):
-        with make_service(db) as service:
-            statement = bind(db, "DELETE FROM emp WHERE age = 30")
-            with pytest.warns(ReproDeprecationWarning):
-                affected = service.submit_statement(statement)
-            assert affected > 0

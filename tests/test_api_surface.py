@@ -2,8 +2,7 @@
 
 ``repro.__all__`` is a contract: adding a name means committing to it,
 removing one is a breaking change.  Either direction must be deliberate —
-update ``EXPECTED`` here in the same change, and note removals in the
-CONTRIBUTING.md deprecation timeline.
+update ``EXPECTED`` here in the same change that migrates every caller.
 """
 
 import repro
@@ -54,7 +53,6 @@ EXPECTED = [
     "QueryEvent",
     "RagsConfig",
     "RefreshPolicy",
-    "ReproDeprecationWarning",
     "ReproError",
     "Schema",
     "ServiceConfig",
