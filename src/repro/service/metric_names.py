@@ -8,11 +8,11 @@ metric name fails ``repro lint`` instead of silently fragmenting a
 dashboard.  Names follow the ``<component>.<name>`` dotted grammar
 (lower-case ``[a-z][a-z0-9_]*`` segments, at least one dot).
 
-Timer base names (``service.query``, ``service.dml``, ``advisor.seconds``
-when used via :meth:`~repro.service.metrics.MetricsRegistry.timer`)
-register the *base*; the derived ``<base>_seconds`` / ``<base>_count``
-counters the registry synthesizes at runtime are implied and must not be
-listed separately.
+Timer base names (``service.query``, ``service.dml``: the names used via
+:meth:`~repro.service.metrics.MetricsRegistry.timer`) register the
+*base*; the derived ``<base>_seconds`` / ``<base>_count`` counters the
+registry synthesizes at runtime are implied and must not be listed
+separately.
 
 Adding a metric?  Add the row here in sorted order with a one-line
 description (see the CONTRIBUTING.md pre-PR checklist).
@@ -28,15 +28,16 @@ METRICS: Dict[str, str] = {
     "advisor.optimizer_calls": "optimizer invocations made during advisor analysis",
     "advisor.retune_rebuilds": "statistics rebuilt while serving re-tune requests",
     "advisor.retunes": "feedback re-tune events processed",
-    "advisor.seconds": "wall time spent in advisor analysis (timer base)",
-    "advisor.skipped": "capture events skipped as not analyzable",
+    "advisor.seconds": "wall time advisor workers spent on analyzed and settled events",
+    "advisor.settled": "capture events whose verdict the ledger already held (not re-analyzed)",
+    "advisor.skipped": "capture events skipped as fully covered by visible statistics",
     "advisor.stats_created": "statistics created by advisor decisions",
     "advisor.stats_drop_listed": "statistics moved to the drop list by MNSA/D",
     "backend.analyses": "advisor analyses run against a foreign (non-memory) backend",
     "backend.mirrored_creates": "foreign-backend created statistics mirrored into database.stats",
     "backend.mirrored_drops": "foreign-backend drop-list decisions mirrored into database.stats",
     "capture.depth": "current capture-log queue depth",
-    "capture.dropped": "capture events dropped while the log was closed",
+    "capture.dropped": "capture events evicted by the ring buffer (CaptureLog.append), as a gauge",
     "capture.events": "query/DML events recorded in the capture log",
     "capture.evicted": "capture events evicted from the ring buffer",
     "correction.evictions": "correction entries evicted by the store's LRU bound",

@@ -12,7 +12,9 @@ analysis before executing), the service runs it *asynchronously*:
 * every query leaves a :class:`~repro.service.events.QueryEvent` in its
   shard's bounded capture log;
 * background :class:`~repro.service.worker.AdvisorWorker` threads drain
-  the logs and run MNSA / MNSA-D, creating and drop-listing statistics;
+  the logs and run MNSA / MNSA-D, creating and drop-listing statistics,
+  and skip the analyses a shared
+  :class:`~repro.service.ledger.VerdictLedger` has already settled;
 * per-shard :class:`~repro.service.monitor.StalenessMonitor` threads
   watch the row-modification counters of the tables they own and refresh
   under a cost budget;
@@ -64,6 +66,7 @@ from repro.optimizer.optimizer import OptimizationResult, Optimizer
 from repro.service.admission import AdmissionQueue, TokenBucket
 from repro.service.api import ServiceRequest, ServiceResponse
 from repro.service.events import CaptureLog, QueryEvent
+from repro.service.ledger import VerdictLedger
 from repro.service.metrics import MetricsRegistry
 from repro.service.monitor import StalenessMonitor
 from repro.service.worker import AdvisorWorker
@@ -313,6 +316,8 @@ class StatsService:
                 refresh_threshold=self.config.qerror_refresh_threshold,
                 retune_threshold=self.config.qerror_retune_threshold,
             )
+        #: verdicts of settled analyses, shared by every advisor worker
+        self.ledger = VerdictLedger()
         self._seq = itertools.count(1)
         self._session_ids = itertools.count(1)
         self._session_slots: Tuple[_SessionSlot, ...] = tuple(
@@ -372,6 +377,7 @@ class StatsService:
                     statement_locks=statement_locks,
                     shard_id=shard.shard_id,
                     backend=self._analysis_backend,
+                    ledger=self.ledger,
                 )
                 for index in range(cfg.advisor_workers)
             ]

@@ -14,6 +14,7 @@ statistics.  The paper's notation ``{R1.a, (R2.c, R2.d)}`` maps to a set of
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -97,6 +98,10 @@ def as_stat_key(key_or_refs) -> StatKey:
     return StatKey.of(key_or_refs)
 
 
+#: the source of :attr:`Statistic.serial`
+_serials = itertools.count(1)
+
+
 class Statistic:
     """A built statistic: leading-column histogram + prefix densities.
 
@@ -109,6 +114,9 @@ class Statistic:
         build_cost: work units charged for the build (cost model).
         update_count: number of times this statistic has been refreshed
             (drives the SQL Server drop-after-N-updates policy, Sec 6).
+        serial: unique to this object and never reused in the process —
+            its identity without a reference to it.  A refresh or rebuild
+            installs a new object, hence a new serial.
     """
 
     def __init__(
@@ -136,6 +144,7 @@ class Statistic:
         self.row_count = int(row_count)
         self.build_cost = float(build_cost)
         self.update_count = 0
+        self.serial = next(_serials)
         #: optional :class:`~repro.stats.multidim.JointHistogram` over the
         #: first two columns (built when ``enable_joint_histograms`` is on)
         self.joint_histogram = joint_histogram

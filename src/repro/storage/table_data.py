@@ -39,7 +39,8 @@ class TableData:
     are replaced atomically, never resized in place.
 
     :meth:`join_index` keeps the build side of equijoins over the stored
-    arrays; every mutation that replaces an array drops them all.
+    arrays; every mutation that replaces an array drops them all and bumps
+    :attr:`version`.
     """
 
     #: mutations_only — column arrays are replaced atomically, never
@@ -48,6 +49,8 @@ class TableData:
     #: mutations_only — an index is immutable and records the arrays it
     #: describes, so an unlocked reader checks it instead of the lock
     _join_indexes = guarded_by("mutation_lock", mutations_only=True)
+    #: mutations_only — an int replaced under the lock, read lock-free
+    _version = guarded_by("mutation_lock", mutations_only=True)
     rows_modified_since_stats = guarded_by("mutation_lock")
 
     def __init__(self, schema: TableSchema) -> None:
@@ -63,6 +66,7 @@ class TableData:
         }
         #: sorted column names -> the index over those stored arrays
         self._join_indexes: Dict[Tuple[str, ...], JoinIndex] = {}
+        self._version = 0
         self.mutation_lock = threading.RLock()
         self.rows_modified_since_stats = 0
 
@@ -131,6 +135,13 @@ class TableData:
         return [int(v) for v in arr]
 
     @property
+    def version(self) -> int:
+        """Monotone data version: bumped by every load or DML that
+        replaces a column array, never by one that changed nothing or
+        raised."""
+        return self._version
+
+    @property
     def size_bytes(self) -> int:
         """Approximate stored size, used by the page-based I/O cost model."""
         return self.row_count * self.schema.row_width_bytes
@@ -173,6 +184,7 @@ class TableData:
         with self.mutation_lock:
             self._columns = arrays
             self._join_indexes = {}
+            self._version += 1
             self.rows_modified_since_stats = 0
 
     def attach_dictionary(
@@ -214,6 +226,7 @@ class TableData:
                     [self._columns[name], arr]
                 )
             self._join_indexes = {}
+            self._version += 1
             self.rows_modified_since_stats += len(rows)
         return len(rows)
 
@@ -235,6 +248,7 @@ class TableData:
                 for name in self._columns:
                     self._columns[name] = self._columns[name][keep]
                 self._join_indexes = {}
+                self._version += 1
                 self.rows_modified_since_stats += deleted
         return deleted
 
@@ -264,6 +278,7 @@ class TableData:
                     replaced[name][mask] = _NUMPY_DTYPE[col.type](encoded)
                 self._columns.update(replaced)
                 self._join_indexes = {}
+                self._version += 1
                 self.rows_modified_since_stats += updated
         return updated
 

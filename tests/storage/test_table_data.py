@@ -244,6 +244,77 @@ class TestDml:
         assert data.rows_modified_since_stats == 0
 
 
+class TestVersion:
+    """``version`` moves with every array replacement and only then: the
+    advisor's verdict ledger keys on it."""
+
+    ROW = {
+        "id": 9,
+        "age": 44,
+        "salary": 1.0,
+        "dept_id": 1,
+        "name": "x",
+        "hired": 0,
+    }
+
+    def test_load_columns_bumps(self):
+        data = TableData(simple_schema().table("emp"))
+        assert data.version == 0
+        data.load_columns({name: [v] for name, v in self.ROW.items()})
+        assert data.version == 1
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda data: data.insert_rows([TestVersion.ROW]),
+            lambda data: data.delete_rows(data.column_array("id") == 1),
+            lambda data: data.update_rows(
+                data.column_array("id") == 1, {"age": 99}
+            ),
+        ],
+        ids=["insert", "delete", "update"],
+    )
+    def test_dml_bumps(self, mutate):
+        data = _emp_data(4)
+        version = data.version
+        mutate(data)
+        assert data.version == version + 1
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda data: data.insert_rows([]),
+            lambda data: data.delete_rows(np.zeros(4, dtype=bool)),
+            lambda data: data.update_rows(np.zeros(4, dtype=bool), {"age": 1}),
+            lambda data: data.reset_modification_counter(),
+        ],
+        ids=["empty-insert", "empty-delete", "empty-update", "counter-reset"],
+    )
+    def test_changing_nothing_does_not_bump(self, mutate):
+        data = _emp_data(4)
+        version = data.version
+        mutate(data)
+        assert data.version == version
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda data: data.update_rows(
+                np.ones(4, dtype=bool), {"age": 41, "salary": "oops"}
+            ),
+            lambda data: data.insert_rows([{"id": 9}]),
+            lambda data: data.delete_rows(np.ones(3, dtype=bool)),
+        ],
+        ids=["update", "insert", "delete"],
+    )
+    def test_dml_that_raises_does_not_bump(self, mutate):
+        data = _emp_data(4)
+        version = data.version
+        with pytest.raises(StorageError):
+            mutate(data)
+        assert data.version == version
+
+
 class TestSampling:
     def test_sample_smaller_than_table(self):
         data = _emp_data(50)
