@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.catalog import Column, ColumnType, ForeignKey, Schema, TableSchema
+from repro.config import ServiceConfig
+from repro.service import ServiceRequest, StatsService
 from repro.storage import Database
+from repro.workload import generate_workload
 
 I = ColumnType.INT
 F = ColumnType.FLOAT
@@ -82,3 +85,62 @@ def simple_db(n_emp: int = 200, n_dept: int = 8, seed: int = 3) -> Database:
         },
     )
     return db
+
+
+def make_service(db, **overrides) -> StatsService:
+    """A one-worker service that polls fast and never refreshes on its
+    own; ``overrides`` are further :class:`ServiceConfig` fields."""
+    defaults = dict(
+        advisor_workers=1,
+        advisor_poll_seconds=0.01,
+        staleness_poll_seconds=1.0e6,
+    )
+    defaults.update(overrides)
+    return StatsService(db, ServiceConfig(**defaults))
+
+
+def assert_replay_converges(database, backend, advisor_workers):
+    """Replay U0-C-30 lock-step until a pass changes no statistic, then
+    replay it once more: that pass must analyse, create, drop-list and
+    revalidate nothing, and leave the visible set as it found it.
+
+    MNSA/D is order dependent, so the second pass may still retain a
+    statistic (a query analysed early in pass one sees what later
+    queries retained); without the advisor's verdict ledger the
+    drop-listed statistics are revived and drop-listed again on every
+    pass, so no pass is quiet.
+    """
+    queries = generate_workload(database, "U0-C-30", seed=0).queries()
+    service = make_service(
+        database, advisor_workers=advisor_workers, backend=backend
+    )
+    metrics = service.metrics
+    watched = (
+        "advisor.events",
+        "advisor.stats_created",
+        "advisor.stats_drop_listed",
+    )
+
+    def replay():
+        before = [metrics.counter(name) for name in watched]
+        revalidations = service.plan_cache.revalidation_count
+        for query in queries:
+            service.submit(ServiceRequest(query))
+            assert service.drain(timeout=60.0)
+        moved = [metrics.counter(n) - b for n, b in zip(watched, before)]
+        moved.append(service.plan_cache.revalidation_count - revalidations)
+        return moved
+
+    with service:
+        for passes in range(1, 5):
+            created = replay()[1]
+            if created == 0:
+                break
+        assert created == 0, f"still creating after {passes} passes"
+        visible = sorted(database.stats.visible_keys())
+        settled = metrics.counter("advisor.settled")
+        assert replay() == [0, 0, 0, 0]
+        assert sorted(database.stats.visible_keys()) == visible
+        assert metrics.counter("advisor.settled") > settled
+    assert service.worker_errors() == []
+    return passes
