@@ -119,7 +119,8 @@ class CostModelConfig:
             histogram construction performs.
         stat_fixed_cost: fixed per-statistic overhead (catalog writes etc.).
         optimizer_call_cost: cost charged for one optimizer invocation; MNSA
-            pays three of these per statistic created (Sec 4.3).
+            pays three of these per statistic created (Sec 4.3); MNSA/D
+            pays one for a statistic it drop-lists.
         stat_incremental_cost_per_row: per-inserted-row cost of folding a
             value into an existing histogram (incremental maintenance,
             paper ref [8]); orders of magnitude below a full rebuild.

@@ -9,8 +9,11 @@ remaining statistic can change the picture and creation stops.  Otherwise
 ``FindNextStatToBuild`` proposes the next statistic from the most
 expensive operator of the default plan, and the loop repeats.
 
-Overhead: three optimizer calls per statistic created (Sec 4.3), charged
-to the creation-cost ledger via ``optimizer_call_cost``.
+Overhead: three optimizer calls per statistic created (Sec 4.3) — the
+two probe plans and the re-optimize after the build — charged to the
+creation-cost ledger via ``optimizer_call_cost``.  MNSA/D pays all three
+only for a statistic it retains; a drop-listed one costs the re-optimize
+alone (:mod:`repro.core.mnsad`).
 """
 
 from __future__ import annotations

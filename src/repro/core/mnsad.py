@@ -9,6 +9,15 @@ Per the paper, MNSA/D is *erroneously aggressive*: a statistic g may be
 dropped because S and S ∪ {g} give the same plan even though S ∪ {g, h}
 would differ — and greedy inclusion means retained statistics are never
 reconsidered.  Both behaviours are preserved faithfully here.
+
+A drop-listed statistic is invisible to the optimizer, so after a group
+goes onto the drop-list the visible statistics are exactly those the
+last ε / 1−ε probe saw, and its answer ("keep going") still holds.  The
+next iteration therefore skips the probe and its two optimizer calls:
+a retained statistic costs MNSA's three calls, a drop-listed one costs
+one (the re-optimize that judged it).  The created, retained and dropped
+lists, the iterations and the stop reason are those of probing every
+time (``tests/core/test_mnsad.py`` holds that loop as its oracle).
 """
 
 from __future__ import annotations
@@ -106,15 +115,17 @@ def mnsad_for_query(
 
     plan = backend.optimize_query(query)
     max_iterations = len(remaining) + 1
+    reprobe = True
     for _ in range(max_iterations):
         result.iterations += 1
-        missing, low, high = backend.probe(query, config.epsilon)
-        if not missing:
-            result.stop_reason = "no_missing_variables"
-            break
-        if criterion.costs_equivalent(low.cost, high.cost):
-            result.stop_reason = "insensitive"
-            break
+        if reprobe:
+            missing, low, high = backend.probe(query, config.epsilon)
+            if not missing:
+                result.stop_reason = "no_missing_variables"
+                break
+            if criterion.costs_equivalent(low.cost, high.cost):
+                result.stop_reason = "insensitive"
+                break
         group = find_next_stat_to_build(
             plan.plan, query, remaining, feedback=feedback
         )
@@ -131,8 +142,12 @@ def mnsad_for_query(
             for key in group:
                 backend.mark_stat_droppable(key)
                 result.dropped.append(key)
+            # drop-listed statistics are invisible, so the optimizer sees
+            # what the last probe saw and its "continue" answer stands
+            reprobe = False
         else:
             result.retained.extend(group)
+            reprobe = True
         plan = new_plan
     else:
         result.stop_reason = "iteration_limit"

@@ -21,13 +21,7 @@ from repro.optimizer.variables import EPSILON
 from repro.sql.builder import QueryBuilder
 from repro.workload import generate_workload
 
-from tests.util import simple_db
-
-
-def _fingerprint(result):
-    if result is None:
-        return None
-    return repr(result.signature), result.cost.hex(), result.rows.hex()
+from tests.util import plan_fingerprint, simple_db
 
 
 def _three_calls(backend, query, epsilon):
@@ -55,8 +49,8 @@ def _assert_probe_equals_three_calls(backend, queries):
             backend, query, EPSILON
         )
         assert missing == expected  # same variables, same order
-        assert _fingerprint(low) == _fingerprint(expected_low)
-        assert _fingerprint(high) == _fingerprint(expected_high)
+        assert plan_fingerprint(low) == plan_fingerprint(expected_low)
+        assert plan_fingerprint(high) == plan_fingerprint(expected_high)
         assert (low is None) == (high is None) == (not missing)
         sensitive += bool(missing)
     return sensitive
@@ -107,8 +101,8 @@ def test_probe_with_a_plan_cache_attached(db):
             got = cached.probe(query, EPSILON)
             want = plain.probe(query, EPSILON)
             assert got[0] == want[0]
-            assert _fingerprint(got[1]) == _fingerprint(want[1])
-            assert _fingerprint(got[2]) == _fingerprint(want[2])
+            assert plan_fingerprint(got[1]) == plan_fingerprint(want[1])
+            assert plan_fingerprint(got[2]) == plan_fingerprint(want[2])
 
 
 def test_sqlite_probe_is_the_inherited_composition():

@@ -9,8 +9,10 @@ lists as strings, ``iterations``, ``optimizer_calls``, ``stop_reason``,
 ``purge_drop_list()`` — ``update_cost_of_keys(visible_keys()).hex()``
 (a float sum, so the order of ``visible_keys()`` is part of the pin).
 
-The file was generated on the commit *before* the per-table visible
-views, the counting build kernel and ``Backend.probe`` landed; regenerate
+The file was generated on the commit where MNSA/D stopped re-probing
+after a drop-listed group: only ``optimizer_calls`` and ``creation_cost``
+moved then (547 -> 345 calls on U25-S-100, 198 -> 134 on U25-C-30, 5
+work units per call saved), every list, count and epoch stayed; regenerate
 (only when a change to the tuning outcome is intended) with
 ``PYTHONPATH=src python tests/core/test_tuning_golden.py``.
 ``... test_tuning_golden.py --diff`` recomputes the fields without

@@ -87,6 +87,14 @@ def simple_db(n_emp: int = 200, n_dept: int = 8, seed: int = 3) -> Database:
     return db
 
 
+def plan_fingerprint(result):
+    """What two optimizer answers must share to count as the same plan:
+    signature, and cost and rows to the last bit; ``None`` for no plan."""
+    if result is None:
+        return None
+    return repr(result.signature), result.cost.hex(), result.rows.hex()
+
+
 def make_service(db, **overrides) -> StatsService:
     """A one-worker service that polls fast and never refreshes on its
     own; ``overrides`` are further :class:`ServiceConfig` fields."""
