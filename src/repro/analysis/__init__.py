@@ -34,16 +34,18 @@ R015   backend-lifecycle        backends load before planning and implement the
                                 full protocol surface
 =====  =======================  ====================================================
 
-(R008 is retired; the ids are not renumbered.)  R006, R007, R009 and
-R011 run on a summary-based interprocedural **effect analysis**
+(R008 is retired; the ids are not renumbered.)  R002, R006, R007, R009
+and R011 run on a summary-based interprocedural **effect analysis**
 (:mod:`repro.analysis.effects`): per-function effect sets — attributes
-mutated, metrics emitted, locks taken — propagated to a fixpoint through
+mutated, metrics emitted, locks taken — propagated through
 ``self.method()`` and module-call edges; R012, R013 and R015 run on the
-typestate verifier (:mod:`repro.analysis.typestate`).
+typestate verifier (:mod:`repro.analysis.typestate`).  Both sit on one
+call graph, one worklist fixpoint and one path walker
+(:mod:`repro.analysis.core`).
 
-Run via ``repro lint src/`` (``--jobs N`` for multi-process, ``--cache``
-for incremental re-runs, ``--format json|sarif`` for machine-readable
-output, ``--fix`` for mechanical rewrites) or programmatically::
+Run via ``repro lint src/`` (``--cache`` for incremental re-runs,
+``--format json|sarif`` for machine-readable output, ``--fix`` for
+mechanical rewrites) or programmatically::
 
     from repro.analysis import run_lint
     findings = run_lint(["src"])

@@ -562,8 +562,4 @@ class DataflowAnalysis:
 def dataflow_analysis(project) -> DataflowAnalysis:
     """The shared per-project :class:`DataflowAnalysis` (like
     :func:`repro.analysis.effects.effect_analysis`)."""
-    cached = getattr(project, "_dataflow_analysis", None)
-    if cached is None:
-        cached = DataflowAnalysis(project)
-        project._dataflow_analysis = cached
-    return cached
+    return project.shared(DataflowAnalysis)

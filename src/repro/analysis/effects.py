@@ -3,9 +3,11 @@
 Every function in the analyzed project gets a computed **effect
 summary** — which ``self`` attributes it mutates, whether it bumps the
 statistics epoch, which metric names it emits, and which locks it
-acquires — propagated to a fixpoint through ``self.method()`` and
-module-call edges, the same machinery the lock-order rule (R002) uses
-for its acquire-summaries.  This is the
+acquires.  Each function's body is walked once for its direct effects
+(nested closures and lambdas excluded: they run in their own context);
+callee summaries are then folded in over ``self.method()`` and
+module-call edges by the one worklist fixpoint of
+:mod:`repro.analysis.core`.  This is the
 paper's Sec 4 idea ("decide without building") applied to our own
 invariants: cheap static reasoning standing in for expensive runtime
 checking, in the spirit of compiler-checked lock annotations
@@ -14,6 +16,9 @@ FlowDroid-style summary-based dataflow.
 
 The summaries feed, among others:
 
+* **R002** (:mod:`repro.analysis.rules.lock_order`) — a call made
+  while a lock is held adds an order edge to every lock in the
+  callee's ``acquires``;
 * **R006** (:mod:`repro.analysis.rules.epoch`) — methods mutating
   guarded statistics state must bump ``_epoch`` on every mutating path;
 * **R007** (:mod:`repro.analysis.rules.metrics_registry`) — every
@@ -32,14 +37,17 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.analysis.core import call_graph
 from repro.analysis.model import (
     ClassInfo,
+    FnDef,
     FnKey,
     Project,
     SourceModule,
     dotted,
     lock_withitems,
     resolve_call,
+    walk_same_scope,
 )
 
 #: The attribute whose increments invalidate the plan cache (PR 3).
@@ -117,54 +125,45 @@ class EffectSummary:
             frozenset(self.acquires),
         )
 
+    def size(self) -> int:
+        """Grows exactly when the summary does (every field only grows)."""
+        return (
+            len(self.mutated_attrs)
+            + self.bumps_epoch
+            + len(self.metric_params)
+            + len(self.acquires)
+        )
+
 
 class EffectAnalysis:
     """Fixpoint effect summaries for every function in a project."""
 
     def __init__(self, project: Project) -> None:
         self.project = project
+        self.graph = call_graph(project)
         self.summaries: Dict[FnKey, EffectSummary] = {}
-        self._fns: Dict[
-            FnKey, Tuple[SourceModule, Optional[ClassInfo], ast.FunctionDef]
-        ] = {}
-        self._module_constants: Dict[str, Dict[str, str]] = {}
-        self._build()
+        self._params: Dict[FnKey, Set[str]] = {}
+        self._module_constants: Dict[str, Dict[str, str]] = {
+            module.path: _string_constants(module)
+            for module in project.modules
+        }
+        for key, (_, cls, fn) in project.functions.items():
+            self._params[key] = _parameter_names(fn)
+            self.summaries[key] = self._direct_effects(
+                cls, fn, self._params[key]
+            )
+        self.graph.solve(self._join)
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
 
-    def _build(self) -> None:
-        for module in self.project.modules:
-            self._module_constants[module.path] = _string_constants(module)
-            for cls in module.classes.values():
-                for fn in cls.methods.values():
-                    key = (module.path, cls.name, fn.name)
-                    self._fns[key] = (module, cls, fn)
-                    self.summaries[key] = EffectSummary()
-            for fn in module.functions.values():
-                key = (module.path, None, fn.name)
-                self._fns[key] = (module, None, fn)
-                self.summaries[key] = EffectSummary()
-        changed = True
-        while changed:
-            changed = False
-            for key, (module, cls, fn) in self._fns.items():
-                before = self.summaries[key].key()
-                self._evaluate(key, module, cls, fn)
-                if self.summaries[key].key() != before:
-                    changed = True
-
-    def _evaluate(
-        self,
-        key: FnKey,
-        module: SourceModule,
-        cls: Optional[ClassInfo],
-        fn: ast.FunctionDef,
-    ) -> None:
-        summary = self.summaries[key]
-        params = _parameter_names(fn)
-        for node in _walk_same_scope(fn):
+    def _direct_effects(
+        self, cls: Optional[ClassInfo], fn: ast.FunctionDef, params: Set[str]
+    ) -> EffectSummary:
+        """What ``fn``'s own body does, before any callee is folded in."""
+        summary = EffectSummary()
+        for node in walk_same_scope(fn):
             if isinstance(node, ast.With):
                 for held in lock_withitems(self.project, cls, node):
                     summary.acquires.add(held.canonical)
@@ -175,35 +174,33 @@ class EffectAnalysis:
                     summary.bumps_epoch = True
                 else:
                     summary.mutated_attrs.add(mutated)
-            if not isinstance(node, ast.Call):
-                continue
-            emission = _metric_name_expr(node)
-            if emission is not None:
-                name_expr = emission[1]
-                if isinstance(name_expr, ast.Name) and name_expr.id in params:
-                    summary.metric_params.add(name_expr.id)
-            for callee_key in resolve_call(self.project, cls, node):
-                callee = self.summaries.get(callee_key)
-                if callee is None:
-                    continue
-                summary.acquires |= callee.acquires
-                if callee_key[0] == module.path and callee_key[1] == (
-                    cls.name if cls is not None else None
-                ):
-                    # self/same-scope edge: instance state flows through
-                    summary.mutated_attrs |= callee.mutated_attrs
-                    summary.bumps_epoch = (
-                        summary.bumps_epoch or callee.bumps_epoch
-                    )
-                if callee.metric_params:
-                    for arg_expr in _args_for_params(
-                        node, callee_key, self._fns, callee.metric_params
-                    ):
-                        if (
-                            isinstance(arg_expr, ast.Name)
-                            and arg_expr.id in params
-                        ):
-                            summary.metric_params.add(arg_expr.id)
+            if isinstance(node, ast.Call):
+                emission = _metric_name_expr(node)
+                if emission is not None:
+                    name_expr = emission[1]
+                    if isinstance(name_expr, ast.Name) and name_expr.id in params:
+                        summary.metric_params.add(name_expr.id)
+        return summary
+
+    def _join(self, caller: FnKey, call: ast.Call, callee_key: FnKey) -> bool:
+        """Fold one callee's summary into its caller's (the join
+        :meth:`~repro.analysis.core.CallGraph.solve` runs per edge)."""
+        summary = self.summaries[caller]
+        callee = self.summaries[callee_key]
+        before = summary.size()
+        summary.acquires |= callee.acquires
+        if callee_key[:2] == caller[:2]:
+            # self/same-scope edge: instance state flows through
+            summary.mutated_attrs |= callee.mutated_attrs
+            summary.bumps_epoch = summary.bumps_epoch or callee.bumps_epoch
+        if callee.metric_params:
+            params = self._params[caller]
+            for arg_expr in _args_for_params(
+                call, callee_key, self.project.functions, callee.metric_params
+            ):
+                if isinstance(arg_expr, ast.Name) and arg_expr.id in params:
+                    summary.metric_params.add(arg_expr.id)
+        return summary.size() != before
 
     # ------------------------------------------------------------------
     # lookups
@@ -253,11 +250,11 @@ class EffectAnalysis:
         that function's own call sites.
         """
         for key, (module, cls, fn) in sorted(
-            self._fns.items(), key=lambda kv: _sort_key(kv[0])
+            self.project.functions.items(), key=lambda kv: _sort_key(kv[0])
         ):
-            params = _parameter_names(fn)
+            params = self._params[key]
             own_metric_params = self.summaries[key].metric_params
-            for node in _walk_same_scope(fn):
+            for node in walk_same_scope(fn):
                 if not isinstance(node, ast.Call):
                     continue
                 emission = _metric_name_expr(node)
@@ -273,7 +270,8 @@ class EffectAnalysis:
                     if callee is None or not callee.metric_params:
                         continue
                     for arg_expr in _args_for_params(
-                        node, callee_key, self._fns, callee.metric_params
+                        node, callee_key, self.project.functions,
+                        callee.metric_params,
                     ):
                         yield self._site(
                             module, callee_key[2], node, arg_expr, params,
@@ -308,11 +306,7 @@ class EffectAnalysis:
 
 def effect_analysis(project: Project) -> EffectAnalysis:
     """The shared per-project :class:`EffectAnalysis` (built lazily once)."""
-    cached = getattr(project, "_effect_analysis", None)
-    if cached is None:
-        cached = EffectAnalysis(project)
-        project._effect_analysis = cached  # type: ignore[attr-defined]
-    return cached
+    return project.shared(EffectAnalysis)
 
 
 # ----------------------------------------------------------------------
@@ -386,7 +380,7 @@ def _metric_name_expr(node: ast.Call) -> Optional[Tuple[str, ast.expr]]:
 def _args_for_params(
     call: ast.Call,
     callee_key: FnKey,
-    fns: Dict[FnKey, Tuple[SourceModule, Optional[ClassInfo], ast.FunctionDef]],
+    fns: Dict[FnKey, FnDef],
     param_names: Set[str],
 ) -> List[ast.expr]:
     """Argument expressions of ``call`` bound to the named parameters of
@@ -437,18 +431,3 @@ def _string_constants(module: SourceModule) -> Dict[str, str]:
         ):
             constants[target.id] = stmt.value.value
     return constants
-
-
-def _walk_same_scope(root: ast.AST) -> Iterator[ast.AST]:
-    """Like :func:`ast.walk` but does not descend into nested function
-    definitions or lambdas — a closure runs in its own lock/effect
-    context and is summarized separately."""
-    stack: List[ast.AST] = [root]
-    while stack:
-        node = stack.pop()
-        if node is not root and isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))

@@ -12,8 +12,9 @@ of files on the command line.  It parses every file once with the stdlib
   injected into a worker);
 * **guarded-by declarations** — class-body assignments of
   :func:`repro.concurrency.guarded_by` markers (rule R001);
-* a name-based call index used by the interprocedural lock-order
-  analysis (rule R002).
+* a name-based call index (:func:`resolve_call`) from which
+  :mod:`repro.analysis.core` builds the one call graph every
+  interprocedural analysis shares.
 
 Everything here is purely syntactic; no analyzed module is imported.
 """
@@ -24,7 +25,18 @@ import ast
 import io
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 #: ``threading`` constructors whose result we treat as a lock object.
 LOCK_CONSTRUCTORS = {"Lock": "Lock", "RLock": "RLock", "Condition": "Condition"}
@@ -36,8 +48,8 @@ REENTRANT_KINDS = {"RLock", "Condition", "injected"}
 _LOCKISH_SUFFIXES = ("lock", "cond", "condition", "mutex")
 
 #: (module path, owning class name or None, function name) — the
-#: project-wide identity of one function, used by every interprocedural
-#: analysis (lock-order summaries, effect summaries).
+#: project-wide identity of one function, the node of the shared call
+#: graph (:class:`repro.analysis.core.CallGraph`).
 FnKey = Tuple[str, Optional[str], str]
 
 #: Method names too generic to resolve project-wide by name alone: they
@@ -190,6 +202,13 @@ class SourceModule:
         return self.comments.get(lineno, "")
 
 
+#: where one function lives: its module, its class (None for a module
+#: function) and its definition
+FnDef = Tuple["SourceModule", Optional["ClassInfo"], ast.FunctionDef]
+
+T = TypeVar("T")
+
+
 class Project:
     """Parsed project: every analyzed module plus cross-module indexes."""
 
@@ -203,14 +222,28 @@ class Project:
         self.functions_by_name: Dict[
             str, List[Tuple[SourceModule, ast.FunctionDef]]
         ] = {}
+        #: every method and module function, by its project-wide key
+        self.functions: Dict[FnKey, FnDef] = {}
         for module in self.modules:
             for cls in module.classes.values():
                 self.classes_by_name.setdefault(cls.name, []).append(cls)
                 for mname, fn in cls.methods.items():
                     self.methods_by_name.setdefault(mname, []).append((cls, fn))
+                    self.functions[(module.path, cls.name, mname)] = (
+                        module, cls, fn,
+                    )
             for fname, fn in module.functions.items():
                 self.functions_by_name.setdefault(fname, []).append((module, fn))
+                self.functions[(module.path, None, fname)] = (module, None, fn)
         self._canonical_locks = _canonicalize_locks(self)
+        self._shared: Dict[Callable[["Project"], Any], Any] = {}
+
+    def shared(self, factory: Callable[["Project"], T]) -> T:
+        """The one ``factory(self)`` of this project, built on first use:
+        how rules share the call graph and the analyses built on it."""
+        if factory not in self._shared:
+            self._shared[factory] = factory(self)
+        return self._shared[factory]
 
     # ------------------------------------------------------------------
     # lock identity
@@ -302,8 +335,8 @@ def resolve_call(
     resolve by name project-wide *except* for names colliding with
     builtin container / threading APIs (:data:`GENERIC_METHOD_NAMES`),
     which would fabricate edges from ``dict.get`` or ``Thread.join`` to
-    unrelated project methods.  Used by the lock-order rule (R002) and
-    the effect analysis (R006/R007) so both see the same call graph.
+    unrelated project methods.  :class:`repro.analysis.core.CallGraph`
+    resolves every call site through it once per project.
     """
     func = call.func
     if isinstance(func, ast.Attribute):
@@ -706,10 +739,17 @@ def lock_withitems(
     return held
 
 
-def iter_functions(module: SourceModule):
-    """Yield ``(class_or_None, FunctionDef)`` for every function."""
-    for fn in module.functions.values():
-        yield None, fn
-    for cls in module.classes.values():
-        for fn in cls.methods.values():
-            yield cls, fn
+def walk_same_scope(root: ast.AST) -> Iterator[ast.AST]:
+    """Like :func:`ast.walk` but does not descend into nested function
+    definitions or lambdas: a closure runs in its own lock and effect
+    context (often later, on another thread), so its body is not part of
+    the enclosing function's facts."""
+    stack: List[ast.AST] = [root]
+    while stack:
+        node = stack.pop()
+        if node is not root and isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        ):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))

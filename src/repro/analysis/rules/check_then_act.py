@@ -42,7 +42,6 @@ from repro.analysis.dataflow import (
 from repro.analysis.effects import (
     direct_mutation_target,
     effect_analysis,
-    _walk_same_scope,
 )
 from repro.analysis.framework import Finding, Project, Rule, rule
 from repro.analysis.model import (
@@ -51,6 +50,7 @@ from repro.analysis.model import (
     dotted,
     function_marker_value,
     resolve_call,
+    walk_same_scope,
 )
 
 EXEMPT_KEY = "toctou-exempt"
@@ -105,7 +105,7 @@ class CheckThenActRule(Rule):
     ) -> List[Finding]:
         findings: List[Finding] = []
         reported: Set[Tuple[int, str]] = set()
-        for node in _walk_same_scope(fn):
+        for node in walk_same_scope(fn):
             if not isinstance(node, (ast.If, ast.While)):
                 continue
             stale = self._stale_checks(cls, flow, node.test)

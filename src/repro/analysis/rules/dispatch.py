@@ -22,7 +22,7 @@ import ast
 from typing import List, Set
 
 from repro.analysis.framework import Finding, Rule, rule
-from repro.analysis.model import Project, dispatch_marker, dotted, iter_functions
+from repro.analysis.model import Project, dispatch_marker, dotted
 
 
 @rule
@@ -36,39 +36,38 @@ class ExhaustiveDispatchRule(Rule):
 
     def check(self, project: Project) -> List[Finding]:
         findings: List[Finding] = []
-        for module in project.modules:
-            for cls, fn in iter_functions(module):
-                marker = dispatch_marker(module, fn)
-                if marker is None:
-                    continue
-                where = f"{cls.name}.{fn.name}" if cls is not None else fn.name
-                leaves = project.family_leaves(marker.base)
-                if not leaves:
-                    findings.append(
-                        self.finding(
-                            module,
-                            fn.lineno,
-                            fn.col_offset,
-                            f"dispatch marker on {where} names base "
-                            f"{marker.base!r} with no concrete subclasses "
-                            "in the analyzed files",
-                        )
+        for module, cls, fn in project.functions.values():
+            marker = dispatch_marker(module, fn)
+            if marker is None:
+                continue
+            where = f"{cls.name}.{fn.name}" if cls is not None else fn.name
+            leaves = project.family_leaves(marker.base)
+            if not leaves:
+                findings.append(
+                    self.finding(
+                        module,
+                        fn.lineno,
+                        fn.col_offset,
+                        f"dispatch marker on {where} names base "
+                        f"{marker.base!r} with no concrete subclasses "
+                        "in the analyzed files",
                     )
+                )
+                continue
+            handled = _isinstance_targets(fn)
+            for leaf in sorted(leaves, key=lambda c: c.name):
+                if leaf.name in marker.excluded or leaf.name in handled:
                     continue
-                handled = _isinstance_targets(fn)
-                for leaf in sorted(leaves, key=lambda c: c.name):
-                    if leaf.name in marker.excluded or leaf.name in handled:
-                        continue
-                    findings.append(
-                        self.finding(
-                            module,
-                            fn.lineno,
-                            fn.col_offset,
-                            f"{where} dispatches over {marker.base} but does "
-                            f"not handle {leaf.name} "
-                            f"(defined in {leaf.module.path}:{leaf.node.lineno})",
-                        )
+                findings.append(
+                    self.finding(
+                        module,
+                        fn.lineno,
+                        fn.col_offset,
+                        f"{where} dispatches over {marker.base} but does "
+                        f"not handle {leaf.name} "
+                        f"(defined in {leaf.module.path}:{leaf.node.lineno})",
                     )
+                )
         return findings
 
 

@@ -12,9 +12,11 @@ path** that mutates (one bump per call covers all of that path's
 mutations, in either order, since the epoch only needs to move).
 
 The analysis is path-sensitive over a finite abstraction: each abstract
-path carries ``(first uncovered mutation site, bumped?)``; branches fork
-it, loops run zero-or-one iterations, and ``return`` / ``raise`` / end
-of body are the exit points where an uncovered mutation is reported.
+path carries ``(first uncovered mutation site, bumped?)`` through the
+shared :class:`~repro.analysis.core.PathWalker` (branches fork it, loops
+run zero-or-one iterations, a ``try`` handler starts from the pre-try
+and the body's exit states), and ``return`` / ``raise`` / end of body
+are the exit points where an uncovered mutation is reported.
 ``__init__`` is exempt (the instance is unshared during construction),
 and a method may opt out explicitly::
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 import ast
 from typing import FrozenSet, List, Optional, Set, Tuple
 
+from repro.analysis.core import PathWalker
 from repro.analysis.effects import (
     EPOCH_ATTR,
     EffectAnalysis,
@@ -42,6 +45,7 @@ from repro.analysis.model import (
     Project,
     SourceModule,
     function_marker_value,
+    walk_same_scope,
 )
 
 _EXEMPT_KEY = "epoch-exempt"
@@ -102,9 +106,9 @@ class EpochBumpRule(Rule):
                     )
                 ]
             return []
-        walker = _PathWalker(analysis, cls, guarded)
+        walker = _EpochWalker(analysis, cls, guarded, fn)
         findings = []
-        for lineno, col, attr in walker.uncovered(fn):
+        for lineno, col, attr in walker.uncovered():
             findings.append(
                 self.finding(
                     module,
@@ -119,86 +123,35 @@ class EpochBumpRule(Rule):
         return findings
 
 
-class _PathWalker:
-    """Path-sensitive mutation/bump tracking over one method body."""
+class _EpochWalker(PathWalker[_State]):
+    """Mutation/bump tracking over one method body: the shared path walk
+    with a ``(first uncovered mutation site, bumped?)`` abstraction."""
 
     def __init__(
-        self, analysis: EffectAnalysis, cls: ClassInfo, guarded: FrozenSet[str]
+        self,
+        analysis: EffectAnalysis,
+        cls: ClassInfo,
+        guarded: FrozenSet[str],
+        fn: ast.FunctionDef,
     ) -> None:
+        super().__init__(fn)
         self._analysis = analysis
         self._cls = cls
         self._guarded = guarded
-        self._exits: Set[_State] = set()
 
-    def uncovered(self, fn: ast.FunctionDef) -> List[_Site]:
+    def uncovered(self) -> List[_Site]:
         """Mutation sites left unbumped on some path, in source order."""
-        self._exits = set()
-        remaining = self._block(fn.body, {(None, False)})
-        self._exits |= remaining  # falling off the end is an exit
         return sorted(
-            {site for site, bumped in self._exits if site and not bumped}
+            {site for site, bumped in self.run() if site and not bumped}
         )
 
-    # ------------------------------------------------------------------
-    # statement transfer
-    # ------------------------------------------------------------------
+    def initial_states(self) -> Set[_State]:
+        return {(None, False)}
 
-    def _block(self, stmts, states: Set[_State]) -> Set[_State]:
-        for stmt in stmts:
-            if not states:
-                break  # all paths already exited
-            states = self._stmt(stmt, states)
-        return states
-
-    def _stmt(self, stmt: ast.stmt, states: Set[_State]) -> Set[_State]:
-        if isinstance(stmt, (ast.Return, ast.Raise)):
-            self._exits |= self._effects_of(stmt, states)
-            return set()
-        if isinstance(stmt, ast.If):
-            after_test = self._effects_of(stmt.test, states)
-            return self._block(stmt.body, after_test) | self._block(
-                stmt.orelse, after_test
-            )
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            entry = self._effects_of(stmt.iter, states)
-            entry = self._effects_of(stmt.target, entry)
-            merged = entry | self._block(stmt.body, entry)  # 0 or 1 trips
-            return self._block(stmt.orelse, merged)
-        if isinstance(stmt, ast.While):
-            entry = self._effects_of(stmt.test, states)
-            merged = entry | self._block(stmt.body, entry)
-            return self._block(stmt.orelse, merged)
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            entry = states
-            for item in stmt.items:
-                entry = self._effects_of(item.context_expr, entry)
-                if item.optional_vars is not None:
-                    entry = self._effects_of(item.optional_vars, entry)
-            return self._block(stmt.body, entry)
-        if isinstance(stmt, ast.Try):
-            after_body = self._block(stmt.body, states)
-            # a handler may run after any prefix of the body; entering
-            # with the pre-try states is the coarse but safe choice for
-            # the bump obligation (mutations before the raise reappear
-            # on the fall-off-body path anyway)
-            from_handlers: Set[_State] = set()
-            for handler in stmt.handlers:
-                from_handlers |= self._block(handler.body, states)
-            after_body = self._block(stmt.orelse, after_body)
-            combined = after_body | from_handlers
-            return self._block(stmt.finalbody, combined)
-        if isinstance(
-            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            return states  # separate lexical scope, summarized on its own
-        return self._effects_of(stmt, states)
-
-    # ------------------------------------------------------------------
-    # expression-level effects
-    # ------------------------------------------------------------------
-
-    def _effects_of(self, root: ast.AST, states: Set[_State]) -> Set[_State]:
-        for node in _walk_same_scope(root):
+    def transfer(self, root: ast.AST, states: Set[_State]) -> Set[_State]:
+        for node in walk_same_scope(root):
+            if not isinstance(node, ast.expr):
+                continue  # mutations and calls are expressions
             target = direct_mutation_target(node)
             if target == EPOCH_ATTR:
                 states = _bump(states)
@@ -228,16 +181,3 @@ def _mutate(states: Set[_State], site: _Site) -> Set[_State]:
         (existing if (existing or bumped) else site, bumped)
         for existing, bumped in states
     }
-
-
-def _walk_same_scope(root: ast.AST):
-    """:func:`ast.walk` minus nested function/lambda bodies."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node is not root and isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))

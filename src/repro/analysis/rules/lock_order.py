@@ -2,8 +2,12 @@
 
 The rule derives, per method, which locks are acquired while which
 others are held — both directly (nested ``with self._lock`` statements)
-and interprocedurally (calling a method whose summary says it acquires a
-lock).  Edges ``A -> B`` ("B acquired while holding A") feed a cycle
+and interprocedurally (calling a method whose effect summary,
+:class:`~repro.analysis.effects.EffectAnalysis`, says it acquires a
+lock).  A lock taken inside a nested closure or lambda is not acquired
+by the enclosing function: the closure runs in its own context, often
+later on another thread (a job handed to a pool), so neither its
+``with`` statements nor its calls add edges.  Edges ``A -> B`` ("B acquired while holding A") feed a cycle
 detector; any strongly connected component with two or more locks is a
 potential deadlock (two threads taking the locks in opposite orders) and
 is reported with the concrete acquisition sites as evidence.
@@ -27,16 +31,17 @@ unrelated project methods.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
+from repro.analysis.effects import effect_analysis
 from repro.analysis.framework import Finding, Rule, rule
 from repro.analysis.model import (
     ClassInfo,
-    FnKey,
     Project,
     SourceModule,
     lock_withitems,
     resolve_call,
+    walk_same_scope,
 )
 
 
@@ -45,6 +50,9 @@ class LockOrderRule(Rule):
     id = "R002"
     name = "lock-order"
     description = "lock acquisition graph must be free of cycles/inversions"
+    #: 2: callee acquisitions come from the shared effect summaries, which
+    #: do not count locks taken inside nested closures and lambdas
+    version = 2
 
     def check(self, project: Project) -> List[Finding]:
         analysis = _LockGraph(project)
@@ -55,78 +63,28 @@ class LockOrderRule(Rule):
         return findings
 
 
-class _Edge:
-    __slots__ = ("held", "acquired", "module", "lineno", "col", "where")
-
-    def __init__(self, held, acquired, module, lineno, col, where):
-        self.held = held
-        self.acquired = acquired
-        self.module = module
-        self.lineno = lineno
-        self.col = col
-        self.where = where
+class _Edge(NamedTuple):
+    held: str
+    acquired: str
+    module: SourceModule
+    lineno: int
+    col: int
+    where: str
 
 
 class _LockGraph:
+    """R002's acquisition edges over the shared effect summaries."""
+
     def __init__(self, project: Project) -> None:
         self.project = project
-        #: per-function summary: canonical locks it may acquire
-        self.summaries: Dict[FnKey, Set[str]] = {}
-        self._fns: Dict[
-            FnKey, Tuple[SourceModule, Optional[ClassInfo], ast.FunctionDef]
-        ] = {}
         self.edges: List[_Edge] = []
 
-    # ------------------------------------------------------------------
-
     def build(self) -> None:
-        for module in self.project.modules:
-            for cls in module.classes.values():
-                for fn in cls.methods.values():
-                    key = (module.path, cls.name, fn.name)
-                    self._fns[key] = (module, cls, fn)
-                    self.summaries[key] = set()
-            for fn in module.functions.values():
-                key = (module.path, None, fn.name)
-                self._fns[key] = (module, None, fn)
-                self.summaries[key] = set()
-        # fixpoint over acquire-summaries: a method's summary includes the
-        # locks of every method it may call
-        changed = True
-        while changed:
-            changed = False
-            for key, (module, cls, fn) in self._fns.items():
-                acquired = self._direct_and_callee_locks(module, cls, fn)
-                if not acquired <= self.summaries[key]:
-                    self.summaries[key] |= acquired
-                    changed = True
-        for module, cls, fn in self._fns.values():
-            self._collect_edges(module, cls, fn)
-
-    def _direct_and_callee_locks(
-        self, module: SourceModule, cls: Optional[ClassInfo], fn: ast.FunctionDef
-    ) -> Set[str]:
-        acquired: Set[str] = set()
-        for node in ast.walk(fn):
-            if isinstance(node, ast.With):
-                for held in lock_withitems(self.project, cls, node):
-                    acquired.add(held.canonical)
-            elif isinstance(node, ast.Call):
-                for callee in self._resolve_call(cls, node):
-                    acquired |= self.summaries.get(callee, set())
-        return acquired
-
-    def _resolve_call(
-        self, cls: Optional[ClassInfo], call: ast.Call
-    ) -> List[FnKey]:
-        return resolve_call(self.project, cls, call)
+        self._effects = effect_analysis(self.project)
+        for module, cls, fn in self.project.functions.values():
+            self._walk(module, cls, fn, fn.body, [])
 
     # ------------------------------------------------------------------
-
-    def _collect_edges(
-        self, module: SourceModule, cls: Optional[ClassInfo], fn: ast.FunctionDef
-    ) -> None:
-        self._walk(module, cls, fn, list(fn.body), [])
 
     def _walk(self, module, cls, fn, stmts, held: List[str]) -> None:
         for stmt in stmts:
@@ -142,38 +100,32 @@ class _LockGraph:
                             stmt.col_offset,
                             self._where(cls, fn),
                         )
-                self._scan_calls_in_exprs(
-                    module, cls, fn, stmt.items, held
+                self._scan_calls(
+                    module, cls, fn, [i.context_expr for i in stmt.items], held
                 )
                 inner = held + [lock.canonical for lock in acquired]
                 self._walk(module, cls, fn, stmt.body, inner)
             elif isinstance(
                 stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
-                continue  # separate lexical scope; analyzed on its own
+                continue  # separate lexical scope, not this function's
             else:
-                self._scan_calls(module, cls, fn, stmt, held)
+                self._scan_calls(module, cls, fn, [stmt], held)
                 for child in _child_blocks(stmt):
                     self._walk(module, cls, fn, child, held)
 
-    def _scan_calls(self, module, cls, fn, stmt, held: List[str]) -> None:
+    def _scan_calls(self, module, cls, fn, roots, held: List[str]) -> None:
         if not held:
             return
-        for node in _walk_same_scope(stmt):
-            if isinstance(node, ast.Call):
-                self._edge_for_call(module, cls, fn, node, held)
-
-    def _scan_calls_in_exprs(self, module, cls, fn, items, held: List[str]) -> None:
-        if not held:
-            return
-        for item in items:
-            for node in _walk_same_scope(item.context_expr):
+        for root in roots:
+            for node in walk_same_scope(root):
                 if isinstance(node, ast.Call):
                     self._edge_for_call(module, cls, fn, node, held)
 
     def _edge_for_call(self, module, cls, fn, call: ast.Call, held: List[str]) -> None:
-        for callee in self._resolve_call(cls, call):
-            for lock in self.summaries.get(callee, set()):
+        for callee in resolve_call(self.project, cls, call):
+            summary = self._effects.summaries.get(callee)
+            for lock in summary.acquires if summary is not None else ():
                 for prior in held:
                     self._add_edge(
                         prior,
@@ -185,14 +137,9 @@ class _LockGraph:
                     )
 
     def _add_edge(self, held, acquired, module, lineno, col, where) -> None:
-        if held == acquired:
-            kind = self.project.lock_kind(held)
-            if kind == "Lock":
-                self.edges.append(
-                    _Edge(held, acquired, module, lineno, col, where)
-                )
-            return  # reentrant re-acquisition is legal
-        self.edges.append(_Edge(held, acquired, module, lineno, col, where))
+        # re-acquiring a reentrant lock is legal; a plain Lock deadlocks
+        if held != acquired or self.project.lock_kind(held) == "Lock":
+            self.edges.append(_Edge(held, acquired, module, lineno, col, where))
 
     @staticmethod
     def _where(cls: Optional[ClassInfo], fn: ast.FunctionDef) -> str:
@@ -235,21 +182,6 @@ class _LockGraph:
                     f"'{acquired}' acquired while holding '{held}' "
                     f"in {edge.where}",
                 )
-
-
-def _walk_same_scope(root: ast.AST):
-    """Like :func:`ast.walk` but does not descend into nested function
-    definitions or lambdas — code in a closure may run after the
-    enclosing lock is released, so its calls are analyzed separately."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node is not root and isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
 
 
 def _child_blocks(stmt: ast.stmt) -> List[List[ast.stmt]]:

@@ -52,7 +52,6 @@ from repro.analysis.effects import (
     EPOCH_ATTR,
     MUTATOR_METHODS,
     effect_analysis,
-    _walk_same_scope,
 )
 from repro.analysis.framework import Finding, Project, Rule, rule
 from repro.analysis.model import (
@@ -61,6 +60,7 @@ from repro.analysis.model import (
     class_marker_flag,
     class_marker_values,
     dotted,
+    walk_same_scope,
 )
 
 #: bare class marker naming plan-choice classes
@@ -204,7 +204,7 @@ class PlanStateRule(Rule):
         providers: Set[str] = set()
         covered: Set[str] = set()
         for name, fn in cls.methods.items():
-            for node in _walk_same_scope(fn):
+            for node in walk_same_scope(fn):
                 if not (
                     isinstance(node, ast.Attribute)
                     and isinstance(node.ctx, ast.Load)
@@ -261,7 +261,7 @@ class PlanStateRule(Rule):
             if name == "__init__":
                 continue
             flow = flows.function(module, cls, fn)
-            for node in _walk_same_scope(fn):
+            for node in walk_same_scope(fn):
                 if not isinstance(node, ast.Call):
                     continue
                 func = node.func
@@ -416,7 +416,7 @@ def _state_accesses(
     for name, fn in cls.methods.items():
         if name == "__init__":
             continue
-        for node in _walk_same_scope(fn):
+        for node in walk_same_scope(fn):
             if isinstance(node, ast.Attribute):
                 if (
                     isinstance(node.ctx, ast.Load)

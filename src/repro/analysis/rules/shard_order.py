@@ -30,13 +30,12 @@ import ast
 from typing import List, Optional, Set
 
 from repro.analysis.dataflow import FunctionDataflow, dataflow_analysis
-from repro.analysis.effects import _walk_same_scope
 from repro.analysis.framework import Finding, Project, Rule, rule
 from repro.analysis.model import (
     dotted,
     function_marker_value,
     is_lockish_name,
-    iter_functions,
+    walk_same_scope,
 )
 
 #: marker declaring an ascending-sorted return value
@@ -60,47 +59,45 @@ class ShardLockOrderRule(Rule):
     def check(self, project: Project) -> List[Finding]:
         findings: List[Finding] = []
         marked: Set[str] = set()
-        for module in project.modules:
-            for cls, fn in iter_functions(module):
-                value = function_marker_value(module, fn, MARKER_KEY)
-                if value is None:
-                    continue
-                if not value.strip():
-                    findings.append(
-                        self.finding(
-                            module, fn.lineno, 0,
-                            f"ascending-source marker on {fn.name} must "
-                            "give a reason ('# repro-lint: "
-                            "ascending-source=<why ascending>')",
-                        )
+        for module, cls, fn in project.functions.values():
+            value = function_marker_value(module, fn, MARKER_KEY)
+            if value is None:
+                continue
+            if not value.strip():
+                findings.append(
+                    self.finding(
+                        module, fn.lineno, 0,
+                        f"ascending-source marker on {fn.name} must "
+                        "give a reason ('# repro-lint: "
+                        "ascending-source=<why ascending>')",
                     )
-                    continue
-                marked.add(fn.name)
+                )
+                continue
+            marked.add(fn.name)
 
         flows = dataflow_analysis(project)
-        for module in project.modules:
-            for cls, fn in iter_functions(module):
-                loops = [
-                    node
-                    for node in _walk_same_scope(fn)
-                    if isinstance(node, ast.For)
-                    and self._acquires_locks(node)
-                ]
-                if not loops:
+        for module, cls, fn in project.functions.values():
+            loops = [
+                node
+                for node in walk_same_scope(fn)
+                if isinstance(node, ast.For)
+                and self._acquires_locks(node)
+            ]
+            if not loops:
+                continue
+            flow = flows.function(module, cls, fn)
+            for loop in loops:
+                if self._provably_ascending(flow, loop.iter, marked):
                     continue
-                flow = flows.function(module, cls, fn)
-                for loop in loops:
-                    if self._provably_ascending(flow, loop.iter, marked):
-                        continue
-                    findings.append(
-                        self.finding(
-                            module, loop.lineno, loop.col_offset,
-                            "multi-shard lock acquisition order is not "
-                            "provably ascending — iterate "
-                            "shard_ids_for(...) (an ascending-source) or "
-                            "sorted(...), not a hand-rolled ordering",
-                        )
+                findings.append(
+                    self.finding(
+                        module, loop.lineno, loop.col_offset,
+                        "multi-shard lock acquisition order is not "
+                        "provably ascending — iterate "
+                        "shard_ids_for(...) (an ascending-source) or "
+                        "sorted(...), not a hand-rolled ordering",
                     )
+                )
         return findings
 
     # ------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Interprocedural typestate verification for lifecycle protocols.
 
-This is the layer under the R012–R015 rule families, sharing the
-``Project`` model, the :func:`repro.analysis.model.resolve_call` call
-graph, and the branch/loop/try-aware path-walk shape of R006.  The
-input is declarative: a class states, in its body, which protocol its
+This is the layer under the R012–R015 rule families.  It runs on the
+analysis core (:mod:`repro.analysis.core`) that R006 and the effect
+summaries also use: the one call graph, its worklist fixpoint for the
+per-method summaries, and the one path walker.  The input is
+declarative: a class states, in its body, which protocol its
 instances follow (:func:`repro.concurrency.protocol`)::
 
     class AdmissionQueue:
@@ -24,10 +25,12 @@ and the engine verifies, project-wide:
   protocol class, ``self.<attr>`` fields assigned a protocol-class
   constructor, and locals bound to one) carries a set of possible
   protocol states along every path; an operation invoked in a path
-  state where every possible state forbids it is a finding.  The walk
-  forks at ``if``, runs loops 0-or-1 times, treats ``try`` coarsely,
-  and applies per-method summaries (computed to a fixpoint over the
-  shared call graph) at ``self.<helper>()`` call sites;
+  state where every possible state forbids it is a finding.  The shared
+  :class:`~repro.analysis.core.PathWalker` forks at ``if``, runs loops
+  0-or-1 times and enters ``try`` handlers from the pre-try and body
+  exit states; at ``self.<helper>()`` call sites the walk applies the
+  helper's per-method summary (the operations it performs, folded
+  through the call graph by the shared fixpoint);
 * **constructor obligations** — a ``final=`` state must be reached on
   every path out of ``__init__`` (``# repro-lint:
   protocol-initial=<protocol>:<state>: <reason>`` opts a subclass out,
@@ -55,7 +58,7 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.effects import _walk_same_scope
+from repro.analysis.core import PathWalker, call_graph
 from repro.analysis.model import (
     ClassInfo,
     FnKey,
@@ -65,7 +68,7 @@ from repro.analysis.model import (
     class_marker_values,
     dotted,
     is_lockish_name,
-    resolve_call,
+    walk_same_scope,
 )
 
 #: class marker overriding the starting state of a subclass:
@@ -243,7 +246,7 @@ class TypestateAnalysis:
             for cls in module.classes.values():
                 tracked: Dict[str, _ClassKey] = {}
                 for fn in cls.methods.values():
-                    for node in _walk_same_scope(fn):
+                    for node in walk_same_scope(fn):
                         if not (
                             isinstance(node, ast.Assign)
                             and len(node.targets) == 1
@@ -270,16 +273,6 @@ class TypestateAnalysis:
     # per-function summaries (fixpoint over the shared call graph)
     # ------------------------------------------------------------------
 
-    def _function_index(
-        self,
-    ) -> Iterator[Tuple[SourceModule, Optional[ClassInfo], ast.FunctionDef]]:
-        for module in self.project.modules:
-            for fn in module.functions.values():
-                yield module, None, fn
-            for cls in module.classes.values():
-                for fn in cls.methods.values():
-                    yield module, cls, fn
-
     def _direct_tags(
         self, cls: Optional[ClassInfo], fn: ast.FunctionDef
     ) -> Dict[str, Set[Tag]]:
@@ -289,7 +282,7 @@ class TypestateAnalysis:
         cls_key = _class_key(cls) if cls is not None else None
         own = self._bound_for(cls_key)
         tracked = self._tracked_attrs.get(cls_key, {}) if cls_key else {}
-        for node in _walk_same_scope(fn):
+        for node in walk_same_scope(fn):
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -319,47 +312,32 @@ class TypestateAnalysis:
         return out
 
     def _compute_summaries(self) -> Dict[FnKey, Dict[str, Set[Tag]]]:
-        functions: Dict[
-            FnKey, Tuple[SourceModule, Optional[ClassInfo], ast.FunctionDef]
-        ] = {}
-        summaries: Dict[FnKey, Dict[str, Set[Tag]]] = {}
-        for module, cls, fn in self._function_index():
-            key: FnKey = (
-                module.path, cls.name if cls is not None else None, fn.name
+        graph = call_graph(self.project)
+        summaries: Dict[FnKey, Dict[str, Set[Tag]]] = {
+            key: self._direct_tags(cls, fn)
+            for key, (_, cls, fn) in self.project.functions.items()
+        }
+
+        def join(caller: FnKey, call: ast.Call, target: FnKey) -> bool:
+            # loose tags flow through every edge; receiver tags only
+            # through self.<helper>() calls into the same class
+            cls = self.project.functions[caller][1]
+            same_class = (
+                cls is not None
+                and isinstance(call.func, ast.Attribute)
+                and dotted(call.func.value) == "self"
+                and call.func.attr in cls.methods
             )
-            functions[key] = (module, cls, fn)
-            summaries[key] = self._direct_tags(cls, fn)
-        changed = True
-        while changed:
-            changed = False
-            for key, (module, cls, fn) in functions.items():
-                summary = summaries[key]
-                for node in _walk_same_scope(fn):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    receiver = (
-                        dotted(node.func.value)
-                        if isinstance(node.func, ast.Attribute)
-                        else None
-                    )
-                    same_class = (
-                        receiver == "self"
-                        and cls is not None
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in cls.methods
-                    )
-                    for target in resolve_call(self.project, cls, node):
-                        callee = summaries.get(target)
-                        if not callee:
-                            continue
-                        for recv, tags in callee.items():
-                            if recv == "" or same_class:
-                                merged = recv if same_class or recv == "" else ""
-                                bucket = summary.setdefault(merged, set())
-                                before = len(bucket)
-                                bucket |= tags
-                                if len(bucket) != before:
-                                    changed = True
+            grew = False
+            for recv, tags in summaries[target].items():
+                if recv == "" or same_class:
+                    bucket = summaries[caller].setdefault(recv, set())
+                    before = len(bucket)
+                    bucket |= tags
+                    grew = grew or len(bucket) != before
+            return grew
+
+        graph.solve(join)
         return summaries
 
     def summary_for(
@@ -495,7 +473,7 @@ class TypestateAnalysis:
     def _forwards_to(
         self, cls: ClassInfo, fn: ast.FunctionDef, token: str, seen: Set[str]
     ) -> bool:
-        for node in _walk_same_scope(fn):
+        for node in walk_same_scope(fn):
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -551,24 +529,24 @@ class TypestateAnalysis:
     def _transitive_flags(self, cls: ClassInfo, predicate) -> Dict[str, bool]:
         """``method -> bool`` closure of ``predicate`` over same-class
         ``self.<helper>()`` edges."""
-        flags = {name: predicate(fn) for name, fn in cls.methods.items()}
-        changed = True
-        while changed:
-            changed = False
-            for name, fn in cls.methods.items():
-                if flags[name]:
-                    continue
-                for node in _walk_same_scope(fn):
-                    if (
-                        isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and dotted(node.func.value) == "self"
-                        and flags.get(node.func.attr, False)
-                    ):
-                        flags[name] = True
-                        changed = True
-                        break
-        return flags
+        flags: Dict[FnKey, bool] = {
+            (cls.module.path, cls.name, name): predicate(fn)
+            for name, fn in cls.methods.items()
+        }
+
+        def join(caller: FnKey, call: ast.Call, target: FnKey) -> bool:
+            if flags[caller] or not flags[target]:
+                return False
+            if not (
+                isinstance(call.func, ast.Attribute)
+                and dotted(call.func.value) == "self"
+            ):
+                return False
+            flags[caller] = True
+            return True
+
+        call_graph(self.project).solve(join, keys=flags)
+        return {key[2]: flag for key, flag in flags.items()}
 
     def _check_guarded(
         self, binding: BoundProtocol, mutates: Dict[str, bool]
@@ -643,7 +621,7 @@ class TypestateAnalysis:
 
     def _check_usage(self) -> Dict[str, List[RawFinding]]:
         out: Dict[str, List[RawFinding]] = {}
-        for module, cls, fn in self._function_index():
+        for module, cls, fn in self.project.functions.values():
             cls_key = _class_key(cls) if cls is not None else None
             relevant = bool(self._bound_for(cls_key)) or bool(
                 self._tracked_attrs.get(cls_key or ("", ""), {})
@@ -673,7 +651,7 @@ class TypestateAnalysis:
         return out
 
     def _mentions_protocol(self, fn: ast.FunctionDef) -> bool:
-        for node in _walk_same_scope(fn):
+        for node in walk_same_scope(fn):
             if isinstance(node, ast.Call):
                 if self._ctor_key(node) is not None:
                     return True
@@ -712,7 +690,7 @@ class TypestateAnalysis:
     def _local_ctor_class(
         self, fn: ast.FunctionDef, name: str
     ) -> Optional[_ClassKey]:
-        for node in _walk_same_scope(fn):
+        for node in walk_same_scope(fn):
             if (
                 isinstance(node, ast.Assign)
                 and len(node.targets) == 1
@@ -740,7 +718,7 @@ class TypestateAnalysis:
             return False
 
         def name_consumed(name: str) -> bool:
-            for node in _walk_same_scope(fn):
+            for node in walk_same_scope(fn):
                 if isinstance(node, ast.For):
                     iter_name = dotted(node.iter)
                     if iter_name == name:
@@ -766,7 +744,7 @@ class TypestateAnalysis:
                 )
             )
 
-        for stmt in _walk_same_scope(fn):
+        for stmt in walk_same_scope(fn):
             if isinstance(stmt, ast.Expr) and isinstance(
                 stmt.value, ast.Call
             ):
@@ -802,7 +780,7 @@ class TypestateAnalysis:
 
 def _reads_self_attr(fn: ast.FunctionDef, attr: str) -> bool:
     """Does ``fn`` read ``self.<attr>`` anywhere?"""
-    for node in _walk_same_scope(fn):
+    for node in walk_same_scope(fn):
         if (
             isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)
@@ -817,7 +795,7 @@ def _reads_self_attr(fn: ast.FunctionDef, attr: str) -> bool:
 def _reads_attr(fn: ast.FunctionDef, attr: str) -> bool:
     """Does ``fn`` read ``<anything>.<attr>`` anywhere?  (Flag-style
     carriers live on the stored objects, not on ``self``.)"""
-    for node in _walk_same_scope(fn):
+    for node in walk_same_scope(fn):
         if (
             isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)
@@ -828,7 +806,7 @@ def _reads_attr(fn: ast.FunctionDef, attr: str) -> bool:
 
 
 def _calls_self_method(fn: ast.FunctionDef, name: str) -> bool:
-    for node in _walk_same_scope(fn):
+    for node in walk_same_scope(fn):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -847,7 +825,7 @@ def _mutates_carrier_sites(
     call on ``self.<carrier>`` / ``<obj>.<carrier>`` (set-style), a
     subscript store, or a ``del``."""
     sites: List[Tuple[int, int]] = []
-    for node in _walk_same_scope(fn):
+    for node in walk_same_scope(fn):
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = (
                 node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -880,7 +858,7 @@ def _mutates_carrier_sites(
 
 
 # ----------------------------------------------------------------------
-# path walkers (R006-shaped: fork at if, 0-or-1 loop trips, coarse try)
+# path walkers (clients of the shared repro.analysis.core.PathWalker)
 # ----------------------------------------------------------------------
 
 
@@ -911,29 +889,24 @@ class _PathState:
         return _PathState(self.items, self.seen | {tag})
 
 
-class _BlockWalker:
-    """The shared statement-structure walk: subclasses provide
-    :meth:`effects_of` over one statement's expressions."""
+class _EventWalker(PathWalker[_PathState]):
+    """The shared path walk with the typestate abstraction: each root's
+    nodes are applied in evaluation order by :meth:`_event`, and a state
+    set past :data:`_MAX_PATH_STATES` merges into one state."""
 
-    def __init__(self, fn: ast.FunctionDef) -> None:
-        self.fn = fn
-        self.exits: Set[_PathState] = set()
+    def transfer(
+        self, root: ast.AST, states: Set[_PathState]
+    ) -> Set[_PathState]:
+        for node in _calls_in_order(root):
+            states = self._event(node, states)
+        return states
 
-    def run(self) -> Set[_PathState]:
-        states = self.initial_states()
-        states = self._block(self.fn.body, states)
-        self.exits |= states  # falling off the end is an exit
-        return self.exits
-
-    def initial_states(self) -> Set[_PathState]:
-        raise NotImplementedError
-
-    def effects_of(
-        self, node: ast.stmt, states: Set[_PathState]
+    def _event(
+        self, node: ast.AST, states: Set[_PathState]
     ) -> Set[_PathState]:
         raise NotImplementedError
 
-    def _cap(self, states: Set[_PathState]) -> Set[_PathState]:
+    def cap(self, states: Set[_PathState]) -> Set[_PathState]:
         if len(states) <= _MAX_PATH_STATES:
             return states
         merged: Dict[str, Set[str]] = {}
@@ -954,57 +927,6 @@ class _BlockWalker:
             )
         }
 
-    def _block(
-        self, stmts: List[ast.stmt], states: Set[_PathState]
-    ) -> Set[_PathState]:
-        current = states
-        for stmt in stmts:
-            if not current:
-                break
-            current = self._stmt(stmt, current)
-        return current
-
-    def _stmt(
-        self, stmt: ast.stmt, states: Set[_PathState]
-    ) -> Set[_PathState]:
-        if isinstance(stmt, (ast.Return, ast.Raise)):
-            after = self.effects_of(stmt, states)
-            self.exits |= after
-            return set()
-        if isinstance(stmt, ast.If):
-            after_test = self.effects_of(stmt, states)
-            then_out = self._block(stmt.body, set(after_test))
-            else_out = self._block(stmt.orelse, set(after_test))
-            return self._cap(then_out | else_out)
-        if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-            entry = self.effects_of(stmt, states)
-            body_out = self._block(stmt.body, set(entry))
-            merged = self._cap(entry | body_out)
-            if stmt.orelse:
-                merged = self._block(stmt.orelse, merged)
-            return merged
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            after_items = self.effects_of(stmt, states)
-            return self._block(stmt.body, after_items)
-        if isinstance(stmt, ast.Try):
-            body_out = self._block(stmt.body, set(states))
-            handler_base = self._cap(states | body_out)
-            outs = body_out
-            for handler in stmt.handlers:
-                outs = self._cap(
-                    outs | self._block(handler.body, set(handler_base))
-                )
-            if stmt.orelse:
-                outs = self._block(stmt.orelse, outs)
-            if stmt.finalbody:
-                outs = self._block(stmt.finalbody, outs)
-            return outs
-        if isinstance(
-            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            return states  # nested scope
-        return self.effects_of(stmt, states)
-
 
 def _calls_in_order(node: ast.AST) -> Iterator[ast.AST]:
     """Depth-first, roughly evaluation-ordered walk of one statement's
@@ -1018,7 +940,7 @@ def _calls_in_order(node: ast.AST) -> Iterator[ast.AST]:
     yield node
 
 
-class _ProtocolWalker(_BlockWalker):
+class _ProtocolWalker(_EventWalker):
     """Tracks per-receiver protocol states plus seen operations."""
 
     def __init__(
@@ -1052,28 +974,8 @@ class _ProtocolWalker(_BlockWalker):
 
     # -- event plumbing -------------------------------------------------
 
-    def effects_of(
-        self, node: ast.stmt, states: Set[_PathState]
-    ) -> Set[_PathState]:
-        roots: List[ast.AST] = []
-        if isinstance(node, ast.If):
-            roots = [node.test]
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            roots = [node.iter]
-        elif isinstance(node, ast.While):
-            roots = [node.test]
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            roots = [item.context_expr for item in node.items]
-        else:
-            roots = [node]
-        out = states
-        for root in roots:
-            for sub in _calls_in_order(root):
-                out = self._event(node, sub, out)
-        return out
-
     def _event(
-        self, stmt: ast.AST, node: ast.AST, states: Set[_PathState]
+        self, node: ast.AST, states: Set[_PathState]
     ) -> Set[_PathState]:
         if isinstance(node, ast.Call):
             return self._call_event(node, states)
@@ -1235,7 +1137,7 @@ class _ProtocolWalker(_BlockWalker):
                     self._inversion_check(call, tag, state)
                     state = state.with_seen(tag)
             out.add(state)
-        return self._cap(out)
+        return self.cap(out)
 
     def _binding_of(
         self, receiver: str, proto: str
@@ -1275,7 +1177,7 @@ class _ProtocolWalker(_BlockWalker):
         self.findings.append((rule_id, (self.module, lineno, col, message)))
 
 
-class _GuardWalker(_BlockWalker):
+class _GuardWalker(_EventWalker):
     """Per-path check: the store must be read before the carrier is
     mutated (existence guard before the state flip)."""
 
@@ -1305,26 +1207,6 @@ class _GuardWalker(_BlockWalker):
 
     def initial_states(self) -> Set[_PathState]:
         return {_PathState((("guard", frozenset()),), frozenset())}
-
-    def effects_of(
-        self, node: ast.stmt, states: Set[_PathState]
-    ) -> Set[_PathState]:
-        roots: List[ast.AST]
-        if isinstance(node, ast.If):
-            roots = [node.test]
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            roots = [node.iter]
-        elif isinstance(node, ast.While):
-            roots = [node.test]
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            roots = [item.context_expr for item in node.items]
-        else:
-            roots = [node]
-        out = states
-        for root in roots:
-            for sub in _calls_in_order(root):
-                out = self._event(sub, out)
-        return out
 
     def _event(
         self, node: ast.AST, states: Set[_PathState]
@@ -1363,8 +1245,4 @@ class _GuardWalker(_BlockWalker):
 def typestate_analysis(project: Project) -> TypestateAnalysis:
     """The shared per-project :class:`TypestateAnalysis` (same caching
     idiom as :func:`repro.analysis.effects.effect_analysis`)."""
-    cached = getattr(project, "_typestate_analysis", None)
-    if cached is None:
-        cached = TypestateAnalysis(project)
-        project._typestate_analysis = cached
-    return cached
+    return project.shared(TypestateAnalysis)

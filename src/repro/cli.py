@@ -339,13 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     lint.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run rules in N worker processes (default: 1, in-process)",
-    )
-    lint.add_argument(
         "--cache",
         nargs="?",
         const=".repro-lint-cache.json",
@@ -1144,7 +1137,6 @@ def _cmd_lint(args) -> int:
                 ]
         lint_targets = selected
 
-    jobs = max(1, args.jobs)
     baseline = args.baseline
     if baseline is None:
         first = args.paths[0] if args.paths else "src"
@@ -1158,7 +1150,7 @@ def _cmd_lint(args) -> int:
                 break
 
     if args.update_baseline:
-        findings = run_lint(lint_targets, rules=rules, jobs=jobs)
+        findings = run_lint(lint_targets, rules=rules)
         target = args.baseline or BASELINE_FILENAME
         save_baseline(target, findings)
         print(f"wrote {len(findings)} finding(s) to {target}")
@@ -1169,7 +1161,6 @@ def _cmd_lint(args) -> int:
         rules=rules,
         baseline=baseline,
         cache_path=args.cache,
-        jobs=jobs,
     )
 
     if args.fix or args.fix_unsafe:
@@ -1184,7 +1175,6 @@ def _cmd_lint(args) -> int:
                 rules=rules,
                 baseline=baseline,
                 cache_path=args.cache,
-                jobs=jobs,
             )
 
     if args.format == "text":

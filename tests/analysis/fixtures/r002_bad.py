@@ -33,3 +33,29 @@ class SelfDeadlock:
     def inner(self):
         with self._plain_lock:
             pass
+
+
+class HandoffUnderOwnLock:
+    """The helper takes the outbox lock in its own scope before it hands
+    a job to a worker thread, so record() does acquire it while holding
+    the journal lock: only the closure's body is a separate context."""
+
+    def __init__(self):
+        self._journal_lock = threading.Lock()
+        self._outbox_lock = threading.Lock()
+
+    def record(self):
+        with self._journal_lock:
+            self.schedule_flush()  # line 49: journal -> outbox via helper
+
+    def schedule_flush(self):
+        with self._outbox_lock:
+            def flush():
+                pass
+
+            threading.Thread(target=flush).start()
+
+    def drain(self):
+        with self._outbox_lock:
+            with self._journal_lock:  # line 60: outbox -> journal
+                pass

@@ -33,3 +33,31 @@ class Reentrant:
     def inner(self):
         with self._rlock:  # re-acquiring an RLock is legal
             pass
+
+
+class HandoffToWorker:
+    """A lock taken inside a closure handed to a worker thread is not
+    acquired by the method that creates the closure: the job runs later,
+    on its own thread, after the caller's locks are released.  So
+    record() adds no ledger -> spool edge, and drain()'s spool -> ledger
+    order is the only one."""
+
+    def __init__(self):
+        self._ledger_lock = threading.Lock()
+        self._spool_lock = threading.Lock()
+
+    def record(self):
+        with self._ledger_lock:
+            self.schedule_flush()
+
+    def schedule_flush(self):
+        def flush():
+            with self._spool_lock:
+                pass
+
+        threading.Thread(target=flush).start()
+
+    def drain(self):
+        with self._spool_lock:
+            with self._ledger_lock:
+                pass

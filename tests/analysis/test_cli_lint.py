@@ -112,14 +112,6 @@ def test_lint_format_sarif(capsys):
     assert len(document["runs"][0]["results"]) == 4
 
 
-def test_lint_jobs_output_matches_serial(capsys):
-    bad = os.path.join(FIXTURES, "r001_bad.py")
-    assert main(["lint", bad, "--format", "json"]) == 1
-    serial = capsys.readouterr().out
-    assert main(["lint", bad, "--format", "json", "--jobs", "2"]) == 1
-    assert capsys.readouterr().out == serial
-
-
 def test_lint_cache_flag_reuses_results(tmp_path, capsys, monkeypatch):
     fixture = open(os.path.join(FIXTURES, "r001_bad.py")).read()
     (tmp_path / "bad.py").write_text(fixture)

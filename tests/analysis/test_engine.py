@@ -78,12 +78,6 @@ def test_lint_twice_is_byte_identical():
     assert first == second
 
 
-def test_parallel_run_is_byte_identical_to_serial():
-    serial = run_lint([FIXTURES])
-    parallel = run_lint([FIXTURES], jobs=2)
-    assert render_json(parallel) == render_json(serial)
-
-
 def test_baseline_file_is_stably_sorted(tmp_path):
     findings = run_lint([os.path.join(FIXTURES, "r001_bad.py")])
     first, second = str(tmp_path / "b1.json"), str(tmp_path / "b2.json")

@@ -55,8 +55,10 @@ def test_r002_flags_inversion_and_self_deadlock():
         ("R002", 16),  # alpha -> beta edge of the cycle
         ("R002", 21),  # beta -> alpha edge of the cycle
         ("R002", 31),  # non-reentrant self re-acquisition via inner()
+        ("R002", 49),  # journal -> outbox: the helper's own-scope lock
+        ("R002", 60),  # outbox -> journal
     ]
-    cycle_msgs = [f.message for f in findings if f.line in (16, 21)]
+    cycle_msgs = [f.message for f in findings if f.line in (16, 21, 49, 60)]
     assert all("cycle" in m for m in cycle_msgs)
     (self_msg,) = [f.message for f in findings if f.line == 31]
     assert "re-acquired" in self_msg
