@@ -56,7 +56,6 @@ from repro.core import (
     ShrinkingSetResult,
     StatisticsAdvisor,
     TOptimizerCostEquivalence,
-    WorkloadDriver,
     candidate_statistics,
     find_minimal_essential_set,
     find_next_stat_to_build,
@@ -88,11 +87,8 @@ from repro.feedback import (
 )
 from repro.index import apply_tuned_tpcd_indexes
 from repro.learned import (
-    BucketRegressor,
-    CorrectionModel,
     CorrectionStore,
     MultiplicativeCorrection,
-    SketchJoinEstimator,
 )
 from repro.optimizer import (
     OptimizationRequest,
@@ -179,11 +175,8 @@ __all__ = [
     "PlanInstrumenter",
     "QErrorTracker",
     # learned corrections
-    "BucketRegressor",
-    "CorrectionModel",
     "CorrectionStore",
     "MultiplicativeCorrection",
-    "SketchJoinEstimator",
     # indexes
     "apply_tuned_tpcd_indexes",
     # core algorithms
@@ -210,7 +203,6 @@ __all__ = [
     "AutoDropPolicy",
     "CreationPolicy",
     "StatisticsAdvisor",
-    "WorkloadDriver",
     # errors
     "ReproError",
     "ServiceRejectedError",

@@ -27,8 +27,8 @@ Two kinds of class-level declarations drive it:
     contract as R006's ``epoch-exempt``).
 
 * ``attr = plan_source("version")`` (:func:`repro.concurrency.plan_source`)
-  — declares a versioned source object (a correction store, a sketch
-  estimator).  The rule then checks, using the dataflow layer:
+  — declares a versioned source object (such as a correction store).
+  The rule then checks, using the dataflow layer:
 
   - the declared version property is read somewhere in the class (a
     *version provider* method such as ``Optimizer._learned_version``);

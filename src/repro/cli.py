@@ -198,12 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--learned-model",
-        choices=("multiplicative", "bucket"),
-        default="multiplicative",
-        help="correction model class used when --learned is on",
-    )
-    serve.add_argument(
         "--backend",
         choices=BACKEND_NAMES,
         default="memory",
@@ -253,12 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
             "feed observations into a learned correction store and "
             "report its per-key factors and hit/miss counters"
         ),
-    )
-    feedback.add_argument(
-        "--learned-model",
-        choices=("multiplicative", "bucket"),
-        default="multiplicative",
-        help="correction model class used when --learned is on",
     )
 
     experiment = sub.add_parser(
@@ -561,7 +549,6 @@ def _cmd_serve(args) -> int:
         qerror_refresh_threshold=args.qerror_refresh_threshold,
         qerror_retune_threshold=args.qerror_retune_threshold,
         learned_enabled=args.learned,
-        learned_model=args.learned_model,
         shards=args.shards,
         backend=args.backend,
     )
@@ -573,7 +560,7 @@ def _cmd_serve(args) -> int:
         else ""
     )
     if args.learned:
-        feedback_note += f", learned corrections ({args.learned_model})"
+        feedback_note += ", learned corrections (multiplicative)"
     if args.backend != "memory":
         feedback_note += f", {args.backend} analysis backend"
     print(
@@ -624,8 +611,7 @@ def _cmd_serve(args) -> int:
         counters = service.corrections.counters()
         print("\n--- corrections")
         print(
-            f"model {service.corrections.model_name} "
-            f"(version {counters['version']}): "
+            f"multiplicative model (version {counters['version']}): "
             f"{counters['observations']} observations, "
             f"{counters['hits']} hits / {counters['misses']} misses, "
             f"{counters['invalidations']} invalidations, "
@@ -697,7 +683,7 @@ def _cmd_feedback(args) -> int:
     if args.learned:
         from repro.learned import CorrectionStore
 
-        corrections = CorrectionStore(model=args.learned_model)
+        corrections = CorrectionStore()
     optimizer = Optimizer(db, corrections=corrections)
     executor = Executor(db)
     store = FeedbackStore()
@@ -724,8 +710,7 @@ def _cmd_feedback(args) -> int:
     if corrections is not None:
         cc = corrections.counters()
         print(
-            f"\n--- corrections ({corrections.model_name}, "
-            f"version {cc['version']}): "
+            f"\n--- corrections (multiplicative, version {cc['version']}): "
             f"{cc['hits']} hits / {cc['misses']} misses, "
             f"{cc['observations']} observations, "
             f"{cc['tracked']} tracked"

@@ -248,10 +248,7 @@ class ServiceConfig:
             the service optimizers' selectivity estimation.  Requires
             ``feedback_enabled`` (the corrections are fed by the same
             operator observations).
-        learned_model: correction-model class — ``"multiplicative"``
-            (exact per-target factors) or ``"bucket"`` (hashed
-            predicate-feature regressor).
-        learned_decay: EWMA decay of the correction models, in (0, 1).
+        learned_decay: EWMA decay of the correction model, in (0, 1).
         learned_max_factor: corrections are bounded to
             ``[1/learned_max_factor, learned_max_factor]``.
         learned_capacity: maximum tracked correction entries before
@@ -323,7 +320,6 @@ class ServiceConfig:
     qerror_refresh_threshold: float = 4.0
     qerror_retune_threshold: float = 10.0
     learned_enabled: bool = False
-    learned_model: str = "multiplicative"
     learned_decay: float = 0.8
     learned_max_factor: float = 32.0
     learned_capacity: int = 512
@@ -408,11 +404,6 @@ class ServiceConfig:
             raise ValueError(
                 f"refresh_policy {self.refresh_policy.value!r} requires "
                 "feedback_enabled=True"
-            )
-        if self.learned_model not in ("multiplicative", "bucket"):
-            raise ValueError(
-                f"learned_model must be 'multiplicative' or 'bucket', got "
-                f"{self.learned_model!r}"
             )
         if not 0.0 < self.learned_decay < 1.0:
             raise ValueError(

@@ -14,7 +14,6 @@
   Figure 2).
 * :mod:`repro.core.policy` — creation/drop/aging policies (Sec 6).
 * :mod:`repro.core.advisor` — the end-to-end automation facade.
-* :mod:`repro.core.driver` — cached / parallel workload analysis.
 """
 
 from repro.core.candidates import (
@@ -39,7 +38,6 @@ from repro.core.mnsad import MnsadResult, mnsad_for_query, mnsad_for_workload
 from repro.core.shrinking import ShrinkingSetResult, shrinking_set
 from repro.core.policy import AgingPolicy, AutoDropPolicy, CreationPolicy
 from repro.core.advisor import AdvisorReport, StatisticsAdvisor
-from repro.core.driver import WorkloadDriver
 
 __all__ = [
     "CandidateMode",
@@ -67,5 +65,4 @@ __all__ = [
     "CreationPolicy",
     "StatisticsAdvisor",
     "AdvisorReport",
-    "WorkloadDriver",
 ]

@@ -81,7 +81,6 @@ from typing import List, Optional, Tuple
 
 from repro.concurrency import guarded_by, plan_source
 from repro.config import DEFAULT_CONFIG, OptimizerConfig
-from repro.errors import OptimizerError
 from repro.optimizer.cache import (
     OptimizationRequest,
     PlanCache,
@@ -499,18 +498,14 @@ class Optimizer:
             is folded into the plan-cache key (see
             :meth:`OptimizationRequest.with_learned_version`) so corrected
             and uncorrected plans never alias in a shared cache.
-        join_estimator: optional
-            :class:`~repro.learned.SketchJoinEstimator`, the sketch-based
-            A/B alternative; versioned into the cache key the same way.
     """
 
     # repro-lint: optimize-path
-    # repro-lint: plan-state-exempt=_cache: attach-once wiring; attach_cache refuses to swap an existing cache, so entries never migrate between caches
+    # repro-lint: plan-state-exempt=_cache: set once in __init__ and never swapped, so entries never migrate between caches
 
     _call_count = guarded_by("_count_lock")
     _cold_count = guarded_by("_count_lock")
     _corrections = plan_source("version")
-    _join_estimator = plan_source("version")
 
     def __init__(
         self,
@@ -518,14 +513,12 @@ class Optimizer:
         config: OptimizerConfig = DEFAULT_CONFIG,
         cache: Optional[PlanCache] = None,
         corrections=None,
-        join_estimator=None,
     ) -> None:
         self._db = database
         self._config = config
         self._cost = CostModel(config)
         self._cache = cache
         self._corrections = corrections
-        self._join_estimator = join_estimator
         self._count_lock = threading.Lock()
         self._call_count = 0
         self._cold_count = 0
@@ -539,33 +532,10 @@ class Optimizer:
         return self._cache
 
     @property
-    def corrections(self):
-        """The attached :class:`~repro.learned.CorrectionStore`, if any."""
-        return self._corrections
-
-    @property
-    def join_estimator(self):
-        """The attached sketch join estimator, if any."""
-        return self._join_estimator
-
-    def attach_cache(self, cache: PlanCache) -> None:
-        """Attach a plan cache after construction.
-
-        Raises:
-            OptimizerError: if a *different* cache is already attached
-                (silently swapping caches would corrupt hit accounting).
-        """
-        if self._cache is not None and self._cache is not cache:
-            raise OptimizerError(
-                "optimizer already has a different PlanCache attached"
-            )
-        self._cache = cache
-
-    @property
     def call_count(self) -> int:
         """Optimizer invocations, cached or not (MNSA charges 3 per
-        statistic); incremented atomically so parallel drivers and
-        service workers can share one optimizer."""
+        statistic); incremented atomically so sessions and service
+        workers can share one optimizer."""
         with self._count_lock:
             return self._call_count
 
@@ -706,19 +676,12 @@ class Optimizer:
         )
         return missing, low, high
 
-    def _learned_version(self) -> Optional[Tuple[int, int]]:
-        """The combined learned-component version for cache keying, or
-        ``None`` when no learned component is attached."""
-        if self._corrections is None and self._join_estimator is None:
+    def _learned_version(self) -> Optional[int]:
+        """The correction-store version for cache keying, or ``None``
+        when no store is attached."""
+        if self._corrections is None:
             return None
-        return (
-            self._corrections.version if self._corrections is not None else -1,
-            (
-                self._join_estimator.version
-                if self._join_estimator is not None
-                else -1
-            ),
-        )
+        return self._corrections.version
 
     def _keyed_request(
         self, request: OptimizationRequest
@@ -761,7 +724,6 @@ class Optimizer:
                 self._config,
                 request.overrides_dict() if request.overrides else None,
                 corrections=self._corrections,
-                join_estimator=self._join_estimator,
                 use_statistics=use_statistics,
                 memo=memo,
             )

@@ -17,10 +17,8 @@ Resolution order for each variable:
 When a :class:`~repro.learned.CorrectionStore` is attached, the resolved
 filter / join / group selectivity is additionally passed through the
 store's learned multiplicative correction (clamped to [0, 1]) before the
-cost model sees it; a :class:`~repro.learned.SketchJoinEstimator`, when
-attached, replaces the single-predicate join estimate with a sketch
-estimate where one is available.  Both hooks receive raw table/column
-names, so this module stays independent of the learned package.
+cost model sees it.  The hook receives raw table/column names, so this
+module stays independent of the learned package.
 """
 
 from __future__ import annotations
@@ -63,9 +61,6 @@ class SelectivityEstimator:
             [0, 1], applied only where statistics are missing.
         corrections: optional :class:`~repro.learned.CorrectionStore`
             whose learned factors adjust every resolved selectivity.
-        join_estimator: optional
-            :class:`~repro.learned.SketchJoinEstimator` consulted for
-            single-predicate equijoin selectivities.
         use_statistics: when False, skip every statistics lookup and
             resolve all variables through overrides / magic numbers — the
             service's degraded mode
@@ -109,7 +104,6 @@ class SelectivityEstimator:
         config: OptimizerConfig = DEFAULT_CONFIG,
         overrides: Optional[Dict[SelectivityVariable, float]] = None,
         corrections=None,
-        join_estimator=None,
         use_statistics: bool = True,
         memo: Optional[dict] = None,
     ) -> None:
@@ -118,7 +112,6 @@ class SelectivityEstimator:
         self._magic = config.magic
         self._overrides = dict(overrides or {})
         self._corrections = corrections
-        self._join_estimator = join_estimator
         self._use_statistics = use_statistics
         self._join_cache: Dict[JoinVariable, float] = {}
         #: ColumnRef -> histogram, Predicate -> histogram selectivity,
@@ -410,22 +403,13 @@ class SelectivityEstimator:
            joined column sets;
         3. an override, then the join magic number.
 
-        A single-predicate join consults the attached sketch estimator
-        first (its estimate, when usable, replaces the resolution chain),
-        and the final value passes through the learned join correction.
+        The resolved value passes through the learned join correction.
         """
         cached = self._join_cache.get(variable)
         if cached is not None:
             return cached
         selectivity = self._join_group_selectivity(variable)
         left_table, right_table = variable.tables
-        if self._join_estimator is not None and len(variable.predicates) == 1:
-            sketched = self._join_estimator.join_selectivity(
-                variable.predicates[0].side_for(left_table),
-                variable.predicates[0].side_for(right_table),
-            )
-            if sketched is not None:
-                selectivity = sketched
         if self._corrections is not None:
             selectivity = self._corrections.correct_join(
                 left_table,

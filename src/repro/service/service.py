@@ -279,7 +279,6 @@ class StatsService:
         self.corrections: Optional[CorrectionStore] = None
         if self.config.learned_enabled:
             self.corrections = CorrectionStore(
-                model=self.config.learned_model,
                 capacity=self.config.learned_capacity,
                 decay=self.config.learned_decay,
                 max_factor=self.config.learned_max_factor,

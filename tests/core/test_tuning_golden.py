@@ -18,6 +18,11 @@ work units per call saved), every list, count and epoch stayed; regenerate
 ``... test_tuning_golden.py --diff`` recomputes the fields without
 touching the file and prints the ones that moved; CI runs it so a red
 golden test says what moved.
+
+A plan cache may only shift optimizer work into cache hits: the same
+pass through ``MemoryBackend(database, Optimizer(database,
+cache=PlanCache()))`` must match the golden file too, and a cached MNSA
+or MNSA/D pass must decide and cost exactly what the uncached one does.
 """
 
 import json
@@ -27,9 +32,10 @@ from pathlib import Path
 import pytest
 
 from repro.backends.memory import MemoryBackend
-from repro.core.mnsa import MnsaConfig
-from repro.core.mnsad import mnsad_for_workload
+from repro.core.mnsa import MnsaConfig, mnsa_for_workload
+from repro.core.mnsad import MnsadResult, mnsad_for_workload
 from repro.datagen import make_tpcd_database
+from repro.optimizer import Optimizer, PlanCache
 from repro.workload import generate_workload
 
 GOLDEN = Path(__file__).with_name("golden_tuning.json")
@@ -38,11 +44,21 @@ GOLDEN = Path(__file__).with_name("golden_tuning.json")
 WORKLOADS = {"U25-S-100": 0.01, "U25-C-30": 0.002}
 
 
-def tuning_outcome(name: str) -> dict:
+def _backend(database, cached: bool) -> MemoryBackend:
+    if cached:
+        return MemoryBackend(database, Optimizer(database, cache=PlanCache()))
+    return MemoryBackend(database)
+
+
+def _workload(name: str):
     database = make_tpcd_database(scale=WORKLOADS[name], z=2.0, seed=42)
-    queries = generate_workload(database, name, seed=7).queries()
+    return database, generate_workload(database, name, seed=7).queries()
+
+
+def tuning_outcome(name: str, cached: bool = False) -> dict:
+    database, queries = _workload(name)
     result = mnsad_for_workload(
-        MemoryBackend(database), queries, config=MnsaConfig()
+        _backend(database, cached), queries, config=MnsaConfig()
     )
     stats = database.stats
     outcome = {
@@ -83,9 +99,41 @@ def diff_against_golden() -> int:
     return 1 if moved else 0
 
 
+@pytest.mark.parametrize(
+    "name, cached",
+    [pytest.param(name, False, id=name) for name in sorted(WORKLOADS)]
+    + [pytest.param(name, True, id=f"{name}-cached") for name in sorted(WORKLOADS)],
+)
+def test_tuning_outcome_matches_golden(name, cached):
+    assert tuning_outcome(name, cached) == json.loads(GOLDEN.read_text())[name]
+
+
+def _snapshot(result) -> tuple:
+    """The fields a cached pass must reproduce."""
+    if isinstance(result, MnsadResult):
+        decided = (result.created, result.retained, result.dropped)
+    else:
+        decided = (result.created, result.skipped)
+    return decided + (
+        result.iterations,
+        result.optimizer_calls,
+        result.stop_reason,
+        result.creation_cost.hex(),
+    )
+
+
+@pytest.mark.parametrize("tune", [mnsa_for_workload, mnsad_for_workload])
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_tuning_outcome_matches_golden(name):
-    assert tuning_outcome(name) == json.loads(GOLDEN.read_text())[name]
+def test_cached_pass_matches_uncached(name, tune):
+    """Tuning the workload twice over: the second pass meets its own
+    plans in the cache, fresh or to be revalidated."""
+    outcomes = []
+    for cached in (False, True):
+        database, queries = _workload(name)
+        backend = _backend(database, cached)
+        outcomes.append(_snapshot(tune(backend, queries + queries)))
+    assert backend.optimizer.cache.hit_count > 0
+    assert outcomes[1] == outcomes[0]
 
 
 def test_diff_mode_names_moved_fields_and_leaves_the_file(

@@ -6,8 +6,8 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.feedback import FeedbackKey
-from repro.learned import BucketRegressor, MultiplicativeCorrection
-from repro.learned.model import DEFAULT_DRIFT, build_model
+from repro.learned import MultiplicativeCorrection
+from repro.learned.model import DEFAULT_DRIFT
 
 EMP_AGE = FeedbackKey.of("emp", ("age",))
 EMP_SALARY = FeedbackKey.of("emp", ("salary",))
@@ -85,47 +85,16 @@ class TestSlotMechanics:
         assert aggregates["count"] == 1.0
 
 
-class TestBucketRegressor:
-    def test_bucket_assignment_is_deterministic_across_instances(self):
-        a, b = BucketRegressor(), BucketRegressor()
-        assert a._slot(EMP_AGE, "filter") == b._slot(EMP_AGE, "filter")
-
-    def test_colliding_column_sets_share_a_factor(self):
-        model = BucketRegressor(buckets=1)  # force collisions
-        model.absorb(EMP_AGE, "filter", math.log(4.0))
-        # an unseen column set on the same table inherits the bucket
-        assert model.factor(EMP_SALARY, "filter") == pytest.approx(4.0)
-
-    def test_tables_never_share_buckets(self):
-        model = BucketRegressor(buckets=1)
-        model.absorb(EMP_AGE, "filter", math.log(4.0))
-        assert model.factor(DEPT_ID, "filter") is None
-
-    def test_labels_name_table_and_bucket(self):
-        model = BucketRegressor()
-        model.absorb(EMP_AGE, "filter", 1.0)
-        (label, kind, _aggregates) = model.snapshot_rows()[0]
-        assert label.startswith("emp[b")
-        assert kind == "filter"
-
-    def test_bad_bucket_count_raises(self):
-        with pytest.raises(ServiceError):
-            BucketRegressor(buckets=0)
-
-
-class TestBuildModel:
-    def test_builds_both_classes(self):
-        assert build_model("multiplicative", decay=0.5).name == (
-            "multiplicative"
-        )
-        assert build_model("bucket", decay=0.5).name == "bucket"
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ServiceError, match="unknown correction model"):
-            build_model("neural", decay=0.5)
-
+class TestValidation:
     def test_bad_decay_raises(self):
         with pytest.raises(ServiceError):
-            build_model("multiplicative", decay=1.0)
+            MultiplicativeCorrection(decay=1.0)
         with pytest.raises(ServiceError):
-            build_model("multiplicative", decay=0.0)
+            MultiplicativeCorrection(decay=0.0)
+
+    def test_negative_drift_raises(self):
+        with pytest.raises(ServiceError):
+            MultiplicativeCorrection(drift=-0.01)
+        assert MultiplicativeCorrection(drift=0.0).absorb(
+            EMP_AGE, "filter", 0.5
+        )

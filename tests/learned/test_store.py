@@ -194,9 +194,9 @@ class TestConfigAndMetrics:
         with pytest.raises(ServiceError):
             CorrectionStore(max_factor=1.0)
 
-    def test_unknown_model_raises(self):
+    def test_bad_decay_raises(self):
         with pytest.raises(ServiceError):
-            CorrectionStore(model="neural")
+            CorrectionStore(decay=1.0)
 
     def test_metrics_are_mirrored_under_registered_names(self):
         from repro.service.metric_names import METRICS

@@ -142,12 +142,6 @@ class TestPlanCacheBasics:
         assert metrics.counter("plan_cache.hits") == 1
         assert metrics.gauge_value("plan_cache.size") == 1
 
-    def test_attach_cache_conflict(self, db):
-        opt = Optimizer(db, cache=PlanCache(4))
-        opt.attach_cache(opt.cache)  # idempotent
-        with pytest.raises(OptimizerError):
-            opt.attach_cache(PlanCache(4))
-
     def test_clear(self, db):
         cache = PlanCache(4)
         opt = Optimizer(db, cache=cache)

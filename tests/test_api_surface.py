@@ -12,13 +12,11 @@ EXPECTED = [
     "AutoDropPolicy",
     "BACKEND_NAMES",
     "Backend",
-    "BucketRegressor",
     "CandidateMode",
     "CaptureLog",
     "Column",
     "ColumnRef",
     "ColumnType",
-    "CorrectionModel",
     "CorrectionStore",
     "CostModelConfig",
     "CreationPolicy",
@@ -62,7 +60,6 @@ EXPECTED = [
     "Session",
     "ShardRouter",
     "ShrinkingSetResult",
-    "SketchJoinEstimator",
     "SkewSpec",
     "SqliteBackend",
     "StalenessMonitor",
@@ -75,7 +72,6 @@ EXPECTED = [
     "TableSchema",
     "TpcdGenerator",
     "Workload",
-    "WorkloadDriver",
     "apply_tuned_tpcd_indexes",
     "backend_from_name",
     "bind",
