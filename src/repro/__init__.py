@@ -51,7 +51,6 @@ from repro.core import (
     ExecutionTreeEquivalence,
     MnsaConfig,
     MnsaResult,
-    MnsadResult,
     OptimizerCostEquivalence,
     ShrinkingSetResult,
     StatisticsAdvisor,
@@ -194,7 +193,6 @@ __all__ = [
     "MnsaResult",
     "mnsa_for_query",
     "mnsa_for_workload",
-    "MnsadResult",
     "mnsad_for_query",
     "mnsad_for_workload",
     "ShrinkingSetResult",

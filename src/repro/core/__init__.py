@@ -34,7 +34,7 @@ from repro.core.essential import (
 )
 from repro.core.mnsa import MnsaConfig, MnsaResult, mnsa_for_query, mnsa_for_workload
 from repro.core.next_stat import find_next_stat_to_build
-from repro.core.mnsad import MnsadResult, mnsad_for_query, mnsad_for_workload
+from repro.core.mnsad import mnsad_for_query, mnsad_for_workload
 from repro.core.shrinking import ShrinkingSetResult, shrinking_set
 from repro.core.policy import AgingPolicy, AutoDropPolicy, CreationPolicy
 from repro.core.advisor import AdvisorReport, StatisticsAdvisor
@@ -55,7 +55,6 @@ __all__ = [
     "mnsa_for_query",
     "mnsa_for_workload",
     "find_next_stat_to_build",
-    "MnsadResult",
     "mnsad_for_query",
     "mnsad_for_workload",
     "ShrinkingSetResult",

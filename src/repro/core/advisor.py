@@ -15,7 +15,7 @@ together the way a self-tuning server would:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.backends.base import Backend
 from repro.backends.memory import MemoryBackend
@@ -23,7 +23,12 @@ from repro.core.candidates import (
     CandidateMode,
     candidate_statistics,
 )
-from repro.core.mnsa import MnsaConfig, mnsa_for_query
+from repro.core.mnsa import (
+    MnsaConfig,
+    MnsaResult,
+    mnsa_for_query,
+    mnsa_for_workload,
+)
 from repro.core.mnsad import mnsad_for_query
 from repro.core.policy import (
     AgingPolicy,
@@ -39,6 +44,32 @@ from repro.optimizer.cache import PlanCache
 from repro.optimizer.optimizer import Optimizer
 from repro.sql.query import DmlStatement, Query
 from repro.stats.statistic import StatKey
+
+
+def mirror_decisions(stats, result: MnsaResult) -> Tuple[int, int, int]:
+    """Reflect an analysis that ran on a foreign backend into ``stats``.
+
+    The counter-driven refresh/drop policies and the foreground
+    optimizer read the in-memory statistics manager, so it must see what
+    the foreign engine decided: build the created statistics, revive the
+    retained ones it holds drop-listed (the engine revived them by
+    creating them again), and drop-list the dropped ones.  Returns the
+    ``(created, revived, drop-listed)`` counts.
+    """
+    created = revived = dropped = 0
+    for key in result.created:
+        if not stats.has(key):
+            stats.create(key)
+            created += 1
+    for key in result.retained:
+        if stats.is_droppable(key):
+            stats.revive(key)
+            revived += 1
+    for key in result.dropped:
+        if not stats.is_droppable(key):
+            stats.mark_droppable(key)
+            dropped += 1
+    return created, revived, dropped
 
 
 @dataclass
@@ -86,9 +117,11 @@ class StatisticsAdvisor:
         self._executor = Executor(database)
         #: the engine the creation policies run against; defaults to the
         #: in-memory stack above.  With a foreign engine (e.g.
-        #: ``SqliteBackend``), creation/drop decisions are mirrored into
-        #: ``database.stats`` so the DML refresh/drop policies — which
-        #: read the in-memory modification counters — keep working.
+        #: ``SqliteBackend``), DML is replayed into it and its creation,
+        #: revival and drop-list decisions are mirrored into
+        #: ``database.stats`` (:func:`mirror_decisions`), so the DML
+        #: refresh/drop policies — which read the in-memory modification
+        #: counters — keep working on the same data.
         self._backend = (
             backend
             if backend is not None
@@ -160,43 +193,39 @@ class StatisticsAdvisor:
             # SQL Server 7.0: create every syntactically relevant
             # single-column statistic on the fly.
             before = self._backend.creation_cost_total
-            for key in candidates:
-                if not self._backend.is_stat_visible(key):
-                    self._backend.create_stats(key)
-                    self.report.created.append(key)
-            self.report.creation_cost += (
-                self._backend.creation_cost_total - before
+            created = [
+                key
+                for key in candidates
+                if not self._backend.is_stat_visible(key)
+            ]
+            for key in created:
+                self._backend.create_stats(key)
+            result = MnsaResult(
+                created=created,
+                retained=created,
+                creation_cost=self._backend.creation_cost_total - before,
             )
-            self._mirror_created(self.report.created)
-            return
-        if policy == CreationPolicy.MNSA:
-            result = mnsa_for_query(
+        else:
+            analyze = (
+                mnsa_for_query
+                if policy == CreationPolicy.MNSA
+                else mnsad_for_query
+            )
+            result = analyze(
                 self._backend,
                 query,
                 candidates=candidates,
                 config=self.mnsa_config,
             )
-        else:  # MNSAD
-            result = mnsad_for_query(
-                self._backend,
-                query,
-                candidates=candidates,
-                config=self.mnsa_config,
-            )
+        self._note_analysis(result)
+
+    def _note_analysis(self, result: MnsaResult) -> None:
         for key in result.created:
             if key not in self.report.created:
                 self.report.created.append(key)
         self.report.creation_cost += result.creation_cost
-        self._mirror_created(result.created)
-
-    def _mirror_created(self, keys) -> None:
-        """Reflect a foreign backend's created statistics into
-        ``database.stats`` so counter-driven policies see them."""
-        if not self._mirror:
-            return
-        for key in keys:
-            if not self._db.stats.has(key):
-                self._db.stats.create(key)
+        if self._mirror:
+            mirror_decisions(self._db.stats, result)
 
     def _apply_aging(self, query: Query, candidates):
         if self.aging is None:
@@ -210,6 +239,9 @@ class StatisticsAdvisor:
         ]
 
     def _process_dml(self, statement: DmlStatement) -> int:
+        if self._mirror:
+            # keep the foreign engine's data in step
+            self._backend.execute(statement)
         if self.incremental_maintenance and statement.kind == "insert":
             return self._process_insert_incrementally(statement)
         affected = apply_dml(self._db, statement)
@@ -245,6 +277,8 @@ class StatisticsAdvisor:
         self.report.update_cost += actions.update_cost
         for key in actions.dropped:
             self.report.dropped.append(key)
+            if self._mirror and self._backend.has_stats(key):
+                self._backend.drop_stats(key)
             if self.aging is not None:
                 self.aging.record_drop(key, self._clock)
 
@@ -256,15 +290,9 @@ class StatisticsAdvisor:
         """The conservative Sec 6 regime: MNSA per query over the whole
         workload, then Shrinking Set to eliminate non-essential statistics."""
         queries = [q for q in queries if isinstance(q, Query)]
-        for query in queries:
-            result = mnsa_for_query(
-                self._backend, query, config=self.mnsa_config
-            )
-            for key in result.created:
-                if key not in self.report.created:
-                    self.report.created.append(key)
-            self.report.creation_cost += result.creation_cost
-            self._mirror_created(result.created)
+        self._note_analysis(
+            mnsa_for_workload(self._backend, queries, config=self.mnsa_config)
+        )
         shrink = shrinking_set(self._backend, queries)
         for key in shrink.removed:
             self.report.dropped.append(key)

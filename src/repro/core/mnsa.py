@@ -11,15 +11,18 @@ expensive operator of the default plan, and the loop repeats.
 
 Overhead: three optimizer calls per statistic created (Sec 4.3) — the
 two probe plans and the re-optimize after the build — charged to the
-creation-cost ledger via ``optimizer_call_cost``.  MNSA/D pays all three
-only for a statistic it retains; a drop-listed one costs the re-optimize
-alone (:mod:`repro.core.mnsad`).
+creation-cost ledger via ``optimizer_call_cost``.
+
+:func:`figure1` is the one loop.  MNSA/D (:mod:`repro.core.mnsad`) runs
+it with the Sec 5.1 drop step on; that step pays all three calls only
+for a statistic it retains, a drop-listed one costs the re-optimize
+alone.  :func:`tune_workload` is the one workload driver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.backends.base import Backend
 from repro.core.candidates import CandidateMode, candidate_statistics
@@ -139,10 +142,13 @@ def append_new(keys: List[StatKey], members: set, more) -> None:
 
 @dataclass
 class MnsaResult:
-    """Outcome of one MNSA run.
+    """Outcome of one MNSA or MNSA/D run.
 
     Attributes:
-        created: statistics created, in creation order.
+        created: statistics created, in creation order (including
+            later-dropped ones).
+        retained: created statistics kept visible — all of them for MNSA.
+        dropped: created statistics MNSA/D moved to the drop-list.
         skipped: candidates left unbuilt when the loop terminated.
         iterations: loop iterations executed.
         optimizer_calls: optimize() invocations attributable to this run.
@@ -154,6 +160,8 @@ class MnsaResult:
     """
 
     created: List[StatKey] = field(default_factory=list)
+    retained: List[StatKey] = field(default_factory=list)
+    dropped: List[StatKey] = field(default_factory=list)
     skipped: List[StatKey] = field(default_factory=list)
     iterations: int = 0
     optimizer_calls: int = 0
@@ -166,38 +174,64 @@ class MnsaResult:
 
     def merge(self, other: "MnsaResult") -> None:
         """Fold a per-query result into a workload-level accumulator."""
-        created = members_of(self._members, "created", self.created)
-        skipped = members_of(self._members, "skipped", self.skipped)
+        created, retained, dropped, skipped = (
+            members_of(self._members, name, getattr(self, name))
+            for name in ("created", "retained", "dropped", "skipped")
+        )
         append_new(self.created, created, other.created)
-        self.iterations += other.iterations
-        self.optimizer_calls += other.optimizer_calls
-        self.creation_cost += other.creation_cost
+        append_new(self.retained, retained, other.retained)
+        # a statistic dropped for one query but retained for another stays
+        if not dropped.isdisjoint(retained):
+            self.dropped = [k for k in self.dropped if k not in retained]
+            dropped.difference_update(retained)
+        append_new(
+            self.dropped,
+            dropped,
+            [key for key in other.dropped if key not in retained],
+        )
         append_new(
             self.skipped,
             skipped,
             [key for key in other.skipped if key not in created],
         )
+        self.iterations += other.iterations
+        self.optimizer_calls += other.optimizer_calls
+        self.creation_cost += other.creation_cost
         self.stop_reason = "workload"
 
 
-def mnsa_for_query(
+def figure1(
     backend: Backend,
     query: Query,
     candidates: Optional[Sequence[StatKey]] = None,
     config: MnsaConfig = MnsaConfig(),
     feedback=None,
+    *,
+    drop: bool,
+    _pick=find_next_stat_to_build,
 ) -> MnsaResult:
-    """Run Figure 1's algorithm for one query against ``backend``.
+    """Figure 1's loop for one query against ``backend``; with ``drop``,
+    MNSA/D's Sec 5.1 compare-and-drop step after step 11.
 
     Statistics already present (and visible) are treated as existing set S;
     only missing candidates are considered for creation.  ``feedback``
     (an optional :class:`~repro.feedback.store.FeedbackStore`) lets
     ``FindNextStatToBuild`` break candidate ties toward the
     highest-error observed predicate columns; ``None`` reproduces the
-    paper's candidate-order choice exactly.
+    paper's candidate-order choice exactly.  ``_pick`` replaces
+    ``FindNextStatToBuild`` (the next-stat ablation's shuffled order).
+
+    A drop-listed statistic is invisible to the optimizer, so after a
+    group goes onto the drop-list the visible statistics are exactly
+    those the last ε / 1−ε probe saw, and its answer ("keep going")
+    still holds: the next iteration skips the probe and its two
+    optimizer calls.  The lists, the iterations and the stop reason are
+    those of probing every time (``tests/core/test_mnsad.py`` holds that
+    loop as its oracle).
     """
     result = MnsaResult()
-    criterion = config.cost_criterion()
+    criterion = config.criterion()
+    drop_criterion = config.drop_criterion()
     calls_before = backend.optimizer_calls
     build_cost_before = backend.creation_cost_total
 
@@ -213,27 +247,23 @@ def mnsa_for_query(
             if backend.row_count(key.table) < config.min_table_rows:
                 backend.create_stats(key)
                 result.created.append(key)
+                result.retained.append(key)
                 remaining.remove(key)
 
     plan = backend.optimize_query(query)  # step 2: default magic numbers
-    max_iterations = len(remaining) + 1
-    for _ in range(max_iterations):
+    reprobe = True
+    for _ in range(len(remaining) + 1):
         result.iterations += 1
-        # steps 4-6: missing variables, P_low, P_high
-        missing, low, high = backend.probe(query, config.epsilon)
-        if not missing:
-            result.stop_reason = "no_missing_variables"
-            break
-        if config.equivalence == "execution_tree":
-            insensitive = low.signature == high.signature
-        else:
-            insensitive = criterion.costs_equivalent(low.cost, high.cost)
-        if insensitive:  # step 7
-            result.stop_reason = "insensitive"
-            break
-        group = find_next_stat_to_build(
-            plan.plan, query, remaining, feedback=feedback
-        )  # step 8
+        if reprobe:
+            # steps 4-6: missing variables, P_low, P_high
+            missing, low, high = backend.probe(query, config.epsilon)
+            if not missing:
+                result.stop_reason = "no_missing_variables"
+                break
+            if criterion.equivalent(low, high):  # step 7
+                result.stop_reason = "insensitive"
+                break
+        group = _pick(plan.plan, query, remaining, feedback=feedback)  # step 8
         if not group:
             result.stop_reason = "exhausted"
             break
@@ -241,11 +271,22 @@ def mnsa_for_query(
             backend.create_stats(key)
             result.created.append(key)
             remaining.remove(key)
-        plan = backend.optimize_query(query)  # steps 11-12
+        new_plan = backend.optimize_query(query)  # steps 11-12
+        if drop and drop_criterion.equivalent(new_plan, plan):
+            # Sec 5.1: the new statistics changed nothing, so they are
+            # heuristically non-essential; the last probe's answer stands
+            for key in group:
+                backend.mark_stat_droppable(key)
+                result.dropped.append(key)
+            reprobe = False
+        else:
+            result.retained.extend(group)
+            reprobe = True
+        plan = new_plan
     else:
         result.stop_reason = "iteration_limit"
 
-    result.skipped = list(remaining)
+    result.skipped = remaining
     result.optimizer_calls = backend.optimizer_calls - calls_before
     build_cost = backend.creation_cost_total - build_cost_before
     overhead = result.optimizer_calls * backend.optimizer_call_cost
@@ -253,17 +294,35 @@ def mnsa_for_query(
     return result
 
 
-def mnsa_for_workload(
+def mnsa_for_query(
+    backend: Backend,
+    query: Query,
+    candidates: Optional[Sequence[StatKey]] = None,
+    config: MnsaConfig = MnsaConfig(),
+    feedback=None,
+    _pick=find_next_stat_to_build,
+) -> MnsaResult:
+    """Run Figure 1's algorithm for one query against ``backend``
+    (:func:`figure1` without the drop step)."""
+    return figure1(
+        backend, query, candidates, config, feedback, drop=False, _pick=_pick
+    )
+
+
+def tune_workload(
     backend: Backend,
     queries: Iterable[Query],
-    config: MnsaConfig = MnsaConfig(),
+    config: MnsaConfig,
+    for_query: Callable[[Query], MnsaResult],
 ) -> MnsaResult:
-    """Create a sufficient statistics set for a workload (Sec 4.3):
-    invoke MNSA for each query in turn.
+    """Run ``for_query`` over a workload, query by query, and merge.
 
     With ``config.min_query_cost_fraction > 0``, queries whose estimated
     cost (under current statistics) falls below that fraction of the
-    total are skipped — the Sec 6 off-line workload optimization.
+    total are skipped — the Sec 6 off-line workload optimization.  A
+    statistic dropped while processing one query is *revived* if a later
+    query creates (and retains) it — the paper's motivation for the
+    drop-list over physical deletion.
     """
     queries = list(queries)
     if config.min_query_cost_fraction > 0.0 and queries:
@@ -275,5 +334,24 @@ def mnsa_for_workload(
         ]
     total = MnsaResult()
     for query in queries:
-        total.merge(mnsa_for_query(backend, query, config=config))
+        total.merge(for_query(query))
+    # reconcile the drop-list with the merged view
+    for key in total.retained:
+        if backend.is_stat_droppable(key):
+            backend.revive_stat(key)
     return total
+
+
+def mnsa_for_workload(
+    backend: Backend,
+    queries: Iterable[Query],
+    config: MnsaConfig = MnsaConfig(),
+) -> MnsaResult:
+    """Create a sufficient statistics set for a workload (Sec 4.3):
+    invoke MNSA for each query in turn (:func:`tune_workload`)."""
+    return tune_workload(
+        backend,
+        queries,
+        config,
+        lambda query: mnsa_for_query(backend, query, config=config),
+    )

@@ -120,11 +120,8 @@ def shrinking_set(
         if memoize and cache_key in memo:
             memo_hits += 1
             return memo[cache_key]
-        hidden = [
-            key
-            for key in backend.stat_keys()
-            if key not in set(available)
-        ]
+        kept = set(available)
+        hidden = [key for key in backend.stat_keys() if key not in kept]
         result = backend.optimize(
             OptimizationRequest(queries[i], ignore=hidden)
         )

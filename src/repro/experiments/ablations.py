@@ -28,7 +28,6 @@ from repro.core.equivalence import (
 )
 from repro.core.mnsa import MnsaConfig, mnsa_for_query, mnsa_for_workload
 from repro.core.mnsad import mnsad_for_workload
-from repro.core.next_stat import find_next_stat_to_build
 from repro.core.shrinking import shrinking_set
 from repro.experiments.common import workload_execution_cost
 from repro.optimizer import Optimizer
@@ -82,31 +81,10 @@ class NextStatAblationResult:
     arbitrary_creation_cost: float
 
 
-def _mnsa_arbitrary_order(db, optimizer, query, config, rng):
-    """Figure 1 with FindNextStatToBuild replaced by a shuffled picker."""
-    from repro.core.equivalence import TOptimizerCostEquivalence
-
-    criterion = TOptimizerCostEquivalence(config.t_percent)
-    remaining = [
-        key
-        for key in candidate_statistics(query, config.candidate_mode)
-        if not db.stats.is_visible(key)
-    ]
-    rng.shuffle(remaining)
-    created = []
-    for _ in range(len(remaining) + 1):
-        missing, low, high = optimizer.probe(query, config.epsilon)
-        if not missing:
-            break
-        if criterion.costs_equivalent(low.cost, high.cost):
-            break
-        if not remaining:
-            break
-        key = remaining.pop(0)
-        db.stats.create(key)
-        created.append(key)
-        optimizer.optimize(query)
-    return created
+def _first_remaining(plan, query, remaining, feedback=None):
+    """FindNextStatToBuild replaced by candidate-list order (shuffled by
+    the caller)."""
+    return remaining[:1] or None
 
 
 def run_next_stat_ablation(
@@ -131,13 +109,20 @@ def run_next_stat_ablation(
 
     db_a = database_factory(z)
     queries_a = generate_workload(db_a, workload_name).queries()[:max_queries]
-    opt_a = Optimizer(db_a)
+    backend_a = MemoryBackend(db_a, Optimizer(db_a))
     rng = random.Random(seed)
     arbitrary_created = 0
     for query in queries_a:
-        arbitrary_created += len(
-            _mnsa_arbitrary_order(db_a, opt_a, query, config, rng)
+        order = [
+            key
+            for key in candidate_statistics(query, config.candidate_mode)
+            if not backend_a.is_stat_visible(key)
+        ]
+        rng.shuffle(order)
+        result = mnsa_for_query(
+            backend_a, query, order, config, _pick=_first_remaining
         )
+        arbitrary_created += len(result.created)
     arbitrary_cost = db_a.stats.creation_cost_total
 
     return NextStatAblationResult(

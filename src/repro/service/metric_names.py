@@ -36,6 +36,7 @@ METRICS: Dict[str, str] = {
     "backend.analyses": "advisor analyses run against a foreign (non-memory) backend",
     "backend.mirrored_creates": "foreign-backend created statistics mirrored into database.stats",
     "backend.mirrored_drops": "foreign-backend drop-list decisions mirrored into database.stats",
+    "backend.mirrored_revives": "foreign-backend revivals of drop-listed statistics mirrored into database.stats",
     "capture.depth": "current capture-log queue depth",
     "capture.dropped": "capture events evicted by the ring buffer (CaptureLog.append), as a gauge",
     "capture.events": "query/DML events recorded in the capture log",

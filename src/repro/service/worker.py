@@ -14,12 +14,13 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import ExitStack
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.backends.base import Backend
 from repro.backends.memory import MemoryBackend
 from repro.concurrency import guarded_by
-from repro.core.mnsa import MnsaConfig, mnsa_for_query
+from repro.core.advisor import mirror_decisions
+from repro.core.mnsa import MnsaConfig, MnsaResult, mnsa_for_query
 from repro.core.mnsad import mnsad_for_query
 from repro.optimizer.cache import PlanCache
 from repro.optimizer.optimizer import Optimizer
@@ -76,8 +77,9 @@ class AdvisorWorker(threading.Thread):
             ``database`` and this worker's optimizer — the historic
             behaviour.  A foreign engine (e.g. ``SqliteBackend``) is
             typically *shared* across workers (analyses are serialized
-            by the statement locks anyway) and its creation/drop-list
-            decisions are mirrored into ``database.stats`` so the
+            by the statement locks anyway) and its creation, revival and
+            drop-list decisions are mirrored into ``database.stats``
+            (:func:`~repro.core.advisor.mirror_decisions`) so the
             refresh/drop policies and foreground sessions see them
             (``backend.*`` metrics count the mirroring).
         ledger: the :class:`~repro.service.ledger.VerdictLedger` shared
@@ -185,10 +187,10 @@ class AdvisorWorker(threading.Thread):
             with ExitStack() as stack:
                 for sid in self._router.shard_ids_for(event.tables):
                     stack.enter_context(self._statement_locks[sid])
-                result, drop_listed = self._analyze(event)
+                result = self._analyze(event)
         else:
             with self._db_lock:
-                result, drop_listed = self._analyze(event)
+                result = self._analyze(event)
         self._metrics.inc("advisor.seconds", time.perf_counter() - started)
         if result is None:
             self._metrics.inc("advisor.settled")
@@ -198,17 +200,17 @@ class AdvisorWorker(threading.Thread):
         self._metrics.inc("advisor.creation_cost", result.creation_cost)
         if result.created:
             self._metrics.inc("advisor.stats_created", len(result.created))
-        if drop_listed:
+        if result.dropped:
             self._metrics.inc(
-                "advisor.stats_drop_listed", len(drop_listed)
+                "advisor.stats_drop_listed", len(result.dropped)
             )
         if result.created and self._on_created is not None:
             self._on_created(list(result.created))
 
-    def _analyze(self, event: QueryEvent) -> Tuple[object, List[StatKey]]:
+    def _analyze(self, event: QueryEvent) -> Optional[MnsaResult]:
         """Run re-tune + MNSA/MNSA-D for one event; caller holds locks.
 
-        Returns ``(None, [])`` when the ledger already holds the event's
+        Returns ``None`` when the ledger already holds the event's
         verdict.
         """
         if event.retune and self._feedback_policy is not None:
@@ -218,66 +220,37 @@ class AdvisorWorker(threading.Thread):
         )
         key = verdict_key(self._db, event.query, learned)
         if not event.retune and self._ledger.settled(key) is not None:
-            return None, []
-        if self._policy == "mnsa":
-            result = mnsa_for_query(
-                self._backend,
-                event.query,
-                config=self._config,
-                feedback=self._feedback,
-            )
-            drop_listed: List[StatKey] = []
-            retained = result.created
-        else:
-            result = mnsad_for_query(
-                self._backend,
-                event.query,
-                config=self._config,
-                feedback=self._feedback,
-            )
-            drop_listed = result.dropped
-            retained = result.retained
-        if not retained:
+            return None
+        analyze = mnsa_for_query if self._policy == "mnsa" else mnsad_for_query
+        result = analyze(
+            self._backend,
+            event.query,
+            config=self._config,
+            feedback=self._feedback,
+        )
+        if not result.retained:
             # the visible set is back where the analysis found it
             self._ledger.record(
                 key,
                 Verdict(
                     result.stop_reason,
                     tuple(result.created),
-                    tuple(drop_listed),
+                    tuple(result.dropped),
                 ),
             )
-        self._mirror_decisions(result.created, drop_listed)
-        return result, drop_listed
+        if self._mirror:
+            self._mirror_decisions(result)
+        return result
 
-    def _mirror_decisions(
-        self, created: List[StatKey], drop_listed: List[StatKey]
-    ) -> None:
-        """Reflect a foreign backend's decisions into ``database.stats``.
-
-        The counter-driven refresh/drop policies and the foreground
-        optimizer read the in-memory statistics manager; when analyses
-        run on another engine, its created statistics are built there
-        too and its drop-listed ones marked droppable.  Runs under the
-        analysis locks (called from :meth:`_analyze`).
-        """
-        if not self._mirror:
-            return
+    def _mirror_decisions(self, result: MnsaResult) -> None:
+        """Mirror a foreign backend's decisions into ``database.stats``
+        and count them; runs under the analysis locks."""
         self._metrics.inc("backend.analyses")
-        mirrored = 0
-        for key in created:
-            if not self._db.stats.has(key):
-                self._db.stats.create(key)
-                mirrored += 1
-        if mirrored:
-            self._metrics.inc("backend.mirrored_creates", mirrored)
-        dropped = 0
-        for key in drop_listed:
-            if self._db.stats.has(key) and not self._db.stats.is_droppable(
-                key
-            ):
-                self._db.stats.mark_droppable(key)
-                dropped += 1
+        created, revived, dropped = mirror_decisions(self._db.stats, result)
+        if created:
+            self._metrics.inc("backend.mirrored_creates", created)
+        if revived:
+            self._metrics.inc("backend.mirrored_revives", revived)
         if dropped:
             self._metrics.inc("backend.mirrored_drops", dropped)
 

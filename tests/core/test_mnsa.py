@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.backends.memory import MemoryBackend
 from repro.catalog import ColumnRef
 from repro.core.mnsa import MnsaConfig, MnsaResult, mnsa_for_query, mnsa_for_workload
-from repro.core.mnsad import MnsadResult
 from repro.core.candidates import candidate_statistics
 from repro.optimizer import Optimizer
 from repro.sql.builder import QueryBuilder
@@ -280,11 +279,11 @@ class TestMergeOrder:
     )
     @settings(max_examples=200, deadline=None)
     def test_mnsad_merge_equals_list_scan(self, parts):
-        merged, scanned = MnsadResult(), MnsadResult()
+        merged, scanned = MnsaResult(), MnsaResult()
         for created, retained, dropped in parts:
             lists = dict(created=created, retained=retained, dropped=dropped)
-            merged.merge(MnsadResult(**lists))
-            _scan_merge_mnsad(scanned, MnsadResult(**lists))
+            merged.merge(MnsaResult(**lists))
+            _scan_merge_mnsad(scanned, MnsaResult(**lists))
             assert merged.created == scanned.created
             assert merged.retained == scanned.retained
             assert merged.dropped == scanned.dropped

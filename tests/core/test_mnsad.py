@@ -1,5 +1,6 @@
 """Tests for repro.core.mnsad (Sec 5.1)."""
 
+import functools
 import importlib.util
 import sys
 from pathlib import Path
@@ -8,10 +9,10 @@ import pytest
 
 from repro.backends.memory import MemoryBackend
 from repro.catalog import ColumnRef
-from repro.core import mnsad
+from repro.core import mnsa
 from repro.core.candidates import candidate_statistics
-from repro.core.mnsa import MnsaConfig, mnsa_for_workload
-from repro.core.mnsad import MnsadResult, mnsad_for_query, mnsad_for_workload
+from repro.core.mnsa import MnsaConfig, MnsaResult, mnsa_for_workload
+from repro.core.mnsad import mnsad_for_query, mnsad_for_workload
 from repro.core.next_stat import find_next_stat_to_build
 from repro.datagen import make_tpcd_database
 from repro.optimizer import Optimizer
@@ -159,6 +160,74 @@ class TestMnsadForWorkload:
 
 
 # ----------------------------------------------------------------------
+# MNSA/D honours every MnsaConfig knob MNSA does
+# ----------------------------------------------------------------------
+
+
+def _u25_c_30():
+    database = make_tpcd_database(scale=0.002, z=2.0, seed=42)
+    return database, generate_workload(database, "U25-C-30", seed=7).queries()
+
+
+class ProbeRecorder:
+    """Delegates to ``backend`` and keeps the last probe's answer."""
+
+    def __init__(self, backend):
+        self._backend = backend
+        self.last = None
+
+    def __getattr__(self, name):
+        return getattr(self._backend, name)
+
+    def probe(self, query, epsilon):
+        self.last = self._backend.probe(query, epsilon)
+        return self.last
+
+
+class TestConfigHonoured:
+    def test_execution_tree_equivalence(self):
+        """Under execution-tree equivalence t plays no part: with t so
+        large that every P_low / P_high pair is cost-equivalent, MNSA/D
+        still builds until the two are one execution tree."""
+        database, queries = _u25_c_30()
+        recorder = ProbeRecorder(MemoryBackend(database))
+        config = MnsaConfig(equivalence="execution_tree", t_percent=1e9)
+        created = 0
+        for query in queries:
+            result = mnsad_for_query(recorder, query, config=config)
+            created += len(result.created)
+            if result.stop_reason == "insensitive":
+                _missing, low, high = recorder.last
+                assert low.signature == high.signature
+        assert created > 0
+
+    @pytest.mark.parametrize(
+        "tune", [mnsa_for_workload, mnsad_for_workload], ids=["mnsa", "mnsad"]
+    )
+    def test_min_query_cost_fraction(self, tune):
+        """Sec 6's filter: tuning with ``min_query_cost_fraction=0.2``
+        decides what tuning only the queries carrying at least a fifth
+        of the estimated workload cost does."""
+        database, queries = _u25_c_30()
+        filtered = tune(
+            MemoryBackend(database),
+            queries,
+            config=MnsaConfig(min_query_cost_fraction=0.2),
+        )
+        database, queries = _u25_c_30()
+        backend = MemoryBackend(database)
+        costs = [backend.optimize_query(query).cost for query in queries]
+        kept = [
+            query
+            for query, cost in zip(queries, costs)
+            if cost >= 0.2 * sum(costs)
+        ]
+        assert 0 < len(kept) < len(queries)
+        explicit = tune(backend, kept)
+        assert filtered == explicit
+
+
+# ----------------------------------------------------------------------
 # the probe reused after a drop-listed group
 # ----------------------------------------------------------------------
 
@@ -172,7 +241,7 @@ def _always_probe_mnsad_for_query(
 ):
     """The oracle: ``mnsad_for_query`` as it was when every iteration
     probed, kept verbatim."""
-    result = MnsadResult()
+    result = MnsaResult()
     criterion = config.cost_criterion()
     drop_criterion = config.drop_criterion()
     calls_before = backend.optimizer_calls
@@ -340,11 +409,12 @@ class TestReusedProbe:
         self, tmp_path, monkeypatch
     ):
         """Delete-the-guard: with the probe also skipped after a
-        retained group, the oracle comparison fails."""
-        source = Path(mnsad.__file__).read_text()
+        retained group, the oracle comparison fails.  The guard lives in
+        the one Figure 1 loop, :func:`repro.core.mnsa.figure1`."""
+        source = Path(mnsa.__file__).read_text()
         guard = "result.retained.extend(group)\n            reprobe = True"
-        assert guard in source, "guard vanished from mnsad.py"
-        mutated = tmp_path / "mnsad_without_guard.py"
+        assert guard in source, "guard vanished from mnsa.py"
+        mutated = tmp_path / "mnsa_without_guard.py"
         mutated.write_text(
             source.replace(
                 guard,
@@ -353,7 +423,7 @@ class TestReusedProbe:
             )
         )
         spec = importlib.util.spec_from_file_location(
-            "mnsad_without_guard", str(mutated)
+            "mnsa_without_guard", str(mutated)
         )
         module = importlib.util.module_from_spec(spec)
         # its dataclass resolves annotations through sys.modules
@@ -361,5 +431,7 @@ class TestReusedProbe:
         spec.loader.exec_module(module)
         with pytest.raises(AssertionError):
             assert_reused_probes_exact(
-                MemoryBackend, "U25-C-30", run=module.mnsad_for_query
+                MemoryBackend,
+                "U25-C-30",
+                run=functools.partial(module.figure1, drop=True),
             )

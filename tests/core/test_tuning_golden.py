@@ -8,6 +8,10 @@ lists as strings, ``iterations``, ``optimizer_calls``, ``stop_reason``,
 ``creation_cost.hex()``, the statistics epoch after the pass, and — after
 ``purge_drop_list()`` — ``update_cost_of_keys(visible_keys()).hex()``
 (a float sum, so the order of ``visible_keys()`` is part of the pin).
+The ``mnsa <workload>`` entries pin ``mnsa_for_workload`` the same way:
+``created`` / ``skipped``, the counts, the stop reason, the creation
+cost and the epoch.  They were generated before MNSA and MNSA/D were
+folded into one loop, which left every one of them in place.
 
 The file was generated on the commit where MNSA/D stopped re-probing
 after a drop-listed group: only ``optimizer_calls`` and ``creation_cost``
@@ -33,7 +37,7 @@ import pytest
 
 from repro.backends.memory import MemoryBackend
 from repro.core.mnsa import MnsaConfig, mnsa_for_workload
-from repro.core.mnsad import MnsadResult, mnsad_for_workload
+from repro.core.mnsad import mnsad_for_workload
 from repro.datagen import make_tpcd_database
 from repro.optimizer import Optimizer, PlanCache
 from repro.workload import generate_workload
@@ -42,6 +46,12 @@ GOLDEN = Path(__file__).with_name("golden_tuning.json")
 
 #: workload -> TPC-D scale factor
 WORKLOADS = {"U25-S-100": 0.01, "U25-C-30": 0.002}
+
+#: golden entry -> (workload, tuner); MNSA/D's entries are the bare names
+ENTRIES = {
+    **{name: (name, mnsad_for_workload) for name in WORKLOADS},
+    **{f"mnsa {name}": (name, mnsa_for_workload) for name in WORKLOADS},
+}
 
 
 def _backend(database, cached: bool) -> MemoryBackend:
@@ -55,22 +65,24 @@ def _workload(name: str):
     return database, generate_workload(database, name, seed=7).queries()
 
 
-def tuning_outcome(name: str, cached: bool = False) -> dict:
+def tuning_outcome(entry: str, cached: bool = False) -> dict:
+    name, tune = ENTRIES[entry]
     database, queries = _workload(name)
-    result = mnsad_for_workload(
-        _backend(database, cached), queries, config=MnsaConfig()
-    )
+    result = tune(_backend(database, cached), queries, config=MnsaConfig())
     stats = database.stats
     outcome = {
         "created": [str(key) for key in result.created],
-        "retained": [str(key) for key in result.retained],
-        "dropped": [str(key) for key in result.dropped],
         "iterations": result.iterations,
         "optimizer_calls": result.optimizer_calls,
         "stop_reason": result.stop_reason,
         "creation_cost": result.creation_cost.hex(),
         "epoch": stats.epoch,
     }
+    if tune is mnsa_for_workload:
+        outcome["skipped"] = [str(key) for key in result.skipped]
+        return outcome
+    outcome["retained"] = [str(key) for key in result.retained]
+    outcome["dropped"] = [str(key) for key in result.dropped]
     stats.purge_drop_list()
     outcome["retained_update_cost"] = stats.update_cost_of_keys(
         stats.visible_keys()
@@ -83,7 +95,7 @@ def diff_against_golden() -> int:
     read.  Returns the process exit code."""
     golden = json.loads(GOLDEN.read_text())
     moved = 0
-    for name in WORKLOADS:
+    for name in ENTRIES:
         actual, expected = tuning_outcome(name), golden.get(name, {})
         for field in sorted(set(actual) | set(expected)):
             if actual.get(field) != expected.get(field):
@@ -91,18 +103,22 @@ def diff_against_golden() -> int:
                 print(f"{name}.{field}:")
                 print(f"  golden {expected.get(field)!r}")
                 print(f"  now    {actual.get(field)!r}")
-    for name in sorted(set(golden) - set(WORKLOADS)):
+    for name in sorted(set(golden) - set(ENTRIES)):
         moved += 1
         print(f"gone    {name}")
     if not moved:
-        print(f"{len(WORKLOADS)} workloads match {GOLDEN.name}")
+        print(f"{len(ENTRIES)} entries match {GOLDEN.name}")
     return 1 if moved else 0
 
 
 @pytest.mark.parametrize(
     "name, cached",
     [pytest.param(name, False, id=name) for name in sorted(WORKLOADS)]
-    + [pytest.param(name, True, id=f"{name}-cached") for name in sorted(WORKLOADS)],
+    + [pytest.param(name, True, id=f"{name}-cached") for name in sorted(WORKLOADS)]
+    + [
+        pytest.param(f"mnsa {name}", False, id=f"mnsa-{name}")
+        for name in sorted(WORKLOADS)
+    ],
 )
 def test_tuning_outcome_matches_golden(name, cached):
     assert tuning_outcome(name, cached) == json.loads(GOLDEN.read_text())[name]
@@ -110,11 +126,11 @@ def test_tuning_outcome_matches_golden(name, cached):
 
 def _snapshot(result) -> tuple:
     """The fields a cached pass must reproduce."""
-    if isinstance(result, MnsadResult):
-        decided = (result.created, result.retained, result.dropped)
-    else:
-        decided = (result.created, result.skipped)
-    return decided + (
+    return (
+        result.created,
+        result.retained,
+        result.dropped,
+        result.skipped,
         result.iterations,
         result.optimizer_calls,
         result.stop_reason,
@@ -143,7 +159,7 @@ def test_diff_mode_names_moved_fields_and_leaves_the_file(
     outcome = {"iterations": 3, "stop_reason": "workload"}
     golden = tmp_path / "golden.json"
     monkeypatch.setattr(module, "GOLDEN", golden)
-    monkeypatch.setattr(module, "WORKLOADS", {"W": 0.0})
+    monkeypatch.setattr(module, "ENTRIES", {"W": ("W", None)})
     monkeypatch.setattr(module, "tuning_outcome", lambda name: dict(outcome))
     golden.write_text(json.dumps({"W": {**outcome, "iterations": 4}}))
     before = golden.read_text()
@@ -162,7 +178,7 @@ if __name__ == "__main__":
         sys.exit(f"usage: {sys.argv[0]} [--diff]")
     GOLDEN.write_text(
         json.dumps(
-            {name: tuning_outcome(name) for name in WORKLOADS},
+            {name: tuning_outcome(name) for name in ENTRIES},
             indent=1,
             sort_keys=True,
         )

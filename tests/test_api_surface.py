@@ -35,7 +35,6 @@ EXPECTED = [
     "MetricsRegistry",
     "MnsaConfig",
     "MnsaResult",
-    "MnsadResult",
     "MultiplicativeCorrection",
     "OperatorObservation",
     "OptimizationRequest",

@@ -213,6 +213,44 @@ class TestBackendSelection:
         assert code == 0
         assert "created" in out
 
+    def test_tune_sqlite_backend_mnsad_with_dml(
+        self, tpcd_dir, tmp_path, capsys
+    ):
+        """MNSA/D over SQLite on a workload with DML: the drop-list
+        SQLite decided is mirrored into the statistics the CLI reports."""
+        out_file = str(tmp_path / "w.sql")
+        main(
+            [
+                "workload",
+                "--db",
+                tpcd_dir,
+                "--name",
+                "U25-S-20",
+                "--seed",
+                "7",
+                "--out",
+                out_file,
+            ]
+        )
+        capsys.readouterr()
+        code = main(
+            [
+                "tune",
+                "--db",
+                tpcd_dir,
+                "--workload",
+                out_file,
+                "--mode",
+                "mnsad",
+                "--backend",
+                "sqlite",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "mnsad: processed 20 statements" in out
+        assert "  drop-list: " in out
+
     def test_unknown_backend_exits_2(self, tpcd_dir, tmp_path, capsys):
         out_file = str(tmp_path / "w.sql")
         main(
