@@ -120,7 +120,9 @@ def _run_arm(factory, arm: str):
                 execution_cost += result.actual_cost
                 worst = worst_plan_q_error(result.operator_observations)
                 if policy.should_retune(
-                    worst, optimized.signature, db.stats.epoch
+                    worst,
+                    optimized.signature,
+                    db.stats.versions_for(statement.tables),
                 ):
                     retunes += 1
             else:

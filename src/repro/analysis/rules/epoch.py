@@ -1,9 +1,11 @@
 """R006: every mutating path through epoch-versioned state must bump
 ``_epoch``.
 
-The plan cache (PR 3) is keyed by :class:`StatisticsManager`'s monotone
-``_epoch``; a mutation path that forgets to bump it lets a stale cached
-plan silently survive its statistics.  This rule makes the convention
+A statistics shard bumps ``_epoch`` in the helper that also moves the
+per-table versions the plan cache is keyed by, and the correction store
+bumps its model version ``_epoch`` directly; a mutation path that skips
+the bump lets a stale cached plan silently survive its statistics.  This
+rule makes the convention
 structural: in any class that declares ``_epoch = guarded_by(...)``,
 every method that mutates another ``guarded_by``-annotated attribute —
 directly, or transitively through a ``self.method()`` whose effect

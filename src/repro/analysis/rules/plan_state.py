@@ -1,7 +1,7 @@
 """R009: plan-relevant mutable state must be versioned into the cache key.
 
 The plan cache (PR 3) is only sound if every input that can change a
-plan is part of the cache key: the statistics epoch covers catalog
+plan is part of the cache key: the query's table versions cover catalog
 state, and PR 6 added a *learned* component so corrected and
 uncorrected plans never alias.  This rule makes that discipline
 machine-checked for the next PR 6-style subsystem.

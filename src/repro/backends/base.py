@@ -13,7 +13,8 @@ consumes a database engine through a deliberately narrow interface:
   variables plus the ε and 1−ε plans;
 * statistics lifecycle with the paper's scope semantics: create / drop,
   the Sec 5 drop-list (hidden but not deleted), and visibility;
-* table cardinalities and a DML / epoch notification hook.
+* table cardinalities.  ``execute`` applies DML itself, so an engine
+  keeps its own cardinalities and statistics inputs in step.
 
 :class:`Backend` names that surface so the algorithms can run unchanged
 against any engine that implements it.  Two implementations ship:
@@ -72,7 +73,6 @@ class Backend(abc.ABC):
                 "checksum",
                 "create_stats",
                 "drop_stats",
-                "note_data_change",
             ),
         },
         final="ready",
@@ -93,8 +93,6 @@ class Backend(abc.ABC):
             "stat_drop_list",
             "row_count",
             "table_names",
-            "note_data_change",
-            "stats_epoch",
         ),
     )
 
@@ -223,7 +221,7 @@ class Backend(abc.ABC):
         """Cumulative work units spent building statistics."""
 
     # ------------------------------------------------------------------
-    # tables, DML notification, epoch
+    # tables
     # ------------------------------------------------------------------
 
     @abc.abstractmethod
@@ -233,14 +231,6 @@ class Backend(abc.ABC):
     @abc.abstractmethod
     def table_names(self) -> List[str]:
         """Tables of the adapted database."""
-
-    @abc.abstractmethod
-    def note_data_change(self, table: Optional[str] = None) -> None:
-        """DML hook: table contents changed under existing statistics."""
-
-    @abc.abstractmethod
-    def stats_epoch(self) -> int:
-        """Monotone counter of statistics-affecting change."""
 
 
 def backend_from_name(

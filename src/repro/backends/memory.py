@@ -138,7 +138,7 @@ class MemoryBackend(Backend):
             )
             return self._executor.execute(result.plan, statement)
         # DML: Database.insert/delete/update bump the modification
-        # counters and the stats epoch themselves.
+        # counters and the data versions themselves.
         return DmlExecution(apply_dml(self._db, statement))
 
     def create_stats(self, key: StatKey) -> None:
@@ -180,9 +180,3 @@ class MemoryBackend(Backend):
 
     def table_names(self) -> List[str]:
         return list(self._db.table_names())
-
-    def note_data_change(self, table: Optional[str] = None) -> None:
-        self._db.stats.note_data_change(table)
-
-    def stats_epoch(self) -> int:
-        return self._db.stats.epoch

@@ -371,7 +371,6 @@ class SqliteBackend(Backend):
         visibility="_effective_visible",
     )
     _creation_cost = guarded_by("_db_lock")
-    _epoch = guarded_by("_db_lock")
     _row_counts = guarded_by("_db_lock")
     _string_probes = guarded_by("_db_lock")
     _index_serial = guarded_by("_db_lock")
@@ -395,7 +394,6 @@ class SqliteBackend(Backend):
         self._stats: Dict[StatKey, _Stat1Stat] = {}
         self._calls = 0
         self._creation_cost = 0.0
-        self._epoch = 0
         self._row_counts: Dict[str, int] = {}
         self._string_probes: Dict[Tuple[str, str, str], bool] = {}
         self._index_serial = 0
@@ -514,7 +512,7 @@ class SqliteBackend(Backend):
             cursor = self._conn.execute(sql)
             affected = cursor.rowcount
             self._conn.commit()
-            self.note_data_change(statement.table)
+            self._refresh_row_count(statement.table)
             return DmlExecution(max(0, affected))
 
     # ------------------------------------------------------------------
@@ -529,7 +527,6 @@ class SqliteBackend(Backend):
                 if existing.droppable:
                     # creating a drop-listed statistic revives it (Sec 5)
                     existing.droppable = False
-                    self._epoch += 1
                     return
                 raise StatisticsError(f"statistic {key} already exists")
             self._index_serial += 1
@@ -560,7 +557,6 @@ class SqliteBackend(Backend):
             )
             self._creation_cost += build_cost
             self._conn.commit()
-            self._epoch += 1
 
     def drop_stats(self, key: StatKey) -> None:
         key = as_stat_key(key)
@@ -572,7 +568,6 @@ class SqliteBackend(Backend):
             if stat.materialized:
                 self._conn.execute(f"DROP INDEX {stat.index_name}")
                 self._conn.commit()
-            self._epoch += 1
 
     def has_stats(self, key: StatKey) -> bool:
         key = as_stat_key(key)
@@ -602,7 +597,6 @@ class SqliteBackend(Backend):
             if stat is None:
                 raise StatisticsError(f"statistic {key} does not exist")
             stat.droppable = True
-            self._epoch += 1
 
     def revive_stat(self, key: StatKey) -> None:
         key = as_stat_key(key)
@@ -611,7 +605,6 @@ class SqliteBackend(Backend):
             if stat is None:
                 raise StatisticsError(f"statistic {key} does not exist")
             stat.droppable = False
-            self._epoch += 1
 
     def is_stat_droppable(self, key: StatKey) -> bool:
         key = as_stat_key(key)
@@ -631,7 +624,7 @@ class SqliteBackend(Backend):
             return self._creation_cost
 
     # ------------------------------------------------------------------
-    # Backend protocol: tables / epoch
+    # Backend protocol: tables
     # ------------------------------------------------------------------
 
     def row_count(self, table: str) -> int:
@@ -641,30 +634,25 @@ class SqliteBackend(Backend):
     def table_names(self) -> List[str]:
         return list(self._schema.table_names())
 
-    def note_data_change(self, table: Optional[str] = None) -> None:
+    def _refresh_row_count(self, table: str) -> None:
+        """After DML on ``table``: re-read its cardinality into our cache
+        and its ``sqlite_stat1`` row, and forget its string probes."""
         with self._db_lock:
-            tables = [table] if table is not None else self.table_names()
+            self._row_counts.pop(table, None)
+            count = self._cached_row_count(table)
             cursor = self._conn.cursor()
-            for name in tables:
-                self._row_counts.pop(name, None)
-                count = self._cached_row_count(name)
-                cursor.execute(
-                    "UPDATE sqlite_stat1 SET stat = ? "
-                    "WHERE tbl = ? AND idx IS NULL",
-                    (str(count), name),
-                )
+            cursor.execute(
+                "UPDATE sqlite_stat1 SET stat = ? "
+                "WHERE tbl = ? AND idx IS NULL",
+                (str(count), table),
+            )
             cursor.execute("ANALYZE sqlite_master")
             self._conn.commit()
             self._string_probes = {
                 probe: hit
                 for probe, hit in self._string_probes.items()
-                if probe[0] not in set(tables)
+                if probe[0] != table
             }
-            self._epoch += 1
-
-    def stats_epoch(self) -> int:
-        with self._db_lock:
-            return self._epoch
 
     # ------------------------------------------------------------------
     # internals: statistics visibility and materialization

@@ -16,8 +16,8 @@ on it:
   before re-running the analysis.
 
 All decisions are pure functions of the store's aggregates plus the
-statistics epoch, so they are deterministic under a fixed workload —
-what the feedback benchmarks rely on.
+versions of the query's tables, so they are deterministic under a fixed
+workload — what the feedback benchmarks rely on.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ class FeedbackPolicy:
         self.refresh_threshold = refresh_threshold
         self.retune_threshold = retune_threshold
         self._retune_lock = threading.Lock()
-        #: plan signature -> statistics epoch at the last granted re-tune
-        self._retuned: Dict[tuple, int] = {}
+        #: plan signature -> its tables' versions at the last granted re-tune
+        self._retuned: Dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     # refresh scheduling (StalenessMonitor)
@@ -127,23 +127,25 @@ class FeedbackPolicy:
     # ------------------------------------------------------------------
 
     def should_retune(
-        self, worst_q_error: float, plan_signature: tuple, stats_epoch: int
+        self, worst_q_error: float, plan_signature: tuple, versions
     ) -> bool:
         """Whether a plan's worst observed q-error warrants a re-tune.
 
-        At most one re-tune is granted per (plan signature, statistics
-        epoch): once granted, the same plan will not be re-queued until
-        some statistics mutation (the re-tune's own rebuilds included)
-        has bumped the epoch — without this, every execution of a
-        misestimated query would queue another identical re-tune before
-        the first one ran.
+        At most one re-tune is granted per (plan signature, ``versions``)
+        — the query's
+        :meth:`~repro.stats.manager.StatisticsManager.versions_for`: once
+        granted, the same plan will not be re-queued until a statistics
+        mutation (the re-tune's own rebuilds included) or DML on one of
+        the query's own tables has moved them — without this, every
+        execution of a misestimated query would queue another identical
+        re-tune before the first one ran.
         """
         if worst_q_error < self.retune_threshold:
             return False
         with self._retune_lock:
-            if self._retuned.get(plan_signature) == stats_epoch:
+            if self._retuned.get(plan_signature) == versions:
                 return False
-            self._retuned[plan_signature] = stats_epoch
+            self._retuned[plan_signature] = versions
             return True
 
     def rebuild_targets(

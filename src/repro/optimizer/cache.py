@@ -16,23 +16,22 @@ matter how the caller spelled them.
 :class:`PlanCache` memoizes ``request -> OptimizationResult`` with two
 invalidation layers:
 
-* **epoch fast path** — the statistics manager's monotonically
-  increasing epoch is bumped by every statistics mutation (create /
-  drop / drop-list / refresh / incremental insert / ignore-buffer
-  change) and by DML.  An entry stored at the current epoch is returned
-  without further checks.  With a sharded manager the optimizer keys
-  entries by
-  :meth:`~repro.stats.manager.StatisticsManager.epoch_for_tables` —
-  the epoch sum of only the shards the query touches — so churn in
-  other shards leaves the fast path intact (every component is monotone
-  non-decreasing, so sum equality implies component equality).
-* **fingerprint revalidation** — on an epoch mismatch the entry is only
+* **version fast path** — the optimizer keys each entry by
+  :meth:`~repro.stats.manager.StatisticsManager.versions_for` of the
+  query's own tables: per table, a statistics version moved by every
+  mutation of its statistics (create / drop / drop-list / refresh /
+  incremental insert / ignore-buffer change) and the data version moved
+  by every load or DML.  An entry stored under the current versions is
+  returned without further checks; a change to any other table leaves
+  them, and so the fast path, intact.
+* **fingerprint revalidation** — on a version mismatch the entry is only
   reused if its :func:`statistics_fingerprint` still matches: per-table
   ``(row_count, rows_modified_since_stats)`` plus
   ``(update_count, row_count)`` of every *visible statistic relevant to
-  the query* outside the request's ignore-set.  A mutation elsewhere in
-  the database therefore costs one cheap fingerprint comparison, not a
-  re-optimization; the matching entry is promoted to the current epoch.
+  the query* outside the request's ignore-set.  A mutation of the
+  query's tables that cannot change its plan therefore costs one cheap
+  fingerprint comparison, not a re-optimization; the matching entry is
+  promoted to the current versions.
 
 Sharing contract: a cache must only ever be shared between optimizers
 with the same database *and* the same :class:`~repro.config.OptimizerConfig`,
@@ -99,7 +98,7 @@ class OptimizationRequest:
             no statistics at all — the service's graceful-degradation
             mode under advisor backlog (Sec 6's always-on framing).  A
             degraded request is statistics-independent, so the optimizer
-            caches it under epoch 0 with an empty fingerprint: degraded
+            caches it under empty versions and fingerprint: degraded
             plans hit the cache forever and never take a statistics
             lock.  Part of the request identity — a degraded plan can
             never alias a full one.
@@ -232,14 +231,14 @@ def statistics_fingerprint(
 
 
 class _Entry:
-    """One cached optimization: the epoch and fingerprint it was
+    """One cached optimization: the versions and fingerprint it was
     computed under, the result, and — once asked for — the query's
     missing selectivity variables under that fingerprint."""
 
-    __slots__ = ("epoch", "fingerprint", "result", "missing")
+    __slots__ = ("versions", "fingerprint", "result", "missing")
 
-    def __init__(self, epoch: int, fingerprint: tuple, result) -> None:
-        self.epoch = epoch
+    def __init__(self, versions: tuple, fingerprint: tuple, result) -> None:
+        self.versions = versions
         self.fingerprint = fingerprint
         self.result = result
         #: ``None`` until :meth:`PlanCache.keep_missing`
@@ -263,7 +262,7 @@ class PlanCache:
     """
 
     # repro-lint: optimize-path
-    # repro-lint: plan-state-exempt=_entries: entries are keyed by the full request (learned version included) and each carries the epoch+fingerprint it was stored under, so mutation can never redirect an existing key to a different plan; an entry's missing-variable slot is reset by every store and is a pure function of that fingerprint, so it cannot redirect one either
+    # repro-lint: plan-state-exempt=_entries: entries are keyed by the full request (learned version included) and each carries the versions+fingerprint it was stored under, so mutation can never redirect an existing key to a different plan; an entry's missing-variable slot is reset by every store and is a pure function of that fingerprint, so it cannot redirect one either
 
     _entries = guarded_by("_lock")
     _hits = guarded_by("_lock")
@@ -290,16 +289,16 @@ class PlanCache:
 
     # ----- lookup ------------------------------------------------------
 
-    def get_fresh(self, request: OptimizationRequest, epoch: int):
-        """Epoch fast path: the entry's result iff it was stored (or last
-        revalidated) at exactly ``epoch``; ``None`` otherwise.
+    def get_fresh(self, request: OptimizationRequest, versions: tuple):
+        """Version fast path: the entry's result iff it was stored (or
+        last revalidated) under exactly ``versions``; ``None`` otherwise.
 
         A miss here is *not* counted — the caller is expected to follow
         up with :meth:`get_validated`, which settles the hit/miss verdict.
         """
         with self._lock:
             entry = self._entries.get(request)
-            if entry is None or entry.epoch != epoch:
+            if entry is None or entry.versions != versions:
                 return None
             self._entries.move_to_end(request)
             self._hits += 1
@@ -307,19 +306,19 @@ class PlanCache:
         return entry.result
 
     def get_validated(
-        self, request: OptimizationRequest, epoch: int, fingerprint: tuple
+        self, request: OptimizationRequest, versions: tuple, fingerprint: tuple
     ):
-        """Fingerprint revalidation after an epoch mismatch.
+        """Fingerprint revalidation after a version mismatch.
 
         If the stored entry's fingerprint equals the freshly computed
         one, the statistics the request depends on are unchanged: the
-        entry is promoted to ``epoch`` and returned.  Otherwise the
+        entry is promoted to ``versions`` and returned.  Otherwise the
         lookup is a miss and the caller must re-optimize.
         """
         with self._lock:
             entry = self._entries.get(request)
             if entry is not None and entry.fingerprint == fingerprint:
-                entry.epoch = epoch
+                entry.versions = versions
                 self._entries.move_to_end(request)
                 self._hits += 1
                 self._revalidations += 1
@@ -337,18 +336,18 @@ class PlanCache:
     def store(
         self,
         request: OptimizationRequest,
-        epoch: int,
+        versions: tuple,
         fingerprint: tuple,
         result,
     ) -> None:
         """Insert (or replace) an entry, evicting LRU entries over
-        capacity.  ``epoch``/``fingerprint`` must be the values read
+        capacity.  ``versions``/``fingerprint`` must be the values read
         *before* the optimization ran: if statistics mutated mid-flight,
-        the stale epoch forces revalidation and the stale fingerprint
+        the stale versions force revalidation and the stale fingerprint
         fails it, so the entry can never serve a wrong plan."""
         evicted = 0
         with self._lock:
-            self._entries[request] = _Entry(epoch, fingerprint, result)
+            self._entries[request] = _Entry(versions, fingerprint, result)
             self._entries.move_to_end(request)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -361,28 +360,28 @@ class PlanCache:
             self._metrics.gauge("plan_cache.size", size)
 
     def missing_for(
-        self, request: OptimizationRequest, epoch: int
+        self, request: OptimizationRequest, versions: tuple
     ) -> Optional[tuple]:
         """The missing selectivity variables kept on ``request``'s entry,
-        iff the entry is current at ``epoch`` and has them."""
+        iff the entry is current at ``versions`` and has them."""
         with self._lock:
             entry = self._entries.get(request)
-            if entry is None or entry.epoch != epoch:
+            if entry is None or entry.versions != versions:
                 return None
             return entry.missing
 
     def keep_missing(
-        self, request: OptimizationRequest, epoch: int, missing: tuple
+        self, request: OptimizationRequest, versions: tuple, missing: tuple
     ) -> None:
-        """Keep ``missing`` — computed while the statistics stood at
-        ``epoch`` — on ``request``'s entry, if it is current at that
-        epoch.  It lives and dies with the entry: a re-:meth:`store`
+        """Keep ``missing`` — computed while the query's tables stood at
+        ``versions`` — on ``request``'s entry, if it is current at those
+        versions.  It lives and dies with the entry: a re-:meth:`store`
         resets it, revalidation keeps it (an equal fingerprint means the
         same visible statistics over the query's relevant columns, which
         is all the missing set reads)."""
         with self._lock:
             entry = self._entries.get(request)
-            if entry is not None and entry.epoch == epoch:
+            if entry is not None and entry.versions == versions:
                 entry.missing = missing
 
     def clear(self) -> None:
@@ -412,7 +411,8 @@ class PlanCache:
 
     @property
     def revalidation_count(self) -> int:
-        """Hits that needed a fingerprint comparison (epoch had moved)."""
+        """Hits that needed a fingerprint comparison (versions had
+        moved)."""
         with self._lock:
             return self._revalidations
 

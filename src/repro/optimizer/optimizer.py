@@ -14,7 +14,7 @@ fall back to magic numbers (step (a) of the Sec 4.1 test).
 ``optimize(query)`` is shorthand for the default request.
 
 An optional :class:`~repro.optimizer.cache.PlanCache` memoizes results
-per request; see that module for the epoch / fingerprint invalidation
+per request; see that module for the version / fingerprint invalidation
 contract.
 
 Join enumeration is System-R dynamic programming, split by what each
@@ -550,29 +550,33 @@ class Optimizer:
     # ------------------------------------------------------------------
 
     def optimize_request(
-        self, request: OptimizationRequest, memo: Optional[dict] = None
+        self,
+        request: OptimizationRequest,
+        memo: Optional[dict] = None,
+        memo_versions: Optional[tuple] = None,
     ) -> OptimizationResult:
         """Choose the cheapest plan for a canonical request.
 
-        With a cache attached, the lookup runs in two tiers: a stats-epoch
-        equality fast path, then fingerprint revalidation (see
-        :mod:`repro.optimizer.cache`).  The epoch is scoped to the shards
-        owning the query's tables
-        (:meth:`~repro.stats.manager.StatisticsManager.epoch_for_tables`),
-        so statistics churn elsewhere never evicts this entry.  Both the
-        epoch and the fingerprint are read *before* planning, so a
+        With a cache attached, the lookup runs in two tiers: a fast path
+        on the versions of the query's own tables
+        (:meth:`~repro.stats.manager.StatisticsManager.versions_for`),
+        then fingerprint revalidation (see :mod:`repro.optimizer.cache`),
+        so a change to any other table never evicts this entry.  Both the
+        versions and the fingerprint are read *before* planning, so a
         concurrent statistics mutation mid-flight leaves at worst a stale
         entry that fails revalidation — never a wrong plan.
 
         Degraded requests are statistics-independent by construction, so
-        they key under epoch 0 with an empty fingerprint: after the first
+        they key under empty versions and fingerprint: after the first
         planning they are permanent cache hits that touch no statistics
         lock at all.
 
         ``memo`` is :meth:`probe`'s: statistics reads shared with the
-        other estimators of that call.  Only the uncached path uses it —
-        a plan stored in the cache must come from statistics read after
-        the epoch it is stored under.
+        other estimators of that call.  Uncached, it is always used.
+        Cached, only when ``memo_versions`` — the query's versions read
+        before the memo's first read — equal the versions the plan is
+        stored under: the versions are monotone, so every read in the
+        memo then saw exactly the statistics of those versions.
         """
         with self._count_lock:
             self._call_count += 1
@@ -580,10 +584,10 @@ class Optimizer:
             return self._execute_request(request, memo)
         request = self._keyed_request(request)
         if request.degraded:
-            epoch = 0
+            versions: tuple = ()
         else:
-            epoch = self._db.stats.epoch_for_tables(request.query.tables)
-        result = self._cache.get_fresh(request, epoch)
+            versions = self._db.stats.versions_for(request.query.tables)
+        result = self._cache.get_fresh(request, versions)
         if result is not None:
             return result
         if request.degraded:
@@ -592,11 +596,13 @@ class Optimizer:
             fingerprint = statistics_fingerprint(
                 self._db, request.query, request.ignore
             )
-        result = self._cache.get_validated(request, epoch, fingerprint)
+        result = self._cache.get_validated(request, versions, fingerprint)
         if result is not None:
             return result
-        result = self._execute_request(request)
-        self._cache.store(request, epoch, fingerprint, result)
+        if memo_versions != versions:
+            memo = None
+        result = self._execute_request(request, memo)
+        self._cache.store(request, versions, fingerprint, result)
         return result
 
     def optimize(self, query: Query) -> OptimizationResult:
@@ -616,8 +622,9 @@ class Optimizer:
         on it, and served with it from then on.  Only for a request with
         an empty ignore-set — the entry's fingerprint leaves ignored
         statistics out, :meth:`magic_variables` does not — and only when
-        the statistics epoch stood still around the computation, so the
-        kept set is the one of the entry's fingerprint.
+        the versions of the query's tables stood still around the
+        computation, so the kept set is the one of the entry's
+        fingerprint.
         """
         result = self.optimize_request(request)
         if request.degraded:
@@ -627,12 +634,12 @@ class Optimizer:
             return result, tuple(self.magic_variables(query))
         request = self._keyed_request(request)
         stats = self._db.stats
-        epoch = stats.epoch_for_tables(query.tables)
-        missing = self._cache.missing_for(request, epoch)
+        versions = stats.versions_for(query.tables)
+        missing = self._cache.missing_for(request, versions)
         if missing is None:
             missing = tuple(self.magic_variables(query))
-            if stats.epoch_for_tables(query.tables) == epoch:
-                self._cache.keep_missing(request, epoch, missing)
+            if stats.versions_for(query.tables) == versions:
+                self._cache.keep_missing(request, versions, missing)
         return result, missing
 
     def magic_variables(self, query: Query) -> List[SelectivityVariable]:
@@ -659,20 +666,27 @@ class Optimizer:
         Counted as the two :meth:`optimize_request` calls it makes.  The
         three estimators see one statistics state, so they share one memo
         of what they read from it; the memo lives in this frame and dies
-        with it.
+        with it.  With a cache it is tagged with the versions of the
+        query's tables read before its first read.
         """
         memo: dict = {}
+        tag = None
+        if self._cache is not None:
+            tag = self._db.stats.versions_for(query.tables)
         missing = SelectivityEstimator(
             self._db, self._config, memo=memo
         ).missing_variables(query)
         if not missing:
             return missing, None, None
         low = self.optimize_request(
-            OptimizationRequest(query, {v: epsilon for v in missing}), memo
+            OptimizationRequest(query, {v: epsilon for v in missing}),
+            memo,
+            tag,
         )
         high = self.optimize_request(
             OptimizationRequest(query, {v: 1.0 - epsilon for v in missing}),
             memo,
+            tag,
         )
         return missing, low, high
 
@@ -688,7 +702,7 @@ class Optimizer:
     ) -> OptimizationRequest:
         """Fold the learned-component version into the cache key.
 
-        The version is read *before* planning, like the stats epoch: a
+        The version is read *before* planning, like the table versions: a
         concurrent correction update mid-flight leaves at worst an entry
         keyed under the old version, which the next lookup skips.
         Requests that already carry an explicit ``learned`` component are

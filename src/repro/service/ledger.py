@@ -14,9 +14,10 @@ pairs and the data version.  Statistics compare by object — through
 superseded histogram alive — and a refresh or rebuild, which installs a
 new ``Statistic``, misses, as does any DML (it bumps
 :attr:`~repro.storage.table_data.TableData.version`) and any statistic
-another analysis retained on one of the tables.  The statistics epoch is
-deliberately not part of the key: a create followed by a drop-list
-returns to the same visible set while the epoch keeps moving.
+another analysis retained on one of the tables.  The tables' statistics
+versions are deliberately not part of the key: a create followed by a
+drop-list returns to the same visible set while the version keeps
+moving.
 
 Only analyses that left the visible set unchanged are recorded: a
 deterministic analysis that went from state K back to K will do so from

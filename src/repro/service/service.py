@@ -604,9 +604,7 @@ class StatsService:
                     executed = self._executor.execute(
                         optimized.plan, query, feedback=self.feedback
                     )
-                stats_epoch = self.database.stats.epoch_for_tables(
-                    query.tables
-                )
+                versions = self.database.stats.versions_for(query.tables)
         if len(shard_ids) == 1:
             self.metrics.inc("service.shard.single")
         else:
@@ -622,7 +620,7 @@ class StatsService:
         ):
             worst = worst_plan_q_error(executed.operator_observations)
             retune = self.feedback_policy.should_retune(
-                worst, optimized.signature, stats_epoch
+                worst, optimized.signature, versions
             )
             if retune:
                 self.metrics.inc("feedback.retunes_requested")

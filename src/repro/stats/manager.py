@@ -13,15 +13,21 @@ One :class:`StatisticsManager` is attached to each database.  It provides:
 * lookups the selectivity estimator uses (leading-column histogram, prefix
   densities), honouring both the ignore set and the drop-list;
 * the SQL Server 7.0 refresh trigger: a per-table row-modification counter
-  compared against a fraction of the table size (Sec 2, Sec 6).
+  compared against a fraction of the table size (Sec 2, Sec 6);
+* one statistics version per table, moved by every mutation that can
+  change the table's visible statistics: :meth:`StatisticsManager.versions_for`
+  pairs it with the table's data version, and the plan cache, the probe
+  memo and the feedback re-tune guard key on those pairs, so a change to
+  one table never invalidates what was computed over other tables (the
+  same shape as Sec 6's per-table row-modification counter).
 
 Thread safety and sharding: the manager partitions its state *by table*
 into :class:`StatsShard` objects behind a
 :class:`~repro.stats.router.ShardRouter`.  Every shard owns its own
-reentrant lock, its own slice of the statistics / drop-list / ignore
-state, and its own monotone epoch, so mutations against one table never
-contend with (or invalidate cached plans of) queries over tables in other
-shards.  Aggregate views (``epoch``, ``keys()``, the cost ledger) sum or
+reentrant lock and its own slice of the statistics / drop-list / ignore
+state and table versions, so mutations against one table never contend
+with queries over tables in other shards.  Aggregate views (``epoch``,
+the count of statistics mutations, ``keys()``, the cost ledger) sum or
 concatenate over shards in ascending shard-id order; single-table
 operations route to exactly one shard.  The default is one shard — the
 pre-sharding behaviour, byte-identical for every experiment — and the
@@ -53,15 +59,16 @@ from repro.stats.statistic import StatKey, Statistic, as_stat_key
 
 class StatsShard:
     """One shard of a :class:`StatisticsManager`: the statistics,
-    drop-list, ignore buffer, epoch, and cost ledger of the tables routed
-    to it.
+    drop-list, ignore buffer, per-table statistics versions, mutation
+    count and cost ledger of the tables routed to it.
 
     All state is guarded by the shard's own reentrant lock; every
-    mutation that can alter an optimization outcome bumps the shard's
-    epoch.  Shards never call into each other — cross-shard composition
-    happens in the manager, and multi-shard readers tolerate per-shard
-    (rather than global) snapshot consistency exactly like the plan
-    cache's fingerprint revalidation does.
+    mutation that can alter an optimization outcome names the tables it
+    changed to :meth:`_discard_views`, which moves their versions.
+    Shards never call into each other — cross-shard composition happens
+    in the manager, and multi-shard readers tolerate per-shard (rather
+    than global) snapshot consistency exactly like the plan cache's
+    fingerprint revalidation does.
     """
 
     _statistics = guarded_by("_lock")
@@ -96,6 +103,7 @@ class StatsShard:
         visibility="is_visible",
     )
     _ignored = guarded_by("_lock")
+    _versions = guarded_by("_lock")
     _epoch = guarded_by("_lock")
     _creation_cost = guarded_by("_lock")
     _update_cost = guarded_by("_lock")
@@ -108,12 +116,14 @@ class StatsShard:
         self._statistics: Dict[StatKey, Statistic] = {}
         self._drop_list: Set[StatKey] = set()
         self._ignored: Set[StatKey] = set()
+        #: table -> its statistics version, see _discard_views()
+        self._versions: Dict[str, int] = {}
         self._epoch = 0
         self._creation_cost = 0.0
         self._update_cost = 0.0
         # table -> its visible view, see _table_view(); and the visible
         # (key, statistic) pairs of the whole shard, see _visible_pairs().
-        # Caches of the guarded state above, not epoch-versioned state of
+        # Caches of the guarded state above, not versioned state of
         # their own, hence no guarded_by (R006 would want lookups to bump).
         self._views: Dict[str, tuple] = {}
         self._listing: Optional[list] = None
@@ -124,19 +134,19 @@ class StatsShard:
         return self._owner.config
 
     # ------------------------------------------------------------------
-    # epoch
+    # versions
     # ------------------------------------------------------------------
 
     @property
     def epoch(self) -> int:
-        """This shard's monotone statistics-change counter."""
+        """How many statistics mutations this shard has made."""
         with self._lock:
             return self._epoch
 
-    def note_data_change(self) -> None:
-        """Record DML against a table routed to this shard."""
+    def version_of(self, table: str) -> int:
+        """``table``'s monotone statistics version."""
         with self._lock:
-            self._epoch += 1
+            return self._versions.get(table, 0)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -148,7 +158,6 @@ class StatsShard:
                 if key in self._drop_list:
                     self._drop_list.discard(key)
                     self._discard_views((key.table,))
-                    self._epoch += 1
                     return self._statistics[key]
                 raise StatisticsError(f"statistic {key} already exists")
             table = self._db.table(key.table)
@@ -160,7 +169,6 @@ class StatsShard:
             self._statistics[key] = statistic
             self._creation_cost += statistic.build_cost
             self._discard_views((key.table,))
-            self._epoch += 1
             return statistic
 
     def drop(self, key: StatKey) -> None:
@@ -171,15 +179,14 @@ class StatsShard:
             self._drop_list.discard(key)
             self._ignored.discard(key)
             self._discard_views((key.table,))
-            self._epoch += 1
 
     def drop_all(self) -> None:
         with self._lock:
+            tables = {key.table for key in self._statistics}
             self._statistics.clear()
             self._drop_list.clear()
             self._ignored.clear()
-            self._discard_views()
-            self._epoch += 1
+            self._discard_views(tables)
 
     def has(self, key: StatKey) -> bool:
         with self._lock:
@@ -234,7 +241,6 @@ class StatsShard:
                 raise StatisticsError(f"no statistic {key}")
             self._drop_list.add(key)
             self._discard_views((key.table,))
-            self._epoch += 1
 
     def revive(self, key: StatKey) -> None:
         with self._lock:
@@ -242,7 +248,6 @@ class StatsShard:
                 raise StatisticsError(f"no statistic {key}")
             self._drop_list.discard(key)
             self._discard_views((key.table,))
-            self._epoch += 1
 
     def drop_list(self) -> List[StatKey]:
         with self._lock:
@@ -259,8 +264,7 @@ class StatsShard:
                 del self._statistics[key]
             self._drop_list.clear()
             self._ignored.difference_update(purged)
-            self._discard_views()
-            self._epoch += 1
+            self._discard_views({key.table for key in purged})
             return purged
 
     # ------------------------------------------------------------------
@@ -273,7 +277,6 @@ class StatsShard:
             hidden = keys - self._ignored
             self._ignored |= hidden
             self._discard_views({key.table for key in hidden})
-            self._epoch += 1
             return hidden
 
     def remove_ignored(self, keys: Set[StatKey]) -> None:
@@ -284,14 +287,12 @@ class StatsShard:
             shown = keys & self._ignored
             self._ignored -= shown
             self._discard_views({key.table for key in shown})
-            self._epoch += 1
 
     def set_ignored(self, keys: Set[StatKey]) -> None:
         with self._lock:
             moved = self._ignored.symmetric_difference(keys)
             self._ignored = set(keys)
             self._discard_views({key.table for key in moved})
-            self._epoch += 1
 
     def ignored(self) -> Set[StatKey]:
         with self._lock:
@@ -365,16 +366,18 @@ class StatsShard:
                 view = self._views[table] = (histograms, pairs)
             return view
 
-    def _discard_views(self, tables: Optional[Iterable[str]] = None) -> None:
-        """Forget the cached views a mutation can have changed: those of
-        ``tables`` (all of them when ``None``) and the shard listing.
-        Call with the lock held, next to the mutation itself."""
-        self._listing = None
-        if tables is None:
-            self._views = {}
-        else:
+    def _discard_views(self, tables: Iterable[str]) -> None:
+        """Count one mutation, move the version of each of ``tables`` and
+        forget the cached views it can have changed: those of ``tables``
+        and the shard listing.  Call next to the mutation itself, under
+        the same lock hold, naming every table whose visible statistics
+        it can have changed."""
+        with self._lock:
+            self._epoch += 1
+            self._listing = None
             for table in tables:
                 self._views.pop(table, None)
+                self._versions[table] = self._versions.get(table, 0) + 1
 
     def histogram_for(self, ref: ColumnRef):
         return self._table_view(ref.table)[0].get(ref.column)
@@ -422,7 +425,6 @@ class StatsShard:
             data.reset_modification_counter()
             self._update_cost += total
             self._discard_views((table_name,))
-            self._epoch += 1
         return total
 
     def apply_incremental_inserts(
@@ -444,7 +446,6 @@ class StatsShard:
                 total += len(values) * per_row
             self._update_cost += total
             self._discard_views((table_name,))
-            self._epoch += 1
         return total
 
     def keys_needing_rebuild(
@@ -476,7 +477,6 @@ class StatsShard:
             )
             self._update_cost += cost
             self._discard_views((key.table,))
-            self._epoch += 1
         return cost
 
     # ------------------------------------------------------------------
@@ -490,6 +490,7 @@ class StatsShard:
                 dict(self._statistics),
                 set(self._drop_list),
                 set(self._ignored),
+                dict(self._versions),
                 self._creation_cost,
                 self._update_cost,
                 self._epoch,
@@ -500,19 +501,17 @@ class StatsShard:
         statistics: Dict[StatKey, Statistic],
         drop_list: Set[StatKey],
         ignored: Set[StatKey],
-        epoch_floor: int,
+        versions: Dict[str, int],
+        mutations: int,
     ) -> None:
-        """Install redistributed state; the epoch starts at
-        ``epoch_floor`` so no pre-reshard epoch sum can alias a
-        post-reshard one (see :meth:`StatisticsManager.reshard`)."""
+        """Install redistributed state into a new shard: the tables keep
+        their versions and the shard starts from ``mutations``."""
         with self._lock:
             self._statistics = dict(statistics)
             self._drop_list = set(drop_list)
             self._ignored = set(ignored)
-            self._epoch = epoch_floor
-            self._discard_views()
-            self._creation_cost = 0.0
-            self._update_cost = 0.0
+            self._versions = dict(versions)
+            self._epoch = mutations
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         with self._lock:
@@ -528,8 +527,8 @@ class StatisticsManager:
 
     The public API is unchanged from the unsharded manager; ``shards=1``
     (the default) reproduces its behaviour exactly.  Multi-shard managers
-    additionally expose :attr:`router`, :meth:`shard_of`,
-    :meth:`epoch_for_tables`, and :meth:`reshard`.
+    additionally expose :attr:`router`, :meth:`shard_of` and
+    :meth:`reshard`.
     """
 
     def __init__(
@@ -571,35 +570,36 @@ class StatisticsManager:
 
         Not safe to run concurrently with other manager use — the service
         calls it during startup, before any worker thread exists.  Every
-        new shard's epoch starts at ``old_total_epoch + 1``: each
-        post-reshard ``epoch_for_tables`` sum then strictly exceeds every
-        pre-reshard sum, so a cached plan stored under the old partition
-        can never alias a fresh one on the epoch fast path (it falls back
-        to fingerprint revalidation, which is partition-independent).
+        table takes its statistics version along, so no
+        :meth:`versions_for` entry moves, and :attr:`epoch` keeps its
+        count.
         """
         if shards == len(self._shards):
             return
         statistics: Dict[StatKey, Statistic] = {}
         drop_list: Set[StatKey] = set()
         ignored: Set[StatKey] = set()
+        versions: Dict[str, int] = {}
         creation = 0.0
         update = 0.0
-        old_total = 0
+        mutations = 0
         for shard in self._shards:
-            stats, drops, ign, c_cost, u_cost, epoch = shard.export_state()
+            stats, drops, ign, vers, c_cost, u_cost, epoch = (
+                shard.export_state()
+            )
             statistics.update(stats)
             drop_list |= drops
             ignored |= ign
+            versions.update(vers)
             creation += c_cost
             update += u_cost
-            old_total += epoch
+            mutations += epoch
         tables = set(self._db.table_names())
         tables.update(key.table for key in statistics)
         router = ShardRouter(shards, tables)
         new_shards = [
             StatsShard(index, self._db, self) for index in range(shards)
         ]
-        floor = old_total + 1
         for index, shard in enumerate(new_shards):
             owned = {
                 key: stat
@@ -610,7 +610,12 @@ class StatisticsManager:
                 owned,
                 {k for k in drop_list if router.shard_of(k.table) == index},
                 {k for k in ignored if router.shard_of(k.table) == index},
-                floor,
+                {
+                    table: version
+                    for table, version in versions.items()
+                    if router.shard_of(table) == index
+                },
+                mutations if index == 0 else 0,
             )
         new_shards[0].set_cost_ledger(creation, update)
         self._router = router
@@ -623,51 +628,37 @@ class StatisticsManager:
         return self._shards[self._router.shard_of(table)]
 
     # ------------------------------------------------------------------
-    # statistics epoch (plan-cache invalidation)
+    # versions (plan-cache invalidation)
     # ------------------------------------------------------------------
 
     @property
     def epoch(self) -> int:
-        """Monotonically increasing counter of statistics-affecting change.
-
-        The sum of all shard epochs — each component is monotone
-        non-decreasing, so equality of the sum implies equality of every
-        component.  Bumped by every mutation that can alter an
-        optimization outcome: creation, physical drop, drop-list
-        membership, refresh / rebuild, incremental maintenance,
-        ignore-buffer changes, and DML against the underlying tables (via
-        :meth:`note_data_change`).  The plan cache
-        (:mod:`repro.optimizer.cache`) uses equality of this value as its
-        freshness fast path.
-        """
+        """How many statistics mutations have been made: creation,
+        physical drop, drop-list membership, refresh / rebuild,
+        incremental maintenance and ignore-buffer changes, one each.
+        DML is not counted.  A measure only; nothing is keyed on it."""
         return sum(shard.epoch for shard in self._shards)
 
-    def epoch_for_tables(self, tables: Iterable[str]) -> int:
-        """Epoch restricted to the shards owning ``tables``.
+    def versions_for(self, tables: Iterable[str]) -> tuple:
+        """``(statistics version, data version)`` of each of ``tables``,
+        in the order given.
 
-        The per-shard analogue of :attr:`epoch`: queries keyed by this
-        value stay cache-fresh across mutations in *other* shards, which
-        is the point of sharding the catalog state.  Same soundness
-        argument as :attr:`epoch` — a sum of monotone components.
+        The statistics version moves with every mutation that can change
+        the table's visible statistics, the data version
+        (:attr:`~repro.storage.table_data.TableData.version`) with every
+        load or DML of the table.  Both are monotone, so an equal tuple
+        means nothing a plan over ``tables`` reads has changed, whatever
+        happened to other tables.
         """
-        ids = self._router.shard_ids_for(tables)
-        return sum(self._shards[i].epoch for i in ids)
-
-    def note_data_change(self, table: Optional[str] = None) -> None:
-        """Record that table contents changed under existing statistics.
-
-        Called by :class:`~repro.storage.Database` DML entry points so
-        cached plans cannot outlive the data they were costed against
-        (row counts and modification counters feed the cost model even
-        when no statistic object is touched).  With a ``table`` the bump
-        is confined to its shard; without one (legacy callers) every
-        shard is bumped.
-        """
-        if table is not None:
-            self._shard_for_table(table).note_data_change()
-            return
-        for shard in self._shards:
-            shard.note_data_change()
+        return tuple(
+            [
+                (
+                    self._shard_for_table(table).version_of(table),
+                    self._db.table(table).version,
+                )
+                for table in tables
+            ]
+        )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -794,7 +785,8 @@ class StatisticsManager:
         This is the paper's ``Ignore_Statistics_Subset(db_id, stat_id_list)``
         server extension: the Shrinking Set algorithm needs ``Plan(Q, S')``
         for S' ⊂ S without physically dropping statistics.  Only the
-        shards owning the keys' tables are touched (and epoch-bumped).
+        shards owning the keys' tables are touched, and only the tables
+        of keys the scope hides move their versions.
         """
         added = {self._as_key(k) for k in keys}
         #: the keys this scope itself hid (not those hidden before it)
@@ -806,7 +798,8 @@ class StatisticsManager:
         finally:
             # By key, through the router current *now*: a reshard inside
             # the scope moved the ignore buffers to other shards.  Every
-            # shard owning one of ``added`` is bumped, hidden here or not.
+            # shard owning one of ``added`` counts a mutation, hidden here
+            # or not; only the tables of keys shown again move versions.
             for shard_id, shard_keys in self._by_shard(added):
                 self._shards[shard_id].remove_ignored(shard_keys & hidden)
 
@@ -890,9 +883,6 @@ class StatisticsManager:
         if density is None or density <= 0:
             return None
         return 1.0 / density
-
-    def has_histogram_for(self, ref: ColumnRef) -> bool:
-        return self.histogram_for(ref) is not None
 
     def joint_for_columns(self, table: str, columns):
         """A joint histogram over exactly the given two columns, if any.

@@ -77,15 +77,6 @@ class ShardRouter:
         """
         return tuple(sorted({self._assign(t) for t in tables}))
 
-    def tables_of(self, shard_id: int) -> Tuple[str, ...]:
-        """Tables currently routed to ``shard_id``, sorted (a copy)."""
-        with self._lock:
-            return tuple(
-                sorted(
-                    t for t, s in self._assignment.items() if s == shard_id
-                )
-            )
-
     def assignment(self) -> Dict[str, int]:
         """The full table -> shard map (a copy)."""
         with self._lock:

@@ -100,8 +100,6 @@ class Database:
         count = self.table(table_name).insert_rows(rows)
         if count and self._index_manager is not None:
             self._index_manager.invalidate(table_name)
-        if count and self._stats_manager is not None:
-            self._stats_manager.note_data_change(table_name)
         return count
 
     def delete(self, table_name: str, mask) -> int:
@@ -109,8 +107,6 @@ class Database:
         count = self.table(table_name).delete_rows(mask)
         if count and self._index_manager is not None:
             self._index_manager.invalidate(table_name)
-        if count and self._stats_manager is not None:
-            self._stats_manager.note_data_change(table_name)
         return count
 
     def update(self, table_name: str, mask, assignments: Mapping) -> int:
@@ -118,8 +114,6 @@ class Database:
         count = self.table(table_name).update_rows(mask, assignments)
         if count and self._index_manager is not None:
             self._index_manager.invalidate(table_name)
-        if count and self._stats_manager is not None:
-            self._stats_manager.note_data_change(table_name)
         return count
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

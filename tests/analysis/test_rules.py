@@ -162,14 +162,15 @@ def test_r006_real_manager_is_clean(tmp_path):
 
 
 def test_r006_fails_when_a_bump_is_deleted(tmp_path):
-    """Deleting one ``self._epoch += 1`` from StatsShard.drop
-    must fail lint — the invariant the plan cache depends on."""
+    """Deleting the ``self._discard_views(...)`` call — the bump of the
+    mutation count and of the table's version — from StatsShard.drop
+    must fail lint: the invariant the plan cache depends on."""
     manager = os.path.join(REPO_ROOT, "src", "repro", "stats", "manager.py")
     lines = open(manager).read().splitlines(keepends=True)
     drop_at = next(i for i, l in enumerate(lines) if l.lstrip().startswith("def drop(self"))
     bump_at = next(
         i for i, l in enumerate(lines[drop_at:], start=drop_at)
-        if l.strip() == "self._epoch += 1"
+        if l.strip() == "self._discard_views((key.table,))"
     )
     del lines[bump_at]
     copy = tmp_path / "manager.py"

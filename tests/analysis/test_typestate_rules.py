@@ -146,7 +146,6 @@ def test_r012_catches_deleted_revive_branch(tmp_path):
                 if key in self._drop_list:
                     self._drop_list.discard(key)
                     self._discard_views((key.table,))
-                    self._epoch += 1
                     return self._statistics[key]
                 raise StatisticsError(f"statistic {key} already exists")""",
         """            if key in self._statistics:
@@ -356,10 +355,10 @@ def test_r015_catches_partial_adapter(tmp_path):
             os.path.join(SRC, "backends", "memory.py"),
         ],
         "memory.py",
-        """    def stats_epoch(self) -> int:
-        return self._db.stats.epoch""",
+        """    def table_names(self) -> List[str]:
+        return list(self._db.table_names())""",
         "",
     )
     findings = lint_paths(paths, rules=["R015"])
     assert [f.rule_id for f in findings] == ["R015"]
-    assert "missing operation(s) stats_epoch" in findings[0].message
+    assert "missing operation(s) table_names" in findings[0].message

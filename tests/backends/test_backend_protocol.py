@@ -102,14 +102,6 @@ class TestProtocolShape:
         backend.create_stats(AGE)  # revive, not error
         assert backend.is_stat_visible(AGE)
 
-    def test_epoch_moves_with_stats_changes(self, backend):
-        start = backend.stats_epoch()
-        backend.create_stats(AGE)
-        after_create = backend.stats_epoch()
-        assert after_create > start
-        backend.note_data_change("emp")
-        assert backend.stats_epoch() > after_create
-
     def test_query_execution_row_counts(self, db, backend):
         query = _age_query(db)
         result = backend.execute(query)

@@ -105,6 +105,77 @@ def test_probe_with_a_plan_cache_attached(db):
             assert plan_fingerprint(got[2]) == plan_fingerprint(want[2])
 
 
+_LOOKUPS = ("histogram_for", "density_for_columns", "joint_for_columns")
+
+
+def test_a_cold_cached_probe_reads_the_statistics_as_often_as_an_uncached_one(
+    monkeypatch,
+):
+    """The probe's memo feeds the plans it stores in a cache too: on a
+    cache miss the cached probe makes exactly the uncached probe's
+    statistics lookups."""
+    from repro.stats.manager import StatisticsManager
+
+    database = make_tpcd_database(scale=0.002, z=2.0, seed=42)
+    queries = generate_workload(database, "U25-C-30", seed=7).queries()
+    for key in list(workload_candidate_statistics(queries))[::2]:
+        database.stats.create(key)
+    calls = []
+    for name in _LOOKUPS:
+        real = getattr(StatisticsManager, name)
+        monkeypatch.setattr(
+            StatisticsManager,
+            name,
+            lambda self, *args, _real=real: calls.append(1)
+            or _real(self, *args),
+        )
+    plain = Optimizer(database)
+    totals = {"cached": 0, "plain": 0}
+    for query in queries:
+        cached = Optimizer(database, cache=PlanCache(8))
+        for label, optimizer in (("cached", cached), ("plain", plain)):
+            del calls[:]
+            optimizer.probe(query, EPSILON)
+            totals[label] += len(calls)
+        assert cached.cold_optimize_count in (0, 2)
+    assert totals["cached"] == totals["plain"] > 0
+
+
+def test_a_change_after_the_memo_was_read_keeps_it_out_of_the_cache(
+    db, monkeypatch
+):
+    """A statistic created between the probe's first read and its plans
+    (a concurrent advisor, here a patched ``missing_variables``) moves
+    the versions the plans are stored under away from the memo's tag: the
+    plans read the statistics afresh, as an uncached optimizer does."""
+    from repro.optimizer.selectivity import SelectivityEstimator
+
+    query = (
+        QueryBuilder(db.schema)
+        .join("emp.dept_id", "dept.id")
+        .where("emp.age", "<", 30)
+        .build()
+    )
+    real = SelectivityEstimator.missing_variables
+
+    def then_create(self, query):
+        missing = real(self, query)
+        if not db.stats.has(ColumnRef("emp", "age")):
+            db.stats.create(ColumnRef("emp", "age"))
+        return missing
+
+    monkeypatch.setattr(SelectivityEstimator, "missing_variables", then_create)
+    cached = Optimizer(db, cache=PlanCache(8))
+    missing, low, high = cached.probe(query, EPSILON)
+    assert missing
+    plain = Optimizer(db)
+    for got, pin in ((low, EPSILON), (high, 1.0 - EPSILON)):
+        want = plain.optimize_request(
+            OptimizationRequest(query, {v: pin for v in missing})
+        )
+        assert plan_fingerprint(got) == plan_fingerprint(want)
+
+
 def test_sqlite_probe_is_the_inherited_composition():
     assert "probe" not in vars(SqliteBackend)
     assert SqliteBackend.probe is Backend.probe

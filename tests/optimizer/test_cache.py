@@ -1,7 +1,7 @@
 """Tests for repro.optimizer.cache (OptimizationRequest + PlanCache).
 
-Covers request canonicalization, the epoch/fingerprint invalidation
-matrix over every StatisticsManager mutation path, LRU bounding, the
+Covers request canonicalization, the version/fingerprint invalidation
+matrix over every StatisticsManager mutation path and DML, LRU bounding, the
 ``optimize(query)`` shorthand, and call-count atomicity.
 """
 
@@ -31,6 +31,10 @@ DEPT_ID = ColumnRef("emp", "dept_id")
 
 def _age_query(db, value=30):
     return QueryBuilder(db.schema).where("emp.age", "<", value).build()
+
+
+def _emp_versions(db):
+    return db.stats.versions_for(("emp",))
 
 
 class TestOptimizationRequest:
@@ -151,13 +155,14 @@ class TestPlanCacheBasics:
 
 
 class TestInvalidationMatrix:
-    """Every StatisticsManager mutation path must bump the epoch and
-    force the cache to re-optimize rather than serve a stale plan."""
+    """Every StatisticsManager mutation path and every DML must move the
+    versions of the table it touches and force the cache to re-optimize
+    rather than serve a stale plan."""
 
     def _warm(self, db, opt, query):
         request = OptimizationRequest(query)
         result = opt.optimize_request(request)
-        # hot on the second call: fresh-epoch fast path
+        # hot on the second call: version fast path
         assert opt.optimize_request(request) is result
         return request, result
 
@@ -165,9 +170,9 @@ class TestInvalidationMatrix:
         opt = Optimizer(db, cache=PlanCache(8))
         query = _age_query(db)
         request, stale = self._warm(db, opt, query)
-        before = db.stats.epoch
+        before = _emp_versions(db)
         db.stats.create(AGE)
-        assert db.stats.epoch > before
+        assert _emp_versions(db) != before
         fresh = opt.optimize_request(request)
         assert fresh is not stale
         assert opt.cold_optimize_count == 2
@@ -176,9 +181,9 @@ class TestInvalidationMatrix:
         db.stats.create(AGE)
         opt = Optimizer(db, cache=PlanCache(8))
         request, stale = self._warm(db, opt, _age_query(db))
-        before = db.stats.epoch
+        before = _emp_versions(db)
         db.stats.drop(AGE)
-        assert db.stats.epoch > before
+        assert _emp_versions(db) != before
         assert opt.optimize_request(request) is not stale
         assert opt.cold_optimize_count == 2
 
@@ -186,18 +191,18 @@ class TestInvalidationMatrix:
         db.stats.create(AGE)
         opt = Optimizer(db, cache=PlanCache(8))
         request, stale = self._warm(db, opt, _age_query(db))
-        before = db.stats.epoch
+        before = _emp_versions(db)
         db.stats.drop_all()
-        assert db.stats.epoch > before
+        assert _emp_versions(db) != before
         assert opt.optimize_request(request) is not stale
 
     def test_refresh_table_invalidates(self, db):
         db.stats.create(AGE)
         opt = Optimizer(db, cache=PlanCache(8))
         request, stale = self._warm(db, opt, _age_query(db))
-        before = db.stats.epoch
+        before = _emp_versions(db)
         db.stats.refresh_table("emp")
-        assert db.stats.epoch > before
+        assert _emp_versions(db) != before
         # update_count changed, so the fingerprint no longer matches
         assert opt.optimize_request(request) is not stale
         assert opt.cold_optimize_count == 2
@@ -208,11 +213,11 @@ class TestInvalidationMatrix:
         db.stats.create(AGE)
         opt = Optimizer(db, cache=PlanCache(8))
         request, stale = self._warm(db, opt, _age_query(db))
-        before = db.stats.epoch
+        before = _emp_versions(db)
         db.stats.apply_incremental_inserts(
             "emp", {"age": np.array([21, 22, 23], dtype=np.int64)}
         )
-        assert db.stats.epoch > before
+        assert _emp_versions(db) != before
         assert opt.optimize_request(request) is not stale
 
     def test_ignore_subset_enter_and_exit_invalidate(self, db):
@@ -220,13 +225,13 @@ class TestInvalidationMatrix:
         opt = Optimizer(db, cache=PlanCache(8))
         query = QueryBuilder(db.schema).where("emp.age", "=", 30).build()
         request, with_stats = self._warm(db, opt, query)
-        before = db.stats.epoch
+        before = _emp_versions(db)
         with db.stats.ignore_subset([AGE]):
-            assert db.stats.epoch > before
+            inside = _emp_versions(db)
+            assert inside != before
             hidden = opt.optimize_request(request)
             assert hidden.rows != with_stats.rows
-        after = db.stats.epoch
-        assert after > before + 1
+        assert _emp_versions(db) not in (before, inside)
         restored = opt.optimize_request(request)
         assert restored.rows == with_stats.rows
 
@@ -235,9 +240,9 @@ class TestInvalidationMatrix:
         opt = Optimizer(db, cache=PlanCache(8))
         query = QueryBuilder(db.schema).where("emp.age", "=", 30).build()
         request, with_stats = self._warm(db, opt, query)
-        before = db.stats.epoch
+        before = _emp_versions(db)
         db.stats.set_ignored([AGE])
-        assert db.stats.epoch > before
+        assert _emp_versions(db) != before
         assert opt.optimize_request(request).rows != with_stats.rows
         db.stats.clear_ignored()
         assert opt.optimize_request(request).rows == with_stats.rows
@@ -246,7 +251,7 @@ class TestInvalidationMatrix:
         opt = Optimizer(db, cache=PlanCache(8))
         query = QueryBuilder(db.schema).table("emp").build()
         request, stale = self._warm(db, opt, query)
-        before = db.stats.epoch
+        before = _emp_versions(db)
         db.insert(
             "emp",
             [
@@ -260,21 +265,35 @@ class TestInvalidationMatrix:
                 }
             ],
         )
-        assert db.stats.epoch > before
+        assert _emp_versions(db) != before
         fresh = opt.optimize_request(request)
         assert fresh is not stale
         assert fresh.rows == stale.rows + 1
 
     def test_irrelevant_change_revalidates_without_reoptimizing(self, db):
-        """A mutation that cannot affect the query's plan costs one
-        fingerprint check, not a cold optimization."""
+        """A mutation of the query's table that cannot affect its plan
+        costs one fingerprint check, not a cold optimization."""
         opt = Optimizer(db, cache=PlanCache(8))
         query = _age_query(db)
         request, cached = self._warm(db, opt, query)
-        db.stats.create(ColumnRef("dept", "budget"))
+        db.stats.create(SALARY)
         assert opt.optimize_request(request) is cached
         assert opt.cold_optimize_count == 1
         assert opt.cache.revalidation_count == 1
+
+    @pytest.mark.parametrize("change", ["create", "dml"])
+    def test_change_to_another_table_keeps_the_fast_path(self, db, change):
+        """A statistics change or DML on ``dept`` leaves a cached ``emp``
+        plan on the fast path: no fingerprint check, no re-optimization."""
+        opt = Optimizer(db, cache=PlanCache(8))
+        request, cached = self._warm(db, opt, _age_query(db))
+        if change == "create":
+            db.stats.create(ColumnRef("dept", "budget"))
+        else:
+            db.insert("dept", [{"id": 999, "dname": "x", "budget": 1.0}])
+        assert opt.optimize_request(request) is cached
+        assert opt.cold_optimize_count == 1
+        assert opt.cache.revalidation_count == 0
 
 
 class TestFingerprint:
@@ -474,7 +493,7 @@ class TestEntryCarriedMissingVariables:
         first = opt.optimize_with_missing(request)[1]
         assert len(first) == 1 and len(calls) == 1
         assert opt.optimize_with_missing(request)[1] is first  # fresh hit
-        db.stats.create(StatKey.single(ColumnRef("dept", "budget")))
+        db.stats.create(StatKey.single(SALARY))  # emp, not a relevant column
         assert opt.optimize_with_missing(request)[1] is first  # revalidated
         assert cache.revalidation_count == 1
         assert len(calls) == 1
@@ -484,31 +503,32 @@ class TestEntryCarriedMissingVariables:
         opt = Optimizer(db, cache=cache)
         request = OptimizationRequest(_age_query(db))
         result, missing = opt.optimize_with_missing(request)
-        epoch = db.stats.epoch_for_tables(request.query.tables)
-        assert cache.missing_for(request, epoch) is missing
-        cache.store(
-            request, epoch, statistics_fingerprint(db, request.query), result
-        )
-        assert cache.missing_for(request, epoch) is None
+        versions = _emp_versions(db)
+        assert cache.missing_for(request, versions) is missing
+        fingerprint = statistics_fingerprint(db, request.query)
+        cache.store(request, versions, fingerprint, result)
+        assert cache.missing_for(request, versions) is None
         # ... and a statistics change that re-optimizes re-stores
         opt.optimize_with_missing(request)
         db.stats.create(StatKey.single(AGE))
-        epoch = db.stats.epoch_for_tables(request.query.tables)
-        assert cache.missing_for(request, epoch) is None
+        versions = _emp_versions(db)
+        assert cache.missing_for(request, versions) is None
         assert opt.optimize_with_missing(request)[1] == ()
-        assert cache.missing_for(request, epoch) == ()
+        assert cache.missing_for(request, versions) == ()
 
     def test_kept_only_at_the_epoch_it_was_computed_under(self, db):
         cache = PlanCache(4)
         opt = Optimizer(db, cache=cache)
         request = OptimizationRequest(_age_query(db))
         opt.optimize_request(request)
-        epoch = db.stats.epoch_for_tables(request.query.tables)
-        cache.keep_missing(request, epoch + 1, ("stale",))
-        assert cache.missing_for(request, epoch) is None
-        cache.keep_missing(request, epoch, ("current",))
-        assert cache.missing_for(request, epoch) == ("current",)
-        assert cache.missing_for(request, epoch + 1) is None
+        versions = _emp_versions(db)
+        ((stats_version, data_version),) = versions
+        later = ((stats_version + 1, data_version),)
+        cache.keep_missing(request, later, ("stale",))
+        assert cache.missing_for(request, versions) is None
+        cache.keep_missing(request, versions, ("current",))
+        assert cache.missing_for(request, versions) == ("current",)
+        assert cache.missing_for(request, later) is None
 
     def test_an_ignore_set_request_is_never_served_a_kept_set(
         self, db, monkeypatch
@@ -530,8 +550,7 @@ class TestEntryCarriedMissingVariables:
             # out; magic_variables(query) does not
             assert opt.optimize_with_missing(ignoring)[1] == ()
             assert len(calls) == asked
-        epoch = db.stats.epoch_for_tables(query.tables)
-        assert cache.missing_for(ignoring, epoch) is None
+        assert cache.missing_for(ignoring, _emp_versions(db)) is None
 
     def test_degraded_and_uncached_requests(self, db):
         query = _age_query(db)

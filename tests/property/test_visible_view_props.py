@@ -6,6 +6,10 @@ finds — the linear scans the views replaced, kept here as the oracle —
 must never surface a drop-listed or ignored statistic, and every table's
 view entry must equal a brute-force filter of the shard's statistics.
 A mutation discards only the entries it can have changed.
+
+The same steps pin ``versions_for``: a table whose visible statistics or
+rows changed has a moved entry, a step that names one table leaves the
+other table's entry equal, and ``reshard`` moves none.
 """
 
 import itertools
@@ -42,9 +46,21 @@ OPS = (
     "refresh_table",
     "rebuild",
     "incremental_insert",
-    "note_data_change",
+    "insert",
     "reshard",
 )
+#: the rows ``insert`` adds, per table
+ROWS = {
+    "emp": {
+        "id": 0,
+        "age": 41,
+        "salary": 1.0,
+        "dept_id": 1,
+        "name": "new",
+        "hired": 0,
+    },
+    "dept": {"id": 0, "dname": "new", "budget": 1.0},
+}
 
 
 def scan_histogram_for(stats, ref):
@@ -155,7 +171,9 @@ def _pick(items, index):
     return items[index % len(items)] if items else None
 
 
-def _apply(stats, scopes, op, a, b):
+def _apply(database, scopes, op, a, b):
+    """Run one step; returns the one table it names, else ``None``."""
+    stats = database.stats
     present = stats.keys()
     if op == "create":
         key = _pick(KEYS, a)
@@ -163,10 +181,12 @@ def _apply(stats, scopes, op, a, b):
         # drop-listed one is revived by create
         if not stats.has(key) or stats.is_droppable(key):
             stats.create(key)
+        return key.table
     elif op in ("mark_droppable", "revive", "drop", "rebuild"):
         key = _pick(present, a)
         if key is not None:
             getattr(stats, op)(key)
+            return key.table
     elif op == "incremental_insert":
         table = _pick(sorted(COLUMNS), a)
         column = _pick(COLUMNS[table], b)
@@ -175,6 +195,7 @@ def _apply(stats, scopes, op, a, b):
             stats.apply_incremental_inserts(
                 table, {column: np.array([a % 7, b % 7], dtype=np.int64)}
             )
+        return table
     elif op == "ignore_enter":
         chosen = {k for k in (_pick(present, a), _pick(present, b)) if k}
         scope = stats.ignore_subset(chosen)
@@ -186,11 +207,51 @@ def _apply(stats, scopes, op, a, b):
     elif op == "purge_drop_list":
         stats.purge_drop_list()
     elif op == "refresh_table":
-        stats.refresh_table(_pick(sorted(COLUMNS), a))
-    elif op == "note_data_change":
-        stats.note_data_change(_pick(sorted(COLUMNS), a) if b % 2 else None)
+        table = _pick(sorted(COLUMNS), a)
+        stats.refresh_table(table)
+        return table
+    elif op == "insert":
+        table = _pick(sorted(COLUMNS), a)
+        database.insert(table, [ROWS[table]] * (1 + b % 3))
+        return table
     elif op == "reshard":
         stats.reshard(3 if stats.shard_count == 1 else 1)
+    return None
+
+
+def _state(database, table):
+    """What a plan over ``table`` reads: its visible statistics (the
+    objects and their histograms, which incremental maintenance replaces
+    in place) and its rows."""
+    return (
+        [
+            (key, stat, stat.histogram, stat.row_count)
+            for key, stat in database.stats.visible_on_table(table)
+        ],
+        database.table(table).row_count,
+    )
+
+
+def _same(old, new):
+    (old_pairs, old_rows), (new_pairs, new_rows) = old, new
+    return (
+        old_rows == new_rows
+        and len(old_pairs) == len(new_pairs)
+        and all(
+            a[0] == b[0] and a[1] is b[1] and a[2] is b[2] and a[3] == b[3]
+            for a, b in zip(old_pairs, new_pairs)
+        )
+    )
+
+
+def assert_versions_follow_the_step(database, op, named, before, states):
+    stats = database.stats
+    for table in COLUMNS:
+        versions = stats.versions_for((table,))
+        if op == "reshard" or named not in (None, table):
+            assert versions == before[table], (op, table)
+        if not _same(states[table], _state(database, table)):
+            assert versions != before[table], (op, table)
 
 
 steps = st.lists(
@@ -213,8 +274,11 @@ def test_lookups_equal_a_scan_after_every_step(sequence):
     scopes = []
     assert_lookups_match_scan(stats)
     for op, a, b in sequence:
-        _apply(stats, scopes, op, a, b)
+        before = {table: stats.versions_for((table,)) for table in COLUMNS}
+        states = {table: _state(database, table) for table in COLUMNS}
+        named = _apply(database, scopes, op, a, b)
         assert_lookups_match_scan(stats)
+        assert_versions_follow_the_step(database, op, named, before, states)
     while scopes:
         scopes.pop().__exit__(None, None, None)
         assert_lookups_match_scan(stats)
@@ -269,14 +333,16 @@ def test_a_mutation_discards_only_its_tables_view():
     assert stats.histogram_for(budget.leading_column) is not None
     # DML alone changes no view
     before = _entries(stats)
-    stats.note_data_change("emp")
+    database.insert("emp", [ROWS["emp"]])
     assert _entries(stats)["emp"] is before["emp"]
-    # purge and drop_all start over
+    # purge discards the tables of the statistics it deletes, drop_all
+    # those of every statistic
     stats.mark_droppable(budget)
     before = _entries(stats)
     stats.purge_drop_list()
     after = _entries(stats)
-    assert all(after[t] is not before[t] for t in COLUMNS)
+    assert after["dept"] is not before["dept"]
+    assert after["emp"] is before["emp"]
     stats.drop_all()
-    assert all(_entries(stats)[t] is not after[t] for t in COLUMNS)
+    assert _entries(stats)["emp"] is not after["emp"]
     assert_lookups_match_scan(stats)

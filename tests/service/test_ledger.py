@@ -112,7 +112,12 @@ class TestSettling:
     def test_the_key_ignores_the_epoch(self, service):
         query = settle(service)
         key = verdict_key(service.database, query)
-        service.database.stats.note_data_change("emp")
+        stats = service.database.stats
+        epoch, versions = stats.epoch, stats.versions_for(("emp",))
+        stats.create(StatKey("emp", ("name",)))
+        stats.mark_droppable(StatKey("emp", ("name",)))
+        assert stats.epoch > epoch
+        assert stats.versions_for(("emp",)) != versions
         assert verdict_key(service.database, query) == key
 
 
@@ -169,9 +174,10 @@ class TestInvalidation:
     )
     def test_change_on_another_table_keeps_the_verdict(self, service, change):
         settle(service)
-        epoch = service.database.stats.epoch
+        stats = service.database.stats
+        versions = stats.versions_for(("dept",))
         change(service)
-        assert service.database.stats.epoch > epoch
+        assert stats.versions_for(("dept",)) != versions
         run(service, SETTLES)
         assert counts(service)["events"] == 1
         assert counts(service)["settled"] == 2

@@ -216,3 +216,19 @@ class TestFeedbackLoop:
             submit(service, "SELECT COUNT(*) FROM emp WHERE age > 40")
             submit(service, "SELECT COUNT(*) FROM emp WHERE age > 40")
         assert service.metrics.counter("feedback.retunes_requested") == 1
+
+    def test_a_write_to_another_table_does_not_rearm_the_retune(self, db):
+        with make_service(
+            db,
+            feedback_enabled=True,
+            advisor_workers=0,
+            qerror_refresh_threshold=1.0,
+            qerror_retune_threshold=1.0,
+        ) as service:
+            submit(service, "SELECT COUNT(*) FROM emp WHERE age > 40")
+            submit(
+                service,
+                "INSERT INTO dept (id, dname, budget) VALUES (999, 'x', 1.0)",
+            )
+            submit(service, "SELECT COUNT(*) FROM emp WHERE age > 40")
+        assert service.metrics.counter("feedback.retunes_requested") == 1

@@ -45,18 +45,33 @@ class TestShardedStatistics:
     def test_epoch_isolation_across_shards(self, db):
         stats = db.stats
         stats.reshard(2)
-        emp_before = stats.epoch_for_tables(("emp",))
-        dept_before = stats.epoch_for_tables(("dept",))
+        emp_before = stats.versions_for(("emp",))
+        dept_before = stats.versions_for(("dept",))
         stats.create(StatKey("emp", ("age",)))
-        assert stats.epoch_for_tables(("emp",)) > emp_before
-        assert stats.epoch_for_tables(("dept",)) == dept_before
+        assert stats.versions_for(("emp",)) != emp_before
+        assert stats.versions_for(("dept",)) == dept_before
 
     def test_dml_bumps_only_the_owning_shard(self, db):
         stats = db.stats
         stats.reshard(2)
-        dept_before = stats.epoch_for_tables(("dept",))
+        emp_before = stats.versions_for(("emp",))
+        dept_before = stats.versions_for(("dept",))
         db.delete("emp", db.table("emp").column_array("age") == 30)
-        assert stats.epoch_for_tables(("dept",)) == dept_before
+        assert stats.versions_for(("emp",)) != emp_before
+        assert stats.versions_for(("dept",)) == dept_before
+
+    def test_reshard_moves_no_version_and_keeps_the_count(self, db):
+        stats = db.stats
+        stats.create(StatKey("emp", ("age",)))
+        stats.create(StatKey("dept", ("budget",)))
+        before = stats.versions_for(("emp", "dept"))
+        epoch = stats.epoch
+        stats.reshard(2)
+        assert stats.versions_for(("emp", "dept")) == before
+        assert stats.epoch == epoch
+        stats.reshard(1)
+        assert stats.versions_for(("emp", "dept")) == before
+        assert stats.epoch == epoch
 
     def test_reshard_preserves_statistics(self, db):
         stats = db.stats

@@ -18,11 +18,15 @@ The file was generated from the builder *before* it was rewritten as the
 integer-code kernel; regenerate (only when a change to statistic
 contents is intended) with
 ``PYTHONPATH=src python tests/stats/test_statistics_golden.py``.
+``... test_statistics_golden.py --diff`` recomputes the digests without
+writing: it prints the changed, new and gone keys and exits 1, or says
+how many statistics match and exits 0.
 """
 
 import hashlib
 import itertools
 import json
+import sys
 from pathlib import Path
 
 from repro.config import OptimizerConfig
@@ -117,6 +121,29 @@ def compute_digests() -> dict:
     return out
 
 
+def diff_against_golden() -> int:
+    """Print the keys whose digest left the golden file; the file is only
+    read.  Returns the process exit code."""
+    golden = json.loads(GOLDEN.read_text())
+    actual = compute_digests()
+    moved = {
+        "changed": sorted(
+            key
+            for key in golden.keys() & actual.keys()
+            if golden[key] != actual[key]
+        ),
+        "new": sorted(actual.keys() - golden.keys()),
+        "gone": sorted(golden.keys() - actual.keys()),
+    }
+    for label, keys in moved.items():
+        for key in keys:
+            print(f"{label:7} {key}")
+    if any(moved.values()):
+        return 1
+    print(f"{len(actual)} statistics match {GOLDEN.name}")
+    return 0
+
+
 def test_statistics_match_golden_digests():
     golden = json.loads(GOLDEN.read_text())
     actual = compute_digests()
@@ -127,7 +154,31 @@ def test_statistics_match_golden_digests():
     )
 
 
+def test_diff_mode_names_moved_keys_and_leaves_the_file(
+    tmp_path, monkeypatch, capsys
+):
+    module = sys.modules[__name__]
+    golden = tmp_path / "golden.json"
+    monkeypatch.setattr(module, "GOLDEN", golden)
+    monkeypatch.setattr(
+        module, "compute_digests", lambda: {"a": "1", "b": "2", "c": "3"}
+    )
+    golden.write_text(json.dumps({"a": "1", "b": "0", "d": "4"}))
+    before = golden.read_text()
+    assert diff_against_golden() == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["changed b", "new     c", "gone    d"]
+    assert golden.read_text() == before
+    golden.write_text(json.dumps({"a": "1", "b": "2", "c": "3"}))
+    assert diff_against_golden() == 0
+    assert capsys.readouterr().out == "3 statistics match golden.json\n"
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        sys.exit(diff_against_golden())
+    if sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--diff]")
     GOLDEN.write_text(
         json.dumps(compute_digests(), indent=0, sort_keys=True) + "\n"
     )
