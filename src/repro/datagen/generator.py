@@ -155,9 +155,11 @@ class TpcdGenerator:
         z = self.skew.z_for(table, column)
         return zipf_sample(np.asarray(domain), size, z, self._rng)
 
-    def _draw_strings(self, table, column, choices, size):
+    def _draw_strings(self, table, column, choices, size) -> np.ndarray:
+        """Zipfian draw of ``size`` strings from ``choices``, as an object
+        array."""
         codes = self._draw(table, column, np.arange(len(choices)), size)
-        return [choices[int(c)] for c in codes]
+        return np.asarray(choices, dtype=object)[codes]
 
     def _comment_domain(self, size: int) -> list:
         """Bounded domain of synthetic comment strings."""
@@ -373,13 +375,11 @@ class TpcdGenerator:
         # deterministic per-order line numbers
         order = np.argsort(l_orderkey, kind="stable")
         sorted_keys = l_orderkey[order]
-        linenumbers = np.empty(n, dtype=np.int64)
-        counter = np.ones(n, dtype=np.int64)
         boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
         starts = np.concatenate([[0], boundaries])
-        for start, stop in zip(starts, np.concatenate([boundaries, [n]])):
-            counter[start:stop] = np.arange(1, stop - start + 1)
-        linenumbers[order] = counter
+        lengths = np.diff(np.concatenate([starts, [n]]))
+        linenumbers = np.empty(n, dtype=np.int64)
+        linenumbers[order] = np.arange(n) - np.repeat(starts, lengths) + 1
 
         # ship/commit/receipt dates follow the parent order's date;
         # o_orderkey is np.arange(1, n+1) so a vectorized sorted lookup

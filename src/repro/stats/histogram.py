@@ -115,12 +115,21 @@ class Histogram:
         """Estimated fraction of rows with column in the interval.
 
         ``None`` bounds are unbounded.  Within the boundary buckets, the
-        covered fraction is linearly interpolated.
+        covered fraction is linearly interpolated.  Only the buckets that
+        can overlap the interval are visited: the sorted buckets before
+        the first ``high >= low`` and from the first ``low > high`` on
+        would each add exactly ``0.0``.
         """
         if self.row_count == 0 or self.bucket_count == 0:
             return 0.0
+        start = 0 if low is None else self.highs.searchsorted(low, "left")
+        stop = (
+            self.bucket_count
+            if high is None
+            else self.lows.searchsorted(high, "right")
+        )
         total = 0.0
-        for i in range(self.bucket_count):
+        for i in range(start, stop):
             b_low, b_high = self.lows[i], self.highs[i]
             b_count = self.counts[i]
             overlap = self._overlap_fraction(

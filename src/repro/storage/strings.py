@@ -5,10 +5,18 @@ assigned in first-seen order; the storage layer therefore supports
 equality, IN, and LIKE predicates on strings (all of which reduce to code
 sets) but not order comparisons, which the SQL binder rejects for STRING
 columns.
+
+``encode`` is the single-value path DML uses.  ``encode_many`` is the
+bulk-load path: it registers a column's unseen strings in one pass over
+its distinct values (in first-seen order, so the codes are exactly the
+ones row-by-row ``encode`` calls would assign) and maps the rows to codes
+without a Python call per row.  ``decode_many`` is its mirror: one bounds
+check and one gather.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 import weakref
 from typing import Iterable, List, Optional
@@ -29,8 +37,7 @@ class StringDictionary:
         self._codes_in: "weakref.WeakKeyDictionary" = (
             weakref.WeakKeyDictionary()
         )
-        for value in values:
-            self.encode(value)
+        self.encode_many(values)
 
     def __len__(self) -> int:
         return len(self._value_of)
@@ -48,9 +55,18 @@ class StringDictionary:
         return code
 
     def encode_many(self, values: Iterable[str]) -> np.ndarray:
-        """Encode an iterable of strings into an int64 array."""
+        """Encode an iterable of strings into an int64 array, assigning
+        new codes in first-seen order."""
+        if not isinstance(values, (list, tuple, np.ndarray)):
+            values = list(values)
+        code_of = self._code_of
+        unseen = [v for v in dict.fromkeys(values) if v not in code_of]
+        code_of.update(zip(unseen, itertools.count(len(self._value_of))))
+        self._value_of.extend(unseen)
         return np.fromiter(
-            (self.encode(v) for v in values), dtype=np.int64, count=-1
+            map(code_of.__getitem__, values),
+            dtype=np.int64,
+            count=len(values),
         )
 
     def lookup(self, value: str) -> Optional[int]:
@@ -68,7 +84,17 @@ class StringDictionary:
         raise KeyError(f"unknown string code {code}")
 
     def decode_many(self, codes: Iterable[int]) -> list:
-        return [self.decode(int(c)) for c in codes]
+        """Strings for ``codes``, in order.
+
+        Raises:
+            KeyError: if any code was never assigned.
+        """
+        codes = np.asarray(codes, dtype=np.int64)
+        values = np.asarray(self._value_of, dtype=object)
+        unknown = (codes < 0) | (codes >= values.shape[0])
+        if unknown.any():
+            raise KeyError(f"unknown string code {codes[unknown][0]}")
+        return values[codes].tolist()
 
     def codes_matching_like(self, pattern: str) -> np.ndarray:
         """Codes of dictionary entries matching a SQL LIKE pattern.

@@ -154,9 +154,13 @@ class TableData:
         """Replace the table contents with the given column data.
 
         All columns of the schema must be provided and have equal length.
-        STRING columns may be given as string sequences (encoded here) or as
-        pre-encoded int arrays together with an existing dictionary via
-        :meth:`attach_dictionary`.
+        STRING columns may be given as string sequences or string/object
+        arrays (encoded here) or as pre-encoded integer arrays together
+        with an existing dictionary via :meth:`attach_dictionary`.
+
+        Raises:
+            StorageError: on a missing column, unequal lengths, or a STRING
+                column given as an array of any other dtype.
         """
         missing = [c.name for c in self.schema.columns if c.name not in columns]
         if missing:
@@ -167,10 +171,8 @@ class TableData:
         length = None
         for col in self.schema.columns:
             data = columns[col.name]
-            if col.type == ColumnType.STRING and not isinstance(
-                data, np.ndarray
-            ):
-                arr = self._dicts[col.name].encode_many(data)
+            if col.type == ColumnType.STRING:
+                arr = self._string_codes(col.name, data)
             else:
                 arr = np.asarray(data, dtype=_NUMPY_DTYPE[col.type])
             if length is None:
@@ -186,6 +188,21 @@ class TableData:
             self._join_indexes = {}
             self._version += 1
             self.rows_modified_since_stats = 0
+
+    def _string_codes(self, column_name: str, data) -> np.ndarray:
+        """Codes for one STRING column's bulk-load data."""
+        if isinstance(data, np.ndarray):
+            kind = data.dtype.kind
+            if kind in "iu":
+                return np.asarray(data, dtype=np.int64)
+            if kind in "US":
+                data = data.astype(str).tolist()
+            elif kind != "O":
+                raise StorageError(
+                    f"column {column_name!r} is STRING but was given a "
+                    f"{data.dtype} array"
+                )
+        return self._dicts[column_name].encode_many(data)
 
     def attach_dictionary(
         self, column_name: str, dictionary: StringDictionary

@@ -15,14 +15,15 @@ Workload names follow the paper's convention: ``U25-S-1000`` is a Simple
 Queries are realistic by construction: joins follow foreign keys (so the
 join graph is connected) and literals are sampled from the stored data
 (so predicate selectivities span the real distribution, which is where
-skew — and hence statistics — matters).
+skew — and hence statistics — matters).  A column's distinct-value
+domain is computed once per column per generation, not per literal.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -118,6 +119,9 @@ class RagsGenerator:
         ]
         if not self._tables:
             raise WorkloadError("database has no populated tables")
+        # ref -> (column array, its np.unique): the array is held so a
+        # replaced column is never answered from a stale domain
+        self._domains: Dict[ColumnRef, tuple] = {}
 
     # ------------------------------------------------------------------
 
@@ -159,6 +163,13 @@ class RagsGenerator:
     #: queries mostly name specific (tail) values.
     _DISTINCT_SAMPLE_PROBABILITY = 0.65
 
+    def _domain(self, ref: ColumnRef, arr: np.ndarray) -> np.ndarray:
+        """The column's distinct values, sorted once per column array."""
+        cached = self._domains.get(ref)
+        if cached is None or cached[0] is not arr:
+            cached = self._domains[ref] = (arr, np.unique(arr))
+        return cached[1]
+
     def _sample_value(self, ref: ColumnRef):
         """A literal drawn from the column's actual data."""
         data = self._db.table(ref.table)
@@ -166,7 +177,7 @@ class RagsGenerator:
         if arr.shape[0] == 0:
             return 0
         if self._rng.uniform() < self._DISTINCT_SAMPLE_PROBABILITY:
-            domain = np.unique(arr)
+            domain = self._domain(ref, arr)
             raw = domain[int(self._rng.integers(0, domain.shape[0]))]
         else:
             raw = arr[int(self._rng.integers(0, arr.shape[0]))]

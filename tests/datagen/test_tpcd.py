@@ -122,8 +122,16 @@ class TestGenerator:
         ) <= suppkeys
 
     def test_linenumbers_start_at_one(self, tpcd_db_readonly):
-        nums = tpcd_db_readonly.table("lineitem").column_array("l_linenumber")
+        lineitem = tpcd_db_readonly.table("lineitem")
+        nums = lineitem.column_array("l_linenumber")
         assert nums.min() == 1
+        # each order's lines are numbered 1..k in row order
+        lines_so_far = {}
+        expected = []
+        for key in lineitem.column_array("l_orderkey").tolist():
+            lines_so_far[key] = lines_so_far.get(key, 0) + 1
+            expected.append(lines_so_far[key])
+        assert nums.tolist() == expected
 
     def test_shipdate_after_orderdate(self, tpcd_db_readonly):
         db = tpcd_db_readonly

@@ -86,3 +86,58 @@ class TestHistogramInvariants:
         # a single-value bucket gives equality == range; wide buckets
         # interpolate the range down to ~0, so only a loose bound holds
         assert eq <= 1.0 and point_range <= 1.0
+
+
+def _full_loop_range(hist, low, high, low_inclusive, high_inclusive):
+    """``selectivity_range`` as it was before it windowed the buckets:
+    every bucket visited, in order, with the same per-bucket formula."""
+    if hist.row_count == 0 or hist.bucket_count == 0:
+        return 0.0
+    total = 0.0
+    for i in range(hist.bucket_count):
+        overlap = hist._overlap_fraction(
+            hist.lows[i],
+            hist.highs[i],
+            low,
+            high,
+            low_inclusive,
+            high_inclusive,
+        )
+        total += hist.counts[i] * overlap
+    return hist._clamp(total / hist.row_count)
+
+
+def bound_strategy(hist):
+    """No bound, any number, or a bucket edge exactly (where inclusive
+    bounds and point buckets decide the result)."""
+    edges = sorted(set(hist.lows.tolist()) | set(hist.highs.tolist()))
+    return st.one_of(
+        st.none(),
+        st.integers(-1600, 1600),
+        st.floats(-1600.0, 1600.0, allow_nan=False),
+        st.sampled_from(edges),
+    )
+
+
+@st.composite
+def maintained_histogram_and_range(draw):
+    """A built histogram, maybe with sample-scaled counts, maybe after
+    incremental inserts that stretch its edge buckets, and a range."""
+    hist, _ = draw(histogram_and_values())
+    if draw(st.booleans()):
+        hist.counts = hist.counts * draw(st.floats(1.0, 40.0))
+    inserted = draw(st.lists(st.integers(-1500, 1500), max_size=30))
+    if inserted:
+        hist.add_values(inserted)
+    low, high = draw(bound_strategy(hist)), draw(bound_strategy(hist))
+    return hist, (low, high, draw(st.booleans()), draw(st.booleans()))
+
+
+class TestWindowedRange:
+    @given(maintained_histogram_and_range())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_full_bucket_loop(self, case):
+        hist, args = case
+        assert hist.selectivity_range(*args) == _full_loop_range(
+            hist, *args
+        )

@@ -1,6 +1,7 @@
 """Tests for repro.storage.strings."""
 
 import numpy as np
+import pytest
 
 from repro.storage import StringDictionary
 
@@ -46,9 +47,35 @@ class TestEncodeDecode:
         assert codes.tolist() == [0, 1, 0]
         assert codes.dtype == np.int64
 
+    def test_encode_many_assigns_the_codes_of_one_encode_per_row(self):
+        rows = ["c", "a", "c", "b", "a", "d", "b"]
+        bulk = StringDictionary(["b", "z"])
+        one_by_one = StringDictionary(["b", "z"])
+        codes = bulk.encode_many(rows)
+        assert codes.tolist() == [one_by_one.encode(v) for v in rows]
+        assert bulk.values() == one_by_one.values() == [
+            "b", "z", "c", "a", "d",
+        ]
+
+    def test_encode_many_takes_iterators_and_object_arrays(self):
+        d = StringDictionary()
+        assert d.encode_many(iter(["p", "q", "p"])).tolist() == [0, 1, 0]
+        objects = np.asarray(["q", "r"], dtype=object)
+        assert d.encode_many(objects).tolist() == [1, 2]
+        assert d.encode_many([]).tolist() == []
+
     def test_decode_many(self):
         d = StringDictionary(["x", "y"])
         assert d.decode_many([1, 0]) == ["y", "x"]
+        assert d.decode_many(np.asarray([0, 0, 1])) == ["x", "x", "y"]
+        assert d.decode_many([]) == []
+
+    @pytest.mark.parametrize("code", [-1, -2, 2, 99])
+    def test_decode_many_unknown_code_raises(self, code):
+        # numpy would wrap a negative index around silently
+        d = StringDictionary(["x", "y"])
+        with pytest.raises(KeyError, match=f"unknown string code {code}"):
+            d.decode_many([0, code, 1])
 
     def test_values_in_code_order(self):
         d = StringDictionary(["b", "a"])

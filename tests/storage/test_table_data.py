@@ -60,6 +60,45 @@ class TestLoad:
         assert arr.dtype == np.int64
         assert data.string_dictionary("name").decode(int(arr[0])) == "e0"
 
+    @pytest.mark.parametrize("dtype", [str, "S", object])
+    def test_string_arrays_encoded_like_sequences(self, dtype):
+        names = ["e1", "e0", "e1", "e2"]
+        data = _emp_data(4)
+        columns = {
+            name: data.column_array(name)
+            for name in data.schema.column_names()
+        }
+        columns["name"] = np.asarray(names, dtype=dtype)
+        fresh = TableData(simple_schema().table("emp"))
+        fresh.load_columns(columns)
+        assert fresh.column_array("name").tolist() == [0, 1, 0, 2]
+        assert fresh.decoded_column("name") == names
+        assert all(type(v) is str for v in fresh.decoded_column("name"))
+
+    def test_integer_arrays_are_codes_of_an_attached_dictionary(self):
+        data = _emp_data(2)
+        columns = {
+            name: data.column_array(name)
+            for name in data.schema.column_names()
+        }
+        columns["name"] = np.asarray([1, 1], dtype=np.int32)
+        fresh = TableData(simple_schema().table("emp"))
+        fresh.attach_dictionary("name", data.string_dictionary("name"))
+        fresh.load_columns(columns)
+        assert fresh.column_array("name").dtype == np.int64
+        assert fresh.decoded_column("name") == ["e1", "e1"]
+
+    def test_float_array_for_a_string_column_rejected(self):
+        data = _emp_data(2)
+        columns = {
+            name: data.column_array(name)
+            for name in data.schema.column_names()
+        }
+        columns["name"] = np.asarray([1.0, 2.0])
+        with pytest.raises(StorageError, match="'name' is STRING"):
+            data.load_columns(columns)
+        assert data.decoded_column("name") == ["e0", "e1"]
+
     def test_load_resets_modification_counter(self):
         data = _emp_data()
         data.insert_rows(

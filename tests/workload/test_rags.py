@@ -82,6 +82,42 @@ class TestGeneration:
             if len(query.tables) > 1:
                 assert query.joins
 
+    def test_literal_domains_sorted_once_per_column(
+        self, tpcd_db_readonly, monkeypatch
+    ):
+        import numpy as np
+
+        sorted_sizes = []
+        unique = np.unique
+
+        def counting_unique(arr, *args, **kwargs):
+            sorted_sizes.append(arr.shape[0])
+            return unique(arr, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        generate_workload(tpcd_db_readonly, "U25-S-300")
+        columns = sum(
+            len(tpcd_db_readonly.table(name).schema.columns)
+            for name in tpcd_db_readonly.table_names()
+        )
+        assert 0 < len(sorted_sizes) <= columns
+
+    def test_literal_domain_follows_a_replaced_column(self, fresh_tpcd_db):
+        import numpy as np
+
+        from repro.catalog import ColumnRef
+
+        db = fresh_tpcd_db()
+        generator = RagsGenerator(db, RagsConfig())
+        ref = ColumnRef("part", "p_size")
+        data = db.table("part")
+        before = data.column_array("p_size")
+        domain = generator._domain(ref, before)
+        assert generator._domain(ref, before) is domain
+        db.update("part", np.ones(data.row_count, dtype=bool), {"p_size": 99})
+        after = generator._domain(ref, data.column_array("p_size"))
+        assert after.tolist() == [99]
+
     def test_empty_database_rejected(self):
         from repro.storage import Database
 
