@@ -78,6 +78,8 @@ class TableSchema:
                     f"duplicate column {col.name!r} in table {name!r}"
                 )
             self._by_name[col.name] = col
+        #: one shared, immutable ColumnRef per column
+        self._refs = {col.name: ColumnRef(name, col.name) for col in self.columns}
         #: approximate stored width of one row, for the I/O cost model
         self.row_width_bytes = sum(
             col.type.storage_width_bytes for col in self.columns
@@ -110,13 +112,21 @@ class TableSchema:
         return [col.name for col in self.columns]
 
     def ref(self, column_name: str) -> ColumnRef:
-        """Build a :class:`ColumnRef` for one of this table's columns."""
-        self.column(column_name)  # validates existence
-        return ColumnRef(self.name, column_name)
+        """The :class:`ColumnRef` of one of this table's columns.
+
+        Raises:
+            CatalogError: if the column does not exist.
+        """
+        try:
+            return self._refs[column_name]
+        except KeyError:
+            raise CatalogError(
+                f"no column {column_name!r} in table {self.name!r}"
+            ) from None
 
     def refs(self) -> list:
         """``ColumnRef`` for every column, in declaration order."""
-        return [ColumnRef(self.name, col.name) for col in self.columns]
+        return list(self._refs.values())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cols = ", ".join(c.name for c in self.columns)

@@ -1,7 +1,8 @@
 """Plan execution over stored data, with actual-cost scoring.
 
-The executor interprets a physical plan bottom-up using vectorized numpy
-operators, and — the part the experiments depend on — re-applies the
+The executor compiles a physical plan once into a column layout and runs
+it bottom-up using vectorized numpy operators, and — the part the
+experiments depend on — re-applies the
 optimizer's cost formulas to the *actual* cardinalities observed at each
 operator.  The resulting ``actual_cost`` is the paper's "execution cost"
 (DESIGN.md §2): a plan picked from bad estimates pays its true price.

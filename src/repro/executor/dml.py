@@ -10,8 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.executor.evaluate import predicate_mask
-from repro.executor.relation import Relation
+from repro.executor.evaluate import column_mask
 from repro.sql.query import DmlStatement
 
 
@@ -36,10 +35,10 @@ def apply_dml(database, statement: DmlStatement) -> int:
     if statement.predicate is None:
         mask = np.ones(data.row_count, dtype=bool)
     else:
-        relation = Relation.from_table(
-            data, statement.table, data.schema.column_names()
+        (ref,) = statement.predicate.columns()
+        mask = column_mask(
+            database, statement.predicate, data.column_array(ref.column)
         )
-        mask = predicate_mask(database, relation, statement.predicate)
 
     if statement.kind == "delete":
         return database.delete(statement.table, mask)

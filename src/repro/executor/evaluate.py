@@ -47,12 +47,12 @@ def encode_literal(database, ref: ColumnRef, value):
 
 # joins are evaluated by the join operator, not as row masks
 # repro-lint: dispatch=Predicate except=JoinPredicate
-def predicate_mask(
-    database, relation: Relation, predicate: Predicate
+def column_mask(
+    database, predicate: Predicate, values: np.ndarray
 ) -> np.ndarray:
-    """Boolean mask of relation rows satisfying a selection predicate."""
+    """Boolean mask of the rows whose value of the predicate's one column,
+    ``values``, satisfies a selection predicate."""
     (ref,) = predicate.columns()
-    values = relation.column(ref)
     if isinstance(predicate, ComparisonPredicate):
         literal = encode_literal(database, ref, predicate.value)
         if literal is None:

@@ -1,9 +1,27 @@
-"""The plan interpreter.
+"""Plan execution over a compiled column layout.
 
 ``Executor.execute(plan, query)`` runs a physical plan bottom-up and
 returns an :class:`ExecutionResult` whose ``actual_cost`` applies the
 optimizer's own cost formulas to the *observed* cardinalities — the
 execution-cost metric of the experiments (DESIGN.md §2).
+
+A plan's first execution compiles it into a :class:`PlanLayout`, kept on
+the plan root beside its feedback annotations and used by every later
+run: the operators as post-order steps, every column an operator reads
+resolved to a ``(source, position)`` slot of its input, each join's key
+pairs sorted and de-duplicated, the column tuple of the join index the
+right input's table may keep, and the sources each operator's output
+carries because some ancestor reads them.  Between steps a result is a
+list of sources — a tuple of column arrays and the row ids of them it
+holds (``None``: every row, in stored order) — plus its row count; the
+:class:`Relation` the caller sees is built once, at the root.
+
+The layout holds names and slots only: no arrays, no plan nodes, no
+executor or database.  Every run reads the stored arrays afresh,
+validates a kept join index against the very arrays it read and
+translates string codes through the dictionaries of the moment, so no
+DML makes a layout stale, and a plan the cache evicts is freed by
+reference counting.
 
 Semantics note: all join algorithms produce the same rows; the algorithm
 (and access path) choice affects only the actual cost, exactly as the
@@ -12,7 +30,7 @@ choice would affect wall-clock time on a real engine.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -21,15 +39,15 @@ from repro.config import DEFAULT_CONFIG, OptimizerConfig
 from repro.errors import ExecutionError
 from repro.executor.evaluate import (
     COMPARATORS,
+    column_mask,
     decode_output_value,
     encode_literal,
     evaluate_scalar,
-    predicate_mask,
 )
 from repro.executor.operators import (
-    align_join_keys,
     group_indices,
     join_indices,
+    translate_string_codes,
 )
 from repro.executor.relation import Relation
 from repro.feedback.observation import OperatorObservation, PlanInstrumenter
@@ -45,8 +63,16 @@ from repro.optimizer.plans import (
     SortNode,
 )
 from repro.sql.expressions import Aggregate, AggregateFunction, ColumnExpression
-from repro.sql.predicates import BetweenPredicate, ComparisonPredicate, InPredicate
+from repro.sql.predicates import (
+    BetweenPredicate,
+    ComparisonPredicate,
+    InPredicate,
+    Predicate,
+)
 from repro.sql.query import Query
+
+#: a column's address in an intermediate result: (source, position)
+Slot = Tuple[int, int]
 
 
 class ExecutionResult:
@@ -164,7 +190,9 @@ class Executor:
     ) -> ExecutionResult:
         """Run ``plan``; ``query`` (when given) scopes projected columns.
 
-        Every operator's actual output cardinality is zipped with its
+        The first run compiles ``plan`` into a :class:`PlanLayout` kept on
+        its root; every later run for a query reading the same columns
+        reuses it.  Every operator's actual output cardinality is zipped with its
         optimization-time estimate into the result's
         ``operator_observations``; when ``feedback`` (a
         :class:`~repro.feedback.store.FeedbackStore`) is given, the
@@ -172,13 +200,32 @@ class Executor:
         changes rows or costs — execution with feedback off is
         byte-identical to execution before the feedback subsystem.
         """
-        needed = self._needed_columns(query) if query is not None else None
-        sink: List[Tuple[PlanNode, int]] = []
-        relation, cost = self._run(plan, needed, sink)
-        annotations = self._instrumenter.instrument(plan)
+        needed = (
+            query.referenced_columns
+            if query is not None and query.projections
+            else None
+        )
+        layout = plan.execution_layout
+        if layout is None or (
+            layout.needed is not needed and layout.needed != needed
+        ):
+            layout = self._compile(plan, needed)
+        stack: List[_Result] = []
+        counts = []
+        for step in layout.steps:
+            step.run(self, stack)
+            counts.append(stack[-1][1])
+        ((sources, row_count, cost),) = stack
+        relation = Relation.from_sources(
+            [
+                (dict(zip(keys, arrays)), rows)
+                for (arrays, rows), keys in zip(sources, layout.root_keys)
+            ],
+            row_count,
+        )
         observations = tuple(
-            self._instrumenter.observe(annotations, node, rows)
-            for node, rows in sink
+            annotation.observed(rows)
+            for annotation, rows in zip(layout.annotations, counts)
         )
         if feedback is not None:
             feedback.record_all(observations)
@@ -187,109 +234,40 @@ class Executor:
             self._db, relation, cost, projections, query, observations
         )
 
+    def _compile(self, plan: PlanNode, needed) -> "PlanLayout":
+        """``plan`` compiled for a query reading ``needed``, published on
+        the plan unless an earlier compile was."""
+        annotations = self._instrumenter.instrument(plan)
+        layout = _Compiler(self._db.schema, needed, annotations).layout(plan)
+        # dict.setdefault is atomic: of threads compiling one plan at once
+        # the first to publish wins, and each runs the layout it compiled
+        vars(plan).setdefault("execution_layout", layout)
+        return layout
+
     # ------------------------------------------------------------------
-    # column pruning
+    # what a step reads of the database, afresh on every run
     # ------------------------------------------------------------------
 
-    def _needed_columns(self, query: Query):
-        if query.projections:
-            return query.referenced_columns
-        # SELECT *: every column of every table
-        return {
-            table: set(self._db.table(table).schema.column_names())
-            for table in query.tables
-        }
-
-    def _table_relation(self, table: str, needed) -> Relation:
+    def _fetch(self, table: str, names) -> List[np.ndarray]:
+        """The stored arrays of ``table``'s columns ``names``."""
         data = self._db.table(table)
-        if needed is None or table not in needed:
-            columns = data.schema.column_names()
-        else:
-            columns = [
-                name
-                for name in data.schema.column_names()
-                if name in needed[table]
-            ]
-            if not columns:
-                columns = data.schema.column_names()[:1]
-        return Relation.from_table(data, table, columns)
+        return [data.column_array(name) for name in names]
 
-    # ------------------------------------------------------------------
-    # node dispatch
-    # ------------------------------------------------------------------
+    def _dictionary(self, column: Tuple[str, str]):
+        table, name = column
+        return self._db.table(table).string_dictionary(name)
 
-    def _run(
-        self, node: PlanNode, needed, sink: List[Tuple[PlanNode, int]]
-    ) -> Tuple[Relation, float]:
-        """Dispatch one node and record its observed cardinality."""
-        relation, cost = self._dispatch(node, needed, sink)
-        sink.append((node, relation.row_count))
-        return relation, cost
+    def _kept_join_index(self, table: str, columns, right_arrays):
+        """The index ``table`` keeps over ``columns``, when it describes
+        ``right_arrays``; ``None`` (build for this join alone) otherwise."""
+        index = self._db.table(table).join_index(columns)
+        # the arrays may predate a DML: the index must describe the
+        # arrays this join reads, not the table's current ones
+        if index is not None and index.built_from(right_arrays):
+            return index
+        return None
 
-    # repro-lint: dispatch=PlanNode
-    def _dispatch(
-        self, node: PlanNode, needed, sink: List[Tuple[PlanNode, int]]
-    ) -> Tuple[Relation, float]:
-        if isinstance(node, ScanNode):
-            return self._run_scan(node, needed)
-        if isinstance(node, IndexSeekNode):
-            return self._run_seek(node, needed)
-        if isinstance(node, JoinNode):
-            return self._run_join(node, needed, sink)
-        if isinstance(node, AggregateNode):
-            return self._run_aggregate(node, needed, sink)
-        if isinstance(node, HavingNode):
-            return self._run_having(node, needed, sink)
-        if isinstance(node, SortNode):
-            return self._run_sort(node, needed, sink)
-        raise ExecutionError(f"unknown plan node {type(node).__name__}")
-
-    def _run_having(
-        self, node: HavingNode, needed, sink
-    ) -> Tuple[Relation, float]:
-        child_rel, child_cost = self._run(node.child, needed, sink)
-        mask = np.ones(child_rel.row_count, dtype=bool)
-        for condition in node.predicates:
-            values = child_rel.column(str(condition.aggregate))
-            mask &= COMPARATORS[condition.op](values, condition.value)
-        out = child_rel.filter(mask)
-        cost = child_cost + child_rel.row_count * (
-            len(node.predicates) * self._cost_compare()
-        )
-        return out, cost
-
-    def _cost_compare(self) -> float:
-        return self._config.cost.cpu_compare_cost
-
-    def _run_scan(self, node: ScanNode, needed) -> Tuple[Relation, float]:
-        data = self._db.table(node.table)
-        relation = self._table_relation(node.table, needed)
-        for predicate in node.predicates:
-            mask = predicate_mask(self._db, relation, predicate)
-            relation = relation.filter(mask)
-        cost = self._cost.table_scan(
-            data.row_count,
-            data.schema.row_width_bytes,
-            len(node.predicates),
-        )
-        return relation, cost
-
-    def _run_seek(self, node: IndexSeekNode, needed) -> Tuple[Relation, float]:
-        data = self._db.table(node.table)
-        index = self._db.indexes.structure(node.index_name)
-        rows = self._seek_rows(node, index)
-        relation = self._table_relation(node.table, needed).take(rows)
-        matching = relation.row_count
-        for predicate in node.residual_predicates:
-            mask = predicate_mask(self._db, relation, predicate)
-            relation = relation.filter(mask)
-        cost = self._cost.index_seek(
-            matching, len(node.residual_predicates)
-        )
-        return relation, cost
-
-    def _seek_rows(self, node: IndexSeekNode, index) -> np.ndarray:
-        predicate = node.seek_predicate
+    def _seek_rows(self, predicate, index) -> np.ndarray:
         (ref,) = predicate.columns()
         if isinstance(predicate, ComparisonPredicate):
             literal = encode_literal(self._db, ref, predicate.value)
@@ -316,154 +294,33 @@ class Executor:
             return index.lookup_in([v for v in encoded if v is not None])
         raise ExecutionError(f"cannot seek on {predicate}")
 
-    # ------------------------------------------------------------------
-    # joins
-    # ------------------------------------------------------------------
-
-    def _run_join(
-        self, node: JoinNode, needed, sink
-    ) -> Tuple[Relation, float]:
-        left_rel, left_cost = self._run(node.left, needed, sink)
-        right_rel, right_cost = self._run(node.right, needed, sink)
-
-        if node.join_predicates:
-            left_arrays, right_arrays, right_refs = align_join_keys(
-                self._db, left_rel, right_rel, node.join_predicates
-            )
-            left_idx, right_idx = join_indices(
-                left_arrays,
-                right_arrays,
-                self._kept_join_index(node.right, right_refs, right_arrays),
-            )
-            out = left_rel.take(left_idx).merged_with(right_rel.take(right_idx))
-        else:
-            # cartesian product
-            n_left, n_right = left_rel.row_count, right_rel.row_count
-            left_idx = np.repeat(np.arange(n_left), n_right)
-            right_idx = np.tile(np.arange(n_right), n_left)
-            out = left_rel.take(left_idx).merged_with(right_rel.take(right_idx))
-
-        out_rows = out.row_count
-        l_rows, r_rows = left_rel.row_count, right_rel.row_count
-        if node.algorithm == JoinAlgorithm.HASH:
-            build = r_rows if node.build_side == "right" else l_rows
-            probe = l_rows if node.build_side == "right" else r_rows
-            local = self._cost.hash_join(build, probe, out_rows)
-            total = left_cost + right_cost + local
-        elif node.algorithm == JoinAlgorithm.MERGE:
-            local = self._cost.merge_join(l_rows, r_rows, out_rows)
-            total = left_cost + right_cost + local
-        elif node.algorithm == JoinAlgorithm.NESTED_LOOP_INDEX:
-            matches = out_rows / l_rows if l_rows else 0.0
-            local = self._cost.nested_loop_index(l_rows, matches)
-            # the inner access path is replaced by per-row index seeks
-            total = left_cost + local
-        else:  # NESTED_LOOP_SCAN: the inner subtree re-runs per outer row
-            local = self._cost.nested_loop_scan(max(1, l_rows), right_cost)
-            total = left_cost + local
-        return out, total
-
-    def _kept_join_index(self, right: PlanNode, right_refs, right_arrays):
-        """The index the right input's table keeps over the join columns,
-        when ``right`` is an unfiltered scan of the stored arrays; ``None``
-        (build for this join alone) otherwise."""
-        if (
-            not isinstance(right, ScanNode)
-            or right.predicates
-            or None in right_refs
-        ):
+    def _sort_order(self, sources, row_count: int, keys):
+        """The row order sorting ``sources`` by ``keys`` — compiled
+        ``(slot, string column or None)`` pairs, least significant first;
+        strings sort lexicographically — or ``None`` to keep the order."""
+        if row_count <= 1 or not keys:
             return None
-        index = self._db.table(right.table).join_index(
-            ref.column for ref in right_refs
-        )
-        # the relation may predate a DML: the index must describe the
-        # arrays this join reads, not the table's current ones
-        if index is not None and index.built_from(right_arrays):
-            return index
-        return None
+        columns = []
+        for slot, string_column in keys:
+            column = _read(sources, slot)
+            if string_column is not None:
+                column = self._dictionary(string_column).sort_ranks()[column]
+            columns.append(column)
+        return np.lexsort(columns)
 
-    # ------------------------------------------------------------------
-    # aggregation / sort
-    # ------------------------------------------------------------------
-
-    def _run_aggregate(
-        self, node: AggregateNode, needed, sink
-    ) -> Tuple[Relation, float]:
-        child_rel, child_cost = self._run(node.child, needed, sink)
-        input_rows = child_rel.row_count
-
-        if node.group_by:
-            key_arrays = [child_rel.column(ref) for ref in node.group_by]
-            if input_rows == 0:
-                columns = dict(zip(node.group_by, key_arrays))
-                for aggregate in node.aggregates:
-                    columns[str(aggregate)] = np.empty(0)
-                out = Relation(columns)
-                cost = child_cost + self._cost.hash_aggregate(0, 0)
-                return out, cost
-            group_ids, representatives = group_indices(key_arrays)
-            n_groups = representatives.shape[0]
-            columns = {
-                ref: arr[representatives]
-                for ref, arr in zip(node.group_by, key_arrays)
-            }
-        else:
-            n_groups = 1
-            group_ids = np.zeros(input_rows, dtype=np.int64)
-            columns = {}
-
-        counts = np.bincount(group_ids, minlength=n_groups).astype(np.float64)
-        for aggregate in node.aggregates:
-            columns[str(aggregate)] = self._aggregate_values(
-                aggregate, child_rel, group_ids, counts
-            )
-        if not columns:
-            # GROUP BY with no aggregates and no keys cannot happen; guard
-            raise ExecutionError("aggregate node produced no columns")
-        out = Relation(columns)
-        if node.method == "stream":
-            out = self._sorted_by(out, node.group_by)
-            cost = child_cost + self._cost.stream_aggregate(
-                input_rows, out.row_count
-            )
-        else:
-            cost = child_cost + self._cost.hash_aggregate(
-                input_rows, out.row_count
-            )
-        return out, cost
-
-    def _sorted_by(self, relation: Relation, keys) -> Relation:
-        """Sort a relation by column keys (strings lexicographically)."""
-        if relation.row_count <= 1 or not keys:
-            return relation
-        sort_keys = []
-        for ref in reversed(tuple(keys)):
-            arr = relation.column(ref)
-            if (
-                isinstance(ref, ColumnRef)
-                and self._db.schema.column(ref).type == ColumnType.STRING
-            ):
-                dictionary = self._db.table(ref.table).string_dictionary(
-                    ref.column
-                )
-                arr = dictionary.sort_ranks()[arr]
-            sort_keys.append(arr)
-        return relation.take(np.lexsort(sort_keys))
-
+    @staticmethod
     def _aggregate_values(
-        self,
-        aggregate: Aggregate,
-        relation: Relation,
+        function: AggregateFunction,
+        values: Optional[np.ndarray],
         group_ids: np.ndarray,
         counts: np.ndarray,
     ) -> np.ndarray:
-        """One aggregate per group; ``counts`` are the groups' row counts
-        (float64), computed once per aggregate node."""
-        function = aggregate.function
+        """One aggregate of the argument ``values`` (``None`` for COUNT)
+        per group; ``counts`` are the groups' row counts (float64),
+        computed once per aggregate step."""
         n_groups = counts.shape[0]
         if function == AggregateFunction.COUNT:
             return counts
-        values = evaluate_scalar(self._db, relation, aggregate.argument)
         values = values.astype(np.float64, copy=False)
         if function == AggregateFunction.SUM:
             return np.bincount(group_ids, weights=values, minlength=n_groups)
@@ -478,12 +335,612 @@ class Executor:
             out = np.full(n_groups, -np.inf)
             np.maximum.at(out, group_ids, values)
             return np.where(np.isfinite(out), out, 0.0)
-        raise ExecutionError(f"unsupported aggregate {aggregate}")
+        raise ExecutionError(f"unsupported aggregate {function}")
 
-    def _run_sort(
-        self, node: SortNode, needed, sink
-    ) -> Tuple[Relation, float]:
-        child_rel, child_cost = self._run(node.child, needed, sink)
-        child_rel = self._sorted_by(child_rel, node.keys)
-        cost = child_cost + self._cost.sort(child_rel.row_count)
-        return child_rel, cost
+
+# ----------------------------------------------------------------------
+# intermediate results
+# ----------------------------------------------------------------------
+
+#: one source of an intermediate result: column arrays, and the rows of
+#: them it holds in order (``None``: every row, in stored order)
+_Source = Tuple[List[np.ndarray], Optional[np.ndarray]]
+#: what a step leaves on the stack: sources, row count, cumulative cost
+_Result = Tuple[List[_Source], int, float]
+
+
+def _read(sources: List[_Source], slot: Slot) -> np.ndarray:
+    """The values of the column at ``slot``."""
+    arrays, rows = sources[slot[0]]
+    column = arrays[slot[1]]
+    return column if rows is None else column[rows]
+
+
+def _take(source: _Source, indices: np.ndarray) -> _Source:
+    """``source`` restricted to / reordered by positional ``indices``."""
+    arrays, rows = source
+    return arrays, indices if rows is None else rows[indices]
+
+
+def _filtered(database, arrays, rows, filters) -> Optional[np.ndarray]:
+    """``rows`` of ``arrays`` that pass every ``(predicate, position)``."""
+    for predicate, position in filters:
+        column = arrays[position]
+        if rows is not None:
+            column = column[rows]
+        kept = np.flatnonzero(column_mask(database, predicate, column))
+        rows = kept if rows is None else rows[kept]
+    return rows
+
+
+class _SlotReader:
+    """The columns aggregates read, each gathered once: by slot, and as
+    the relation :func:`evaluate_scalar` reads an expression from, by the
+    refs in ``slots``."""
+
+    __slots__ = ("_slots", "_sources", "_gathered", "row_count")
+
+    def __init__(self, slots: Dict[ColumnRef, Slot], sources, row_count):
+        self._slots = slots
+        self._sources = sources
+        self._gathered: Dict[Slot, np.ndarray] = {}
+        self.row_count = row_count
+
+    def gather(self, slot: Slot) -> np.ndarray:
+        column = self._gathered.get(slot)
+        if column is None:
+            column = self._gathered[slot] = _read(self._sources, slot)
+        return column
+
+    def column(self, ref: ColumnRef) -> np.ndarray:
+        return self.gather(self._slots[ref])
+
+
+# ----------------------------------------------------------------------
+# steps: one per plan node, names and slots only
+# ----------------------------------------------------------------------
+
+
+class _Scan(NamedTuple):
+    """Read the stored arrays of ``names``, keep the rows that pass
+    ``filters`` — ``(predicate, position)`` pairs."""
+
+    table: str
+    names: Tuple[str, ...]
+    filters: tuple
+
+    def run(self, executor: Executor, stack: List[_Result]) -> None:
+        data = executor._db.table(self.table)
+        arrays = executor._fetch(self.table, self.names)
+        rows = _filtered(executor._db, arrays, None, self.filters)
+        cost = executor._cost.table_scan(
+            data.row_count, data.schema.row_width_bytes, len(self.filters)
+        )
+        count = arrays[0].shape[0] if rows is None else rows.shape[0]
+        stack.append(([(arrays, rows)], count, cost))
+
+
+class _Seek(NamedTuple):
+    """The rows an index seek on ``predicate`` finds, filtered by the
+    residual ``filters``."""
+
+    table: str
+    names: Tuple[str, ...]
+    index_name: str
+    predicate: Predicate
+    filters: tuple
+
+    def run(self, executor: Executor, stack: List[_Result]) -> None:
+        index = executor._db.indexes.structure(self.index_name)
+        rows = np.asarray(executor._seek_rows(self.predicate, index))
+        arrays = executor._fetch(self.table, self.names)
+        matching = rows.shape[0]
+        rows = _filtered(executor._db, arrays, rows, self.filters)
+        cost = executor._cost.index_seek(matching, len(self.filters))
+        stack.append(([(arrays, rows)], rows.shape[0], cost))
+
+
+class _Join(NamedTuple):
+    """An equijoin (a cartesian product without keys) of the two results
+    on top of the stack.
+
+    ``left_keys`` / ``right_keys`` are the parallel key slots, one per
+    distinct right column, in the order of the right columns' refs;
+    ``strings`` the ``(key position, left column, right column)`` of
+    STRING keys, whose right codes are translated into the left
+    dictionary; ``equalities`` the ``(slot, slot, string columns or
+    None)`` of left columns compared with one right column, which left
+    rows must satisfy before the probe.  ``index_columns`` name the
+    right table's kept :class:`~repro.storage.join_index.JoinIndex` when
+    the right input is an unfiltered scan.  The output carries the
+    ``left_keep`` and ``right_keep`` sources only.
+    """
+
+    algorithm: JoinAlgorithm
+    build_right: bool
+    left_keys: Tuple[Slot, ...]
+    right_keys: Tuple[Slot, ...]
+    strings: tuple
+    equalities: tuple
+    index_table: Optional[str]
+    index_columns: Optional[Tuple[str, ...]]
+    left_keep: Tuple[int, ...]
+    right_keep: Tuple[int, ...]
+
+    def run(self, executor: Executor, stack: List[_Result]) -> None:
+        right_sources, r_rows, right_cost = stack.pop()
+        left_sources, l_rows, left_cost = stack.pop()
+        if self.left_keys:
+            left_idx, right_idx = self._matches(
+                executor, left_sources, l_rows, right_sources
+            )
+        else:
+            # cartesian product
+            left_idx = np.repeat(np.arange(l_rows), r_rows)
+            right_idx = np.tile(np.arange(r_rows), l_rows)
+        sources = [_take(left_sources[i], left_idx) for i in self.left_keep]
+        sources += [
+            _take(right_sources[i], right_idx) for i in self.right_keep
+        ]
+
+        out_rows = left_idx.shape[0]
+        cost_model = executor._cost
+        algorithm = self.algorithm
+        if algorithm == JoinAlgorithm.HASH:
+            build = r_rows if self.build_right else l_rows
+            probe = l_rows if self.build_right else r_rows
+            local = cost_model.hash_join(build, probe, out_rows)
+            total = left_cost + right_cost + local
+        elif algorithm == JoinAlgorithm.MERGE:
+            local = cost_model.merge_join(l_rows, r_rows, out_rows)
+            total = left_cost + right_cost + local
+        elif algorithm == JoinAlgorithm.NESTED_LOOP_INDEX:
+            matches = out_rows / l_rows if l_rows else 0.0
+            local = cost_model.nested_loop_index(l_rows, matches)
+            # the inner access path is replaced by per-row index seeks
+            total = left_cost + local
+        else:  # NESTED_LOOP_SCAN: the inner subtree re-runs per outer row
+            local = cost_model.nested_loop_scan(max(1, l_rows), right_cost)
+            total = left_cost + local
+        stack.append((sources, out_rows, total))
+
+    def _matches(self, executor, left_sources, l_rows, right_sources):
+        """Matching ``(left_idx, right_idx)`` row pairs: left rows in
+        order, each one's matches in right row order."""
+        left_arrays = [_read(left_sources, slot) for slot in self.left_keys]
+        right_arrays = [_read(right_sources, slot) for slot in self.right_keys]
+        for position, left_column, right_column in self.strings:
+            right_arrays[position] = translate_string_codes(
+                executor._dictionary(left_column),
+                executor._dictionary(right_column),
+                right_arrays[position],
+            )
+        kept = None
+        if self.equalities:
+            mask = np.ones(l_rows, dtype=bool)
+            for first, other, string_columns in self.equalities:
+                values = _read(left_sources, other)
+                if string_columns is not None:
+                    first_column, other_column = string_columns
+                    values = translate_string_codes(
+                        executor._dictionary(first_column),
+                        executor._dictionary(other_column),
+                        values,
+                    )
+                mask &= _read(left_sources, first) == values
+            kept = np.flatnonzero(mask)
+            left_arrays = [column[kept] for column in left_arrays]
+        index = None
+        if self.index_columns is not None:
+            index = executor._kept_join_index(
+                self.index_table, self.index_columns, right_arrays
+            )
+        left_idx, right_idx = join_indices(left_arrays, right_arrays, index)
+        if kept is not None:
+            left_idx = kept[left_idx]
+        return left_idx, right_idx
+
+
+class _Aggregate(NamedTuple):
+    """Group the result on top of the stack by ``group_slots`` and compute
+    ``aggregates`` — ``(function, slot, expression)``: the argument is the
+    column at ``slot``, else ``expression`` (``None`` for COUNT) over the
+    columns at ``argument_slots``.  The output is one source: the
+    distinct group keys (``group_out`` picks them from ``group_slots``),
+    then the aggregates; ``stream`` sorts it by ``stream_keys``."""
+
+    group_slots: Tuple[Slot, ...]
+    group_out: Tuple[int, ...]
+    aggregates: tuple
+    argument_slots: Dict[ColumnRef, Slot]
+    stream: bool
+    stream_keys: tuple
+
+    def run(self, executor: Executor, stack: List[_Result]) -> None:
+        sources, input_rows, child_cost = stack.pop()
+        cost_model = executor._cost
+        if self.group_slots:
+            key_arrays = [_read(sources, slot) for slot in self.group_slots]
+            if input_rows == 0:
+                arrays = [key_arrays[i] for i in self.group_out]
+                arrays += [np.empty(0) for _ in self.aggregates]
+                cost = child_cost + cost_model.hash_aggregate(0, 0)
+                stack.append(([(arrays, None)], 0, cost))
+                return
+            group_ids, representatives = group_indices(key_arrays)
+            n_groups = representatives.shape[0]
+            arrays = [key_arrays[i][representatives] for i in self.group_out]
+        else:
+            n_groups = 1
+            group_ids = np.zeros(input_rows, dtype=np.int64)
+            arrays = []
+
+        counts = np.bincount(group_ids, minlength=n_groups).astype(np.float64)
+        reader = _SlotReader(self.argument_slots, sources, input_rows)
+        for function, slot, expression in self.aggregates:
+            if slot is not None:
+                values = reader.gather(slot)
+            elif expression is not None:
+                values = evaluate_scalar(executor._db, reader, expression)
+            else:
+                values = None
+            arrays.append(
+                executor._aggregate_values(function, values, group_ids, counts)
+            )
+        if self.stream:
+            rows = executor._sort_order(
+                [(arrays, None)], n_groups, self.stream_keys
+            )
+            cost = child_cost + cost_model.stream_aggregate(
+                input_rows, n_groups
+            )
+        else:
+            rows = None
+            cost = child_cost + cost_model.hash_aggregate(input_rows, n_groups)
+        stack.append(([(arrays, rows)], n_groups, cost))
+
+
+class _Having(NamedTuple):
+    """Keep the groups that pass every ``(slot, op, value)`` condition."""
+
+    conditions: tuple
+
+    def run(self, executor: Executor, stack: List[_Result]) -> None:
+        sources, row_count, child_cost = stack.pop()
+        mask = np.ones(row_count, dtype=bool)
+        for slot, op, value in self.conditions:
+            mask &= COMPARATORS[op](_read(sources, slot), value)
+        kept = np.flatnonzero(mask)
+        cost = child_cost + row_count * (
+            len(self.conditions) * executor._config.cost.cpu_compare_cost
+        )
+        stack.append(
+            ([_take(source, kept) for source in sources], kept.shape[0], cost)
+        )
+
+
+class _Sort(NamedTuple):
+    """Order the result by ``keys`` (see :meth:`Executor._sort_order`)."""
+
+    keys: tuple
+
+    def run(self, executor: Executor, stack: List[_Result]) -> None:
+        sources, row_count, child_cost = stack.pop()
+        order = executor._sort_order(sources, row_count, self.keys)
+        if order is not None:
+            sources = [_take(source, order) for source in sources]
+        cost = child_cost + executor._cost.sort(row_count)
+        stack.append((sources, row_count, cost))
+
+
+# ----------------------------------------------------------------------
+# compilation
+# ----------------------------------------------------------------------
+
+
+class PlanLayout(NamedTuple):
+    """A plan compiled for execution; immutable, kept on the plan root.
+
+    Attributes:
+        needed: the query's referenced columns it was compiled for
+            (``None``: every column of every table).
+        steps: the plan's operators in post-order, column reads resolved
+            to slots.
+        annotations: per step, its node's feedback annotation.
+        root_keys: per source of the root's result, its column keys.
+    """
+
+    needed: Optional[Dict[str, frozenset]]
+    steps: tuple
+    annotations: tuple
+    root_keys: tuple
+
+
+class _Shape:
+    """At compile time, what a step's result holds: per source, the table
+    it reads (``None``: a step's computed columns) and its keys — column
+    names of the table, else column refs and labels."""
+
+    __slots__ = ("sources", "tables", "labels")
+
+    def __init__(self, sources, tables, labels) -> None:
+        self.sources = sources
+        #: table -> (its source, per position of that source the table's
+        #: column name there, else ``None``)
+        self.tables: Dict[str, Tuple[int, tuple]] = tables
+        #: label -> slot
+        self.labels: Dict[str, Slot] = labels
+
+    def slot(self, key) -> Slot:
+        try:
+            if isinstance(key, ColumnRef):
+                source, names = self.tables[key.table]
+                return source, names.index(key.column)
+            return self.labels[key]
+        except (KeyError, ValueError):
+            raise ExecutionError(f"no column {key} in the input") from None
+
+    @classmethod
+    def joined(cls, left: "_Shape", right: "_Shape", required):
+        """The shape of ``left`` and ``right`` side by side, keeping the
+        sources of ``required`` tables (``None``: all) and computed ones,
+        and the kept source indices of each side."""
+        sources: list = []
+        tables: dict = {}
+        labels: dict = {}
+        keeps = []
+        for shape in (left, right):
+            moved = {}
+            for index, source in enumerate(shape.sources):
+                table = source[0]
+                if required is None or table is None or table in required:
+                    moved[index] = len(sources)
+                    sources.append(source)
+            for table, (index, names) in shape.tables.items():
+                if index in moved:
+                    tables[table] = (moved[index], names)
+            for label, (index, position) in shape.labels.items():
+                if index in moved:
+                    labels[label] = (moved[index], position)
+            keeps.append(tuple(moved))
+        return cls(sources, tables, labels), keeps[0], keeps[1]
+
+
+class _Compiler:
+    """Compiles one plan into a :class:`PlanLayout`.
+
+    Compilation walks down with the set of tables some ancestor reads
+    (``required``; ``None`` at the root, which keeps everything), so that
+    a join carries only the sources read above it, and emits the steps
+    on the way back up, in post-order.
+    """
+
+    def __init__(self, schema, needed, annotations) -> None:
+        self._schema = schema
+        self._needed = needed
+        self._annotations = annotations
+        self._steps: list = []
+        self._observed: list = []
+
+    def layout(self, plan: PlanNode) -> PlanLayout:
+        shape = self._compile(plan, None)
+        root_keys = tuple(
+            keys
+            if table is None
+            else tuple(map(self._schema.table(table).ref, keys))
+            for table, keys in shape.sources
+        )
+        return PlanLayout(
+            self._needed, tuple(self._steps), tuple(self._observed), root_keys
+        )
+
+    # repro-lint: dispatch=PlanNode
+    def _compile(self, node: PlanNode, required) -> _Shape:
+        """Emit the steps of ``node``'s subtree; the shape of its result."""
+        if isinstance(node, ScanNode):
+            shape = self._table(node.table)
+            step = _Scan(
+                node.table,
+                shape.sources[0][1],
+                self._filters(shape, node.predicates),
+            )
+        elif isinstance(node, IndexSeekNode):
+            shape = self._table(node.table)
+            step = _Seek(
+                node.table,
+                shape.sources[0][1],
+                node.index_name,
+                node.seek_predicate,
+                self._filters(shape, node.residual_predicates),
+            )
+        elif isinstance(node, JoinNode):
+            step, shape = self._join(node, required)
+        elif isinstance(node, AggregateNode):
+            step, shape = self._aggregate(node)
+        elif isinstance(node, HavingNode):
+            shape = self._compile(node.child, required)
+            step = _Having(
+                tuple(
+                    (
+                        shape.slot(str(condition.aggregate)),
+                        condition.op,
+                        condition.value,
+                    )
+                    for condition in node.predicates
+                )
+            )
+        elif isinstance(node, SortNode):
+            if required is not None:
+                required = required.union(ref.table for ref in node.keys)
+            shape = self._compile(node.child, required)
+            step = _Sort(
+                tuple(
+                    (shape.slot(ref), self._string_column(ref))
+                    for ref in reversed(node.keys)
+                )
+            )
+        else:
+            raise ExecutionError(f"unknown plan node {type(node).__name__}")
+        self._steps.append(step)
+        self._observed.append(self._annotations[id(node)])
+        return shape
+
+    def _table(self, table: str) -> _Shape:
+        """One source: the columns of ``table`` the query reads (all of
+        them when it names none)."""
+        names = self._schema.table(table).column_names()
+        needed = self._needed
+        if needed is not None and table in needed:
+            wanted = needed[table]
+            names = [name for name in names if name in wanted] or names[:1]
+        names = tuple(names)
+        return _Shape([(table, names)], {table: (0, names)}, {})
+
+    @staticmethod
+    def _filters(shape: _Shape, predicates) -> tuple:
+        filters = []
+        for predicate in predicates:
+            (ref,) = predicate.columns()
+            filters.append((predicate, shape.slot(ref)[1]))
+        return tuple(filters)
+
+    def _string_column(self, ref) -> Optional[Tuple[str, str]]:
+        """``(table, column)`` of a STRING column, else ``None``."""
+        if self._schema.column(ref).type == ColumnType.STRING:
+            return ref.table, ref.column
+        return None
+
+    def _join(self, node: JoinNode, required):
+        left_tables = node.left.tables()
+        pairs = []
+        for predicate in node.join_predicates:
+            left_ref, right_ref = predicate.left, predicate.right
+            if left_ref.table not in left_tables:
+                left_ref, right_ref = right_ref, left_ref
+            pairs.append((right_ref, left_ref))
+        # one key per right column, in ref order, so that every spelling
+        # of a composite key presents its columns alike; the left columns
+        # compared with one right column must equal each other
+        pairs.sort()
+        keys: list = []
+        equalities = []
+        for right_ref, left_ref in pairs:
+            if not keys or keys[-1][0] != right_ref:
+                keys.append((right_ref, left_ref))
+            elif left_ref != keys[-1][1]:
+                equalities.append((keys[-1][1], left_ref))
+        # the inputs must carry the key columns; the output only what
+        # the ancestors read
+        below = required
+        if required is not None:
+            below = required.union(ref.table for pair in pairs for ref in pair)
+        left = self._compile(node.left, below)
+        right = self._compile(node.right, below)
+
+        strings = []
+        for position, (right_ref, left_ref) in enumerate(keys):
+            left_column = self._string_column(left_ref)
+            if left_column is not None:
+                right_column = (right_ref.table, right_ref.column)
+                strings.append((position, left_column, right_column))
+        equal = []
+        for first, other in equalities:
+            first_column = self._string_column(first)
+            if first_column is not None:
+                first_column = (first_column, (other.table, other.column))
+            equal.append((left.slot(first), left.slot(other), first_column))
+        right_node = node.right
+        index_columns = None
+        if (
+            keys
+            and not strings
+            and isinstance(right_node, ScanNode)
+            and not right_node.predicates
+        ):
+            index_columns = tuple(right_ref.column for right_ref, _ in keys)
+        shape, left_keep, right_keep = _Shape.joined(left, right, required)
+        step = _Join(
+            node.algorithm,
+            node.build_side == "right",
+            tuple(left.slot(left_ref) for _, left_ref in keys),
+            tuple(right.slot(right_ref) for right_ref, _ in keys),
+            tuple(strings),
+            tuple(equal),
+            right_node.table if index_columns else None,
+            index_columns,
+            left_keep,
+            right_keep,
+        )
+        return step, shape
+
+    def _aggregate(self, node: AggregateNode):
+        group_by = node.group_by
+        aggregates: Dict[str, Aggregate] = {}
+        for aggregate in node.aggregates:
+            aggregates.setdefault(str(aggregate), aggregate)
+        # COUNT reads no argument; a plain column is read by its slot
+        arguments = [
+            aggregate.argument
+            for aggregate in aggregates.values()
+            if aggregate.function != AggregateFunction.COUNT
+        ]
+        columns = [ref for argument in arguments for ref in argument.columns()]
+        group_keys = group_by
+        if len(group_by) > 1:
+            group_keys = tuple(dict.fromkeys(group_by))
+        if not group_keys and not aggregates:
+            # GROUP BY with no aggregates and no keys cannot happen; guard
+            raise ExecutionError("aggregate node produced no columns")
+        child = self._compile(
+            node.child,
+            frozenset(ref.table for ref in group_by + tuple(columns)),
+        )
+        stream_keys = ()
+        if node.method == "stream":
+            stream_keys = tuple(
+                ((0, group_keys.index(ref)), self._string_column(ref))
+                for ref in reversed(group_by)
+            )
+        step = _Aggregate(
+            tuple(child.slot(ref) for ref in group_by),
+            tuple(group_by.index(ref) for ref in group_keys),
+            tuple(
+                self._argument(child, aggregate)
+                for aggregate in aggregates.values()
+            ),
+            {
+                ref: child.slot(ref)
+                for argument in arguments
+                if not isinstance(argument, ColumnExpression)
+                for ref in argument.columns()
+            },
+            node.method == "stream",
+            stream_keys,
+        )
+        tables = {
+            table: (
+                0,
+                tuple(
+                    ref.column if ref.table == table else None
+                    for ref in group_keys
+                ),
+            )
+            for table in {ref.table for ref in group_keys}
+        }
+        labels = {
+            label: (0, len(group_keys) + position)
+            for position, label in enumerate(aggregates)
+        }
+        output = group_keys + tuple(aggregates)
+        shape = _Shape([(None, output)], tables, labels)
+        return step, shape
+
+    @staticmethod
+    def _argument(child: _Shape, aggregate: Aggregate) -> tuple:
+        """``(function, slot, expression)`` of one aggregate step."""
+        argument = aggregate.argument
+        if aggregate.function == AggregateFunction.COUNT:
+            return aggregate.function, None, None
+        if isinstance(argument, ColumnExpression):
+            return aggregate.function, child.slot(argument.column), None
+        return aggregate.function, None, argument

@@ -6,7 +6,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.catalog import ColumnType
 from repro.errors import ExecutionError
 from repro.storage.join_index import (
     KEY_LIMIT,
@@ -108,44 +107,6 @@ def translate_string_codes(
     """
     mapping = right_dict.codes_in(left_dict)
     return mapping[np.asarray(right_codes, dtype=np.int64)]
-
-
-def align_join_keys(database, relation_left, relation_right, join_predicates):
-    """Key arrays for both sides of a join, in comparable domains.
-
-    Returns ``(left_arrays, right_arrays, right_refs)``, parallel and in
-    the order of the right side's column refs, so that every spelling of
-    a composite key presents its columns alike.  STRING join columns are
-    translated into a shared code space via their dictionaries — the
-    right side's array is then no stored one and its ref is ``None``;
-    other types compare natively.
-    """
-    pairs = []
-    for predicate in join_predicates:
-        left_ref, right_ref = predicate.left, predicate.right
-        if left_ref not in relation_left:
-            left_ref, right_ref = right_ref, left_ref
-        pairs.append((right_ref, left_ref))
-    pairs.sort()
-    left_arrays, right_arrays, right_refs = [], [], []
-    for right_ref, left_ref in pairs:
-        left_values = relation_left.column(left_ref)
-        right_values = relation_right.column(right_ref)
-        if database.schema.column(left_ref).type == ColumnType.STRING:
-            left_dict = database.table(left_ref.table).string_dictionary(
-                left_ref.column
-            )
-            right_dict = database.table(right_ref.table).string_dictionary(
-                right_ref.column
-            )
-            right_values = translate_string_codes(
-                left_dict, right_dict, right_values
-            )
-            right_ref = None
-        left_arrays.append(left_values)
-        right_arrays.append(right_values)
-        right_refs.append(right_ref)
-    return left_arrays, right_arrays, right_refs
 
 
 def joint_composite_keys(

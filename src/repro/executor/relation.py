@@ -1,4 +1,4 @@
-"""Intermediate results: row-id vectors over the columns of their sources."""
+"""Execution results: row-id vectors over the columns of their sources."""
 
 from __future__ import annotations
 
@@ -17,12 +17,13 @@ _Source = Tuple[Dict[object, np.ndarray], Optional[np.ndarray]]
 class Relation:
     """Row-aligned columns keyed by :class:`ColumnRef` (or string labels).
 
-    A relation is late-materializing: it holds, per *source* (a base table
-    or an operator's freshly computed columns), the source's arrays
-    untouched plus one row-id vector.  ``take`` / ``filter`` compose the
-    row-id vectors — one gather per source, not per column — and
-    :meth:`column` gathers a column the first time an operator reads it,
-    so a carried column nobody reads is never copied.
+    The executor's result type, built once per execution from the root
+    operator's output.  A relation is late-materializing: it holds, per
+    *source* (a base table or an operator's freshly computed columns),
+    the source's arrays untouched plus one row-id vector.  ``take`` /
+    ``filter`` compose the row-id vectors — one gather per source, not per
+    column — and :meth:`column` gathers a column the first time it is
+    read, so a carried column nobody reads is never copied.
 
     STRING columns stay dictionary-encoded throughout execution; decoding
     happens only when final results are rendered, via the owning table's
@@ -42,9 +43,9 @@ class Relation:
                     f"{row_count}"
                 )
             arrays[key] = array
-        self._assemble([(arrays, None)], row_count or 0, None)
+        self._assemble([(arrays, None)], row_count or 0)
 
-    def _assemble(self, sources: List[_Source], row_count: int, where):
+    def _assemble(self, sources: List[_Source], row_count: int, where=None):
         self._sources = sources
         self._row_count = row_count
         self._where: Optional[Dict[object, int]] = where
@@ -52,7 +53,9 @@ class Relation:
         return self
 
     @classmethod
-    def _of(cls, sources: List[_Source], row_count: int, where=None):
+    def from_sources(cls, sources: List[_Source], row_count: int, where=None):
+        """A relation over ``(arrays by key, row ids or None)`` sources
+        of ``row_count`` rows, taken as they are."""
         return cls.__new__(cls)._assemble(sources, row_count, where)
 
     def _index(self) -> Dict[object, int]:
@@ -94,7 +97,7 @@ class Relation:
     def take(self, indices: np.ndarray) -> "Relation":
         """Row subset / reorder by positional indices."""
         indices = np.asarray(indices)
-        return Relation._of(
+        return Relation.from_sources(
             [
                 (arrays, indices if rows is None else rows[indices])
                 for arrays, rows in self._sources
@@ -119,7 +122,9 @@ class Relation:
                 "cannot merge relations with different row counts: "
                 f"{self.row_count} vs {other.row_count}"
             )
-        return Relation._of(self._sources + other._sources, self.row_count)
+        return Relation.from_sources(
+            self._sources + other._sources, self.row_count
+        )
 
     @classmethod
     def from_table(

@@ -123,6 +123,17 @@ class NodeAnnotation:
     targets: Tuple[FeedbackKey, ...]
     estimated_rows: float
 
+    def observed(self, actual_rows: int) -> OperatorObservation:
+        """This estimate zipped with the operator's observed cardinality."""
+        return OperatorObservation(
+            operator=self.operator,
+            tables=self.tables,
+            targets=self.targets,
+            estimated_rows=self.estimated_rows,
+            actual_rows=int(actual_rows),
+            q_error=q_error(self.estimated_rows, actual_rows),
+        )
+
 
 class PlanInstrumenter:
     """Derives per-node feedback annotations from a physical plan.
@@ -166,15 +177,7 @@ class PlanInstrumenter:
         actual_rows: int,
     ) -> OperatorObservation:
         """Zip one node's annotation with its observed cardinality."""
-        annotation = annotations[id(node)]
-        return OperatorObservation(
-            operator=annotation.operator,
-            tables=annotation.tables,
-            targets=annotation.targets,
-            estimated_rows=annotation.estimated_rows,
-            actual_rows=int(actual_rows),
-            q_error=q_error(annotation.estimated_rows, actual_rows),
-        )
+        return annotations[id(node)].observed(actual_rows)
 
     # ------------------------------------------------------------------
 

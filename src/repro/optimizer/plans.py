@@ -3,7 +3,8 @@
 Every node carries its estimated output ``rows`` and cumulative estimated
 ``cost``, plus enough logical information for three consumers:
 
-* the **executor**, which interprets the tree over stored data;
+* the **executor**, which compiles the tree once and runs it over stored
+  data;
 * **FindNextStatToBuild** (paper Sec 4.2), which needs each node's *local*
   cost (``cost - Σ cost(children)``) and the predicates/columns the node
   touches, to propose statistics for the most expensive operator;
@@ -37,6 +38,9 @@ class PlanNode:
     #: on a plan root, the per-node annotation map of
     #: :class:`repro.feedback.observation.PlanInstrumenter`
     feedback_annotations: Optional[dict] = None
+    #: on a plan root, the :class:`repro.executor.executor.PlanLayout` its
+    #: first execution compiled
+    execution_layout = None
 
     def __init__(self, children: Tuple["PlanNode", ...], rows: float, cost: float):
         self.children = children

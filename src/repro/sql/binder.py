@@ -235,6 +235,14 @@ class _Binder:
                 if item.argument is None
                 else self._bind_scalar(item.argument)
             )
+            if function != AggregateFunction.COUNT and argument is not None:
+                for ref in argument.columns():
+                    if self._column_type(ref) == ColumnType.STRING:
+                        raise SqlBindError(
+                            f"{function.value.upper()} over STRING column "
+                            f"{ref} is not supported (it would aggregate "
+                            "dictionary codes)"
+                        )
             return Aggregate(function, argument)
         return self._bind_scalar(item)
 

@@ -6,9 +6,9 @@ import pytest
 from repro.catalog import ColumnRef
 from repro.errors import ExecutionError
 from repro.executor.evaluate import (
+    column_mask,
     decode_output_value,
     evaluate_scalar,
-    predicate_mask,
 )
 from repro.executor.relation import Relation
 from repro.sql.expressions import (
@@ -28,6 +28,11 @@ from tests.util import simple_db
 AGE = ColumnRef("emp", "age")
 NAME = ColumnRef("emp", "name")
 SAL = ColumnRef("emp", "salary")
+
+
+def predicate_mask(database, relation, predicate):
+    (ref,) = predicate.columns()
+    return column_mask(database, predicate, relation.column(ref))
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ from repro.backends.sqlite import SqliteBackend
 from repro.catalog import Column, ColumnRef, ColumnType, Schema, TableSchema
 from repro.executor import executor as executor_module
 from repro.executor.executor import Executor
-from repro.executor.relation import Relation
 from repro.optimizer.plans import JoinAlgorithm, JoinNode, ScanNode
 from repro.sql.builder import QueryBuilder
 from repro.storage import Database
@@ -214,24 +213,28 @@ class TestKeptIndex:
 
 
 def _join_of_stale_relations(executor_class):
-    """Rows of a join whose relations were taken before a DML and joined
-    after it, next to the rows SQLite returned for the old data."""
+    """Rows of a join whose arrays were read before a DML and joined after
+    it, next to the rows SQLite returned for the old data."""
     db = _database()
     query = _query(db, *BOTH_KEYS)
     executor = executor_class(db)
-    executor.execute(_plan(query), query)  # the old data's index is kept
+    plan = _plan(query)
+    executor.execute(plan, query)  # the old data's index is kept
     expected = _sqlite_rows(db, query)
     taken = {
-        name: Relation.from_table(
-            db.table(name), name, db.table(name).schema.column_names()
-        )
+        name: {
+            column: db.table(name).column_array(column)
+            for column in db.table(name).schema.column_names()
+        }
         for name in ("fact", "dim")
     }
-    executor._table_relation = lambda table, needed: taken[table]
+    # every run fetches its arrays through the executor, the layout
+    # compiled by the first run included
+    executor._fetch = lambda table, names: [taken[table][n] for n in names]
     data = db.table("dim")
     data.delete_rows(data.column_array("k2") <= 1)
     data.insert_rows([{"k1": -2, "k2": 0, "tag": "t0", "w": 9.5}] * 3)
-    return sorted(executor.execute(_plan(query), query).rows()), expected
+    return sorted(executor.execute(plan, query).rows()), expected
 
 
 def test_a_relation_taken_before_a_dml_joins_the_old_rows():
@@ -307,7 +310,7 @@ def test_an_index_built_from_replaced_arrays_is_not_kept():
 def test_deleting_the_identity_guard_breaks_the_stale_relation_join(tmp_path):
     """Delete-the-guard regression (cf. tests/analysis/
     test_typestate_rules.py): the executor with its "arrays are identical"
-    check removed joins a stale relation through the new data's index."""
+    check removed joins stale arrays through the new data's index."""
     source = open(os.path.join(SRC, "executor", "executor.py")).read()
     guard = "if index is not None and index.built_from(right_arrays):"
     assert guard in source, "guard vanished from executor.py"
@@ -326,7 +329,7 @@ def test_deleting_the_identity_guard_breaks_the_stale_relation_join(tmp_path):
 
 
 def test_column_refs_sort_like_their_names():
-    """``align_join_keys`` orders by the right side's refs and
+    """A compiled join orders its keys by the right side's refs and
     ``TableData.join_index`` by column name: within a table, the same."""
     names = ["k2", "k1", "w", "tag"]
     assert [

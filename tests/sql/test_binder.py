@@ -160,6 +160,25 @@ class TestDistinctAndAggregates:
         assert isinstance(query.projections[0], Aggregate)
         assert query.has_aggregation
 
+    @pytest.mark.parametrize("function", ["SUM", "AVG", "MIN", "MAX"])
+    def test_value_aggregate_over_string_rejected(self, function):
+        with pytest.raises(SqlBindError, match="STRING column emp.name"):
+            _bind(f"SELECT {function}(name) FROM emp")
+        with pytest.raises(SqlBindError, match="STRING column emp.name"):
+            _bind(f"SELECT dept_id, {function}(name) FROM emp GROUP BY dept_id")
+        with pytest.raises(SqlBindError, match="STRING column emp.name"):
+            _bind(
+                f"SELECT dept_id FROM emp GROUP BY dept_id "
+                f"HAVING {function}(name) > 1"
+            )
+
+    def test_count_over_string_bound(self):
+        query = _bind("SELECT COUNT(name), MAX(age) FROM emp")
+        assert [str(p) for p in query.projections] == [
+            "COUNT(emp.name)",
+            "MAX(emp.age)",
+        ]
+
     def test_group_by_bound(self):
         query = _bind(
             "SELECT dept_id, COUNT(*) FROM emp GROUP BY dept_id"
