@@ -4,9 +4,10 @@ Run with::
 
     python examples/auto_stats_server.py
 
-Simulates the aggressive Sec 6 policy — statistics managed on the fly for
-each incoming statement — and compares three server configurations on the
-same update-heavy workload:
+Runs the aggressive Sec 6 policy — statistics managed on the fly for each
+incoming statement, by the lock-step driver
+(:class:`repro.LockStepAdvisor`) — and compares three server
+configurations on the same update-heavy workload:
 
 * SQL Server 7.0 style: create every syntactically relevant
   single-column statistic per query (the paper's baseline);
@@ -20,32 +21,33 @@ cost triggered by the DML stream, and total workload execution cost.
 The final section runs the same workload through the *online service*
 (:class:`repro.StatsService`): concurrent client sessions submit
 statements while background MNSA/D workers and a staleness monitor manage
-statistics off the query path — the production posture the synchronous
-advisor only simulates.  See ``docs/service.md``.
+statistics off the query path.  The driver and the service run the same
+advisor step and maintenance pass; only the schedule differs.  See
+``docs/service.md``.
 """
 
 import threading
 
 from repro import (
-    AgingPolicy,
-    AutoDropPolicy,
-    CreationPolicy,
+    LockStepAdvisor,
     ServiceConfig,
-    StatisticsAdvisor,
     StatsService,
     generate_workload,
     make_tpcd_database,
 )
 
 
-def run_configuration(policy: CreationPolicy, label: str) -> None:
+def run_configuration(policy: str, label: str) -> None:
     db = make_tpcd_database(scale=0.005, z=2.0, seed=7)
     workload = generate_workload(db, "U25-S-100")
-    advisor = StatisticsAdvisor(
+    advisor = LockStepAdvisor(
         db,
-        creation_policy=policy,
-        drop_policy=AutoDropPolicy(refresh_fraction=0.2),
-        aging=AgingPolicy(window=25),
+        ServiceConfig(
+            creation_policy=policy,
+            staleness_fraction=0.2,
+            drop_after_refreshes=4,
+            aging_window=25,
+        ),
     )
     report = advisor.run_workload(workload.statements)
     visible = db.stats.visible_keys()
@@ -56,6 +58,22 @@ def run_configuration(policy: CreationPolicy, label: str) -> None:
     print(f"  creation cost:          {report.creation_cost:>12,.0f}")
     print(f"  refresh (update) cost:  {report.update_cost:>12,.0f}")
     print(f"  workload exec cost:     {report.execution_cost:>12,.0f}")
+    print()
+
+
+def run_without_statistics() -> None:
+    """A capture-only service (no advisor workers) never builds one."""
+    db = make_tpcd_database(scale=0.005, z=2.0, seed=7)
+    workload = generate_workload(db, "U25-S-100")
+    with StatsService(db, ServiceConfig(advisor_workers=0)) as service:
+        session = service.session()
+        for statement in workload.statements:
+            session.submit_statement(statement)
+    print("--- no statistics (magic numbers)")
+    print(f"  statements processed:   {len(workload.statements)}")
+    print(f"  statistics created:     {len(db.stats.keys())}")
+    cost = service.metrics.counter("service.execution_cost")
+    print(f"  workload exec cost:     {cost:>12,.0f}")
     print()
 
 
@@ -97,13 +115,10 @@ def run_service(clients: int = 4, workers: int = 2) -> None:
 def main() -> None:
     print("online statistics management, workload U25-S-100, TPCD_2\n")
     run_configuration(
-        CreationPolicy.SYNTACTIC,
-        "SQL Server 7.0 auto-statistics (all syntactic singles)",
+        "syntactic", "SQL Server 7.0 auto-statistics (all syntactic singles)"
     )
-    run_configuration(
-        CreationPolicy.MNSAD, "MNSA/D (paper) with drop-list + aging"
-    )
-    run_configuration(CreationPolicy.NONE, "no statistics (magic numbers)")
+    run_configuration("mnsad", "MNSA/D (paper) with drop-list + aging")
+    run_without_statistics()
     run_service()
 
 

@@ -44,16 +44,13 @@ from repro.config import (
 )
 from repro.core import (
     AgingPolicy,
-    AutoDropPolicy,
     CandidateMode,
-    CreationPolicy,
     EquivalenceCriterion,
     ExecutionTreeEquivalence,
     MnsaConfig,
     MnsaResult,
     OptimizerCostEquivalence,
     ShrinkingSetResult,
-    StatisticsAdvisor,
     TOptimizerCostEquivalence,
     candidate_statistics,
     find_minimal_essential_set,
@@ -98,6 +95,7 @@ from repro.optimizer import (
 )
 from repro.service import (
     CaptureLog,
+    LockStepAdvisor,
     MetricsRegistry,
     QueryEvent,
     ServiceRequest,
@@ -198,14 +196,12 @@ __all__ = [
     "ShrinkingSetResult",
     "shrinking_set",
     "AgingPolicy",
-    "AutoDropPolicy",
-    "CreationPolicy",
-    "StatisticsAdvisor",
     # errors
     "ReproError",
     "ServiceRejectedError",
     # online service
     "StatsService",
+    "LockStepAdvisor",
     "Session",
     "ServiceRequest",
     "ServiceResponse",

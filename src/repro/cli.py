@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--clients", type=int, default=4, help="concurrent client sessions"
     )
     serve.add_argument(
-        "--policy", choices=("mnsa", "mnsad"), default="mnsad"
+        "--policy", choices=("syntactic", "mnsa", "mnsad"), default="mnsad"
     )
     serve.add_argument(
         "--capture", type=int, default=1024, help="capture-log capacity"
@@ -459,10 +459,7 @@ def _cmd_workload(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    from repro.core.advisor import StatisticsAdvisor
     from repro.core.mnsa import MnsaConfig
-    from repro.core.policy import CreationPolicy
-    from repro.optimizer.cache import PlanCache
     from repro.sql.render import load_workload
     from repro.storage.persistence import load_database
 
@@ -471,32 +468,34 @@ def _cmd_tune(args) -> int:
         workload = load_workload(handle.read(), db.schema)
 
     config = MnsaConfig(t_percent=args.t)
-    cache = PlanCache(args.cache_size) if args.cache_size > 0 else None
-    backend = None
-    if args.backend != "memory":
-        from repro.backends import backend_from_name
-
-        backend = backend_from_name(args.backend, db)
     if args.mode == "offline":
-        advisor = StatisticsAdvisor(
-            db, CreationPolicy.NONE, config, cache=cache, backend=backend
-        )
-        shrink = advisor.offline_tune(workload.queries())
+        from repro.backends import backend_from_name
+        from repro.core.shrinking import offline_tune
+        from repro.optimizer.cache import PlanCache
+
+        cache = PlanCache(args.cache_size) if args.cache_size > 0 else None
+        backend = backend_from_name(args.backend, db, cache=cache)
+        created, shrink = offline_tune(backend, workload.queries(), config)
         print(
-            f"offline tuning: MNSA created "
-            f"{len(advisor.report.created)} statistics, Shrinking Set "
-            f"retained {len(shrink.essential)}"
+            f"offline tuning: MNSA created {len(created.created)} "
+            f"statistics, Shrinking Set retained {len(shrink.essential)}"
         )
         for key in shrink.essential:
             print(f"  keep {key}")
         return 0
-    policy = {
-        "mnsa": CreationPolicy.MNSA,
-        "mnsad": CreationPolicy.MNSAD,
-        "syntactic": CreationPolicy.SYNTACTIC,
-    }[args.mode]
-    advisor = StatisticsAdvisor(
-        db, policy, config, cache=cache, backend=backend
+    from repro.config import ServiceConfig
+    from repro.service import LockStepAdvisor
+
+    advisor = LockStepAdvisor(
+        db,
+        ServiceConfig(
+            creation_policy=args.mode,
+            plan_cache_size=args.cache_size,
+            backend=args.backend,
+            # SQL Server 7.0's drop rule (Sec 6)
+            drop_after_refreshes=4,
+        ),
+        mnsa_config=config,
     )
     report = advisor.run_workload(workload.statements)
     print(

@@ -204,9 +204,9 @@ class ServiceConfig:
         advisor_batch_size: maximum events one worker drains per wakeup.
         advisor_poll_seconds: how long an idle worker blocks waiting for
             new capture events before re-checking for shutdown.
-        creation_policy: ``"mnsa"`` or ``"mnsad"`` — which analysis the
-            advisor workers run per captured query (MNSA/D additionally
-            drop-lists statistics that never changed a plan, Sec 5.1).
+        creation_policy: what the advisor step runs per query —
+            ``"syntactic"`` (SQL Server 7.0: every relevant single
+            column), ``"mnsa"`` (Sec 4), or ``"mnsad"`` (Sec 5.1).
         staleness_fraction: the SQL Server 7.0 refresh trigger — a table
             is stale once its row-modification counter reaches this
             fraction of its row count (see
@@ -220,6 +220,21 @@ class ServiceConfig:
             statistics on a table before refreshing it — the paper's
             Sec 6 observation that refreshing hidden statistics is
             exactly the waste the drop-list exists to avoid.
+        drop_after_refreshes: the SQL Server 7.0 drop rule — physically
+            drop a statistic refreshed more than this many times;
+            ``None`` (the default) never drops.
+        drop_list_only: restrict that rule to drop-listed statistics
+            (the paper's Sec 6 improvement); ``False`` drops any
+            statistic, as vanilla SQL Server 7.0 does.
+        aging_window: statements during which a statistic the
+            maintenance pass dropped is not re-created by the advisor
+            step (:class:`~repro.core.policy.AgingPolicy`); ``0`` (the
+            default) turns aging off.
+        aging_expensive_query_cost: a query whose estimated cost
+            reaches this re-creates aged statistics anyway.
+        incremental_maintenance: fold INSERTed rows into the existing
+            histograms (paper ref [8]) instead of counting them toward a
+            refresh; degraded histograms still get rebuilt.
         execute_queries: execute query plans (True) or stop after
             optimization (False, plan-only service).
         plan_cache_size: capacity of the shared
@@ -312,6 +327,11 @@ class ServiceConfig:
     staleness_poll_seconds: float = 0.25
     refresh_budget_per_cycle: float | None = None
     purge_drop_list_before_refresh: bool = False
+    drop_after_refreshes: int | None = None
+    drop_list_only: bool = True
+    aging_window: int = 0
+    aging_expensive_query_cost: float = float("inf")
+    incremental_maintenance: bool = False
     execute_queries: bool = True
     plan_cache_size: int = 256
     feedback_enabled: bool = False
@@ -351,10 +371,10 @@ class ServiceConfig:
             )
         if self.advisor_poll_seconds <= 0:
             raise ValueError("advisor_poll_seconds must be > 0")
-        if self.creation_policy not in ("mnsa", "mnsad"):
+        if self.creation_policy not in ("syntactic", "mnsa", "mnsad"):
             raise ValueError(
-                f"creation_policy must be 'mnsa' or 'mnsad', got "
-                f"{self.creation_policy!r}"
+                "creation_policy must be 'syntactic', 'mnsa' or 'mnsad', "
+                f"got {self.creation_policy!r}"
             )
         if not 0.0 < self.staleness_fraction <= 1.0:
             raise ValueError(
@@ -370,6 +390,17 @@ class ServiceConfig:
             raise ValueError(
                 "refresh_budget_per_cycle must be > 0 or None, got "
                 f"{self.refresh_budget_per_cycle}"
+            )
+        if self.drop_after_refreshes is not None and (
+            self.drop_after_refreshes < 1
+        ):
+            raise ValueError(
+                "drop_after_refreshes must be >= 1 or None, got "
+                f"{self.drop_after_refreshes}"
+            )
+        if self.aging_window < 0:
+            raise ValueError(
+                f"aging_window must be >= 0, got {self.aging_window}"
             )
         if self.plan_cache_size < 0:
             raise ValueError(

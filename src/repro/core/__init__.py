@@ -12,8 +12,8 @@
 * :mod:`repro.core.mnsad` — MNSA with Drop (Sec 5.1).
 * :mod:`repro.core.shrinking` — the Shrinking Set algorithm (Sec 5.2,
   Figure 2).
-* :mod:`repro.core.policy` — creation/drop/aging policies (Sec 6).
-* :mod:`repro.core.advisor` — the end-to-end automation facade.
+* :mod:`repro.core.policy` — the aging policy of the online regime
+  (Sec 6); the regime itself runs in :mod:`repro.service`.
 """
 
 from repro.core.candidates import (
@@ -35,9 +35,8 @@ from repro.core.essential import (
 from repro.core.mnsa import MnsaConfig, MnsaResult, mnsa_for_query, mnsa_for_workload
 from repro.core.next_stat import find_next_stat_to_build
 from repro.core.mnsad import mnsad_for_query, mnsad_for_workload
-from repro.core.shrinking import ShrinkingSetResult, shrinking_set
-from repro.core.policy import AgingPolicy, AutoDropPolicy, CreationPolicy
-from repro.core.advisor import AdvisorReport, StatisticsAdvisor
+from repro.core.shrinking import ShrinkingSetResult, offline_tune, shrinking_set
+from repro.core.policy import AgingPolicy
 
 __all__ = [
     "CandidateMode",
@@ -59,9 +58,6 @@ __all__ = [
     "mnsad_for_workload",
     "ShrinkingSetResult",
     "shrinking_set",
+    "offline_tune",
     "AgingPolicy",
-    "AutoDropPolicy",
-    "CreationPolicy",
-    "StatisticsAdvisor",
-    "AdvisorReport",
 ]

@@ -1,141 +1,82 @@
-"""Policies for automating statistics management (paper Sec 6).
+"""The aging policy of the online regime (paper Sec 6).
 
-Mechanisms (Secs 4-5) decide *which* statistics matter; policies decide
-*when* to create, refresh, and physically drop them:
-
-* :class:`CreationPolicy` — the online spectrum from Sec 6: do nothing,
-  SQL Server 7.0's create-all-syntactically-relevant behaviour, MNSA, or
-  MNSA/D, applied per incoming query.
-* :class:`AutoDropPolicy` — the SQL Server 7.0 refresh/drop rule: refresh
-  a table's statistics when its row-modification counter exceeds a
-  fraction of the table size; physically drop a statistic after it has
-  been refreshed more than N times.  Our improvement (Sec 6): with
-  ``drop_list_only=True`` only statistics already identified as
-  non-essential (on the drop-list) are eligible for physical deletion.
-* :class:`AgingPolicy` — dampens re-creation of recently dropped
-  statistics, unless the blocked query is expensive enough that plan
-  quality must win over creation cost.
+The regime itself — per-query creation, counter-driven refresh, the drop
+rule — runs in :mod:`repro.service`.  :class:`AgingPolicy` dampens
+re-creation of statistics it dropped, unless the blocked query is
+expensive enough that plan quality must win over creation cost.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+import threading
 from typing import Dict, List
 
+from repro.concurrency import guarded_by
 from repro.errors import PolicyError
 from repro.stats.statistic import StatKey
 
 
-class CreationPolicy(enum.Enum):
-    """How statistics are created for incoming queries."""
-
-    NONE = "none"
-    SYNTACTIC = "syntactic"  # SQL Server 7.0 auto-statistics
-    MNSA = "mnsa"
-    MNSAD = "mnsad"
-
-
-@dataclass
-class AutoDropPolicy:
-    """Refresh + physical-drop rule (Sec 6, "Dropping Statistics").
-
-    Attributes:
-        refresh_fraction: refresh a table's statistics once the rows
-            modified since the last refresh exceed this fraction of the
-            table (SQL Server 7.0's counter rule).
-        max_updates_before_drop: physically drop a statistic updated more
-            than this many times.
-        drop_list_only: restrict physical drops to drop-listed statistics
-            (the paper's improvement over vanilla SQL Server behaviour).
-    """
-
-    refresh_fraction: float = 0.2
-    max_updates_before_drop: int = 4
-    drop_list_only: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.refresh_fraction <= 1.0:
-            raise PolicyError(
-                f"refresh_fraction must be in (0, 1], got "
-                f"{self.refresh_fraction}"
-            )
-        if self.max_updates_before_drop < 1:
-            raise PolicyError("max_updates_before_drop must be >= 1")
-
-    def apply(self, database) -> "DropPolicyActions":
-        """Refresh due tables and drop over-updated statistics."""
-        actions = DropPolicyActions()
-        for table in database.stats.tables_needing_refresh(
-            self.refresh_fraction
-        ):
-            actions.update_cost += database.stats.refresh_table(table)
-            actions.refreshed_tables.append(table)
-        for statistic in list(database.stats.statistics()):
-            if statistic.update_count <= self.max_updates_before_drop:
-                continue
-            if self.drop_list_only and not database.stats.is_droppable(
-                statistic.key
-            ):
-                continue
-            database.stats.drop(statistic.key)
-            actions.dropped.append(statistic.key)
-        return actions
-
-
-@dataclass
-class DropPolicyActions:
-    """What one :meth:`AutoDropPolicy.apply` pass did."""
-
-    refreshed_tables: List[str] = field(default_factory=list)
-    dropped: List[StatKey] = field(default_factory=list)
-    update_cost: float = 0.0
-
-    def merge(self, other: "DropPolicyActions") -> None:
-        self.refreshed_tables.extend(other.refreshed_tables)
-        self.dropped.extend(other.dropped)
-        self.update_cost += other.update_cost
-
-
-@dataclass
 class AgingPolicy:
     """Dampens immediate re-creation of recently dropped statistics.
 
-    Time is a logical statement counter maintained by the caller (the
-    advisor).  A statistic dropped at time T is suppressed from
-    re-creation until ``T + window`` — unless the query asking for it has
-    an estimated cost above ``expensive_query_cost``, in which case plan
-    quality wins (Sec 6: "we need to ensure that optimization of
-    significantly expensive queries are not adversely affected").
+    Time is a logical statement counter, advanced by :meth:`tick` once
+    per served statement (queries and DML alike).  A statistic dropped
+    at time T is suppressed from re-creation until ``T + window`` —
+    unless the query asking for it has an estimated cost of at least
+    ``expensive_query_cost``, in which case plan quality wins (Sec 6:
+    "we need to ensure that optimization of significantly expensive
+    queries are not adversely affected").
+
+    One policy is shared by the advisor workers and maintenance passes
+    of every service shard, so its state takes its own lock.
     """
 
-    window: int = 50
-    expensive_query_cost: float = float("inf")
-    _dropped_at: Dict[StatKey, int] = field(default_factory=dict)
+    _now = guarded_by("_lock")
+    _dropped_at = guarded_by("_lock")
 
-    def __post_init__(self) -> None:
-        if self.window < 0:
-            raise PolicyError(f"window must be >= 0, got {self.window}")
+    def __init__(
+        self, window: int = 50, expensive_query_cost: float = float("inf")
+    ) -> None:
+        if window < 0:
+            raise PolicyError(f"window must be >= 0, got {window}")
+        self.window = window
+        self.expensive_query_cost = expensive_query_cost
+        self._lock = threading.Lock()
+        self._now = 0
+        self._dropped_at: Dict[StatKey, int] = {}
 
-    def record_drop(self, key: StatKey, now: int) -> None:
-        self._dropped_at[key] = now
+    def tick(self, statements: int = 1) -> int:
+        """Advance the clock by ``statements``; returns the new time."""
+        with self._lock:
+            self._now += statements
+            return self._now
 
-    def suppresses(
-        self, key: StatKey, now: int, query_estimated_cost: float
-    ) -> bool:
+    @property
+    def now(self) -> int:
+        with self._lock:
+            return self._now
+
+    def record_drop(self, key: StatKey) -> None:
+        """``key`` was physically dropped now."""
+        with self._lock:
+            self._dropped_at[key] = self._now
+
+    def suppresses(self, key: StatKey, query_estimated_cost: float) -> bool:
         """Should re-creation of ``key`` be suppressed right now?"""
-        dropped_at = self._dropped_at.get(key)
-        if dropped_at is None:
-            return False
-        if now - dropped_at >= self.window:
-            del self._dropped_at[key]
-            return False
+        with self._lock:
+            dropped_at = self._dropped_at.get(key)
+            if dropped_at is None:
+                return False
+            if self._now - dropped_at >= self.window:
+                del self._dropped_at[key]
+                return False
         return query_estimated_cost < self.expensive_query_cost
 
-    def recently_dropped(self, now: int) -> List[StatKey]:
+    def recently_dropped(self) -> List[StatKey]:
         """Statistics still inside their damping window."""
-        return sorted(
-            key
-            for key, when in self._dropped_at.items()
-            if now - when < self.window
-        )
+        with self._lock:
+            return sorted(
+                key
+                for key, when in self._dropped_at.items()
+                if self._now - when < self.window
+            )

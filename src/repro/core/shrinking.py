@@ -30,7 +30,7 @@ from repro.core.equivalence import (
     EquivalenceCriterion,
     ExecutionTreeEquivalence,
 )
-from repro.core.mnsa import MnsaConfig
+from repro.core.mnsa import MnsaConfig, MnsaResult, mnsa_for_workload
 from repro.optimizer.cache import OptimizationRequest
 from repro.optimizer.optimizer import OptimizationResult
 from repro.sql.query import Query
@@ -156,3 +156,17 @@ def shrinking_set(
         optimizer_calls=backend.optimizer_calls - calls_before,
         memo_hits=memo_hits,
     )
+
+
+def offline_tune(
+    backend: Backend, queries: Iterable, config: MnsaConfig = MnsaConfig()
+) -> Tuple[MnsaResult, ShrinkingSetResult]:
+    """The conservative Sec 6 regime: MNSA over the whole workload, then
+    Shrinking Set to discard the non-essential statistics it created.
+
+    DML statements in ``queries`` are skipped.  Returns the MNSA and the
+    Shrinking Set outcomes.
+    """
+    queries = [q for q in queries if isinstance(q, Query)]
+    created = mnsa_for_workload(backend, queries, config=config)
+    return created, shrinking_set(backend, queries)

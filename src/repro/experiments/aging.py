@@ -5,8 +5,8 @@ cost that have been dropped after being found non-essential for a
 workload should not be recreated immediately if the same (or similar)
 workload repeats on the server."
 
-Scenario: an update-heavy workload runs twice through the online advisor
-with an aggressive drop policy in between, so statistics found
+Scenario: an update-heavy workload runs twice through the lock-step
+online advisor with an aggressive drop rule in between, so statistics found
 non-essential get physically dropped.  Without aging the repeat run
 rebuilds them immediately; with aging the rebuilds are dampened.
 """
@@ -14,11 +14,10 @@ rebuilds them immediately; with aging the rebuilds are dampened.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
-from repro.core.advisor import StatisticsAdvisor
-from repro.core.mnsa import MnsaConfig
-from repro.core.policy import AgingPolicy, AutoDropPolicy, CreationPolicy
+from repro.config import ServiceConfig
+from repro.service import LockStepAdvisor
 from repro.workload import generate_workload
 
 
@@ -46,31 +45,28 @@ def run_aging_experiment(
     Returns ``(without_aging, with_aging)`` :class:`AgingRow` pairs.
     """
     rows = []
-    for aging in (None, AgingPolicy(
-        window=aging_window, expensive_query_cost=expensive_query_cost
-    )):
+    for window in (0, aging_window):
         db = database_factory(z)
         workload = generate_workload(db, workload_name)
-        advisor = StatisticsAdvisor(
+        advisor = LockStepAdvisor(
             db,
-            creation_policy=CreationPolicy.MNSAD,
-            mnsa_config=MnsaConfig(),
-            drop_policy=AutoDropPolicy(
-                refresh_fraction=0.05,
-                max_updates_before_drop=1,
-                drop_list_only=True,
+            ServiceConfig(
+                creation_policy="mnsad",
+                staleness_fraction=0.05,
+                drop_after_refreshes=1,
+                aging_window=window,
+                aging_expensive_query_cost=expensive_query_cost,
             ),
-            aging=aging,
         )
         for _ in range(repeats):
-            advisor.run_workload(workload.statements)
+            report = advisor.run_workload(workload.statements)
         rows.append(
             AgingRow(
-                aging_enabled=aging is not None,
-                statistics_created=len(advisor.report.created),
-                creation_cost=advisor.report.creation_cost,
-                execution_cost=advisor.report.execution_cost,
-                statistics_dropped=len(advisor.report.dropped),
+                aging_enabled=window > 0,
+                statistics_created=len(report.created),
+                creation_cost=report.creation_cost,
+                execution_cost=report.execution_cost,
+                statistics_dropped=report.dropped,
             )
         )
     return tuple(rows)

@@ -16,10 +16,14 @@ queries keep flowing.  This package provides that runtime:
 * :class:`~repro.service.events.CaptureLog` /
   :class:`~repro.service.events.QueryEvent` — the bounded workload
   capture log between the query path and the advisor;
-* :class:`~repro.service.worker.AdvisorWorker` — background MNSA /
-  MNSA-D threads draining the log;
-* :class:`~repro.service.monitor.StalenessMonitor` — counter-triggered
-  refresh under a cost budget;
+* :class:`~repro.service.worker.AdvisorWorker` — background threads
+  draining the log through the per-query advisor step (aging, then the
+  syntactic, MNSA or MNSA/D creation policy);
+* :class:`~repro.service.monitor.StalenessMonitor` — the maintenance
+  pass: counter-triggered refresh under a cost budget, and the purge
+  and drop rules;
+* :class:`~repro.service.lockstep.LockStepAdvisor` — the same step and
+  pass run inline, statement by statement, with no threads;
 * :class:`~repro.service.metrics.MetricsRegistry` — counters and gauges
   with a text dump.
 
@@ -30,6 +34,7 @@ See ``docs/service.md`` for the architecture walkthrough and the
 from repro.service.admission import AdmissionQueue, TokenBucket
 from repro.service.api import ServiceRequest, ServiceResponse
 from repro.service.events import CaptureLog, QueryEvent
+from repro.service.lockstep import LockStepAdvisor, LockStepReport
 from repro.service.metrics import MetricsRegistry
 from repro.service.monitor import StalenessMonitor
 from repro.service.service import ServiceShard, Session, StatsService
@@ -39,6 +44,8 @@ __all__ = [
     "AdmissionQueue",
     "AdvisorWorker",
     "CaptureLog",
+    "LockStepAdvisor",
+    "LockStepReport",
     "MetricsRegistry",
     "QueryEvent",
     "ServiceRequest",

@@ -8,8 +8,8 @@ same statistics and data, gets the same answer: revive, same plan,
 drop-list.  The ledger remembers those answers.
 
 A verdict is keyed by what the analysis reads (:func:`verdict_key`): the
-query, and for each of its tables the visible ``(StatKey, Statistic)``
-pairs and the data version.  Statistics compare by object — through
+query, the candidates aging withholds from it, and for each of its
+tables the visible ``(StatKey, Statistic)`` pairs and the data version.  Statistics compare by object — through
 :attr:`~repro.stats.statistic.Statistic.serial`, so the ledger keeps no
 superseded histogram alive — and a refresh or rebuild, which installs a
 new ``Statistic``, misses, as does any DML (it bumps
@@ -62,17 +62,23 @@ class Verdict:
     dropped: Tuple[StatKey, ...] = ()
 
 
-def verdict_key(database, query: Query, learned=None) -> tuple:
+def verdict_key(
+    database, query: Query, learned=None, suppressed: Tuple[StatKey, ...] = ()
+) -> tuple:
     """The ledger key of analysing ``query`` against ``database`` now.
 
     ``learned`` is the correction-model version the analysing optimizer
-    plans with (``None`` without learned corrections).  Read it under
-    the analysis locks, right before the analysis it keys.
+    plans with (``None`` without learned corrections).  ``suppressed``
+    are the candidates aging withheld from the analysis: once their
+    window closes the same query and statistics key a different
+    analysis.  Read both under the analysis locks, right before the
+    analysis they key.
     """
     stats = database.stats
     return (
         _query_value(query),
         learned,
+        suppressed,
         tuple(
             (
                 database.table(name).version,

@@ -56,8 +56,9 @@ METRICS: Dict[str, str] = {
     "monitor.backoff_skips": "refreshes skipped while a table is in failure backoff",
     "monitor.cycles": "staleness-monitor cycles completed",
     "monitor.deferred": "due refreshes deferred by the per-cycle budget",
+    "monitor.dropped": "statistics physically dropped by the refresh-count drop rule",
     "monitor.errors": "exceptions raised inside the staleness monitor",
-    "monitor.purged": "drop-listed statistics purged after the grace period",
+    "monitor.purged": "drop-listed statistics purged before their table's refresh",
     "monitor.refresh_cost": "total update cost spent on refreshes",
     "monitor.refresh_errors": "statistics refreshes that raised",
     "monitor.refreshes": "statistics refreshes performed",
@@ -73,6 +74,8 @@ METRICS: Dict[str, str] = {
     "service.dml": "DML statement handling time (timer base)",
     "service.dml_statements": "DML statements applied through sessions",
     "service.execution_cost": "total execution cost of served queries",
+    "service.incremental_cost": "update cost of folding inserted rows into histograms",
+    "service.incremental_rebuilds": "statistics rebuilt after incremental maintenance degraded them",
     "service.queries": "queries served",
     "service.query": "query handling time (timer base)",
     "service.queue.admitted": "requests admitted to the admission queue",

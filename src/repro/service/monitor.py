@@ -17,7 +17,12 @@ the recorded errors described the statistics that no longer exist.
 
 Optionally the monitor purges drop-listed statistics on a table before
 refreshing it — the Sec 6 improvement: refreshing statistics the optimizer
-will never see is exactly the update overhead the drop-list identifies.
+will never see is exactly the update overhead the drop-list identifies —
+and then applies SQL Server 7.0's rule of physically dropping a
+(drop-listed, by default) statistic refreshed more than N times.  Every
+physical drop starts an aging window and is mirrored into a foreign
+analysis engine.  :meth:`StalenessMonitor.run_once` is the online
+regime's one maintenance pass, also run inline by the lock-step driver.
 """
 
 from __future__ import annotations
@@ -43,6 +48,14 @@ class StalenessMonitor(threading.Thread):
             = unbounded); tables beyond the budget are deferred.
         purge_drop_list: physically delete drop-listed statistics on a
             table before refreshing it.
+        drop_after_refreshes: physically drop a statistic refreshed more
+            than this many times (``None``: never).
+        drop_list_only: restrict ``drop_after_refreshes`` to drop-listed
+            statistics.
+        aging: optional :class:`~repro.core.policy.AgingPolicy` told
+            about every physical drop.
+        backend: a foreign analysis engine (``None`` for memory) whose
+            copy of every physically dropped statistic is dropped too.
         policy: optional :class:`~repro.feedback.policy.FeedbackPolicy`.
             When given, it decides which tables are due (by q-error,
             churn, or both per its
@@ -85,6 +98,10 @@ class StalenessMonitor(threading.Thread):
         router=None,
         shard_id: Optional[int] = None,
         starvation_cycles: int = 8,
+        drop_after_refreshes: Optional[int] = None,
+        drop_list_only: bool = True,
+        aging=None,
+        backend=None,
     ) -> None:
         name = (
             "stats-staleness-monitor"
@@ -101,6 +118,10 @@ class StalenessMonitor(threading.Thread):
             math.inf if budget_per_cycle is None else budget_per_cycle
         )
         self._purge = purge_drop_list
+        self._drop_after = drop_after_refreshes
+        self._drop_list_only = drop_list_only
+        self._aging = aging
+        self._backend = backend
         self._policy = policy
         self._corrections = corrections
         self._router = router
@@ -186,7 +207,7 @@ class StalenessMonitor(threading.Thread):
                 if self._purge:
                     for key in stats.drop_list():
                         if key.table == table:
-                            stats.drop(key)
+                            self._drop(stats, key)
                             self._metrics.inc("monitor.purged")
                 try:
                     cost = stats.refresh_table(table)
@@ -222,8 +243,38 @@ class StalenessMonitor(threading.Thread):
             self._waiting = fresh_waits
             if starved:
                 self._metrics.inc("monitor.starved", starved)
+            if self._drop_after is not None:
+                self._drop_over_refreshed(stats)
         self._metrics.inc("monitor.cycles")
         return spent
+
+    def _drop_over_refreshed(self, stats) -> None:
+        """SQL Server 7.0's drop rule over this monitor's tables; the
+        caller holds ``_db_lock``."""
+        for statistic in list(stats.statistics()):
+            key = statistic.key
+            due = statistic.update_count > self._drop_after
+            if due and self._owns(key.table) and (
+                stats.is_droppable(key) or not self._drop_list_only
+            ):
+                self._drop(stats, key)
+                self._metrics.inc("monitor.dropped")
+
+    def _drop(self, stats, key) -> None:
+        """Physically drop ``key`` everywhere it lives and start its
+        aging window; the caller holds ``_db_lock``."""
+        stats.drop(key)
+        if self._backend is not None and self._backend.has_stats(key):
+            self._backend.drop_stats(key)
+        if self._aging is not None:
+            self._aging.record_drop(key)
+
+    def _owns(self, table: str) -> bool:
+        return (
+            self._router is None
+            or self._shard_id is None
+            or self._router.shard_of(table) == self._shard_id
+        )
 
     def starved_tables(self) -> Dict[str, int]:
         """Aging map: table -> consecutive deferred cycles (a copy)."""
@@ -235,9 +286,4 @@ class StalenessMonitor(threading.Thread):
             due = self._policy.tables_due(stats, self._fraction)
         else:
             due = stats.tables_needing_refresh(self._fraction)
-        if self._router is not None and self._shard_id is not None:
-            due = [
-                t for t in due
-                if self._router.shard_of(t) == self._shard_id
-            ]
-        return due
+        return [table for table in due if self._owns(table)]

@@ -1,9 +1,8 @@
 """The long-running statistics-management service.
 
-:class:`StatsService` is the online counterpart of
-:class:`~repro.core.advisor.StatisticsAdvisor`: where the advisor runs the
-paper's Sec 6 regime *inline* (every query pays for its own sensitivity
-analysis before executing), the service runs it *asynchronously*:
+:class:`StatsService` runs the paper's Sec 6 online regime
+*asynchronously* — where the paper (and SQL Server 7.0) make every query
+pay for its own statistics decisions before it executes:
 
 * many client threads call :meth:`StatsService.submit` with a typed
   :class:`~repro.service.api.ServiceRequest` (or open a
@@ -12,13 +11,16 @@ analysis before executing), the service runs it *asynchronously*:
 * every query leaves a :class:`~repro.service.events.QueryEvent` in its
   shard's bounded capture log;
 * background :class:`~repro.service.worker.AdvisorWorker` threads drain
-  the logs and run MNSA / MNSA-D, creating and drop-listing statistics,
-  and skip the analyses a shared
-  :class:`~repro.service.ledger.VerdictLedger` has already settled;
+  the logs through the per-query advisor step (aging, then the
+  syntactic, MNSA or MNSA/D creation policy), skipping the analyses a
+  shared :class:`~repro.service.ledger.VerdictLedger` has settled;
 * per-shard :class:`~repro.service.monitor.StalenessMonitor` threads
-  watch the row-modification counters of the tables they own and refresh
-  under a cost budget;
+  run the maintenance pass: refresh on the modification counter under a
+  cost budget, then the purge and drop rules;
 * a :class:`~repro.service.metrics.MetricsRegistry` counts everything.
+
+:class:`~repro.service.lockstep.LockStepAdvisor` runs the same step and
+pass inline, in statement order — the paper's own schedule.
 
 Concurrency model: the service is **sharded by table**.  Each
 :class:`ServiceShard` owns a statement lock, a capture-log segment, its
@@ -56,6 +58,7 @@ from repro.backends.base import Backend, backend_from_name
 from repro.concurrency import guarded_by
 from repro.config import ServiceConfig
 from repro.core.mnsa import MnsaConfig
+from repro.core.policy import AgingPolicy
 from repro.errors import ServiceError, ServiceRejectedError
 from repro.executor.dml import apply_dml
 from repro.executor.executor import ExecutionResult, Executor
@@ -317,6 +320,14 @@ class StatsService:
             )
         #: verdicts of settled analyses, shared by every advisor worker
         self.ledger = VerdictLedger()
+        #: damps re-creation of what the maintenance pass dropped; None
+        #: unless ``config.aging_window`` is positive
+        self.aging: Optional[AgingPolicy] = None
+        if self.config.aging_window > 0:
+            self.aging = AgingPolicy(
+                self.config.aging_window,
+                self.config.aging_expensive_query_cost,
+            )
         self._seq = itertools.count(1)
         self._session_ids = itertools.count(1)
         self._session_slots: Tuple[_SessionSlot, ...] = tuple(
@@ -352,48 +363,39 @@ class StatsService:
             raise
         return self
 
+    def maintenance(self, shard: ServiceShard) -> StalenessMonitor:
+        """A new staleness monitor of ``shard``: the service starts
+        one per shard, the lock-step driver calls the pass of an
+        unstarted one."""
+        cfg = self.config
+        return StalenessMonitor(
+            self.database,
+            self.metrics,
+            shard.statement_lock,
+            fraction=cfg.staleness_fraction,
+            poll_seconds=cfg.staleness_poll_seconds,
+            budget_per_cycle=cfg.refresh_budget_per_cycle,
+            purge_drop_list=cfg.purge_drop_list_before_refresh,
+            policy=self.feedback_policy,
+            corrections=self.corrections,
+            router=self._router,
+            shard_id=shard.shard_id,
+            starvation_cycles=cfg.starvation_cycles,
+            drop_after_refreshes=cfg.drop_after_refreshes,
+            drop_list_only=cfg.drop_list_only,
+            aging=self.aging,
+            backend=self._analysis_backend,
+        )
+
     def _start_components(self) -> None:
         cfg = self.config
-        statement_locks = [s.statement_lock for s in self._shards]
         for shard in self._shards:
             shard.log = CaptureLog(cfg.capture_capacity)
             shard.workers = [
-                AdvisorWorker(
-                    index,
-                    self.database,
-                    shard.log,
-                    self.metrics,
-                    shard.statement_lock,
-                    creation_policy=cfg.creation_policy,
-                    mnsa_config=self.mnsa_config,
-                    batch_size=cfg.advisor_batch_size,
-                    poll_seconds=cfg.advisor_poll_seconds,
-                    on_created=self._note_created,
-                    cache=self.plan_cache,
-                    feedback_policy=self.feedback_policy,
-                    corrections=self.corrections,
-                    router=self._router,
-                    statement_locks=statement_locks,
-                    shard_id=shard.shard_id,
-                    backend=self._analysis_backend,
-                    ledger=self.ledger,
-                )
+                AdvisorWorker(self, shard, index, shard.log)
                 for index in range(cfg.advisor_workers)
             ]
-            shard.monitor = StalenessMonitor(
-                self.database,
-                self.metrics,
-                shard.statement_lock,
-                fraction=cfg.staleness_fraction,
-                poll_seconds=cfg.staleness_poll_seconds,
-                budget_per_cycle=cfg.refresh_budget_per_cycle,
-                purge_drop_list=cfg.purge_drop_list_before_refresh,
-                policy=self.feedback_policy,
-                corrections=self.corrections,
-                router=self._router,
-                shard_id=shard.shard_id,
-                starvation_cycles=cfg.starvation_cycles,
-            )
+            shard.monitor = self.maintenance(shard)
         for shard in self._shards:
             for worker in shard.workers:
                 worker.start()
@@ -569,13 +571,49 @@ class StatsService:
     ) -> ServiceResponse:
         if queue_wait:
             self.metrics.inc("service.queue.wait_seconds", queue_wait)
+        self.tick()
         if request.is_query:
             return self._serve_query(request, queue_wait)
         return self._serve_dml(request, queue_wait)
 
+    def tick(self) -> None:
+        """One statement arrived: advance the aging clock."""
+        if self.aging is not None:
+            self.aging.tick()
+
+    def plan_event(self, query) -> QueryEvent:
+        """The capture event of planning ``query`` now, without running
+        it: what the lock-step driver hands the advisor step before the
+        query is planned and executed for real."""
+        optimized, missing = self._optimizer.optimize_with_missing(
+            OptimizationRequest(query)
+        )
+        return QueryEvent(
+            seq=next(self._seq),
+            query=query,
+            estimated_cost=optimized.cost,
+            magic_variable_count=len(missing),
+            tables=tuple(query.tables),
+        )
+
     def _serve_query(
         self, request: ServiceRequest, queue_wait: float
     ) -> ServiceResponse:
+        response, event = self._run_query(request, queue_wait)
+        if event is not None:
+            log = self._shards[response.shard_ids[0]].log
+            accepted = log.append(event)
+            self.metrics.inc("capture.events")
+            if not accepted:
+                self.metrics.inc("capture.evicted")
+            self.metrics.gauge("capture.depth", self._capture_backlog())
+        return response
+
+    def _run_query(
+        self, request: ServiceRequest, queue_wait: float
+    ) -> Tuple[ServiceResponse, Optional[QueryEvent]]:
+        """Plan and execute a query request; returns its response and
+        its capture event (``None`` when degraded)."""
         opt_request: OptimizationRequest = request.statement
         query = opt_request.query
         if not opt_request.degraded and self._degradation_active():
@@ -624,6 +662,7 @@ class StatsService:
             )
             if retune:
                 self.metrics.inc("feedback.retunes_requested")
+        event = None
         if degraded:
             # A degraded plan consulted no statistics, so it carries no
             # signal for the advisor — and feeding the backlog is
@@ -639,18 +678,12 @@ class StatsService:
                 retune=retune,
                 worst_q_error=worst,
             )
-            log = self._shards[shard_ids[0]].log
-            accepted = log.append(event)
-            self.metrics.inc("capture.events")
-            if not accepted:
-                self.metrics.inc("capture.evicted")
-            self.metrics.gauge("capture.depth", self._capture_backlog())
         self.metrics.inc("service.queries")
         result: Union[ExecutionResult, OptimizationResult] = optimized
         if executed is not None:
             self.metrics.inc("service.execution_cost", executed.actual_cost)
             result = executed
-        return ServiceResponse(
+        response = ServiceResponse(
             result=result,
             shard_ids=shard_ids,
             degraded=degraded,
@@ -658,18 +691,31 @@ class StatsService:
             session_id=request.session_id,
             tenant=request.tenant,
         )
+        return response, event
 
     def _serve_dml(
         self, request: ServiceRequest, queue_wait: float
     ) -> ServiceResponse:
+        """Apply a DML request, replay it into a foreign analysis
+        engine, and with ``incremental_maintenance`` fold inserted rows
+        into the histograms (paper ref [8])."""
         statement: DmlStatement = request.statement
         shard_id = self._router.shard_of(statement.table)
         with self.metrics.timer("service.dml"):
             with self._shards[shard_id].statement_lock:
+                rows_before = self.database.row_count(statement.table)
                 affected = apply_dml(self.database, statement)
                 if self._analysis_backend is not None:
                     # keep the foreign analysis engine's data in step
                     self._analysis_backend.execute(statement)
+                if (
+                    affected
+                    and statement.kind == "insert"
+                    and self.config.incremental_maintenance
+                ):
+                    self._maintain_inserts(
+                        statement.table, rows_before, affected
+                    )
         self.metrics.inc("service.dml_statements")
         self.metrics.inc("service.rows_modified", affected)
         return ServiceResponse(
@@ -680,6 +726,28 @@ class StatsService:
             session_id=request.session_id,
             tenant=request.tenant,
         )
+
+    def _maintain_inserts(
+        self, name: str, rows_before: int, inserted: int
+    ) -> None:
+        """Fold the rows of table ``name`` past ``rows_before`` into its
+        histograms and rebuild the ones that degraded; the caller holds
+        the table's statement lock."""
+        stats = self.database.stats
+        table = self.database.table(name)
+        cost = stats.apply_incremental_inserts(
+            name,
+            {
+                column: table.column_array(column)[rows_before:]
+                for column in table.schema.column_names()
+            },
+        )
+        for key in stats.keys_needing_rebuild(name):
+            cost += stats.rebuild(key)
+            self.metrics.inc("service.incremental_rebuilds")
+        self.metrics.inc("service.incremental_cost", cost)
+        # the histograms cover these rows: no refresh for them
+        table.credit_modifications(inserted)
 
     def _capture_backlog(self) -> int:
         return sum(
@@ -751,7 +819,8 @@ class StatsService:
 
     # ------------------------------------------------------------------
 
-    def _note_created(self, keys: List[StatKey]) -> None:
+    def note_created(self, keys: List[StatKey]) -> None:
+        """Record statistics an advisor worker created."""
         with self._created_lock:
             for key in keys:
                 if key not in self._created_off_path:

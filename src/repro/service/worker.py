@@ -1,12 +1,13 @@
-"""Background advisor workers: MNSA / MNSA-D off the query path.
+"""Background advisor workers: the Sec 6 per-query step off the query path.
 
-Each :class:`AdvisorWorker` is a daemon thread with its *own*
-:class:`~repro.optimizer.Optimizer` (so optimizer call counts attribute
-cleanly per worker) draining the shared capture log.  For every captured
-query that still had selectivity variables on magic numbers, the worker
-runs the configured analysis — MNSA (Sec 4) or MNSA/D (Sec 5.1) — under
-the service's database lock, creating or drop-listing statistics without
-the foreground session waiting on any of it.
+Each :class:`AdvisorWorker` is a daemon thread draining its shard's
+capture log through :meth:`AdvisorWorker.advise`, the online regime's
+one per-query step: under the statement locks it applies aging, consults
+the verdict ledger, and runs the creation policy — SQL Server 7.0's
+syntactic rule, MNSA (Sec 4) or MNSA/D (Sec 5.1) — without the
+foreground session waiting on any of it.  The lock-step driver
+(:class:`~repro.service.lockstep.LockStepAdvisor`) calls the same step
+inline, before each query is planned.
 """
 
 from __future__ import annotations
@@ -14,134 +15,96 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import ExitStack
-from typing import Callable, List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.backends.base import Backend
 from repro.backends.memory import MemoryBackend
 from repro.concurrency import guarded_by
-from repro.core.advisor import mirror_decisions
-from repro.core.mnsa import MnsaConfig, MnsaResult, mnsa_for_query
+from repro.core.candidates import CandidateMode, candidate_statistics
+from repro.core.mnsa import MnsaResult, mnsa_for_query
 from repro.core.mnsad import mnsad_for_query
-from repro.optimizer.cache import PlanCache
 from repro.optimizer.optimizer import Optimizer
 from repro.service.events import CaptureLog, QueryEvent
-from repro.service.ledger import Verdict, VerdictLedger, verdict_key
-from repro.service.metrics import MetricsRegistry
+from repro.service.ledger import Verdict, verdict_key
 from repro.stats.statistic import StatKey
 
 
+def create_syntactic(backend: Backend, candidates: Sequence[StatKey]):
+    """SQL Server 7.0's auto-statistics: create every candidate the
+    optimizer cannot see, with no analysis."""
+    before = backend.creation_cost_total
+    created = [key for key in candidates if not backend.is_stat_visible(key)]
+    for key in created:
+        backend.create_stats(key)
+    return MnsaResult(
+        created=created,
+        retained=created,
+        stop_reason="syntactic",
+        creation_cost=backend.creation_cost_total - before,
+    )
+
+
 class AdvisorWorker(threading.Thread):
-    """One background statistics-advisor thread.
+    """One background statistics-advisor thread of a service shard.
 
     Args:
-        index: worker ordinal, used for the thread name.
-        database: the shared database.
-        log: capture log to drain.
-        metrics: shared metrics registry.
-        db_lock: the service-wide database lock; held for the duration of
-            each per-query analysis so foreground execution and advisor
-            work interleave at statement granularity.
-        creation_policy: ``"mnsa"`` or ``"mnsad"``.
-        mnsa_config: analysis knobs (epsilon, t, candidate mode).
-        batch_size: maximum events drained per wakeup.
-        poll_seconds: idle block time waiting for events.
-        on_created: optional callback invoked (outside the db lock) with
-            the list of statistics a single analysis created.
-        cache: optional shared :class:`~repro.optimizer.cache.PlanCache`;
-            analysis probes repeated across workers and sessions are
-            answered from it instead of re-optimizing.
-        feedback_policy: optional
-            :class:`~repro.feedback.policy.FeedbackPolicy`.  When given,
-            re-tune events (queries whose executed plan was badly
-            misestimated) first rebuild the flagged statistics on the
-            query's tables, and the analysis breaks candidate ties
-            toward the highest-error observed columns.
-        corrections: optional :class:`~repro.learned.CorrectionStore`.
-            The worker's optimizer plans with it, and a re-tune rebuild
-            invalidates the rebuilt table's learned corrections.
-        router: optional :class:`~repro.stats.router.ShardRouter`.  With
-            ``statement_locks`` it switches the worker to sharded
-            locking: each analysis acquires the statement locks of
-            *every* shard owning one of the event's tables, in the
-            router's canonical ascending order (MNSA's ignore-subset
-            probes touch statistics on all of the query's tables, so
-            owning only the event's home shard would race cross-shard
-            queries).  Without it the worker holds ``db_lock`` as
-            before.
-        statement_locks: per-shard statement locks, indexed by shard id.
-        shard_id: the service shard this worker belongs to (thread
-            naming only).
-        backend: the :class:`~repro.backends.base.Backend` analyses run
-            against.  ``None`` (default) builds a private
-            :class:`~repro.backends.memory.MemoryBackend` over
-            ``database`` and this worker's optimizer — the historic
-            behaviour.  A foreign engine (e.g. ``SqliteBackend``) is
-            typically *shared* across workers (analyses are serialized
-            by the statement locks anyway) and its creation, revival and
-            drop-list decisions are mirrored into ``database.stats``
-            (:func:`~repro.core.advisor.mirror_decisions`) so the
-            refresh/drop policies and foreground sessions see them
-            (``backend.*`` metrics count the mirroring).
-        ledger: the :class:`~repro.service.ledger.VerdictLedger` shared
-            by the service's workers (``None`` gives this worker a
-            private one).  An event whose
-            :func:`~repro.service.ledger.verdict_key` it already holds is
-            settled without analysis (counted as ``advisor.settled``);
-            re-tune events bypass it.
+        service: the :class:`~repro.service.service.StatsService` the
+            worker advises — its database, config (creation policy,
+            batch size, poll interval), MNSA config, metrics, plan
+            cache, feedback policy, learned corrections, verdict ledger,
+            aging policy and analysis backend.
+        shard: the :class:`~repro.service.service.ServiceShard` the
+            worker belongs to (thread naming only).
+        index: worker ordinal within the shard (thread naming only).
+        log: capture log to drain; ``None`` for a worker that is never
+            started and whose :meth:`advise` is called inline.
+
+    The worker plans with its *own* optimizer (so optimizer calls
+    attribute per worker) over the service's plan cache and learned
+    corrections.  Analyses run against a private
+    :class:`~repro.backends.memory.MemoryBackend` over it, or against
+    the service's shared foreign engine, whose decisions are mirrored
+    into ``database.stats`` (``backend.*`` metrics).  Each analysis
+    holds the statement lock of *every* shard owning one of the event's
+    tables, in ascending order: MNSA's ignore-subset probes touch
+    statistics on all of the query's tables.  An event whose
+    :func:`~repro.service.ledger.verdict_key` the ledger holds is
+    settled without analysis (``advisor.settled``); re-tune events
+    (feedback found the plan badly misestimated) bypass the ledger and
+    first rebuild the flagged statistics.
     """
 
     _errors = guarded_by("_errors_lock")
 
     def __init__(
-        self,
-        index: int,
-        database,
-        log: CaptureLog,
-        metrics: MetricsRegistry,
-        db_lock: threading.RLock,
-        creation_policy: str = "mnsad",
-        mnsa_config: Optional[MnsaConfig] = None,
-        batch_size: int = 16,
-        poll_seconds: float = 0.05,
-        on_created: Optional[Callable[[List[StatKey]], None]] = None,
-        cache: Optional[PlanCache] = None,
-        feedback_policy=None,
-        corrections=None,
-        router=None,
-        statement_locks: Optional[List[threading.RLock]] = None,
-        shard_id: Optional[int] = None,
-        backend: Optional[Backend] = None,
-        ledger: Optional[VerdictLedger] = None,
+        self, service, shard, index: int = 0, log: Optional[CaptureLog] = None
     ) -> None:
-        name = (
-            f"stats-advisor-{index}"
-            if shard_id is None
-            else f"stats-advisor-{shard_id}-{index}"
+        super().__init__(
+            name=f"stats-advisor-{shard.shard_id}-{index}", daemon=True
         )
-        super().__init__(name=name, daemon=True)
-        self._router = router
-        self._statement_locks = statement_locks
-        self._db = database
+        config = service.config
+        self._db = service.database
         self._log = log
-        self._metrics = metrics
-        self._db_lock = db_lock
-        self._policy = creation_policy
-        self._config = mnsa_config or MnsaConfig()
-        self._batch_size = batch_size
-        self._poll_seconds = poll_seconds
-        self._on_created = on_created
-        self._ledger = ledger if ledger is not None else VerdictLedger()
+        self._metrics = service.metrics
+        self._router = service.router
+        self._statement_locks = [s.statement_lock for s in service.shards]
+        self._policy = config.creation_policy
+        self._config = service.mnsa_config
+        self._batch_size = config.advisor_batch_size
+        self._poll_seconds = config.advisor_poll_seconds
+        self._on_created = service.note_created
+        self._ledger = service.ledger
+        self._aging = service.aging
+        self._corrections = service.corrections
+        self._feedback_policy = service.feedback_policy
+        self._feedback = service.feedback
         self._optimizer = Optimizer(
-            database, cache=cache, corrections=corrections
+            self._db, cache=service.plan_cache, corrections=self._corrections
         )
-        if backend is None:
-            backend = MemoryBackend(database, optimizer=self._optimizer)
-        self._backend = backend
-        self._mirror = not isinstance(backend, MemoryBackend)
-        self._corrections = corrections
-        self._feedback_policy = feedback_policy
-        self._feedback = (
-            feedback_policy.store if feedback_policy is not None else None
+        backend = service.analysis_backend
+        self._mirror = backend is not None
+        self._backend = backend or MemoryBackend(
+            self._db, optimizer=self._optimizer
         )
         self._errors_lock = threading.Lock()
         self._errors: List[BaseException] = []
@@ -163,7 +126,7 @@ class AdvisorWorker(threading.Thread):
                 continue
             for event in batch:
                 try:
-                    self._process(event)
+                    self.advise(event)
                 except BaseException as exc:  # keep the worker alive
                     with self._errors_lock:
                         self._errors.append(exc)
@@ -173,24 +136,25 @@ class AdvisorWorker(threading.Thread):
 
     # ------------------------------------------------------------------
 
-    def _process(self, event: QueryEvent) -> None:
-        if event.magic_variable_count == 0 and not event.retune:
-            # existing statistics already covered every predicate
+    def advise(self, event: QueryEvent) -> None:
+        """The per-query step: analyse ``event`` under its shards'
+        statement locks and count what it did."""
+        if (
+            event.magic_variable_count == 0
+            and not event.retune
+            and self._policy != "syntactic"
+        ):
+            # existing statistics already covered every predicate, so
+            # the analysis would stop before creating anything
             self._metrics.inc("advisor.skipped")
             return
         started = time.perf_counter()
-        if self._router is not None and self._statement_locks is not None:
-            # Sharded locking: hold the statement lock of every shard
-            # owning one of the event's tables, in the router's
-            # canonical ascending order (the same order every other
-            # multi-shard path uses, so no acquisition cycle exists).
-            with ExitStack() as stack:
-                for sid in self._router.shard_ids_for(event.tables):
-                    stack.enter_context(self._statement_locks[sid])
-                result = self._analyze(event)
-        else:
-            with self._db_lock:
-                result = self._analyze(event)
+        # the router's canonical ascending order: the one order every
+        # multi-shard path uses, so no acquisition cycle exists
+        with ExitStack() as stack:
+            for sid in self._router.shard_ids_for(event.tables):
+                stack.enter_context(self._statement_locks[sid])
+            result = self._analyze(event)
         self._metrics.inc("advisor.seconds", time.perf_counter() - started)
         if result is None:
             self._metrics.inc("advisor.settled")
@@ -208,26 +172,34 @@ class AdvisorWorker(threading.Thread):
             self._on_created(list(result.created))
 
     def _analyze(self, event: QueryEvent) -> Optional[MnsaResult]:
-        """Run re-tune + MNSA/MNSA-D for one event; caller holds locks.
+        """Run re-tune + the creation policy for one event; caller holds
+        locks.
 
         Returns ``None`` when the ledger already holds the event's
         verdict.
         """
         if event.retune and self._feedback_policy is not None:
             self._retune(event)
+        candidates, suppressed = self._candidates(event)
         learned = (
             None if self._corrections is None else self._corrections.version
         )
-        key = verdict_key(self._db, event.query, learned)
+        key = verdict_key(self._db, event.query, learned, suppressed)
         if not event.retune and self._ledger.settled(key) is not None:
             return None
-        analyze = mnsa_for_query if self._policy == "mnsa" else mnsad_for_query
-        result = analyze(
-            self._backend,
-            event.query,
-            config=self._config,
-            feedback=self._feedback,
-        )
+        if self._policy == "syntactic":
+            result = create_syntactic(self._backend, candidates)
+        else:
+            analyze = (
+                mnsa_for_query if self._policy == "mnsa" else mnsad_for_query
+            )
+            result = analyze(
+                self._backend,
+                event.query,
+                candidates=candidates,
+                config=self._config,
+                feedback=self._feedback,
+            )
         if not result.retained:
             # the visible set is back where the analysis found it
             self._ledger.record(
@@ -242,17 +214,53 @@ class AdvisorWorker(threading.Thread):
             self._mirror_decisions(result)
         return result
 
+    def _candidates(
+        self, event: QueryEvent
+    ) -> Tuple[Optional[List[StatKey]], Tuple[StatKey, ...]]:
+        """The candidates the analysis may create (``None``: the ones
+        its config derives) and those aging withholds from it.
+
+        Whether a query is expensive enough to override aging is judged
+        by the cost it was planned at before this step ran.
+        """
+        if self._aging is None and self._policy != "syntactic":
+            return None, ()
+        candidates = candidate_statistics(
+            event.query,
+            CandidateMode.SINGLE_COLUMN
+            if self._policy == "syntactic"
+            else self._config.candidate_mode,
+        )
+        if self._aging is None:
+            return candidates, ()
+        suppressed = tuple(
+            key
+            for key in candidates
+            if self._aging.suppresses(key, event.estimated_cost)
+        )
+        return [k for k in candidates if k not in suppressed], suppressed
+
     def _mirror_decisions(self, result: MnsaResult) -> None:
-        """Mirror a foreign backend's decisions into ``database.stats``
-        and count them; runs under the analysis locks."""
+        """Reflect an analysis that ran on the foreign backend into
+        ``database.stats``, which the maintenance pass and the
+        foreground optimizer read: build the created statistics, revive
+        the retained ones memory holds drop-listed (the engine revived
+        them by creating them again), and drop-list the dropped ones.
+        Runs under the analysis locks."""
+        stats = self._db.stats
         self._metrics.inc("backend.analyses")
-        created, revived, dropped = mirror_decisions(self._db.stats, result)
-        if created:
-            self._metrics.inc("backend.mirrored_creates", created)
-        if revived:
-            self._metrics.inc("backend.mirrored_revives", revived)
-        if dropped:
-            self._metrics.inc("backend.mirrored_drops", dropped)
+        for key in result.created:
+            if not stats.has(key):
+                stats.create(key)
+                self._metrics.inc("backend.mirrored_creates")
+        for key in result.retained:
+            if stats.is_droppable(key):
+                stats.revive(key)
+                self._metrics.inc("backend.mirrored_revives")
+        for key in result.dropped:
+            if not stats.is_droppable(key):
+                stats.mark_droppable(key)
+                self._metrics.inc("backend.mirrored_drops")
 
     def _retune(self, event: QueryEvent) -> None:
         """Rebuild the statistics feedback blames for a misestimated plan.

@@ -333,6 +333,14 @@ class TableData:
         with self.mutation_lock:
             self.rows_modified_since_stats = 0
 
+    def credit_modifications(self, rows: int) -> None:
+        """``rows`` modifications were folded into the statistics
+        incrementally, so they no longer count toward a refresh."""
+        with self.mutation_lock:
+            self.rows_modified_since_stats = max(
+                0, self.rows_modified_since_stats - rows
+            )
+
     def sample_rows(
         self,
         max_rows: int,

@@ -85,18 +85,23 @@ class TestFullPipeline:
         assert plans_before == plans_after
 
     def test_update_workload_drives_refresh(self, fresh_tpcd_db):
-        from repro.core.policy import AutoDropPolicy
+        import threading
+
+        from repro.service import MetricsRegistry, StalenessMonitor
 
         db = fresh_tpcd_db()
         opt = Optimizer(db)
         workload = generate_workload(db, "U50-S-100")
         mnsa_for_workload(MemoryBackend(db, opt), workload.queries()[:10])
-        policy = AutoDropPolicy(refresh_fraction=0.01)
-        refreshed = []
+        metrics = MetricsRegistry()
+        maintenance = StalenessMonitor(
+            db, metrics, threading.RLock(), fraction=0.01
+        )
         for stmt in workload.dml()[:30]:
             apply_dml(db, stmt)
-            refreshed.extend(policy.apply(db).refreshed_tables)
-        assert refreshed  # modifications eventually trigger refreshes
+            maintenance.run_once()
+        # modifications eventually trigger refreshes
+        assert metrics.counter("monitor.refreshes") > 0
 
     def test_mnsad_pipeline(self, fresh_tpcd_db):
         db = fresh_tpcd_db()

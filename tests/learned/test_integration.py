@@ -7,18 +7,12 @@ import numpy as np
 import pytest
 
 from repro.config import ServiceConfig
-from repro.feedback import (
-    FeedbackKey,
-    FeedbackPolicy,
-    FeedbackStore,
-    OperatorObservation,
-    q_error,
-)
+from repro.feedback import FeedbackKey, OperatorObservation, q_error
 from repro.learned import CorrectionStore
 from repro.optimizer import Optimizer
 from repro.optimizer.cache import OptimizationRequest, PlanCache
 from repro.service import MetricsRegistry, StalenessMonitor, StatsService
-from repro.service.events import CaptureLog, QueryEvent
+from repro.service.events import QueryEvent
 from repro.service.worker import AdvisorWorker
 from repro.sql.builder import QueryBuilder
 from repro.stats.statistic import StatKey
@@ -146,19 +140,18 @@ class TestInvalidationPins:
 
     def test_retune_rebuild_drops_the_tables_corrections(self, db):
         db.stats.create(AGE)
-        feedback = FeedbackStore()
-        feedback.record(observation())  # q-error 100 on emp.age
-        policy = FeedbackPolicy(feedback, refresh_threshold=2.0)
-        store = trained_store()
-        worker = AdvisorWorker(
-            0,
+        service = StatsService(
             db,
-            CaptureLog(capacity=4),
-            MetricsRegistry(),
-            threading.RLock(),
-            feedback_policy=policy,
-            corrections=store,
+            ServiceConfig(
+                feedback_enabled=True,
+                learned_enabled=True,
+                qerror_refresh_threshold=2.0,
+            ),
         )
+        service.feedback.record(observation())  # q-error 100 on emp.age
+        store = service.corrections
+        store.observe(observation())
+        worker = AdvisorWorker(service, service.shards[0])
         event = QueryEvent(
             seq=0,
             query=filter_query(db),

@@ -161,7 +161,9 @@ class TestConfigValidation:
             ("advisor_workers", -1),
             ("advisor_batch_size", 0),
             ("advisor_poll_seconds", 0.0),
-            ("creation_policy", "syntactic"),
+            ("creation_policy", "bogus"),
+            ("drop_after_refreshes", 0),
+            ("aging_window", -1),
             ("staleness_fraction", 0.0),
             ("staleness_fraction", 1.5),
             ("staleness_poll_seconds", -1.0),

@@ -8,8 +8,8 @@ The service's correctness claims under concurrency:
 * **no lost updates** — every DML statement's effect lands exactly once,
   so final row counts match the single-threaded expectation;
 * **convergence** — the statistics the background workers build are the
-  same set a synchronous :class:`StatisticsAdvisor` pass builds for the
-  same workload.
+  same set a synchronous :class:`~repro.service.LockStepAdvisor` pass
+  builds for the same workload.
 
 Convergence needs the analysis itself to be order-insensitive, so the
 test pins ``t_percent=0``: MNSA then never stops early on the
@@ -31,10 +31,8 @@ import threading
 import pytest
 
 from repro.config import ServiceConfig
-from repro.core.advisor import StatisticsAdvisor
 from repro.core.mnsa import MnsaConfig
-from repro.core.policy import AutoDropPolicy, CreationPolicy
-from repro.service import StatsService
+from repro.service import LockStepAdvisor, StatsService
 from repro.sql.binder import parse_and_bind
 
 from tests.util import simple_db
@@ -82,11 +80,10 @@ def analysis_config() -> MnsaConfig:
 
 def run_synchronous(db):
     """The reference pass: one thread, inline advisor."""
-    advisor = StatisticsAdvisor(
+    advisor = LockStepAdvisor(
         db,
-        creation_policy=CreationPolicy.MNSA,
+        ServiceConfig(creation_policy="mnsa", staleness_fraction=1.0),
         mnsa_config=analysis_config(),
-        drop_policy=AutoDropPolicy(refresh_fraction=1.0),
     )
     advisor.run_workload(build_statements(db.schema))
     return advisor

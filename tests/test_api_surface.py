@@ -9,7 +9,6 @@ import repro
 
 EXPECTED = [
     "AgingPolicy",
-    "AutoDropPolicy",
     "BACKEND_NAMES",
     "Backend",
     "CandidateMode",
@@ -19,7 +18,6 @@ EXPECTED = [
     "ColumnType",
     "CorrectionStore",
     "CostModelConfig",
-    "CreationPolicy",
     "DEFAULT_CONFIG",
     "Database",
     "EquivalenceCriterion",
@@ -30,6 +28,7 @@ EXPECTED = [
     "FeedbackPolicy",
     "FeedbackStore",
     "ForeignKey",
+    "LockStepAdvisor",
     "MagicNumbers",
     "MemoryBackend",
     "MetricsRegistry",
@@ -64,7 +63,6 @@ EXPECTED = [
     "StalenessMonitor",
     "StatKey",
     "Statistic",
-    "StatisticsAdvisor",
     "StatisticsManager",
     "StatsService",
     "TOptimizerCostEquivalence",
