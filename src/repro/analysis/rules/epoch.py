@@ -1,13 +1,12 @@
 """R006: every mutating path through epoch-versioned state must bump
 ``_epoch``.
 
-A statistics shard bumps ``_epoch`` in the helper that also moves the
-per-table versions the plan cache is keyed by, and the correction store
-bumps its model version ``_epoch`` directly; a mutation path that skips
-the bump lets a stale cached plan silently survive its statistics.  This
-rule makes the convention
-structural: in any class that declares ``_epoch = guarded_by(...)``,
-every method that mutates another ``guarded_by``-annotated attribute —
+A statistics shard bumps ``_epoch`` in the helper that also drops the
+per-table views the plan cache's content key is read off, and the
+correction store bumps its model version ``_epoch`` directly; a mutation
+path that skips the bump lets a stale cached plan silently survive its
+statistics.  This rule makes the convention structural: in any class
+that declares ``_epoch = guarded_by(...)``, every method that mutates another ``guarded_by``-annotated attribute —
 directly, or transitively through a ``self.method()`` whose effect
 summary mutates one — must also increment ``self._epoch`` on **every
 path** that mutates (one bump per call covers all of that path's

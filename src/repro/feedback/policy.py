@@ -134,11 +134,11 @@ class FeedbackPolicy:
         At most one re-tune is granted per (plan signature, ``versions``)
         — the query's
         :meth:`~repro.stats.manager.StatisticsManager.versions_for`: once
-        granted, the same plan will not be re-queued until a statistics
-        mutation (the re-tune's own rebuilds included) or DML on one of
-        the query's own tables has moved them — without this, every
-        execution of a misestimated query would queue another identical
-        re-tune before the first one ran.
+        granted, the same plan will not be re-queued until a visible
+        statistic of the query's own tables is replaced, shown or hidden
+        (the re-tune's own rebuilds included) or DML moves them — without
+        this, every execution of a misestimated query would queue another
+        identical re-tune before the first one ran.
         """
         if worst_q_error < self.retune_threshold:
             return False

@@ -18,12 +18,12 @@ invalidation layers:
 
 * **version fast path** — the optimizer keys each entry by
   :meth:`~repro.stats.manager.StatisticsManager.versions_for` of the
-  query's own tables: per table, a statistics version moved by every
-  mutation of its statistics (create / drop / drop-list / refresh /
-  incremental insert / ignore-buffer change) and the data version moved
-  by every load or DML.  An entry stored under the current versions is
-  returned without further checks; a change to any other table leaves
-  them, and so the fast path, intact.
+  query's own tables: per table, the serials of its visible statistics
+  (every content change installs a new ``Statistic``, hence a new
+  serial) and the data version moved by every load or DML.  An entry
+  stored under the current versions is returned without further checks;
+  a change to any other table, or one undone (a create then a drop-list,
+  an ignore scope left), leaves them, and so the fast path, intact.
 * **fingerprint revalidation** — on a version mismatch the entry is only
   reused if its :func:`statistics_fingerprint` still matches: per-table
   ``(row_count, rows_modified_since_stats)`` plus
@@ -32,6 +32,13 @@ invalidation layers:
   query's tables that cannot change its plan therefore costs one cheap
   fingerprint comparison, not a re-optimization; the matching entry is
   promoted to the current versions.
+
+Both keys are content keys, not counters: a mutation and its undo (A →
+B → A) return them to where they were, so nothing may mutate a table's
+statistics between reading its versions and storing its plan.  Locking
+excludes that: in the service every statistics mutation of a table runs
+under its shard's ``statement_lock`` and planning holds the locks of
+all the query's shards; cold tuning is single-threaded.
 
 Sharing contract: a cache must only ever be shared between optimizers
 with the same database *and* the same :class:`~repro.config.OptimizerConfig`,
@@ -342,9 +349,8 @@ class PlanCache:
     ) -> None:
         """Insert (or replace) an entry, evicting LRU entries over
         capacity.  ``versions``/``fingerprint`` must be the values read
-        *before* the optimization ran: if statistics mutated mid-flight,
-        the stale versions force revalidation and the stale fingerprint
-        fails it, so the entry can never serve a wrong plan."""
+        *before* the optimization ran, under the locks the module
+        docstring names."""
         evicted = 0
         with self._lock:
             self._entries[request] = _Entry(versions, fingerprint, result)

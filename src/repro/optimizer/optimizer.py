@@ -562,9 +562,9 @@ class Optimizer:
         (:meth:`~repro.stats.manager.StatisticsManager.versions_for`),
         then fingerprint revalidation (see :mod:`repro.optimizer.cache`),
         so a change to any other table never evicts this entry.  Both the
-        versions and the fingerprint are read *before* planning, so a
-        concurrent statistics mutation mid-flight leaves at worst a stale
-        entry that fails revalidation — never a wrong plan.
+        versions and the fingerprint are read *before* planning; as
+        content keys they are sound only while the query's statistics
+        stand still until the store (the service's statement locks).
 
         Degraded requests are statistics-independent by construction, so
         they key under empty versions and fingerprint: after the first
@@ -575,8 +575,8 @@ class Optimizer:
         other estimators of that call.  Uncached, it is always used.
         Cached, only when ``memo_versions`` — the query's versions read
         before the memo's first read — equal the versions the plan is
-        stored under: the versions are monotone, so every read in the
-        memo then saw exactly the statistics of those versions.
+        stored under: with the statistics standing still, every read in
+        the memo then saw exactly the statistics of those versions.
         """
         with self._count_lock:
             self._call_count += 1
@@ -667,7 +667,8 @@ class Optimizer:
         three estimators see one statistics state, so they share one memo
         of what they read from it; the memo lives in this frame and dies
         with it.  With a cache it is tagged with the versions of the
-        query's tables read before its first read.
+        query's tables read before its first read, sound under the same
+        locks as :meth:`optimize_request`'s keys.
         """
         memo: dict = {}
         tag = None

@@ -8,16 +8,13 @@ same statistics and data, gets the same answer: revive, same plan,
 drop-list.  The ledger remembers those answers.
 
 A verdict is keyed by what the analysis reads (:func:`verdict_key`): the
-query, the candidates aging withholds from it, and for each of its
-tables the visible ``(StatKey, Statistic)`` pairs and the data version.  Statistics compare by object — through
-:attr:`~repro.stats.statistic.Statistic.serial`, so the ledger keeps no
-superseded histogram alive — and a refresh or rebuild, which installs a
-new ``Statistic``, misses, as does any DML (it bumps
-:attr:`~repro.storage.table_data.TableData.version`) and any statistic
-another analysis retained on one of the tables.  The tables' statistics
-versions are deliberately not part of the key: a create followed by a
-drop-list returns to the same visible set while the version keeps
-moving.
+query, the correction-model version, the candidates aging withholds from
+it, and what the optimizer can see of its tables —
+:meth:`~repro.stats.manager.StatisticsManager.versions_for`: the serials
+of their visible statistics (numbers, so the ledger keeps no superseded
+histogram alive) and their data versions.  A refresh or rebuild misses,
+as does any DML and any statistic another analysis retained on one of
+the tables; a create followed by a drop-list does not.
 
 Only analyses that left the visible set unchanged are recorded: a
 deterministic analysis that went from state K back to K will do so from
@@ -74,19 +71,11 @@ def verdict_key(
     analysis.  Read both under the analysis locks, right before the
     analysis they key.
     """
-    stats = database.stats
     return (
         _query_value(query),
         learned,
         suppressed,
-        tuple(
-            (
-                database.table(name).version,
-                # a serial names one Statistic object, and that one key
-                tuple(stat.serial for _, stat in stats.visible_on_table(name)),
-            )
-            for name in query.tables
-        ),
+        database.stats.versions_for(query.tables),
     )
 
 

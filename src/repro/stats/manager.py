@@ -14,19 +14,19 @@ One :class:`StatisticsManager` is attached to each database.  It provides:
   densities), honouring both the ignore set and the drop-list;
 * the SQL Server 7.0 refresh trigger: a per-table row-modification counter
   compared against a fraction of the table size (Sec 2, Sec 6);
-* one statistics version per table, moved by every mutation that can
-  change the table's visible statistics: :meth:`StatisticsManager.versions_for`
-  pairs it with the table's data version, and the plan cache, the probe
-  memo and the feedback re-tune guard key on those pairs, so a change to
-  one table never invalidates what was computed over other tables (the
-  same shape as Sec 6's per-table row-modification counter).
+* one content key per table: :meth:`StatisticsManager.versions_for`
+  pairs the serials of its visible statistics with its data version, and
+  the plan cache, the probe memo, the re-tune guard and the verdict
+  ledger key on those pairs — a change to one table never invalidates
+  what was computed over other tables, and a change undone (a create
+  then a drop-list, an ignore scope left) leaves the key as it was.
 
 Thread safety and sharding: the manager partitions its state *by table*
 into :class:`StatsShard` objects behind a
 :class:`~repro.stats.router.ShardRouter`.  Every shard owns its own
 reentrant lock and its own slice of the statistics / drop-list / ignore
-state and table versions, so mutations against one table never contend
-with queries over tables in other shards.  Aggregate views (``epoch``,
+state, so mutations against one table never contend with queries over
+tables in other shards.  Aggregate views (``epoch``,
 the count of statistics mutations, ``keys()``, the cost ledger) sum or
 concatenate over shards in ascending shard-id order; single-table
 operations route to exactly one shard.  The default is one shard — the
@@ -59,12 +59,13 @@ from repro.stats.statistic import StatKey, Statistic, as_stat_key
 
 class StatsShard:
     """One shard of a :class:`StatisticsManager`: the statistics,
-    drop-list, ignore buffer, per-table statistics versions, mutation
-    count and cost ledger of the tables routed to it.
+    drop-list, ignore buffer, mutation count and cost ledger of the
+    tables routed to it.
 
     All state is guarded by the shard's own reentrant lock; every
     mutation that can alter an optimization outcome names the tables it
-    changed to :meth:`_discard_views`, which moves their versions.
+    changed to :meth:`_discard_views`, which drops their views, and with
+    them their content keys (:meth:`visible_serials`).
     Shards never call into each other — cross-shard composition happens
     in the manager, and multi-shard readers tolerate per-shard (rather
     than global) snapshot consistency exactly like the plan cache's
@@ -103,7 +104,6 @@ class StatsShard:
         visibility="is_visible",
     )
     _ignored = guarded_by("_lock")
-    _versions = guarded_by("_lock")
     _epoch = guarded_by("_lock")
     _creation_cost = guarded_by("_lock")
     _update_cost = guarded_by("_lock")
@@ -116,8 +116,6 @@ class StatsShard:
         self._statistics: Dict[StatKey, Statistic] = {}
         self._drop_list: Set[StatKey] = set()
         self._ignored: Set[StatKey] = set()
-        #: table -> its statistics version, see _discard_views()
-        self._versions: Dict[str, int] = {}
         self._epoch = 0
         self._creation_cost = 0.0
         self._update_cost = 0.0
@@ -143,10 +141,10 @@ class StatsShard:
         with self._lock:
             return self._epoch
 
-    def version_of(self, table: str) -> int:
-        """``table``'s monotone statistics version."""
-        with self._lock:
-            return self._versions.get(table, 0)
+    def visible_serials(self, table: str) -> tuple:
+        """The :attr:`~repro.stats.statistic.Statistic.serial` of each
+        visible statistic of ``table``, in ``_statistics`` order."""
+        return self._table_view(table)[2]
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -337,11 +335,11 @@ class StatsShard:
             return pairs
 
     def _table_view(self, table: str) -> tuple:
-        """``(histograms, pairs)`` over the visible statistics of
-        ``table``: the histogram serving each leading column name (a
+        """``(histograms, pairs, serials)`` over the visible statistics
+        of ``table``: the histogram serving each leading column name (a
         single-column statistic's if one is visible, else the first
-        multi-column one's) and the ``(key, statistic)`` pairs, both in
-        ``_statistics`` order.
+        multi-column one's), the ``(key, statistic)`` pairs and their
+        statistics' serials, all in ``_statistics`` order.
 
         Built on the first lookup after a mutation that can have changed
         it (:meth:`_discard_views`) and never modified afterwards, so a
@@ -363,21 +361,21 @@ class StatsShard:
                         histograms.setdefault(leading, stat.histogram)
                     else:
                         histograms[leading] = stat.histogram
-                view = self._views[table] = (histograms, pairs)
+                serials = tuple([stat.serial for _, stat in pairs])
+                view = self._views[table] = (histograms, pairs, serials)
             return view
 
     def _discard_views(self, tables: Iterable[str]) -> None:
-        """Count one mutation, move the version of each of ``tables`` and
-        forget the cached views it can have changed: those of ``tables``
-        and the shard listing.  Call next to the mutation itself, under
-        the same lock hold, naming every table whose visible statistics
-        it can have changed."""
+        """Count one mutation and forget the cached views (and so the
+        content keys) it can have changed: those of ``tables`` and the
+        shard listing.  Call next to the mutation itself, under the same
+        lock hold, naming every table whose visible statistics it can
+        have changed."""
         with self._lock:
             self._epoch += 1
             self._listing = None
             for table in tables:
                 self._views.pop(table, None)
-                self._versions[table] = self._versions.get(table, 0) + 1
 
     def histogram_for(self, ref: ColumnRef):
         return self._table_view(ref.table)[0].get(ref.column)
@@ -438,11 +436,11 @@ class StatsShard:
                 values = inserted.get(leading)
                 if values is None:
                     continue
-                statistic = self._statistics[key]
-                # copy-on-write: estimators read a histogram they
+                # copy-on-write: estimators read a statistic they
                 # fetched earlier outside this lock
-                statistic.histogram = statistic.histogram.with_values(values)
-                statistic.row_count += len(values)
+                self._statistics[key] = self._statistics[key].with_inserts(
+                    values
+                )
                 total += len(values) * per_row
             self._update_cost += total
             self._discard_views((table_name,))
@@ -490,7 +488,6 @@ class StatsShard:
                 dict(self._statistics),
                 set(self._drop_list),
                 set(self._ignored),
-                dict(self._versions),
                 self._creation_cost,
                 self._update_cost,
                 self._epoch,
@@ -501,16 +498,14 @@ class StatsShard:
         statistics: Dict[StatKey, Statistic],
         drop_list: Set[StatKey],
         ignored: Set[StatKey],
-        versions: Dict[str, int],
         mutations: int,
     ) -> None:
-        """Install redistributed state into a new shard: the tables keep
-        their versions and the shard starts from ``mutations``."""
+        """Install redistributed state into a new shard, which starts
+        from ``mutations``."""
         with self._lock:
             self._statistics = dict(statistics)
             self._drop_list = set(drop_list)
             self._ignored = set(ignored)
-            self._versions = dict(versions)
             self._epoch = mutations
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -570,7 +565,7 @@ class StatisticsManager:
 
         Not safe to run concurrently with other manager use — the service
         calls it during startup, before any worker thread exists.  Every
-        table takes its statistics version along, so no
+        table keeps its ``Statistic`` objects in their order, so no
         :meth:`versions_for` entry moves, and :attr:`epoch` keeps its
         count.
         """
@@ -579,18 +574,14 @@ class StatisticsManager:
         statistics: Dict[StatKey, Statistic] = {}
         drop_list: Set[StatKey] = set()
         ignored: Set[StatKey] = set()
-        versions: Dict[str, int] = {}
         creation = 0.0
         update = 0.0
         mutations = 0
         for shard in self._shards:
-            stats, drops, ign, vers, c_cost, u_cost, epoch = (
-                shard.export_state()
-            )
+            stats, drops, ign, c_cost, u_cost, epoch = shard.export_state()
             statistics.update(stats)
             drop_list |= drops
             ignored |= ign
-            versions.update(vers)
             creation += c_cost
             update += u_cost
             mutations += epoch
@@ -610,11 +601,6 @@ class StatisticsManager:
                 owned,
                 {k for k in drop_list if router.shard_of(k.table) == index},
                 {k for k in ignored if router.shard_of(k.table) == index},
-                {
-                    table: version
-                    for table, version in versions.items()
-                    if router.shard_of(table) == index
-                },
                 mutations if index == 0 else 0,
             )
         new_shards[0].set_cost_ledger(creation, update)
@@ -640,20 +626,21 @@ class StatisticsManager:
         return sum(shard.epoch for shard in self._shards)
 
     def versions_for(self, tables: Iterable[str]) -> tuple:
-        """``(statistics version, data version)`` of each of ``tables``,
-        in the order given.
+        """``(visible serials, data version)`` of each of ``tables``, in
+        the order given: what the optimizer can see of them.
 
-        The statistics version moves with every mutation that can change
-        the table's visible statistics, the data version
-        (:attr:`~repro.storage.table_data.TableData.version`) with every
-        load or DML of the table.  Both are monotone, so an equal tuple
-        means nothing a plan over ``tables`` reads has changed, whatever
-        happened to other tables.
+        Every change of a statistic's content installs a new
+        ``Statistic``, hence a new serial, and the data version
+        (:attr:`~repro.storage.table_data.TableData.version`) moves with
+        every load or DML, so an equal tuple means nothing a plan over
+        ``tables`` reads has changed.  The key is not monotone (a create
+        then a drop-list returns it), so work keyed on it must hold off
+        mutations of ``tables`` until it is stored (the statement locks).
         """
         return tuple(
             [
                 (
-                    self._shard_for_table(table).version_of(table),
+                    self._shard_for_table(table).visible_serials(table),
                     self._db.table(table).version,
                 )
                 for table in tables
@@ -786,7 +773,8 @@ class StatisticsManager:
         server extension: the Shrinking Set algorithm needs ``Plan(Q, S')``
         for S' ⊂ S without physically dropping statistics.  Only the
         shards owning the keys' tables are touched, and only the tables
-        of keys the scope hides move their versions.
+        of keys the scope hides move their :meth:`versions_for` entries
+        — back to where they were when it exits.
         """
         added = {self._as_key(k) for k in keys}
         #: the keys this scope itself hid (not those hidden before it)
@@ -799,7 +787,7 @@ class StatisticsManager:
             # By key, through the router current *now*: a reshard inside
             # the scope moved the ignore buffers to other shards.  Every
             # shard owning one of ``added`` counts a mutation, hidden here
-            # or not; only the tables of keys shown again move versions.
+            # or not; only the tables of keys shown again rebuild views.
             for shard_id, shard_keys in self._by_shard(added):
                 self._shards[shard_id].remove_ignored(shard_keys & hidden)
 
@@ -929,12 +917,12 @@ class StatisticsManager:
     def apply_incremental_inserts(
         self, table_name: str, inserted: Dict[str, "object"]
     ) -> float:
-        """Fold freshly inserted rows into existing histograms in place.
+        """Fold freshly inserted rows into existing histograms.
 
         ``inserted`` maps column name -> encoded value array for the new
         rows.  Every physically present statistic on the table whose
-        leading column is covered gets its histogram updated at
-        ``stat_incremental_cost_per_row`` per row — the cheap alternative
+        leading column is covered is replaced by a copy with them folded
+        in, at ``stat_incremental_cost_per_row`` per row — the cheap alternative
         to a counter-triggered full refresh (paper ref [8]).  Returns the
         charged cost.  Densities are not maintained; call
         :meth:`keys_needing_rebuild` to find degraded statistics.

@@ -115,8 +115,9 @@ class Statistic:
         update_count: number of times this statistic has been refreshed
             (drives the SQL Server drop-after-N-updates policy, Sec 6).
         serial: unique to this object and never reused in the process —
-            its identity without a reference to it.  A refresh or rebuild
-            installs a new object, hence a new serial.
+            its identity without a reference to it.  A refresh, rebuild
+            or incremental fold installs a new object, hence a new
+            serial: a serial names one content.
     """
 
     def __init__(
@@ -148,6 +149,20 @@ class Statistic:
         #: optional :class:`~repro.stats.multidim.JointHistogram` over the
         #: first two columns (built when ``enable_joint_histograms`` is on)
         self.joint_histogram = joint_histogram
+
+    def with_inserts(self, values) -> "Statistic":
+        """A copy with ``values`` folded into the histogram and the row
+        count; everything else carries over unmaintained."""
+        folded = Statistic(
+            self.key,
+            self.histogram.with_values(values),
+            self.prefix_densities,
+            self.row_count + len(values),
+            self.build_cost,
+            self.joint_histogram,
+        )
+        folded.update_count = self.update_count
+        return folded
 
     # ------------------------------------------------------------------
     # estimation accessors

@@ -155,9 +155,10 @@ class TestPlanCacheBasics:
 
 
 class TestInvalidationMatrix:
-    """Every StatisticsManager mutation path and every DML must move the
-    versions of the table it touches and force the cache to re-optimize
-    rather than serve a stale plan."""
+    """Every StatisticsManager mutation path that changes what the
+    optimizer can see, and every DML, must move the versions of the
+    table it touches and force the cache to re-optimize rather than
+    serve a stale plan."""
 
     def _warm(self, db, opt, query):
         request = OptimizationRequest(query)
@@ -221,19 +222,31 @@ class TestInvalidationMatrix:
         assert opt.optimize_request(request) is not stale
 
     def test_ignore_subset_enter_and_exit_invalidate(self, db):
+        """Entering a scope that hides a statistic moves the key; leaving
+        it returns the key to where it was, so the entry stored before
+        the scope is a fast-path hit again."""
         db.stats.create(AGE)
-        opt = Optimizer(db, cache=PlanCache(8))
+        cache = PlanCache(8)
+        opt = Optimizer(db, cache=cache)
         query = QueryBuilder(db.schema).where("emp.age", "=", 30).build()
         request, with_stats = self._warm(db, opt, query)
         before = _emp_versions(db)
+        hits, revalidations = cache.hit_count, cache.revalidation_count
         with db.stats.ignore_subset([AGE]):
             inside = _emp_versions(db)
             assert inside != before
-            hidden = opt.optimize_request(request)
+            assert cache.get_fresh(request, inside) is None
+            hidden = Optimizer(db).optimize_request(request)
             assert hidden.rows != with_stats.rows
-        assert _emp_versions(db) not in (before, inside)
-        restored = opt.optimize_request(request)
-        assert restored.rows == with_stats.rows
+        assert _emp_versions(db) == before
+        assert opt.optimize_request(request) is with_stats
+        assert cache.hit_count == hits + 1
+        assert cache.revalidation_count == revalidations
+        # planned through the cache inside the scope, the entry follows
+        # the hidden state, and leaving the scope re-plans
+        with db.stats.ignore_subset([AGE]):
+            assert opt.optimize_request(request).rows == hidden.rows
+        assert opt.optimize_request(request).rows == with_stats.rows
 
     def test_set_ignored_invalidates(self, db):
         db.stats.create(AGE)
@@ -522,8 +535,9 @@ class TestEntryCarriedMissingVariables:
         request = OptimizationRequest(_age_query(db))
         opt.optimize_request(request)
         versions = _emp_versions(db)
-        ((stats_version, data_version),) = versions
-        later = ((stats_version + 1, data_version),)
+        db.stats.create(StatKey.single(SALARY))
+        later = _emp_versions(db)
+        assert later != versions
         cache.keep_missing(request, later, ("stale",))
         assert cache.missing_for(request, versions) is None
         cache.keep_missing(request, versions, ("current",))

@@ -8,8 +8,10 @@ view entry must equal a brute-force filter of the shard's statistics.
 A mutation discards only the entries it can have changed.
 
 The same steps pin ``versions_for``: a table whose visible statistics or
-rows changed has a moved entry, a step that names one table leaves the
-other table's entry equal, and ``reshard`` moves none.
+rows changed has a moved entry, a table whose visible statistics and
+rows are as they were has an equal one (whatever the step was), a step
+that names one table leaves the other table's entry equal, and
+``reshard`` moves none.
 """
 
 import itertools
@@ -112,9 +114,10 @@ def assert_views_match_filter(stats):
         ]
         listed.extend(visible)
         for table in COLUMNS:
-            histograms, pairs = shard._table_view(table)
+            histograms, pairs, serials = shard._table_view(table)
             expected = [(k, s) for k, s in visible if k.table == table]
             assert pairs == expected
+            assert serials == tuple(s.serial for _, s in expected)
             leading = {}
             for key, stat in expected:
                 if key.is_multi_column:
@@ -221,8 +224,7 @@ def _apply(database, scopes, op, a, b):
 
 def _state(database, table):
     """What a plan over ``table`` reads: its visible statistics (the
-    objects and their histograms, which incremental maintenance replaces
-    in place) and its rows."""
+    objects, their histograms and row counts) and its rows."""
     return (
         [
             (key, stat, stat.histogram, stat.row_count)
@@ -250,7 +252,9 @@ def assert_versions_follow_the_step(database, op, named, before, states):
         versions = stats.versions_for((table,))
         if op == "reshard" or named not in (None, table):
             assert versions == before[table], (op, table)
-        if not _same(states[table], _state(database, table)):
+        if _same(states[table], _state(database, table)):
+            assert versions == before[table], (op, table)
+        else:
             assert versions != before[table], (op, table)
 
 

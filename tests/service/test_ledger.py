@@ -2,11 +2,11 @@
 
 An MNSA/D analysis that leaves a query's visible statistics where it
 found them is recorded; the next capture event with the same key — the
-query, its tables' visible ``(StatKey, Statistic)`` pairs and data
-versions — is settled without analysis.  The invalidation tests pin what
-must re-open a verdict, and the convergence property pins what the
-ledger is for: replaying an unchanged workload reaches a pass that
-analyses, creates and drop-lists nothing.
+query and ``versions_for`` of its tables: the serials of their visible
+statistics and their data versions — is settled without analysis.  The
+invalidation tests pin what must re-open a verdict, and the convergence
+property pins what the ledger is for: replaying an unchanged workload
+reaches a pass that analyses, creates and drop-lists nothing.
 """
 
 import gc
@@ -114,10 +114,12 @@ class TestSettling:
         key = verdict_key(service.database, query)
         stats = service.database.stats
         epoch, versions = stats.epoch, stats.versions_for(("emp",))
+        assert key[-1] == stats.versions_for(query.tables)
         stats.create(StatKey("emp", ("name",)))
         stats.mark_droppable(StatKey("emp", ("name",)))
         assert stats.epoch > epoch
-        assert stats.versions_for(("emp",)) != versions
+        # the visible set is back where it was, and so is the key
+        assert stats.versions_for(("emp",)) == versions
         assert verdict_key(service.database, query) == key
 
 
