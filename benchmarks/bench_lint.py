@@ -1,10 +1,11 @@
 """Lint-engine performance and hygiene on the repo's own source tree.
 
-Two arms over ``src/`` with all fourteen rules (R001-R015; R008 is
-retired) enabled:
+Two arms over ``src/`` with every registered rule (eleven: R001-R007,
+R009-R011 and R014) enabled:
 
 * **cold** — no cache: every file rule and every project rule runs,
-  including the interprocedural typestate engine behind R012-R015;
+  including the interprocedural effect analysis behind R002, R006, R007
+  and R011;
 * **cached** — a second run against a warm incremental cache must
   execute *zero* rules (pure fingerprint hits).
 

@@ -2,7 +2,7 @@
 service.
 
 An AST-based lint suite (stdlib :mod:`ast`, zero dependencies) with
-fourteen rules guarding the invariants the concurrent service layer, the
+eleven rules guarding the invariants the concurrent service layer, the
 plan cache, and the statistics lifecycle depend on:
 
 =====  =======================  ====================================================
@@ -26,22 +26,16 @@ R010   guarded-escape           guarded mutable containers do not escape by
                                 reference
 R011   check-then-act           no mutation governed by a condition computed
                                 under an earlier hold of the same lock
-R012   stat-drop-list-protocol  drop-list transitions flip the carrier; no
-                                estimation read sees a hidden statistic
-R013   admission-lifecycle      no admit after close; stranded tickets settled
 R014   shard-lock-order         multi-shard locks taken in ascending shard order
-R015   backend-lifecycle        backends load before planning and implement the
-                                full protocol surface
 =====  =======================  ====================================================
 
-(R008 is retired; the ids are not renumbered.)  R002, R006, R007, R009
-and R011 run on a summary-based interprocedural **effect analysis**
+(R008, R012, R013 and R015 are retired — runtime tests hold their
+invariants; the ids are not renumbered.)  R002, R006, R007, R009 and
+R011 run on a summary-based interprocedural **effect analysis**
 (:mod:`repro.analysis.effects`): per-function effect sets — attributes
 mutated, metrics emitted, locks taken — propagated through
-``self.method()`` and module-call edges; R012, R013 and R015 run on the
-typestate verifier (:mod:`repro.analysis.typestate`).  Both sit on one
-call graph, one worklist fixpoint and one path walker
-(:mod:`repro.analysis.core`).
+``self.method()`` and module-call edges, on one call graph and one
+worklist fixpoint (:mod:`repro.analysis.core`).
 
 Run via ``repro lint src/`` (``--cache`` for incremental re-runs,
 ``--format json|sarif`` for machine-readable output, ``--fix`` for

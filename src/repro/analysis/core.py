@@ -12,12 +12,11 @@ Three pieces, each written once:
   supplies a join for one call edge; the solver evaluates every function
   once and re-evaluates a function only when a callee's summary grew.
   The effect summaries (:mod:`repro.analysis.effects`, read by R002,
-  R006, R007 and R011) and the typestate per-method summaries
-  (:mod:`repro.analysis.typestate`, R012–R015) run on it.
+  R006, R007 and R011) run on it.
 * :class:`PathWalker` — the one path-sensitive walk of a function body.
   It owns the statement structure; a client supplies only its initial
   states and a transfer function over one expression root.  R006's
-  epoch walk and the typestate protocol and guard walks are its clients.
+  epoch walk is its client.
 
 Everything here is purely syntactic; no analyzed module is imported.
 """
@@ -30,9 +29,7 @@ from typing import (
     Callable,
     Dict,
     Generic,
-    Iterable,
     List,
-    Optional,
     Set,
     Tuple,
     TypeVar,
@@ -79,32 +76,28 @@ class CallGraph:
                         self.callers[target].append(key)
             self.calls[key] = sites
 
-    def solve(self, join: Join, keys: Optional[Iterable[FnKey]] = None) -> None:
+    def solve(self, join: Join) -> None:
         """Run ``join`` over the call edges to a fixpoint, by worklist.
 
         Summaries must only grow, so the result is the least fixpoint
         whatever the visiting order.  Every function is evaluated once
         (all of its call edges joined); after that a function is queued
-        again only when one of its callees' summaries grew.  ``keys``
-        restricts the solve to those functions: edges leaving the set
-        are not joined.
+        again only when one of its callees' summaries grew.
         """
-        order = list(self.project.functions if keys is None else keys)
-        scope = set(order)
-        work = deque(order)
-        queued = set(order)
+        work = deque(self.project.functions)
+        queued = set(work)
         while work:
             key = work.popleft()
             queued.discard(key)
             grew = False
             for call, targets in self.calls[key]:
                 for target in targets:
-                    if target in scope and join(key, call, target):
+                    if join(key, call, target):
                         grew = True
             if not grew:
                 continue
             for caller in self.callers[key]:
-                if caller in scope and caller not in queued:
+                if caller not in queued:
                     queued.add(caller)
                     work.append(caller)
 

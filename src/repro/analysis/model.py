@@ -117,44 +117,6 @@ class PlanSourceSpec:
 
 
 @dataclass
-class ProtocolSpec:
-    """One ``attr = protocol("name", rule="R01x", ...)`` class-body
-    declaration (:func:`repro.concurrency.protocol`), the declarative
-    input to the typestate engine (:mod:`repro.analysis.typestate`)."""
-
-    attr: str
-    name: str
-    rule: str
-    states: Tuple[str, ...]
-    initial: str
-    transitions: Dict[str, Tuple[str, str]]
-    allowed: Dict[str, Tuple[str, ...]]
-    operations: Tuple[str, ...]
-    final: Optional[str]
-    requires: Tuple[str, ...]
-    carrier: Optional[str]
-    store: Optional[str]
-    guarded: Tuple[str, ...]
-    reads: Tuple[str, ...]
-    visibility: Optional[str]
-    drains: Dict[str, Tuple[str, ...]]
-    requires_before: Dict[str, str]
-    delegate: Optional[str]
-    lineno: int
-
-    def ops(self) -> Set[str]:
-        """Every operation (method name) the protocol mentions."""
-        out: Set[str] = set(self.transitions)
-        out |= set(self.operations) | set(self.guarded) | set(self.reads)
-        out |= set(self.drains) | set(self.requires_before)
-        for ops in self.allowed.values():
-            out |= set(ops)
-        if self.visibility:
-            out.add(self.visibility)
-        return out
-
-
-@dataclass
 class DispatchMarker:
     """One ``# repro-lint: dispatch=Base [except=A,B]`` marker."""
 
@@ -175,8 +137,6 @@ class ClassInfo:
     lock_attrs: Dict[str, LockAttr] = field(default_factory=dict)
     guarded: Dict[str, GuardedSpec] = field(default_factory=dict)
     plan_sources: Dict[str, PlanSourceSpec] = field(default_factory=dict)
-    #: protocol name -> declaration (rule R012–R015 typestate specs)
-    protocols: Dict[str, ProtocolSpec] = field(default_factory=dict)
 
 
 @dataclass
@@ -427,9 +387,6 @@ def _collect_class(module: SourceModule, node: ast.ClassDef) -> ClassInfo:
                 source = _parse_plan_source(target.id, stmt.value)
                 if source is not None:
                     info.plan_sources[target.id] = source
-                proto = _parse_protocol(target.id, stmt.value)
-                if proto is not None:
-                    info.protocols[proto.name] = proto
     return info
 
 
@@ -473,95 +430,6 @@ def _parse_plan_source(attr: str, value: ast.expr) -> Optional[PlanSourceSpec]:
             return None
         prop = value.args[0].value
     return PlanSourceSpec(attr=attr, prop=prop, lineno=value.lineno)
-
-
-def _const_str(node: Optional[ast.expr]) -> Optional[str]:
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
-
-
-def _str_tuple(node: Optional[ast.expr]) -> Tuple[str, ...]:
-    if not isinstance(node, (ast.Tuple, ast.List)):
-        return ()
-    out = []
-    for element in node.elts:
-        value = _const_str(element)
-        if value is not None:
-            out.append(value)
-    return tuple(out)
-
-
-def _parse_protocol(attr: str, value: ast.expr) -> Optional[ProtocolSpec]:
-    if not isinstance(value, ast.Call):
-        return None
-    callee = value.func
-    name = callee.id if isinstance(callee, ast.Name) else (
-        callee.attr if isinstance(callee, ast.Attribute) else None
-    )
-    if name != "protocol":
-        return None
-    proto_name = _const_str(value.args[0]) if value.args else None
-    if proto_name is None:
-        return None
-    keywords: Dict[str, ast.expr] = {
-        kw.arg: kw.value for kw in value.keywords if kw.arg is not None
-    }
-    rule = _const_str(keywords.get("rule"))
-    initial = _const_str(keywords.get("initial"))
-    states = _str_tuple(keywords.get("states"))
-    if rule is None or initial is None or not states:
-        return None
-
-    transitions: Dict[str, Tuple[str, str]] = {}
-    node = keywords.get("transitions")
-    if isinstance(node, ast.Dict):
-        for key, edge in zip(node.keys, node.values):
-            op = _const_str(key)
-            pair = _str_tuple(edge)
-            if op is not None and len(pair) == 2:
-                transitions[op] = (pair[0], pair[1])
-
-    def str_map(key: str) -> Dict[str, Tuple[str, ...]]:
-        mapping = keywords.get(key)
-        out: Dict[str, Tuple[str, ...]] = {}
-        if isinstance(mapping, ast.Dict):
-            for k, v in zip(mapping.keys, mapping.values):
-                name = _const_str(k)
-                if name is not None:
-                    out[name] = _str_tuple(v)
-        return out
-
-    requires_before: Dict[str, str] = {}
-    node = keywords.get("requires_before")
-    if isinstance(node, ast.Dict):
-        for key, target in zip(node.keys, node.values):
-            op = _const_str(key)
-            foreign = _const_str(target)
-            if op is not None and foreign is not None:
-                requires_before[op] = foreign
-
-    return ProtocolSpec(
-        attr=attr,
-        name=proto_name,
-        rule=rule,
-        states=states,
-        initial=initial,
-        transitions=transitions,
-        allowed=str_map("allowed"),
-        operations=_str_tuple(keywords.get("operations")),
-        final=_const_str(keywords.get("final")),
-        requires=_str_tuple(keywords.get("requires")),
-        carrier=_const_str(keywords.get("carrier")),
-        store=_const_str(keywords.get("store")),
-        guarded=_str_tuple(keywords.get("guarded")),
-        reads=_str_tuple(keywords.get("reads")),
-        visibility=_const_str(keywords.get("visibility")),
-        drains=str_map("drains"),
-        requires_before=requires_before,
-        delegate=_const_str(keywords.get("delegate")),
-        lineno=value.lineno,
-    )
 
 
 def _collect_lock_attrs(info: ClassInfo, fn: ast.FunctionDef) -> None:

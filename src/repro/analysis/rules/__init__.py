@@ -11,10 +11,7 @@ from repro.analysis.rules.metrics_registry import MetricsRegistryRule
 from repro.analysis.rules.plan_state import PlanStateRule
 from repro.analysis.rules.escape import GuardedEscapeRule
 from repro.analysis.rules.check_then_act import CheckThenActRule
-from repro.analysis.rules.droplist import DropListProtocolRule
-from repro.analysis.rules.admission import AdmissionLifecycleRule
 from repro.analysis.rules.shard_order import ShardLockOrderRule
-from repro.analysis.rules.backend_lifecycle import BackendLifecycleRule
 
 __all__ = [
     "GuardedByRule",
@@ -27,8 +24,5 @@ __all__ = [
     "PlanStateRule",
     "GuardedEscapeRule",
     "CheckThenActRule",
-    "DropListProtocolRule",
-    "AdmissionLifecycleRule",
     "ShardLockOrderRule",
-    "BackendLifecycleRule",
 ]

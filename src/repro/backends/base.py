@@ -30,7 +30,6 @@ from __future__ import annotations
 import abc
 from typing import List, Optional, Tuple
 
-from repro.concurrency import protocol
 from repro.optimizer.cache import OptimizationRequest
 from repro.optimizer.optimizer import OptimizationResult
 from repro.sql.query import Query
@@ -48,53 +47,11 @@ class Backend(abc.ABC):
     implementations that share mutable state across threads declare
     their locking with ``guarded_by`` like any other concurrent class.
 
-    The lifecycle declaration below is machine-checked (R015): a
-    backend must not plan or execute before its engine state is
-    loaded, every ``__init__`` path must end loaded (adapters that are
-    live at construction opt out per class with ``# repro-lint:
-    protocol-initial=backend-lifecycle:ready <reason>``), and every
-    concrete implementor must provide the full ``requires=`` surface.
+    Every method below is an ``abc.abstractmethod``, so an adapter that
+    leaves one out cannot be instantiated.  A backend must be usable
+    for planning as soon as its constructor returns: an adapter that
+    materializes engine state does so unconditionally in ``__init__``.
     """
-
-    _lifecycle = protocol(
-        "backend-lifecycle",
-        rule="R015",
-        states=("loading", "ready"),
-        initial="loading",
-        transitions={"_load": ("loading", "ready")},
-        allowed={
-            "loading": ("_load",),
-            "ready": (
-                "optimize",
-                "optimize_query",
-                "magic_variables",
-                "probe",
-                "execute",
-                "checksum",
-                "create_stats",
-                "drop_stats",
-            ),
-        },
-        final="ready",
-        requires=(
-            "name",
-            "schema",
-            "optimize",
-            "execute",
-            "create_stats",
-            "drop_stats",
-            "has_stats",
-            "is_stat_visible",
-            "stat_keys",
-            "visible_stat_keys",
-            "mark_stat_droppable",
-            "revive_stat",
-            "is_stat_droppable",
-            "stat_drop_list",
-            "row_count",
-            "table_names",
-        ),
-    )
 
     # ------------------------------------------------------------------
     # identity

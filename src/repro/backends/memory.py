@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.backends.base import Backend
-from repro.concurrency import protocol
 from repro.executor import Executor
 from repro.executor.dml import apply_dml
 from repro.optimizer.cache import OptimizationRequest, PlanCache
@@ -46,26 +45,6 @@ class MemoryBackend(Backend):
     All state lives in the wrapped objects (which carry their own
     locking); the adapter itself is immutable after construction.
     """
-
-    # repro-lint: protocol-initial=backend-lifecycle:ready adapter wraps an already-loaded Database; no materialization step
-    _droplist = protocol(
-        "stat-drop-list",
-        rule="R012",
-        states=("visible", "hidden"),
-        initial="visible",
-        transitions={
-            "create_stats": ("hidden", "visible"),
-            "mark_stat_droppable": ("visible", "hidden"),
-            "revive_stat": ("hidden", "visible"),
-        },
-        reads=(
-            "is_stat_visible",
-            "visible_stat_keys",
-            "is_stat_droppable",
-            "stat_drop_list",
-        ),
-        delegate="stats",
-    )
 
     def __init__(
         self,

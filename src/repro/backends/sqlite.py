@@ -43,7 +43,7 @@ import numpy as np
 from repro.backends.base import Backend
 from repro.backends.memory import DmlExecution
 from repro.catalog import ColumnRef, ColumnType
-from repro.concurrency import guarded_by, protocol
+from repro.concurrency import guarded_by
 from repro.config import DEFAULT_CONFIG, OptimizerConfig
 from repro.errors import ReproError, StatisticsError
 from repro.optimizer.cache import OptimizationRequest
@@ -347,29 +347,6 @@ class SqliteBackend(Backend):
 
     _stats = guarded_by("_db_lock")
     _calls = guarded_by("_db_lock")
-    _droplist = protocol(
-        "stat-drop-list",
-        rule="R012",
-        states=("visible", "hidden"),
-        initial="visible",
-        transitions={
-            "create_stats": ("hidden", "visible"),
-            "mark_stat_droppable": ("visible", "hidden"),
-            "revive_stat": ("hidden", "visible"),
-        },
-        carrier="droppable",
-        store="_stats",
-        guarded=("create_stats", "mark_stat_droppable", "revive_stat"),
-        reads=(
-            "optimize",
-            "magic_variables",
-            "is_stat_visible",
-            "visible_stat_keys",
-            "is_stat_droppable",
-            "stat_drop_list",
-        ),
-        visibility="_effective_visible",
-    )
     _creation_cost = guarded_by("_db_lock")
     _row_counts = guarded_by("_db_lock")
     _string_probes = guarded_by("_db_lock")

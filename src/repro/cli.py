@@ -293,10 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=["src"],
         help="files or directories to analyze (default: src)",
     )
+    from repro.analysis import all_rule_ids
+
     lint.add_argument(
         "--rules",
         default=None,
-        help="comma-separated rule ids to run (default: all, R001-R015)",
+        help=(
+            "comma-separated rule ids to run (default: all, "
+            f"{', '.join(all_rule_ids())})"
+        ),
     )
     lint.add_argument(
         "--changed",

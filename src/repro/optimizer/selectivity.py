@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from repro.catalog import ColumnRef, ColumnType
-from repro.concurrency import protocol
 from repro.config import DEFAULT_CONFIG, OptimizerConfig
 from repro.errors import OptimizerError
 from repro.optimizer.variables import (
@@ -79,24 +78,6 @@ class SelectivityEstimator:
     # repro-lint: optimize-path
     # repro-lint: plan-state-exempt=_join_cache: per-invocation memo on an estimator that lives for exactly one optimizer call; it never outlives the plan it shaped
     # repro-lint: plan-state-exempt=_memo: per-invocation memo, private to one optimizer call or owned by the stack frame of one Optimizer.probe call; it never outlives the plans that call shaped
-
-    # R012, read side: every statistics lookup that can shape an
-    # estimate must go through the manager's drop-list-aware accessors
-    # (``self._db.stats.*``), never a raw statistics container — a
-    # hidden (drop-listed or ignored) statistic must not feed a plan.
-    _droplist_reads = protocol(
-        "stat-drop-list",
-        rule="R012",
-        states=("visible", "hidden"),
-        initial="visible",
-        reads=(
-            "predicate_has_statistics",
-            "_histogram_selectivity",
-            "_try_joint_estimate",
-            "_join_group_selectivity",
-        ),
-        delegate="stats",
-    )
 
     def __init__(
         self,

@@ -24,7 +24,7 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional
 
-from repro.concurrency import guarded_by, protocol
+from repro.concurrency import guarded_by
 from repro.errors import ServiceError, ServiceRejectedError
 
 
@@ -44,17 +44,6 @@ class TokenBucket:
 
     _tokens = guarded_by("_lock")
     _updated = guarded_by("_lock")
-    # R013: the per-session rate gate.  ``operations=`` makes acquire()
-    # visible to the typestate walk even through untracked receivers
-    # (``session.limiter.acquire()``), feeding the admission queue's
-    # consumed-before-enqueue ordering obligation.
-    _lifecycle = protocol(
-        "token-bucket",
-        rule="R013",
-        states=("ready",),
-        initial="ready",
-        operations=("acquire",),
-    )
 
     def __init__(
         self,
@@ -154,23 +143,6 @@ class AdmissionQueue:
 
     _classes = guarded_by("_cond")
     _depth = guarded_by("_cond")
-    # R013: the ingress lifecycle.  No admit() on a provably-closed
-    # queue; close() returns the stranded tickets and every call site
-    # must settle them (fail/resolve); the session's token bucket must
-    # be consumed before the request is enqueued, never after.
-    _lifecycle = protocol(
-        "admission-queue",
-        rule="R013",
-        states=("open", "closed"),
-        initial="open",
-        transitions={"close": ("open", "closed")},
-        allowed={
-            "open": ("admit", "take", "close"),
-            "closed": ("take", "close"),
-        },
-        drains={"close": ("fail", "resolve")},
-        requires_before={"admit": "token-bucket:acquire"},
-    )
     _closed = guarded_by("_cond")
     admitted = guarded_by("_cond")
     rejected = guarded_by("_cond")

@@ -47,7 +47,7 @@ import threading
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.catalog import ColumnRef
-from repro.concurrency import guarded_by, protocol
+from repro.concurrency import guarded_by
 from repro.config import DEFAULT_CONFIG, OptimizerConfig
 from repro.errors import StatisticsError
 from repro.stats.builder import build_statistic, build_statistics
@@ -74,35 +74,6 @@ class StatsShard:
 
     _statistics = guarded_by("_lock")
     _drop_list = guarded_by("_lock")
-    # The paper's drop-list lifecycle (Sec 5), machine-checked (R012):
-    # transitions must flip the _drop_list carrier (create revives a
-    # drop-listed key instead of failing), guarded ops must check the
-    # store first, and every estimator lookup must consult is_visible.
-    _droplist_protocol = protocol(
-        "stat-drop-list",
-        rule="R012",
-        states=("visible", "hidden"),
-        initial="visible",
-        transitions={
-            "create": ("hidden", "visible"),
-            "mark_droppable": ("visible", "hidden"),
-            "revive": ("hidden", "visible"),
-        },
-        carrier="_drop_list",
-        store="_statistics",
-        guarded=("create", "mark_droppable", "revive"),
-        reads=(
-            "histogram_for",
-            "density_for_columns",
-            "joint_for_columns",
-            "visible_keys",
-            "visible_statistics",
-            "visible_on_table",
-            "drop_list",
-            "is_droppable",
-        ),
-        visibility="is_visible",
-    )
     _ignored = guarded_by("_lock")
     _epoch = guarded_by("_lock")
     _creation_cost = guarded_by("_lock")
@@ -410,19 +381,21 @@ class StatsShard:
         total = 0.0
         with self._lock:
             keys = self.keys_on_table(table_name)
-            rebuilt = build_statistics(data, keys, self._config)
-            for key, fresh in zip(keys, rebuilt):
-                fresh.update_count = self._statistics[key].update_count + 1
-                self._statistics[key] = fresh
-                total += statistic_update_cost(
-                    data.row_count,
-                    key,
-                    self._config.cost,
-                    self._config.sample_rows,
-                )
+            # with no statistic replaced, the view and its key stand
+            if keys:
+                rebuilt = build_statistics(data, keys, self._config)
+                for key, fresh in zip(keys, rebuilt):
+                    fresh.update_count = self._statistics[key].update_count + 1
+                    self._statistics[key] = fresh
+                    total += statistic_update_cost(
+                        data.row_count,
+                        key,
+                        self._config.cost,
+                        self._config.sample_rows,
+                    )
+                self._update_cost += total
+                self._discard_views((table_name,))
             data.reset_modification_counter()
-            self._update_cost += total
-            self._discard_views((table_name,))
         return total
 
     def apply_incremental_inserts(
@@ -431,17 +404,18 @@ class StatsShard:
         total = 0.0
         per_row = self._config.cost.stat_incremental_cost_per_row
         with self._lock:
+            # copy-on-write: estimators read a statistic they fetched
+            # earlier outside this lock
+            fresh: Dict[StatKey, Statistic] = {}
             for key in self.keys_on_table(table_name):
-                leading = key.columns[0]
-                values = inserted.get(leading)
+                values = inserted.get(key.columns[0])
                 if values is None:
                     continue
-                # copy-on-write: estimators read a statistic they
-                # fetched earlier outside this lock
-                self._statistics[key] = self._statistics[key].with_inserts(
-                    values
-                )
+                fresh[key] = self._statistics[key].with_inserts(values)
                 total += len(values) * per_row
+            if not fresh:
+                return total  # no statistic covers the inserted columns
+            self._statistics.update(fresh)
             self._update_cost += total
             self._discard_views((table_name,))
         return total

@@ -1,19 +1,17 @@
 """The shared call graph and its worklist fixpoint against the
-round-robin loops it replaced.
+round-robin loop it replaced.
 
-``EffectAnalysis``, the typestate per-method summaries and typestate's
-same-class flag closures each used to re-evaluate every function until
-a whole round changed nothing.  Those loops are kept verbatim below as
-the oracle; the worklist solver of :mod:`repro.analysis.core` must reach
-the same summaries on the repository's own trees and on the lint
-fixtures, and a solver that forgets to re-queue a changed function's
-callers must not.
+``EffectAnalysis`` used to re-evaluate every function until a whole
+round changed nothing.  That loop is kept verbatim below as the oracle;
+the worklist solver of :mod:`repro.analysis.core` must reach the same
+summaries on the repository's own trees and on the lint fixtures, and a
+solver that forgets to re-queue a changed function's callers must not.
 """
 
 import ast
 import importlib.util
 import os
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 import pytest
 
@@ -33,12 +31,10 @@ from repro.analysis.model import (
     ClassInfo,
     FnKey,
     SourceModule,
-    dotted,
     lock_withitems,
     resolve_call,
     walk_same_scope,
 )
-from repro.analysis.typestate import TypestateAnalysis, Tag
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -135,89 +131,8 @@ class RoundRobinEffects:
                             summary.metric_params.add(arg_expr.id)
 
 
-def round_robin_typestate(self: TypestateAnalysis):
-    """``TypestateAnalysis._compute_summaries`` before the shared fixpoint."""
-
-    def _function_index():
-        for module in self.project.modules:
-            for fn in module.functions.values():
-                yield module, None, fn
-            for cls in module.classes.values():
-                for fn in cls.methods.values():
-                    yield module, cls, fn
-
-    functions: Dict[
-        FnKey, Tuple[SourceModule, Optional[ClassInfo], ast.FunctionDef]
-    ] = {}
-    summaries: Dict[FnKey, Dict[str, Set[Tag]]] = {}
-    for module, cls, fn in _function_index():
-        key: FnKey = (
-            module.path, cls.name if cls is not None else None, fn.name
-        )
-        functions[key] = (module, cls, fn)
-        summaries[key] = self._direct_tags(cls, fn)
-    changed = True
-    while changed:
-        changed = False
-        for key, (module, cls, fn) in functions.items():
-            summary = summaries[key]
-            for node in _walk_same_scope(fn):
-                if not isinstance(node, ast.Call):
-                    continue
-                receiver = (
-                    dotted(node.func.value)
-                    if isinstance(node.func, ast.Attribute)
-                    else None
-                )
-                same_class = (
-                    receiver == "self"
-                    and cls is not None
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in cls.methods
-                )
-                for target in resolve_call(self.project, cls, node):
-                    callee = summaries.get(target)
-                    if not callee:
-                        continue
-                    for recv, tags in callee.items():
-                        if recv == "" or same_class:
-                            merged = recv if same_class or recv == "" else ""
-                            bucket = summary.setdefault(merged, set())
-                            before = len(bucket)
-                            bucket |= tags
-                            if len(bucket) != before:
-                                changed = True
-    return summaries
-
-
-def round_robin_flags(cls: ClassInfo, predicate) -> Dict[str, bool]:
-    """``TypestateAnalysis._transitive_flags`` before the shared fixpoint."""
-    flags = {name: predicate(fn) for name, fn in cls.methods.items()}
-    changed = True
-    while changed:
-        changed = False
-        for name, fn in cls.methods.items():
-            if flags[name]:
-                continue
-            for node in _walk_same_scope(fn):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and dotted(node.func.value) == "self"
-                    and flags.get(node.func.attr, False)
-                ):
-                    flags[name] = True
-                    changed = True
-                    break
-    return flags
-
-
 def _keys(summaries):
     return {key: summary.key() for key, summary in summaries.items()}
-
-
-def _mutates_self(fn: ast.FunctionDef) -> bool:
-    return any(direct_mutation_target(node) for node in walk_same_scope(fn))
 
 
 # ----------------------------------------------------------------------
@@ -245,23 +160,6 @@ def test_effect_summaries_match_the_round_robin(project):
     # the summaries are not trivially empty: propagation did work
     assert any(summary.acquires for summary in driven.values())
     assert any(summary.mutated_attrs for summary in driven.values())
-
-
-def test_typestate_summaries_match_the_round_robin(project):
-    analysis = TypestateAnalysis(project)
-    assert analysis._summaries == round_robin_typestate(analysis)
-    assert any(analysis._summaries.values())
-
-
-def test_same_class_flags_match_the_round_robin(project):
-    analysis = TypestateAnalysis(project)
-    classes = [
-        cls for module in project.modules for cls in module.classes.values()
-    ]
-    for cls in classes:
-        assert analysis._transitive_flags(
-            cls, _mutates_self
-        ) == round_robin_flags(cls, _mutates_self), cls.name
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Dataflow-powered rules R009-R011: exact findings on the bad fixtures,
-silence on the good ones, and the plan-cache fold regression gate."""
+"""Dataflow-powered rules R009-R011 and R014: exact findings on the bad
+fixtures, silence on the good ones, and the delete-the-guard regression
+gates (the plan-cache fold, the ascending shard-lock order)."""
 
 import ast
 import os
@@ -14,9 +15,8 @@ from repro.analysis.dataflow import (
 from repro.analysis.framework import build_project, lint_paths
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
-OPTIMIZER_DIR = os.path.join(
-    os.path.dirname(__file__), "..", "..", "src", "repro", "optimizer"
-)
+SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src", "repro")
+OPTIMIZER_DIR = os.path.join(SRC, "optimizer")
 
 
 def fixture(*names):
@@ -124,6 +124,40 @@ def test_r011_flags_lock_split_check_then_act():
 
 def test_r011_clean_on_good_fixture():
     assert lint_paths(fixture("r011_good.py"), rules=["R011"]) == []
+
+
+# ----------------------------------------------------------------------
+# R014 shard-lock acquisition order
+# ----------------------------------------------------------------------
+
+
+def test_r014_flags_hand_rolled_orderings():
+    findings = lint_paths(fixture("r014_bad.py"), rules=["R014"])
+    assert ids_and_lines(findings) == [
+        ("R014", 21),  # iterating an unmarked set-returning helper
+        ("R014", 27),  # reversed(sorted(...)) is descending
+    ]
+
+
+def test_r014_good_fixture_is_clean():
+    assert lint_paths(fixture("r014_good.py"), rules=["R014"]) == []
+
+
+def test_r014_catches_reversed_shard_order(tmp_path):
+    for name in (("stats", "router.py"), ("service", "worker.py")):
+        shutil.copy(os.path.join(SRC, *name), tmp_path / name[1])
+    worker = tmp_path / "worker.py"
+    source = worker.read_text()
+    broken = source.replace(
+        "for sid in self._router.shard_ids_for(event.tables):",
+        "for sid in reversed(self._router.shard_ids_for(event.tables)):",
+        1,
+    )
+    assert broken != source, "shard loop moved; update this test"
+    worker.write_text(broken)
+    findings = lint_paths([str(tmp_path)], rules=["R014"])
+    assert [f.rule_id for f in findings] == ["R014"]
+    assert "not provably ascending" in findings[0].message
 
 
 # ----------------------------------------------------------------------

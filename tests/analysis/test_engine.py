@@ -159,7 +159,7 @@ def test_sarif_document_shape():
     assert document["version"] == "2.1.0"
     run = document["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro-lint"
-    assert len(run["tool"]["driver"]["rules"]) == 14
+    assert len(run["tool"]["driver"]["rules"]) == 11
     assert len(run["results"]) == len(findings)
     first = run["results"][0]
     assert first["ruleId"] == findings[0].rule_id

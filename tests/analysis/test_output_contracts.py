@@ -161,29 +161,25 @@ def test_sarif_validates_against_schema_subset():
     jsonschema.validate(document, SARIF_LOG_SCHEMA)
 
 
-def _typestate_sarif_document():
+def _project_rule_sarif_document():
     findings = run_lint(
         [
-            os.path.join(FIXTURES, "r012_bad.py"),
-            os.path.join(FIXTURES, "r013_bad.py"),
+            os.path.join(FIXTURES, "r009_bad.py"),
             os.path.join(FIXTURES, "r014_bad.py"),
-            os.path.join(FIXTURES, "r015_bad.py"),
         ],
-        rules=["R012", "R013", "R014", "R015"],
+        rules=["R009", "R014"],
     )
     assert findings
     return json.loads(render_sarif(findings)), findings
 
 
-def test_typestate_findings_render_as_sarif_results():
-    document, findings = _typestate_sarif_document()
+def test_project_rule_findings_render_as_sarif_results():
+    document, findings = _project_rule_sarif_document()
     (run,) = document["runs"]
     rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    # all four typestate rules fire on the bad fixtures and each appears
+    # both project-scope rules fire on the bad fixtures and each appears
     # in the driver catalog
-    assert {"R012", "R013", "R014", "R015"} <= {
-        f.rule_id for f in findings
-    }
+    assert {"R009", "R014"} <= {f.rule_id for f in findings}
     assert {f.rule_id for f in findings} <= rule_ids
     for result, finding in zip(run["results"], findings):
         assert result["ruleId"] == finding.rule_id
@@ -193,10 +189,10 @@ def test_typestate_findings_render_as_sarif_results():
         assert location["region"]["startLine"] == finding.line
 
 
-def test_typestate_sarif_validates_against_schema_subset():
+def test_project_rule_sarif_validates_against_schema_subset():
     if jsonschema is None:
         import pytest
 
         pytest.skip("jsonschema not installed")
-    document, _ = _typestate_sarif_document()
+    document, _ = _project_rule_sarif_document()
     jsonschema.validate(document, SARIF_LOG_SCHEMA)

@@ -308,9 +308,9 @@ def test_an_index_built_from_replaced_arrays_is_not_kept():
 
 
 def test_deleting_the_identity_guard_breaks_the_stale_relation_join(tmp_path):
-    """Delete-the-guard regression (cf. tests/analysis/
-    test_typestate_rules.py): the executor with its "arrays are identical"
-    check removed joins stale arrays through the new data's index."""
+    """Delete-the-guard regression: the executor with its "arrays are
+    identical" check removed joins stale arrays through the new data's
+    index."""
     source = open(os.path.join(SRC, "executor", "executor.py")).read()
     guard = "if index is not None and index.built_from(right_arrays):"
     assert guard in source, "guard vanished from executor.py"

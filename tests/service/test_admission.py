@@ -1,6 +1,7 @@
 """Tests for admission control: queue backpressure and rate limits."""
 
 import threading
+import time
 
 import pytest
 
@@ -163,6 +164,63 @@ class TestAsyncSubmitPath:
             object.__setattr__(bad, "statement", object())
             with pytest.raises(AttributeError):
                 service.submit(bad)
+
+    def test_stop_fails_every_request_still_queued(self, db, monkeypatch):
+        """``stop`` settles the tickets its queue close strands: each
+        submitter still waiting gets a ServiceError instead of blocking
+        forever on a response no worker will produce."""
+        service = make_service(db, service_workers=1, queue_capacity=16)
+        service.start()
+        busy, release = threading.Event(), threading.Event()
+        dispatch = service._dispatch
+
+        def blocking_dispatch(req, queue_wait):
+            busy.set()
+            release.wait(30.0)
+            return dispatch(req, queue_wait)
+
+        # the one request worker blocks, so every later request queues
+        monkeypatch.setattr(service, "_dispatch", blocking_dispatch)
+        outcomes = []
+
+        def client():
+            try:
+                service.submit(request(db, "SELECT COUNT(*) FROM emp"))
+                outcomes.append("served")
+            except ServiceError as exc:
+                outcomes.append(exc)
+
+        clients = [
+            threading.Thread(target=client, daemon=True) for _ in range(4)
+        ]
+        try:
+            clients[0].start()
+            assert busy.wait(10.0)
+            for thread in clients[1:]:
+                thread.start()
+            deadline = time.monotonic() + 10.0
+            while service.queue_depth < 3 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert service.queue_depth == 3
+            stopper = threading.Thread(target=service.stop, daemon=True)
+            stopper.start()
+            # the stranded three fail while the worker is still blocked
+            deadline = time.monotonic() + 10.0
+            for thread in clients[1:]:
+                thread.join(max(0.0, deadline - time.monotonic()))
+            stranded = list(outcomes)
+            release.set()
+            stopper.join(30.0)
+            clients[0].join(30.0)
+        finally:
+            release.set()
+            service.stop()
+        assert len(stranded) == 3, "stranded submitters still blocked"
+        assert all(isinstance(error, ServiceError) for error in stranded)
+        assert all("stopped" in str(error) for error in stranded)
+        assert outcomes[3:] == ["served"]
+        assert not stopper.is_alive()
+        assert not any(thread.is_alive() for thread in clients)
 
 
 class TestSessionRateLimits:

@@ -335,6 +335,27 @@ class TestRefresh:
         )
         assert db.stats.tables_needing_refresh() == []
 
+    def test_a_refresh_or_fold_that_replaces_nothing_moves_nothing(self, db):
+        """No statistic replaced: the epoch stays and the cached views
+        (and with them the content keys) are the same objects."""
+        db.stats.create(AGE)
+        shard = db.stats.shard(0)
+        for no_op in (
+            lambda: db.stats.refresh_table("dept"),  # no statistic on dept
+            # no statistic leads with salary
+            lambda: db.stats.apply_incremental_inserts(
+                "emp", {"salary": np.array([1.0, 2.0])}
+            ),
+        ):
+            views = {
+                table: shard._table_view(table) for table in ("emp", "dept")
+            }
+            epoch = db.stats.epoch
+            assert no_op() == 0.0
+            assert db.stats.epoch == epoch
+            for table, view in views.items():
+                assert shard._table_view(table) is view
+
     def test_update_cost_of_keys(self, db):
         db.stats.create(AGE)
         db.stats.create(SAL)
