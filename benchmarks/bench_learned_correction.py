@@ -8,8 +8,8 @@ on round *n* serve round *n + 1*:
 * **baseline** — the estimator as-is; execution feedback drives refresh
   and would drive re-tunes, but nothing corrects the estimates between
   statistics rebuilds.
-* **learned** — a :class:`~repro.learned.CorrectionStore`
-  (multiplicative EWMA corrections) sits inside selectivity estimation,
+* **learned** — the feedback store also learns multiplicative EWMA
+  corrections, and its correction view sits inside selectivity estimation,
   so the q-error a plan *would have* paid is paid at most once per
   (target, drift) instead of on every execution.
 Both arms tune statistics identically (a raw optimizer runs the MNSA
@@ -40,7 +40,6 @@ from repro.core.mnsa import mnsa_for_workload
 from repro.executor import Executor
 from repro.executor.dml import apply_dml
 from repro.feedback import FeedbackPolicy, FeedbackStore, worst_plan_q_error
-from repro.learned import CorrectionStore
 from repro.optimizer import Optimizer, PlanCache
 from repro.service import MetricsRegistry, StalenessMonitor
 from repro.sql.query import Query
@@ -80,12 +79,14 @@ def _run_arm(factory, arm: str):
     # the statistics, so the arms differ only in how they estimate
     mnsa_for_workload(MemoryBackend(db, Optimizer(db)), queries)
 
-    corrections = CorrectionStore() if arm == "learned" else None
-    # the A/B hook: the run optimizer carries the arm's corrections
-    optimizer = Optimizer(db, cache=PlanCache(), corrections=corrections)
+    learned = arm == "learned"
+    store = FeedbackStore(corrections=learned)
+    # the A/B hook: the run optimizer reads the arm's correction view
+    optimizer = Optimizer(
+        db, cache=PlanCache(), corrections=store if learned else None
+    )
     executor = Executor(db)
 
-    store = FeedbackStore()
     policy = FeedbackPolicy(
         store,
         refresh_policy=RefreshPolicy.QERROR,
@@ -98,7 +99,6 @@ def _run_arm(factory, arm: str):
         threading.RLock(),
         fraction=CHURN_FRACTION,
         policy=policy,
-        corrections=corrections,
     )
     # the scoreboard sees the same observations but is never reset by a
     # refresh, so end-of-run decayed maxima compare arms fairly
@@ -115,8 +115,6 @@ def _run_arm(factory, arm: str):
                     optimized.plan, statement, feedback=store
                 )
                 scoreboard.record_all(result.operator_observations)
-                if corrections is not None:
-                    corrections.observe_all(result.operator_observations)
                 execution_cost += result.actual_cost
                 worst = worst_plan_q_error(result.operator_observations)
                 if policy.should_retune(
@@ -137,8 +135,8 @@ def _run_arm(factory, arm: str):
         "execution_cost": round(execution_cost, 2),
         "wall_seconds": round(wall, 4),
     }
-    if corrections is not None:
-        counters = corrections.counters()
+    if learned:
+        counters = store.counters()
         row["correction_hits"] = counters["hits"]
         row["correction_misses"] = counters["misses"]
         row["correction_version"] = counters["version"]

@@ -82,10 +82,6 @@ from repro.feedback import (
     worst_plan_q_error,
 )
 from repro.index import apply_tuned_tpcd_indexes
-from repro.learned import (
-    CorrectionStore,
-    MultiplicativeCorrection,
-)
 from repro.optimizer import (
     OptimizationRequest,
     OptimizationResult,
@@ -171,9 +167,6 @@ __all__ = [
     "OperatorObservation",
     "PlanInstrumenter",
     "QErrorTracker",
-    # learned corrections
-    "CorrectionStore",
-    "MultiplicativeCorrection",
     # indexes
     "apply_tuned_tpcd_indexes",
     # core algorithms

@@ -1,6 +1,6 @@
 """The analysis core the interprocedural rules share.
 
-Three pieces, each written once:
+Two pieces, each written once:
 
 * :class:`CallGraph` — the same-scope call sites of every function in
   the project's index (:attr:`~repro.analysis.model.Project.functions`)
@@ -13,10 +13,9 @@ Three pieces, each written once:
   once and re-evaluates a function only when a callee's summary grew.
   The effect summaries (:mod:`repro.analysis.effects`, read by R002,
   R006, R007 and R011) run on it.
-* :class:`PathWalker` — the one path-sensitive walk of a function body.
-  It owns the statement structure; a client supplies only its initial
-  states and a transfer function over one expression root.  R006's
-  epoch walk is its client.
+
+R006's path-sensitive walk of a method body is its only such walk and
+lives with the rule (:mod:`repro.analysis.rules.epoch`).
 
 Everything here is purely syntactic; no analyzed module is imported.
 """
@@ -25,24 +24,13 @@ from __future__ import annotations
 
 import ast
 from collections import deque
-from typing import (
-    Callable,
-    Dict,
-    Generic,
-    List,
-    Set,
-    Tuple,
-    TypeVar,
-)
+from typing import Callable, Dict, List, Set, Tuple
 
 from repro.analysis.model import FnKey, Project, resolve_call, walk_same_scope
 
 #: ``join(caller, call site, callee)``: fold the callee's summary into
 #: the caller's at one call site; True when the caller's summary grew
 Join = Callable[[FnKey, ast.Call, FnKey], bool]
-
-#: one abstract path state of a :class:`PathWalker` client
-S = TypeVar("S")
 
 
 class CallGraph:
@@ -105,84 +93,3 @@ class CallGraph:
 def call_graph(project: Project) -> CallGraph:
     """The shared per-project :class:`CallGraph` (built lazily once)."""
     return project.shared(CallGraph)
-
-
-class PathWalker(Generic[S]):
-    """Path-sensitive walk of one function body over a finite abstraction.
-
-    A client supplies :meth:`initial_states` and :meth:`transfer`, which
-    applies the effects of one expression root (a whole simple
-    statement, or the test / iterator / target / with-item of a compound
-    one) to a set of abstract path states.  The walker owns the control
-    structure: ``if`` forks the states and joins both arms; loops run
-    zero or one trips; ``with`` applies its items, then its body; a
-    ``try`` handler is entered from the pre-try states and the body's
-    exit states, ``else`` continues the body only, and ``finally`` runs
-    after all of them.  ``return`` / ``raise`` and falling off the end
-    are the exits :meth:`run` returns.  Nested function and class
-    definitions are separate scopes and are skipped.  :meth:`cap` may
-    merge a state set that grew too large.
-    """
-
-    def __init__(self, fn: ast.FunctionDef) -> None:
-        self.fn = fn
-        self.exits: Set[S] = set()
-
-    def run(self) -> Set[S]:
-        self.exits = set()
-        self.exits |= self._block(self.fn.body, self.initial_states())
-        return self.exits
-
-    def initial_states(self) -> Set[S]:
-        raise NotImplementedError
-
-    def transfer(self, root: ast.AST, states: Set[S]) -> Set[S]:
-        raise NotImplementedError
-
-    def cap(self, states: Set[S]) -> Set[S]:
-        return states
-
-    def _block(self, stmts: List[ast.stmt], states: Set[S]) -> Set[S]:
-        for stmt in stmts:
-            if not states:
-                break  # every path already exited
-            states = self._stmt(stmt, states)
-        return states
-
-    def _stmt(self, stmt: ast.stmt, states: Set[S]) -> Set[S]:
-        if isinstance(stmt, (ast.Return, ast.Raise)):
-            self.exits |= self.transfer(stmt, states)
-            return set()
-        if isinstance(stmt, ast.If):
-            entry = self.transfer(stmt.test, states)
-            return self.cap(
-                self._block(stmt.body, entry) | self._block(stmt.orelse, entry)
-            )
-        if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-            if isinstance(stmt, ast.While):
-                entry = self.transfer(stmt.test, states)
-            else:
-                entry = self.transfer(stmt.iter, states)
-                entry = self.transfer(stmt.target, entry)
-            merged = self.cap(entry | self._block(stmt.body, entry))
-            return self._block(stmt.orelse, merged)
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                states = self.transfer(item.context_expr, states)
-                if item.optional_vars is not None:
-                    states = self.transfer(item.optional_vars, states)
-            return self._block(stmt.body, states)
-        if isinstance(stmt, ast.Try):
-            body_out = self._block(stmt.body, states)
-            # a handler may run after any prefix of the body; the pre-try
-            # and the body's exit states stand in for those prefixes
-            handler_entry = self.cap(states | body_out)
-            out = self._block(stmt.orelse, body_out)
-            for handler in stmt.handlers:
-                out = self.cap(out | self._block(handler.body, handler_entry))
-            return self._block(stmt.finalbody, out)
-        if isinstance(
-            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            return states  # separate lexical scope
-        return self.transfer(stmt, states)

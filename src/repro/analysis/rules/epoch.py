@@ -3,7 +3,7 @@
 
 A statistics shard bumps ``_epoch`` in the helper that also drops the
 per-table views the plan cache's content key is read off, and the
-correction store bumps its model version ``_epoch`` directly; a mutation
+feedback store bumps its correction version ``_epoch`` directly; a mutation
 path that skips the bump lets a stale cached plan silently survive its
 statistics.  This rule makes the convention structural: in any class
 that declares ``_epoch = guarded_by(...)``, every method that mutates another ``guarded_by``-annotated attribute —
@@ -14,10 +14,10 @@ mutations, in either order, since the epoch only needs to move).
 
 The analysis is path-sensitive over a finite abstraction: each abstract
 path carries ``(first uncovered mutation site, bumped?)`` through the
-shared :class:`~repro.analysis.core.PathWalker` (branches fork it, loops
-run zero-or-one iterations, a ``try`` handler starts from the pre-try
-and the body's exit states), and ``return`` / ``raise`` / end of body
-are the exit points where an uncovered mutation is reported.
+method body (branches fork it, loops run zero-or-one iterations, a
+``try`` handler starts from the pre-try and the body's exit states),
+and ``return`` / ``raise`` / end of body are the exit points where an
+uncovered mutation is reported.
 ``__init__`` is exempt (the instance is unshared during construction),
 and a method may opt out explicitly::
 
@@ -33,7 +33,6 @@ from __future__ import annotations
 import ast
 from typing import FrozenSet, List, Optional, Set, Tuple
 
-from repro.analysis.core import PathWalker
 from repro.analysis.effects import (
     EPOCH_ATTR,
     EffectAnalysis,
@@ -124,9 +123,21 @@ class EpochBumpRule(Rule):
         return findings
 
 
-class _EpochWalker(PathWalker[_State]):
-    """Mutation/bump tracking over one method body: the shared path walk
-    with a ``(first uncovered mutation site, bumped?)`` abstraction."""
+class _EpochWalker:
+    """Path-sensitive mutation/bump tracking over one method body, with
+    a ``(first uncovered mutation site, bumped?)`` abstraction.
+
+    :meth:`_transfer` applies the effects of one expression root (a
+    whole simple statement, or the test / iterator / target / with-item
+    of a compound one); the walk owns the control structure: ``if``
+    forks the states and joins both arms; loops run zero or one trips;
+    ``with`` applies its items, then its body; a ``try`` handler is
+    entered from the pre-try states and the body's exit states,
+    ``else`` continues the body only, and ``finally`` runs after all of
+    them.  ``return`` / ``raise`` and falling off the end are the exits.
+    Nested function and class definitions are separate scopes and are
+    skipped.
+    """
 
     def __init__(
         self,
@@ -135,21 +146,68 @@ class _EpochWalker(PathWalker[_State]):
         guarded: FrozenSet[str],
         fn: ast.FunctionDef,
     ) -> None:
-        super().__init__(fn)
         self._analysis = analysis
         self._cls = cls
         self._guarded = guarded
+        self._fn = fn
+        self._exits: Set[_State] = set()
 
     def uncovered(self) -> List[_Site]:
         """Mutation sites left unbumped on some path, in source order."""
+        self._exits = set()
+        self._exits |= self._block(self._fn.body, {(None, False)})
         return sorted(
-            {site for site, bumped in self.run() if site and not bumped}
+            {site for site, bumped in self._exits if site and not bumped}
         )
 
-    def initial_states(self) -> Set[_State]:
-        return {(None, False)}
+    def _block(
+        self, stmts: List[ast.stmt], states: Set[_State]
+    ) -> Set[_State]:
+        for stmt in stmts:
+            if not states:
+                break  # every path already exited
+            states = self._stmt(stmt, states)
+        return states
 
-    def transfer(self, root: ast.AST, states: Set[_State]) -> Set[_State]:
+    def _stmt(self, stmt: ast.stmt, states: Set[_State]) -> Set[_State]:
+        if isinstance(stmt, (ast.Return, ast.Raise)):
+            self._exits |= self._transfer(stmt, states)
+            return set()
+        if isinstance(stmt, ast.If):
+            entry = self._transfer(stmt.test, states)
+            return self._block(stmt.body, entry) | self._block(
+                stmt.orelse, entry
+            )
+        if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
+            if isinstance(stmt, ast.While):
+                entry = self._transfer(stmt.test, states)
+            else:
+                entry = self._transfer(stmt.iter, states)
+                entry = self._transfer(stmt.target, entry)
+            merged = entry | self._block(stmt.body, entry)
+            return self._block(stmt.orelse, merged)
+        if isinstance(stmt, (ast.With, ast.AsyncWith)):
+            for item in stmt.items:
+                states = self._transfer(item.context_expr, states)
+                if item.optional_vars is not None:
+                    states = self._transfer(item.optional_vars, states)
+            return self._block(stmt.body, states)
+        if isinstance(stmt, ast.Try):
+            body_out = self._block(stmt.body, states)
+            # a handler may run after any prefix of the body; the pre-try
+            # and the body's exit states stand in for those prefixes
+            handler_entry = states | body_out
+            out = self._block(stmt.orelse, body_out)
+            for handler in stmt.handlers:
+                out |= self._block(handler.body, handler_entry)
+            return self._block(stmt.finalbody, out)
+        if isinstance(
+            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            return states  # separate lexical scope
+        return self._transfer(stmt, states)
+
+    def _transfer(self, root: ast.AST, states: Set[_State]) -> Set[_State]:
         for node in walk_same_scope(root):
             if not isinstance(node, ast.expr):
                 continue  # mutations and calls are expressions

@@ -10,7 +10,7 @@ Two kinds of class-level declarations drive it:
 
 * ``# repro-lint: optimize-path`` — a bare comment marker naming a
   class whose state feeds plan choice (``SelectivityEstimator``,
-  ``Optimizer``, ``PlanCache``, ``CorrectionStore``, ...).  In such a
+  ``Optimizer``, ``PlanCache``, ``FeedbackStore``, ...).  In such a
   class every attribute that is both *read* and *mutated* outside
   ``__init__`` must be covered by one of:
 
@@ -27,7 +27,8 @@ Two kinds of class-level declarations drive it:
     contract as R006's ``epoch-exempt``).
 
 * ``attr = plan_source("version")`` (:func:`repro.concurrency.plan_source`)
-  — declares a versioned source object (such as a correction store).
+  — declares a versioned source object (such as the feedback store's
+  correction view).
   The rule then checks, using the dataflow layer:
 
   - the declared version property is read somewhere in the class (a

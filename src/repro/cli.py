@@ -244,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--learned",
         action="store_true",
         help=(
-            "feed observations into a learned correction store and "
-            "report its per-key factors and hit/miss counters"
+            "let the feedback store also learn correction factors, plan "
+            "with them, and report the factors and hit/miss counters"
         ),
     )
 
@@ -615,11 +615,9 @@ def _cmd_serve(args) -> int:
         counters = service.corrections.counters()
         print("\n--- corrections")
         print(
-            f"multiplicative model (version {counters['version']}): "
-            f"{counters['observations']} observations, "
+            f"multiplicative factors (version {counters['version']}): "
             f"{counters['hits']} hits / {counters['misses']} misses, "
-            f"{counters['invalidations']} invalidations, "
-            f"{counters['tracked']} tracked"
+            f"{counters['invalidations']} invalidations"
         )
     print("\n--- metrics")
     print(service.metrics_text())
@@ -683,23 +681,14 @@ def _cmd_feedback(args) -> int:
             scale=args.scale, z=_parse_z(args.z), seed=args.seed
         )
     workload = generate_workload(db, args.workload, seed=args.seed)
-    corrections = None
-    if args.learned:
-        from repro.learned import CorrectionStore
-
-        corrections = CorrectionStore()
-    optimizer = Optimizer(db, corrections=corrections)
+    store = FeedbackStore(corrections=args.learned)
+    optimizer = Optimizer(db, corrections=store if args.learned else None)
     executor = Executor(db)
-    store = FeedbackStore()
     queries = dml = 0
     for statement in workload.statements:
         if isinstance(statement, Query):
             plan = optimizer.optimize(statement)
-            result = executor.execute(
-                plan.plan, statement, feedback=store
-            )
-            if corrections is not None:
-                corrections.observe_all(result.operator_observations)
+            executor.execute(plan.plan, statement, feedback=store)
             queries += 1
         else:
             apply_dml(db, statement)
@@ -711,25 +700,22 @@ def _cmd_feedback(args) -> int:
         f"{counters['tracked']} feedback targets"
     )
     print(_feedback_table(store, threshold=args.threshold, top=args.top))
-    if corrections is not None:
-        cc = corrections.counters()
+    if args.learned:
         print(
-            f"\n--- corrections (multiplicative, version {cc['version']}): "
-            f"{cc['hits']} hits / {cc['misses']} misses, "
-            f"{cc['observations']} observations, "
-            f"{cc['tracked']} tracked"
+            f"\n--- corrections (multiplicative, version "
+            f"{counters['version']}): {counters['hits']} hits / "
+            f"{counters['misses']} misses"
         )
         rows = [
-            [label, kind, f"{agg['factor']:.3f}", int(agg["count"])]
-            for label, kind, agg in corrections.snapshot()[: args.top]
+            [str(key), kind, f"{factor:.3f}"]
+            for key, aggregate in store.snapshot()[: args.top]
+            for kind, factor in sorted(aggregate["factors"].items())
         ]
         if rows:
-            print(
-                format_table(["target", "kind", "factor", "obs"], rows)
-            )
+            print(format_table(["target", "kind", "factor"], rows))
     else:
         print(
-            "\n(re-run with --learned to train correction models on "
+            "\n(re-run with --learned to train correction factors on "
             "these observations)"
         )
     flagged = store.tables_by_error(args.threshold)

@@ -71,7 +71,7 @@ class PlanSource:
 
     Attributes:
         prop: name of the version property on the attribute's value
-            (default ``"version"``; ``CorrectionStore.version`` is the
+            (default ``"version"``; ``FeedbackStore.version`` is the
             canonical example).
 
     Rule R009 requires that the declared version is read somewhere on

@@ -248,8 +248,8 @@ class ServiceConfig:
             default: the paper's experiments predate execution feedback
             and must stay byte-identical.
         feedback_capacity: maximum (table, column-set) targets the
-            feedback store tracks before least-recently-observed
-            eviction.
+            feedback store tracks (q-error aggregates and correction
+            factors alike) before least-recently-observed eviction.
         refresh_policy: which trigger drives the staleness monitor
             (:class:`RefreshPolicy`; a plain ``"churn"`` / ``"qerror"``
             / ``"hybrid"`` string is accepted and coerced).
@@ -257,17 +257,15 @@ class ServiceConfig:
             becomes due for refresh under ``qerror`` / ``hybrid``.
         qerror_retune_threshold: worst per-plan q-error at which the
             service queues an MNSA re-tune for the offending query.
-        learned_enabled: maintain a
-            :class:`~repro.learned.CorrectionStore` of online selectivity
-            corrections fed from execution feedback, and apply it inside
-            the service optimizers' selectivity estimation.  Requires
-            ``feedback_enabled`` (the corrections are fed by the same
-            operator observations).
-        learned_decay: EWMA decay of the correction model, in (0, 1).
+        learned_enabled: let the feedback store also learn per-target
+            selectivity corrections from its observations, and have the
+            service optimizers apply them inside selectivity estimation
+            (the store's correction view).  Requires
+            ``feedback_enabled``: the corrections live in the same
+            entries, under the same ``feedback_capacity`` bound.
+        learned_decay: EWMA decay of each correction factor, in (0, 1).
         learned_max_factor: corrections are bounded to
             ``[1/learned_max_factor, learned_max_factor]``.
-        learned_capacity: maximum tracked correction entries before
-            least-recently-observed eviction.
         shards: number of service/statistics shards.  Each shard owns the
             statistics, capture-log segment, advisor workers, and
             staleness monitor of the tables routed to it (see
@@ -342,7 +340,6 @@ class ServiceConfig:
     learned_enabled: bool = False
     learned_decay: float = 0.8
     learned_max_factor: float = 32.0
-    learned_capacity: int = 512
     shards: int = 1
     service_workers: int = 0
     queue_capacity: int = 256
@@ -444,10 +441,6 @@ class ServiceConfig:
             raise ValueError(
                 f"learned_max_factor must be > 1, got "
                 f"{self.learned_max_factor}"
-            )
-        if self.learned_capacity < 1:
-            raise ValueError(
-                f"learned_capacity must be >= 1, got {self.learned_capacity}"
             )
         if self.learned_enabled and not self.feedback_enabled:
             raise ValueError(

@@ -493,8 +493,9 @@ class Optimizer:
             planning; :attr:`call_count` still counts every request (the
             paper's metric is optimizer *invocations*, cached or not) while
             :attr:`cold_optimize_count` counts only actual plan searches.
-        corrections: optional :class:`~repro.learned.CorrectionStore`
-            applied inside selectivity estimation.  Its monotone version
+        corrections: optional :class:`~repro.feedback.store.FeedbackStore`
+            whose correction view is applied inside selectivity
+            estimation.  Its monotone version
             is folded into the plan-cache key (see
             :meth:`OptimizationRequest.with_learned_version`) so corrected
             and uncorrected plans never alias in a shared cache.

@@ -14,11 +14,12 @@ Resolution order for each variable:
 2. an entry in ``overrides``;
 3. the magic number for the predicate kind.
 
-When a :class:`~repro.learned.CorrectionStore` is attached, the resolved
-filter / join / group selectivity is additionally passed through the
-store's learned multiplicative correction (clamped to [0, 1]) before the
-cost model sees it.  The hook receives raw table/column names, so this
-module stays independent of the learned package.
+When a :class:`~repro.feedback.store.FeedbackStore` is attached as
+``corrections``, the resolved filter / join / group selectivity is
+additionally passed through the store's learned multiplicative
+correction (clamped to [0, 1]) before the cost model sees it.  The hook
+receives raw table/column names, so this module stays independent of
+the feedback package.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class SelectivityEstimator:
         config: optimizer configuration (magic numbers).
         overrides: optional mapping variable -> forced selectivity in
             [0, 1], applied only where statistics are missing.
-        corrections: optional :class:`~repro.learned.CorrectionStore`
+        corrections: optional :class:`~repro.feedback.store.FeedbackStore`
             whose learned factors adjust every resolved selectivity.
         use_statistics: when False, skip every statistics lookup and
             resolve all variables through overrides / magic numbers — the

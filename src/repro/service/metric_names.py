@@ -41,13 +41,10 @@ METRICS: Dict[str, str] = {
     "capture.dropped": "capture events evicted by the ring buffer (CaptureLog.append), as a gauge",
     "capture.events": "query/DML events recorded in the capture log",
     "capture.evicted": "capture events evicted from the ring buffer",
-    "correction.evictions": "correction entries evicted by the store's LRU bound",
     "correction.hits": "selectivity estimates adjusted by a learned correction",
-    "correction.invalidations": "correction entries dropped by table invalidation",
+    "correction.invalidations": "correction factors dropped by feedback-store invalidation",
     "correction.misses": "selectivity estimates with no learned correction",
-    "correction.observations": "operator observations folded into correction models",
-    "correction.tracked_models": "correction factor entries currently tracked",
-    "correction.version": "monotone correction-model version (plan-cache key component)",
+    "correction.version": "monotone feedback-store correction version (plan-cache key component)",
     "feedback.evicted": "feedback trackers evicted by the store's LRU bound",
     "feedback.observations": "per-operator execution observations ingested",
     "feedback.retunes_requested": "re-tune requests granted by the feedback policy",

@@ -12,8 +12,9 @@ of DML cannot translate into an unbounded refresh stall.
 With a :class:`~repro.feedback.policy.FeedbackPolicy` attached, *what is
 due* is decided by observed estimation error instead of (or in addition
 to) raw row churn — see :class:`~repro.config.RefreshPolicy`.  A table
-whose statistics were just refreshed has its feedback aggregates reset:
-the recorded errors described the statistics that no longer exist.
+whose statistics were just refreshed is invalidated in the policy's
+feedback store: the recorded errors and learned corrections described
+the statistics that no longer exist.
 
 Optionally the monitor purges drop-listed statistics on a table before
 refreshing it — the Sec 6 improvement: refreshing statistics the optimizer
@@ -60,11 +61,9 @@ class StalenessMonitor(threading.Thread):
             When given, it decides which tables are due (by q-error,
             churn, or both per its
             :class:`~repro.config.RefreshPolicy`), and a successful
-            refresh resets the table's feedback aggregates.
-        corrections: optional :class:`~repro.learned.CorrectionStore`.
-            A successful refresh invalidates the table's learned
-            corrections — a rebuilt histogram starts from
-            trust-the-stats.
+            refresh invalidates the table in the policy's store (its
+            q-error trackers and correction factors: a rebuilt
+            histogram starts from trust-the-stats).
         router: optional :class:`~repro.stats.router.ShardRouter`.  With
             ``shard_id`` it scopes the monitor to one service shard: only
             tables routed to that shard are considered due, so each
@@ -94,7 +93,6 @@ class StalenessMonitor(threading.Thread):
         budget_per_cycle: Optional[float] = None,
         purge_drop_list: bool = False,
         policy=None,
-        corrections=None,
         router=None,
         shard_id: Optional[int] = None,
         starvation_cycles: int = 8,
@@ -123,7 +121,6 @@ class StalenessMonitor(threading.Thread):
         self._aging = aging
         self._backend = backend
         self._policy = policy
-        self._corrections = corrections
         self._router = router
         self._shard_id = shard_id
         self._starvation_cycles = starvation_cycles
@@ -226,9 +223,7 @@ class StalenessMonitor(threading.Thread):
                 self._metrics.inc("monitor.refreshes")
                 self._metrics.inc("monitor.refresh_cost", cost)
                 if self._policy is not None:
-                    self._policy.store.reset_table(table)
-                if self._corrections is not None:
-                    self._corrections.invalidate_table(table)
+                    self._policy.store.invalidate(table)
             if deferred:
                 self._metrics.inc("monitor.deferred", deferred)
             starved = 0

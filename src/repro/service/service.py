@@ -63,7 +63,6 @@ from repro.errors import ServiceError, ServiceRejectedError
 from repro.executor.dml import apply_dml
 from repro.executor.executor import ExecutionResult, Executor
 from repro.feedback import FeedbackPolicy, FeedbackStore, worst_plan_q_error
-from repro.learned import CorrectionStore
 from repro.optimizer.cache import OptimizationRequest, PlanCache
 from repro.optimizer.optimizer import OptimizationResult, Optimizer
 from repro.service.admission import AdmissionQueue, TokenBucket
@@ -278,15 +277,30 @@ class StatsService:
             if self.config.plan_cache_size > 0
             else None
         )
-        #: learned correction store; None unless ``config.learned_enabled``
-        self.corrections: Optional[CorrectionStore] = None
-        if self.config.learned_enabled:
-            self.corrections = CorrectionStore(
-                capacity=self.config.learned_capacity,
-                decay=self.config.learned_decay,
-                max_factor=self.config.learned_max_factor,
+        #: execution-feedback store + policy; None unless
+        #: ``config.feedback_enabled`` (the default keeps the service
+        #: byte-identical to its pre-feedback behaviour)
+        self.feedback: Optional[FeedbackStore] = None
+        self.feedback_policy: Optional[FeedbackPolicy] = None
+        if self.config.feedback_enabled:
+            self.feedback = FeedbackStore(
+                capacity=self.config.feedback_capacity,
                 metrics=self.metrics,
+                corrections=self.config.learned_enabled,
+                correction_decay=self.config.learned_decay,
+                max_factor=self.config.learned_max_factor,
             )
+            self.feedback_policy = FeedbackPolicy(
+                self.feedback,
+                refresh_policy=self.config.refresh_policy,
+                refresh_threshold=self.config.qerror_refresh_threshold,
+                retune_threshold=self.config.qerror_retune_threshold,
+            )
+        #: the correction view the service optimizers read: the feedback
+        #: store when ``config.learned_enabled``, else None
+        self.corrections: Optional[FeedbackStore] = (
+            self.feedback if self.config.learned_enabled else None
+        )
         self._optimizer = Optimizer(
             database, cache=self.plan_cache, corrections=self.corrections
         )
@@ -301,22 +315,6 @@ class StatsService:
         if self.config.backend != "memory":
             self._analysis_backend = backend_from_name(
                 self.config.backend, database
-            )
-        #: execution-feedback store + policy; None unless
-        #: ``config.feedback_enabled`` (the default keeps the service
-        #: byte-identical to its pre-feedback behaviour)
-        self.feedback: Optional[FeedbackStore] = None
-        self.feedback_policy: Optional[FeedbackPolicy] = None
-        if self.config.feedback_enabled:
-            self.feedback = FeedbackStore(
-                capacity=self.config.feedback_capacity,
-                metrics=self.metrics,
-            )
-            self.feedback_policy = FeedbackPolicy(
-                self.feedback,
-                refresh_policy=self.config.refresh_policy,
-                refresh_threshold=self.config.qerror_refresh_threshold,
-                retune_threshold=self.config.qerror_retune_threshold,
             )
         #: verdicts of settled analyses, shared by every advisor worker
         self.ledger = VerdictLedger()
@@ -377,7 +375,6 @@ class StatsService:
             budget_per_cycle=cfg.refresh_budget_per_cycle,
             purge_drop_list=cfg.purge_drop_list_before_refresh,
             policy=self.feedback_policy,
-            corrections=self.corrections,
             router=self._router,
             shard_id=shard.shard_id,
             starvation_cycles=cfg.starvation_cycles,
@@ -639,8 +636,12 @@ class StatsService:
                 )
                 executed = None
                 if self.config.execute_queries:
+                    # a degraded plan's estimates came from magic
+                    # numbers: its errors say nothing about statistics
                     executed = self._executor.execute(
-                        optimized.plan, query, feedback=self.feedback
+                        optimized.plan,
+                        query,
+                        feedback=None if degraded else self.feedback,
                     )
                 versions = self.database.stats.versions_for(query.tables)
         if len(shard_ids) == 1:
@@ -649,8 +650,6 @@ class StatsService:
             self.metrics.inc("service.shard.multi")
         retune = False
         worst = 1.0
-        if executed is not None and self.corrections is not None:
-            self.corrections.observe_all(executed.operator_observations)
         if (
             not degraded
             and executed is not None

@@ -51,7 +51,7 @@ class AdvisorWorker(threading.Thread):
         service: the :class:`~repro.service.service.StatsService` the
             worker advises — its database, config (creation policy,
             batch size, poll interval), MNSA config, metrics, plan
-            cache, feedback policy, learned corrections, verdict ledger,
+            cache, feedback store and policy, verdict ledger,
             aging policy and analysis backend.
         shard: the :class:`~repro.service.service.ServiceShard` the
             worker belongs to (thread naming only).
@@ -60,8 +60,8 @@ class AdvisorWorker(threading.Thread):
             started and whose :meth:`advise` is called inline.
 
     The worker plans with its *own* optimizer (so optimizer calls
-    attribute per worker) over the service's plan cache and learned
-    corrections.  Analyses run against a private
+    attribute per worker) over the service's plan cache and correction
+    view.  Analyses run against a private
     :class:`~repro.backends.memory.MemoryBackend` over it, or against
     the service's shared foreign engine, whose decisions are mirrored
     into ``database.stats`` (``backend.*`` metrics).  Each analysis
@@ -266,9 +266,10 @@ class AdvisorWorker(threading.Thread):
         """Rebuild the statistics feedback blames for a misestimated plan.
 
         Runs under the analysis locks, before the regular analysis, so
-        the analysis sees the rebuilt statistics.  The rebuilt targets'
-        feedback aggregates are reset: the recorded errors belonged to
-        the statistics that were just replaced.
+        the analysis sees the rebuilt statistics.  Each rebuilt target is
+        invalidated in the feedback store (its overlapping trackers and
+        the table's correction factors): they belonged to the statistics
+        that were just replaced.
         """
         self._metrics.inc("advisor.retunes")
         targets = self._feedback_policy.rebuild_targets(
@@ -276,7 +277,5 @@ class AdvisorWorker(threading.Thread):
         )
         for key, _error in targets:
             self._db.stats.rebuild(key)
-            self._feedback.reset_columns(key.table, key.columns)
-            if self._corrections is not None:
-                self._corrections.invalidate_table(key.table)
+            self._feedback.invalidate(key.table, key.columns)
             self._metrics.inc("advisor.retune_rebuilds")

@@ -4,13 +4,23 @@ import pytest
 
 from repro.backends.memory import MemoryBackend
 from repro.catalog import ColumnRef
-from repro.core.equivalence import TOptimizerCostEquivalence
-from repro.core.essential import plan_with_stats
+from repro.core.candidates import workload_candidate_statistics
+from repro.core.equivalence import (
+    ExecutionTreeEquivalence,
+    TOptimizerCostEquivalence,
+)
+from repro.core.essential import (
+    find_minimal_essential_set,
+    is_equivalent_to_candidates,
+    is_essential_set,
+    plan_with_stats,
+)
 from repro.core.mnsa import MnsaConfig, mnsa_for_workload
 from repro.core.shrinking import shrinking_set
 from repro.optimizer import Optimizer
 from repro.sql.builder import QueryBuilder
 from repro.stats.statistic import StatKey
+from repro.workload import generate_workload
 
 from tests.util import simple_db
 
@@ -121,3 +131,71 @@ class TestShrinkingSet:
         )
         result = shrinking_set(backend, queries + [dml])
         assert result is not None
+
+
+def _seeded_workloads(db):
+    """Workloads of 1, 2 and 3 consecutive RAGS queries from three
+    seeds, each with at most 10 candidate statistics."""
+    workloads = []
+    for seed in (1, 2, 3):
+        queries = generate_workload(db, "U0-S-12", seed=seed).queries()
+        for size in (1, 2, 3):
+            for start in range(0, len(queries) - size + 1, 4):
+                workload = queries[start : start + size]
+                if len(workload_candidate_statistics(workload)) <= 10:
+                    workloads.append(workload)
+    return workloads
+
+
+@pytest.mark.parametrize(
+    "criterion",
+    [ExecutionTreeEquivalence(), TOptimizerCostEquivalence(20.0)],
+    ids=["execution_tree", "t_cost"],
+)
+class TestShrinkingSetIsEssential:
+    """Brute force over small candidate sets: Figure 2's result is an
+    essential set (Definition 1) under the criterion it ran with."""
+
+    def test_result_is_an_essential_set(self, fresh_tpcd_db, criterion):
+        db = fresh_tpcd_db(scale=0.002, z=2.0)
+        backend = MemoryBackend(db, Optimizer(db))
+        workloads = _seeded_workloads(db)
+        assert {len(w) for w in workloads} == {1, 2, 3}
+        removed_any = retained_any = False
+        for queries in workloads:
+            candidates = workload_candidate_statistics(queries)
+            for key in candidates:
+                if not db.stats.has(key):
+                    db.stats.create(key)
+            result = shrinking_set(
+                backend, queries, initial=candidates, criterion=criterion
+            )
+            for key in result.removed:  # Plan(Q, C) needs them built
+                db.stats.create(key)
+            removed_any = removed_any or bool(result.removed)
+            retained_any = retained_any or bool(result.essential)
+            essential = result.essential
+            for query in queries:
+                assert is_equivalent_to_candidates(
+                    backend, query, essential, candidates, criterion
+                )
+            if len(queries) == 1:
+                (query,) = queries
+                assert is_essential_set(
+                    backend, query, essential, candidates, criterion
+                )
+                minimal = find_minimal_essential_set(
+                    backend, query, candidates, criterion
+                )
+                assert len(essential) >= len(minimal)
+            # Definition 1 over the workload: each retained statistic
+            # is needed by some query
+            for key in essential:
+                smaller = [k for k in essential if k != key]
+                assert not all(
+                    is_equivalent_to_candidates(
+                        backend, query, smaller, candidates, criterion
+                    )
+                    for query in queries
+                ), f"{key} could have been removed"
+        assert removed_any and retained_any

@@ -34,16 +34,15 @@ class FakeStats:
 
 
 def record(store, table, estimated, actual, columns=("x",)):
-    store.record(
-        OperatorObservation(
-            operator="scan",
-            tables=(table,),
-            targets=(FeedbackKey.of(table, columns),),
-            estimated_rows=float(estimated),
-            actual_rows=int(actual),
-            q_error=q_error(estimated, actual),
-        )
+    observation = OperatorObservation(
+        operator="scan",
+        tables=(table,),
+        targets=(FeedbackKey.of(table, columns),),
+        estimated_rows=float(estimated),
+        actual_rows=int(actual),
+        q_error=q_error(estimated, actual),
     )
+    store.record_all([observation])
 
 
 def make_policy(refresh_policy, store=None, **kwargs):

@@ -6,9 +6,14 @@ import threading
 import numpy as np
 import pytest
 
-from repro.config import ServiceConfig
-from repro.feedback import FeedbackKey, OperatorObservation, q_error
-from repro.learned import CorrectionStore
+from repro.config import RefreshPolicy, ServiceConfig
+from repro.feedback import (
+    FeedbackKey,
+    FeedbackPolicy,
+    FeedbackStore,
+    OperatorObservation,
+    q_error,
+)
 from repro.optimizer import Optimizer
 from repro.optimizer.cache import OptimizationRequest, PlanCache
 from repro.service import MetricsRegistry, StalenessMonitor, StatsService
@@ -33,9 +38,9 @@ def observation(
     )
 
 
-def trained_store(**kwargs) -> CorrectionStore:
-    store = CorrectionStore(**kwargs)
-    store.observe(observation())
+def trained_store(**kwargs) -> FeedbackStore:
+    store = FeedbackStore(corrections=True, **kwargs)
+    store.record_all([observation()])
     return store
 
 
@@ -68,7 +73,7 @@ class TestOptimizerIntegration:
         query = filter_query(db)
         plain = Optimizer(db).optimize(query)
         corrected = Optimizer(
-            db, corrections=CorrectionStore()
+            db, corrections=FeedbackStore(corrections=True)
         ).optimize(query)
         assert corrected.cost == plain.cost
         assert corrected.plan.rows == plain.plan.rows
@@ -100,7 +105,7 @@ class TestPlanCacheKeying:
         corrected.optimize(query)  # same version: now it hits
         assert cache.counters()["hits"] == 1
 
-        store.invalidate_table("emp")  # version bump
+        store.invalidate("emp")  # version bump
         corrected.optimize(query)  # corrected side re-optimizes
         assert cache.counters()["misses"] == 3
         plain.optimize(query)  # the plain entry is untouched
@@ -128,7 +133,7 @@ class TestInvalidationPins:
             db,
             MetricsRegistry(),
             threading.RLock(),
-            corrections=store,
+            policy=FeedbackPolicy(store, refresh_policy=RefreshPolicy.CHURN),
         )
         version = store.version
         assert monitor.run_once() > 0
@@ -136,7 +141,8 @@ class TestInvalidationPins:
         assert store.correct_filter("emp", ("age",), 0.001) == (
             pytest.approx(0.001)
         )
-        assert store.version > version
+        assert store.version == version + 1
+        assert len(store) == 0
 
     def test_retune_rebuild_drops_the_tables_corrections(self, db):
         db.stats.create(AGE)
@@ -148,9 +154,10 @@ class TestInvalidationPins:
                 qerror_refresh_threshold=2.0,
             ),
         )
-        service.feedback.record(observation())  # q-error 100 on emp.age
         store = service.corrections
-        store.observe(observation())
+        assert store is service.feedback
+        store.record_all([observation()])  # q-error 100 on emp.age
+        version = store.version
         worker = AdvisorWorker(service, service.shards[0])
         event = QueryEvent(
             seq=0,
@@ -166,6 +173,8 @@ class TestInvalidationPins:
         assert store.correct_filter("emp", ("age",), 0.001) == (
             pytest.approx(0.001)
         )
+        assert store.version == version + 1
+        assert store.q_error_for_columns("emp", ("age",)) == 1.0
 
 
 class TestServiceWiring:
@@ -181,10 +190,17 @@ class TestServiceWiring:
             session.submit("SELECT COUNT(*) FROM emp WHERE age > 40")
         counters = service.corrections.counters()
         assert counters["observations"] > 0
-        assert "correction.observations" in service.metrics_text()
+        assert counters["hits"] + counters["misses"] > 0
+        assert "correction.version" in service.metrics_text()
 
     def test_learned_off_leaves_no_store(self, db):
         service = StatsService(
             db, ServiceConfig(advisor_workers=0)
         )
         assert service.corrections is None
+        # feedback alone keeps a store that learns no corrections
+        service = StatsService(
+            db, ServiceConfig(advisor_workers=0, feedback_enabled=True)
+        )
+        assert service.corrections is None
+        assert service.feedback.corrections is False

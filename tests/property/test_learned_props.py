@@ -1,6 +1,6 @@
-"""Property tests for the learned correction store's core contracts.
+"""Property tests for the feedback store's correction-view contracts.
 
-Whatever a correction model has absorbed, the store's correction methods
+Whatever the store has absorbed, the store's correction methods
 must behave like selectivity functions: results stay in ``[0, 1]``, a
 single correction never moves an estimate by more than the configured
 ``max_factor``, an untrained store is the identity (modulo clamping to
@@ -12,8 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.feedback import FeedbackKey, OperatorObservation, q_error
-from repro.learned import CorrectionStore
+from repro.feedback import (
+    FeedbackKey,
+    FeedbackStore,
+    OperatorObservation,
+    q_error,
+)
 
 OPERATORS = ("scan", "seek", "join", "aggregate", "sort")
 TABLES = ("emp", "dept", "orders")
@@ -41,6 +45,11 @@ def observations(draw):
     )
 
 
+def learning_store(**kwargs) -> FeedbackStore:
+    """A feedback store that learns corrections."""
+    return FeedbackStore(corrections=True, **kwargs)
+
+
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
@@ -54,8 +63,8 @@ class TestCorrectionBounds:
     def test_corrections_stay_in_unit_interval_and_factor_band(
         self, obs, selectivity, max_factor
     ):
-        store = CorrectionStore(max_factor=max_factor)
-        store.observe_all(obs)
+        store = learning_store(max_factor=max_factor)
+        store.record_all(obs)
         for table in TABLES:
             corrected = store.correct_filter(
                 table, ("age", "salary"), selectivity
@@ -78,7 +87,7 @@ class TestIdentityAndInvalidation:
     @given(selectivity=unit)
     @settings(max_examples=40, deadline=None)
     def test_untrained_store_is_the_identity(self, selectivity):
-        store = CorrectionStore()
+        store = learning_store()
         assert store.correct_filter("emp", ("age",), selectivity) == (
             pytest.approx(selectivity)
         )
@@ -98,11 +107,11 @@ class TestIdentityAndInvalidation:
     def test_invalidated_table_reverts_to_identity(
         self, obs, selectivity
     ):
-        store = CorrectionStore()
-        store.observe_all(obs)
+        store = learning_store()
+        store.record_all(obs)
         version_after_training = store.version
         for table in TABLES:
-            store.invalidate_table(table)
+            store.invalidate(table)
         # a stats-epoch bump on every table drops every correction:
         # the store answers like a fresh one again
         for table in TABLES:

@@ -93,5 +93,8 @@ def test_without_env_flag_seeded_bugs_pass(tmp_path):
 
 @pytest.mark.slow
 def test_real_learned_store_suite_clean_under_sanitizer():
-    result = run_pytest(["tests/learned/test_store.py"], sanitize=True)
+    result = run_pytest(
+        ["tests/learned/test_store.py", "tests/feedback/test_store.py"],
+        sanitize=True,
+    )
     assert result.returncode == 0, result.stdout + result.stderr

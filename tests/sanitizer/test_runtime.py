@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.concurrency import guarded_by
-from repro.learned import CorrectionStore
+from repro.feedback import FeedbackStore
 from repro.sanitizer import runtime
 
 
@@ -151,8 +151,8 @@ def test_nonblocking_self_reacquire_is_reported():
 
 
 def test_real_correction_store_is_clean_under_enforcement():
-    runtime.sanitize_class(CorrectionStore)
-    store = CorrectionStore()
+    runtime.sanitize_class(FeedbackStore)
+    store = FeedbackStore(corrections=True)
     from repro.feedback.observation import (
         FeedbackKey,
         OperatorObservation,
@@ -160,18 +160,25 @@ def test_real_correction_store_is_clean_under_enforcement():
     )
 
     with runtime.enforcing():
-        store.observe(
-            OperatorObservation(
-                operator="scan",
-                tables=("orders",),
-                targets=(FeedbackKey.of("orders", ["status"]),),
-                estimated_rows=10.0,
-                actual_rows=100,
-                q_error=q_error(10.0, 100),
-            )
+        store.record_all(
+            [
+                OperatorObservation(
+                    operator="scan",
+                    tables=("orders",),
+                    targets=(FeedbackKey.of("orders", ["status"]),),
+                    estimated_rows=10.0,
+                    actual_rows=100,
+                    q_error=q_error(10.0, 100),
+                )
+            ]
         )
         store.correct_filter("orders", ["status"], 0.1)
+        store.correct_join("orders", ["id"], "items", ["order_id"], 0.1)
         _ = store.version
-        store.invalidate_table("orders")
+        store.q_error_for_columns("orders", ["status"])
+        store.tables_by_error()
+        store.snapshot()
+        store.invalidate("orders", ["status"])
+        store.invalidate("orders")
         store.counters()
         assert runtime.drain() == []

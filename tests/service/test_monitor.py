@@ -141,16 +141,15 @@ class TestRefreshFailureBackoff:
 
 class TestFeedbackPolicyIntegration:
     def _observe(self, store, table, columns, estimated, actual):
-        store.record(
-            OperatorObservation(
-                operator="scan",
-                tables=(table,),
-                targets=(FeedbackKey.of(table, columns),),
-                estimated_rows=float(estimated),
-                actual_rows=int(actual),
-                q_error=q_error(estimated, actual),
-            )
+        observation = OperatorObservation(
+            operator="scan",
+            tables=(table,),
+            targets=(FeedbackKey.of(table, columns),),
+            estimated_rows=float(estimated),
+            actual_rows=int(actual),
+            q_error=q_error(estimated, actual),
         )
+        store.record_all([observation])
 
     def test_qerror_policy_defers_accurate_churned_table(self, db):
         db.stats.create(AGE)
@@ -168,7 +167,8 @@ class TestFeedbackPolicyIntegration:
         assert monitor.run_once() > 0.0
         assert db.stats.get(AGE).update_count == 1
         # refreshed table's aggregates were reset
-        assert store.table_q_error("emp") == 1.0
+        assert store.q_error_for_columns("emp", ("age",)) == 1.0
+        assert store.counters()["resets"] == 1
 
 
 class TestUpdateThresholdDeprecation:

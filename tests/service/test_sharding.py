@@ -202,6 +202,36 @@ class TestGracefulDegradation:
             assert degraded.degraded
             assert service.metrics.counter("capture.events") == before
 
+    def test_degraded_queries_feed_no_store(self, db):
+        """A degraded plan's estimates are magic numbers: executing it
+        must neither charge q-error to statistics targets nor train
+        corrections."""
+        with make_service(
+            db,
+            shards=1,
+            degraded_backlog_high=1,
+            degraded_backlog_low=0,
+            feedback_enabled=True,
+            learned_enabled=True,
+        ) as service:
+            sql = "SELECT COUNT(*) FROM emp WHERE age > 40"
+            service.submit(request(db, sql))  # fills the backlog to 1
+            store = service.feedback
+
+            def fed():
+                # hits / misses count the planner's reads, not the feed
+                counters = store.counters()
+                del counters["hits"], counters["misses"]
+                return counters
+
+            before, version = fed(), store.version
+            assert before["observations"] > 0
+            degraded = service.submit(request(db, sql))
+            assert degraded.degraded
+            assert degraded.result.actual_cost > 0  # it did execute
+            assert fed() == before
+            assert service.corrections.version == version
+
     def test_degradation_disabled_by_default(self, db):
         with make_service(db, shards=1) as service:
             sql = "SELECT COUNT(*) FROM emp WHERE age > 40"

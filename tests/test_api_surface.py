@@ -16,7 +16,6 @@ EXPECTED = [
     "Column",
     "ColumnRef",
     "ColumnType",
-    "CorrectionStore",
     "CostModelConfig",
     "DEFAULT_CONFIG",
     "Database",
@@ -34,7 +33,6 @@ EXPECTED = [
     "MetricsRegistry",
     "MnsaConfig",
     "MnsaResult",
-    "MultiplicativeCorrection",
     "OperatorObservation",
     "OptimizationRequest",
     "OptimizationResult",

@@ -394,7 +394,7 @@ class TestServe:
         assert "feedback on (churn refresh)" in out
         assert "learned corrections (multiplicative)" in out
         assert "--- corrections" in out
-        assert "correction.observations" in out
+        assert "correction.version" in out
 
 
 class TestFeedbackCommand:
@@ -439,6 +439,7 @@ class TestFeedbackCommand:
         assert "--- corrections (multiplicative" in out
         assert "hits" in out and "misses" in out
         assert "factor" in out  # per-target factor table rendered
+        assert "re-run with --learned" not in out
 
 
 class TestExperiments:

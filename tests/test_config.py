@@ -152,7 +152,6 @@ class TestLearnedConfig:
             ("learned_decay", 0.0),
             ("learned_decay", 1.0),
             ("learned_max_factor", 1.0),
-            ("learned_capacity", 0),
         ],
     )
     def test_bad_learned_values_rejected(self, field, value):
