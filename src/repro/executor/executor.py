@@ -16,6 +16,22 @@ list of sources — a tuple of column arrays and the row ids of them it
 holds (``None``: every row, in stored order) — plus its row count; the
 :class:`Relation` the caller sees is built once, at the root.
 
+*Counting joins.*  A join no ancestor reads the right input of, whose
+output reaches an aggregate only through other such joins (as their left
+input), only multiplies the aggregate's input: it probes the right side
+for each left row's match count and leaves the left rows, without the
+ones that match nothing, plus a multiplicity vector (``weights``) in
+place of the repeated row ids.  The rows it stands for are each left row
+repeated by its weight, in order — the very rows an expanding join
+produces — and row counts, costs and observations are taken of those.
+The aggregate consumes the weights exactly: COUNT sums them, MIN / MAX
+read each distinct row once, and SUM / AVG sum ``value * weight`` only
+when every value is an integer and the weighted absolute total stays
+below 2**53, so that every partial sum of either order is exact; other
+sums expand the rows and run as over any join.  Joins under a sort or at
+the root, joins whose right input some ancestor reads, and the right
+inputs of counting joins expand as before.
+
 The layout holds names and slots only: no arrays, no plan nodes, no
 executor or database.  Every run reads the stored arrays afresh,
 validates a kept join index against the very arrays it read and
@@ -46,6 +62,7 @@ from repro.executor.evaluate import (
 )
 from repro.executor.operators import (
     group_indices,
+    join_counts,
     join_indices,
     translate_string_codes,
 )
@@ -215,7 +232,7 @@ class Executor:
         for step in layout.steps:
             step.run(self, stack)
             counts.append(stack[-1][1])
-        ((sources, row_count, cost),) = stack
+        ((sources, row_count, cost, _),) = stack
         relation = Relation.from_sources(
             [
                 (dict(zip(keys, arrays)), rows)
@@ -314,18 +331,25 @@ class Executor:
         values: Optional[np.ndarray],
         group_ids: np.ndarray,
         counts: np.ndarray,
-    ) -> np.ndarray:
+        weights: Optional[np.ndarray],
+    ) -> Optional[np.ndarray]:
         """One aggregate of the argument ``values`` (``None`` for COUNT)
         per group; ``counts`` are the groups' row counts (float64),
-        computed once per aggregate step."""
+        computed once per aggregate step, and ``weights`` each row's
+        multiplicity (``None``: one).  ``None`` for a SUM / AVG the
+        weights cannot reproduce exactly (:func:`_weighted_sum_exact`)."""
         n_groups = counts.shape[0]
         if function == AggregateFunction.COUNT:
             return counts
         values = values.astype(np.float64, copy=False)
-        if function == AggregateFunction.SUM:
-            return np.bincount(group_ids, weights=values, minlength=n_groups)
-        if function == AggregateFunction.AVG:
+        if function in (AggregateFunction.SUM, AggregateFunction.AVG):
+            if weights is not None:
+                if not _weighted_sum_exact(values, weights):
+                    return None
+                values = values * weights
             sums = np.bincount(group_ids, weights=values, minlength=n_groups)
+            if function == AggregateFunction.SUM:
+                return sums
             return np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
         if function == AggregateFunction.MIN:
             out = np.full(n_groups, np.inf)
@@ -346,7 +370,9 @@ class Executor:
 #: them it holds in order (``None``: every row, in stored order)
 _Source = Tuple[List[np.ndarray], Optional[np.ndarray]]
 #: what a step leaves on the stack: sources, row count, cumulative cost
-_Result = Tuple[List[_Source], int, float]
+#: and weights — per row of the sources its multiplicity, int64 and
+#: positive (``None``: one); the row count counts the rows it stands for
+_Result = Tuple[List[_Source], int, float, Optional[np.ndarray]]
 
 
 def _read(sources: List[_Source], slot: Slot) -> np.ndarray:
@@ -360,6 +386,18 @@ def _take(source: _Source, indices: np.ndarray) -> _Source:
     """``source`` restricted to / reordered by positional ``indices``."""
     arrays, rows = source
     return arrays, indices if rows is None else rows[indices]
+
+
+def _weighted_sum_exact(values: np.ndarray, weights: np.ndarray) -> bool:
+    """Whether per-group sums of ``values * weights`` equal, bit for bit,
+    the sums of each value repeated by its weight: when every value is an
+    integer and the weighted total of magnitudes is below 2**53, every
+    partial sum in either order is an exact integer.  A float total of
+    non-negative terms reaches 2**53 exactly when the true one does."""
+    magnitudes = np.abs(values)
+    if not np.array_equal(np.floor(magnitudes), magnitudes):
+        return False  # fractions, and NaN
+    return float(np.dot(magnitudes, weights)) < 2.0**53
 
 
 def _filtered(database, arrays, rows, filters) -> Optional[np.ndarray]:
@@ -417,7 +455,7 @@ class _Scan(NamedTuple):
             data.row_count, data.schema.row_width_bytes, len(self.filters)
         )
         count = arrays[0].shape[0] if rows is None else rows.shape[0]
-        stack.append(([(arrays, rows)], count, cost))
+        stack.append(([(arrays, rows)], count, cost, None))
 
 
 class _Seek(NamedTuple):
@@ -437,7 +475,7 @@ class _Seek(NamedTuple):
         matching = rows.shape[0]
         rows = _filtered(executor._db, arrays, rows, self.filters)
         cost = executor._cost.index_seek(matching, len(self.filters))
-        stack.append(([(arrays, rows)], rows.shape[0], cost))
+        stack.append(([(arrays, rows)], rows.shape[0], cost, None))
 
 
 class _Join(NamedTuple):
@@ -453,7 +491,9 @@ class _Join(NamedTuple):
     rows must satisfy before the probe.  ``index_columns`` name the
     right table's kept :class:`~repro.storage.join_index.JoinIndex` when
     the right input is an unfiltered scan.  The output carries the
-    ``left_keep`` and ``right_keep`` sources only.
+    ``left_keep`` and ``right_keep`` sources only.  A ``counting`` join
+    (``right_keep`` empty) leaves the left rows that match, weighted by
+    their match counts, instead of the pairs.
     """
 
     algorithm: JoinAlgorithm
@@ -466,24 +506,30 @@ class _Join(NamedTuple):
     index_columns: Optional[Tuple[str, ...]]
     left_keep: Tuple[int, ...]
     right_keep: Tuple[int, ...]
+    counting: bool
 
     def run(self, executor: Executor, stack: List[_Result]) -> None:
-        right_sources, r_rows, right_cost = stack.pop()
-        left_sources, l_rows, left_cost = stack.pop()
-        if self.left_keys:
-            left_idx, right_idx = self._matches(
-                executor, left_sources, l_rows, right_sources
+        right_sources, r_rows, right_cost, _ = stack.pop()
+        left_sources, l_rows, left_cost, weights = stack.pop()
+        if self.counting:
+            sources, out_rows, weights = self._counted(
+                executor, left_sources, l_rows, weights, right_sources, r_rows
             )
         else:
-            # cartesian product
-            left_idx = np.repeat(np.arange(l_rows), r_rows)
-            right_idx = np.tile(np.arange(r_rows), l_rows)
-        sources = [_take(left_sources[i], left_idx) for i in self.left_keep]
-        sources += [
-            _take(right_sources[i], right_idx) for i in self.right_keep
-        ]
+            if self.left_keys:
+                left_idx, right_idx = self._matches(
+                    executor, left_sources, l_rows, right_sources
+                )
+            else:
+                # cartesian product
+                left_idx = np.repeat(np.arange(l_rows), r_rows)
+                right_idx = np.tile(np.arange(r_rows), l_rows)
+            sources = [_take(left_sources[i], left_idx) for i in self.left_keep]
+            sources += [
+                _take(right_sources[i], right_idx) for i in self.right_keep
+            ]
+            out_rows = left_idx.shape[0]
 
-        out_rows = left_idx.shape[0]
         cost_model = executor._cost
         algorithm = self.algorithm
         if algorithm == JoinAlgorithm.HASH:
@@ -502,11 +548,37 @@ class _Join(NamedTuple):
         else:  # NESTED_LOOP_SCAN: the inner subtree re-runs per outer row
             local = cost_model.nested_loop_scan(max(1, l_rows), right_cost)
             total = left_cost + local
-        stack.append((sources, out_rows, total))
+        stack.append((sources, out_rows, total, weights))
 
-    def _matches(self, executor, left_sources, l_rows, right_sources):
+    def _counted(
+        self, executor, left_sources, l_rows, weights, right_sources, r_rows
+    ):
+        """``(sources, row count, weights)`` of a counting join: the left
+        rows that match, each weighted by its weight times its match
+        count — the rows the expanding join would repeat."""
+        if weights is not None:
+            l_rows = weights.shape[0]
+        if self.left_keys:
+            counts = self._matches(
+                executor, left_sources, l_rows, right_sources, counting=True
+            )
+        else:
+            counts = np.full(l_rows, r_rows, dtype=np.int64)
+        if weights is not None:
+            counts *= weights
+        sources = [left_sources[i] for i in self.left_keep]
+        matched = np.flatnonzero(counts)
+        if matched.shape[0] != l_rows:
+            sources = [_take(source, matched) for source in sources]
+            counts = counts[matched]
+        return sources, int(counts.sum()), counts
+
+    def _matches(
+        self, executor, left_sources, l_rows, right_sources, counting=False
+    ):
         """Matching ``(left_idx, right_idx)`` row pairs: left rows in
-        order, each one's matches in right row order."""
+        order, each one's matches in right row order — or, ``counting``,
+        only each left row's number of matches."""
         left_arrays = [_read(left_sources, slot) for slot in self.left_keys]
         right_arrays = [_read(right_sources, slot) for slot in self.right_keys]
         for position, left_column, right_column in self.strings:
@@ -535,6 +607,13 @@ class _Join(NamedTuple):
             index = executor._kept_join_index(
                 self.index_table, self.index_columns, right_arrays
             )
+        if counting:
+            counts = join_counts(left_arrays, right_arrays, index)
+            if kept is not None:
+                every = np.zeros(l_rows, dtype=np.int64)
+                every[kept] = counts
+                counts = every
+            return counts
         left_idx, right_idx = join_indices(left_arrays, right_arrays, index)
         if kept is not None:
             left_idx = kept[left_idx]
@@ -547,7 +626,9 @@ class _Aggregate(NamedTuple):
     column at ``slot``, else ``expression`` (``None`` for COUNT) over the
     columns at ``argument_slots``.  The output is one source: the
     distinct group keys (``group_out`` picks them from ``group_slots``),
-    then the aggregates; ``stream`` sorts it by ``stream_keys``."""
+    then the aggregates; ``stream`` sorts it by ``stream_keys``.  Weighted
+    input (a counting join's) is aggregated as the rows it stands for;
+    a SUM / AVG the weights cannot reproduce exactly expands them first."""
 
     group_slots: Tuple[Slot, ...]
     group_out: Tuple[int, ...]
@@ -557,36 +638,20 @@ class _Aggregate(NamedTuple):
     stream_keys: tuple
 
     def run(self, executor: Executor, stack: List[_Result]) -> None:
-        sources, input_rows, child_cost = stack.pop()
+        sources, input_rows, child_cost, weights = stack.pop()
         cost_model = executor._cost
-        if self.group_slots:
-            key_arrays = [_read(sources, slot) for slot in self.group_slots]
-            if input_rows == 0:
-                arrays = [key_arrays[i] for i in self.group_out]
-                arrays += [np.empty(0) for _ in self.aggregates]
-                cost = child_cost + cost_model.hash_aggregate(0, 0)
-                stack.append(([(arrays, None)], 0, cost))
-                return
-            group_ids, representatives = group_indices(key_arrays)
-            n_groups = representatives.shape[0]
-            arrays = [key_arrays[i][representatives] for i in self.group_out]
-        else:
-            n_groups = 1
-            group_ids = np.zeros(input_rows, dtype=np.int64)
-            arrays = []
-
-        counts = np.bincount(group_ids, minlength=n_groups).astype(np.float64)
-        reader = _SlotReader(self.argument_slots, sources, input_rows)
-        for function, slot, expression in self.aggregates:
-            if slot is not None:
-                values = reader.gather(slot)
-            elif expression is not None:
-                values = evaluate_scalar(executor._db, reader, expression)
-            else:
-                values = None
-            arrays.append(
-                executor._aggregate_values(function, values, group_ids, counts)
-            )
+        if self.group_slots and input_rows == 0:
+            arrays = [_read(sources, self.group_slots[i]) for i in self.group_out]
+            arrays += [np.empty(0) for _ in self.aggregates]
+            cost = child_cost + cost_model.hash_aggregate(0, 0)
+            stack.append(([(arrays, None)], 0, cost, None))
+            return
+        arrays = self._aggregated(executor, sources, input_rows, weights)
+        if arrays is None:
+            expanded = np.repeat(np.arange(weights.shape[0]), weights)
+            sources = [_take(source, expanded) for source in sources]
+            arrays = self._aggregated(executor, sources, input_rows, None)
+        n_groups = arrays[0].shape[0]
         if self.stream:
             rows = executor._sort_order(
                 [(arrays, None)], n_groups, self.stream_keys
@@ -597,7 +662,40 @@ class _Aggregate(NamedTuple):
         else:
             rows = None
             cost = child_cost + cost_model.hash_aggregate(input_rows, n_groups)
-        stack.append(([(arrays, rows)], n_groups, cost))
+        stack.append(([(arrays, rows)], n_groups, cost, None))
+
+    def _aggregated(self, executor, sources, input_rows, weights):
+        """The output columns over ``input_rows`` rows, of which
+        ``sources`` hold each once, or by ``weights`` — ``None`` when a
+        SUM / AVG cannot be computed exactly from the weights."""
+        if weights is not None:
+            input_rows = weights.shape[0]
+        if self.group_slots:
+            key_arrays = [_read(sources, slot) for slot in self.group_slots]
+            group_ids, representatives = group_indices(key_arrays)
+            n_groups = representatives.shape[0]
+            arrays = [key_arrays[i][representatives] for i in self.group_out]
+        else:
+            n_groups = 1
+            group_ids = np.zeros(input_rows, dtype=np.int64)
+            arrays = []
+        counts = np.bincount(group_ids, weights, minlength=n_groups)
+        counts = counts.astype(np.float64, copy=False)
+        reader = _SlotReader(self.argument_slots, sources, input_rows)
+        for function, slot, expression in self.aggregates:
+            if slot is not None:
+                values = reader.gather(slot)
+            elif expression is not None:
+                values = evaluate_scalar(executor._db, reader, expression)
+            else:
+                values = None
+            column = executor._aggregate_values(
+                function, values, group_ids, counts, weights
+            )
+            if column is None:
+                return None
+            arrays.append(column)
+        return arrays
 
 
 class _Having(NamedTuple):
@@ -606,7 +704,7 @@ class _Having(NamedTuple):
     conditions: tuple
 
     def run(self, executor: Executor, stack: List[_Result]) -> None:
-        sources, row_count, child_cost = stack.pop()
+        sources, row_count, child_cost, _ = stack.pop()
         mask = np.ones(row_count, dtype=bool)
         for slot, op, value in self.conditions:
             mask &= COMPARATORS[op](_read(sources, slot), value)
@@ -614,9 +712,8 @@ class _Having(NamedTuple):
         cost = child_cost + row_count * (
             len(self.conditions) * executor._config.cost.cpu_compare_cost
         )
-        stack.append(
-            ([_take(source, kept) for source in sources], kept.shape[0], cost)
-        )
+        sources = [_take(source, kept) for source in sources]
+        stack.append((sources, kept.shape[0], cost, None))
 
 
 class _Sort(NamedTuple):
@@ -625,12 +722,12 @@ class _Sort(NamedTuple):
     keys: tuple
 
     def run(self, executor: Executor, stack: List[_Result]) -> None:
-        sources, row_count, child_cost = stack.pop()
+        sources, row_count, child_cost, _ = stack.pop()
         order = executor._sort_order(sources, row_count, self.keys)
         if order is not None:
             sources = [_take(source, order) for source in sources]
         cost = child_cost + executor._cost.sort(row_count)
-        stack.append((sources, row_count, cost))
+        stack.append((sources, row_count, cost, None))
 
 
 # ----------------------------------------------------------------------
@@ -711,8 +808,9 @@ class _Compiler:
 
     Compilation walks down with the set of tables some ancestor reads
     (``required``; ``None`` at the root, which keeps everything), so that
-    a join carries only the sources read above it, and emits the steps
-    on the way back up, in post-order.
+    a join carries only the sources read above it, and whether the node's
+    output reaches an aggregate only as the left input of counting joins
+    (``counted``), and emits the steps on the way back up, in post-order.
     """
 
     def __init__(self, schema, needed, annotations) -> None:
@@ -735,7 +833,7 @@ class _Compiler:
         )
 
     # repro-lint: dispatch=PlanNode
-    def _compile(self, node: PlanNode, required) -> _Shape:
+    def _compile(self, node: PlanNode, required, counted=False) -> _Shape:
         """Emit the steps of ``node``'s subtree; the shape of its result."""
         if isinstance(node, ScanNode):
             shape = self._table(node.table)
@@ -754,7 +852,7 @@ class _Compiler:
                 self._filters(shape, node.residual_predicates),
             )
         elif isinstance(node, JoinNode):
-            step, shape = self._join(node, required)
+            step, shape = self._join(node, required, counted)
         elif isinstance(node, AggregateNode):
             step, shape = self._aggregate(node)
         elif isinstance(node, HavingNode):
@@ -810,7 +908,7 @@ class _Compiler:
             return ref.table, ref.column
         return None
 
-    def _join(self, node: JoinNode, required):
+    def _join(self, node: JoinNode, required, counted):
         left_tables = node.left.tables()
         pairs = []
         for predicate in node.join_predicates:
@@ -834,7 +932,9 @@ class _Compiler:
         below = required
         if required is not None:
             below = required.union(ref.table for pair in pairs for ref in pair)
-        left = self._compile(node.left, below)
+        # no ancestor reads the right input: count its matches
+        counting = counted and required.isdisjoint(node.right.tables())
+        left = self._compile(node.left, below, counting)
         right = self._compile(node.right, below)
 
         strings = []
@@ -858,7 +958,10 @@ class _Compiler:
             and not right_node.predicates
         ):
             index_columns = tuple(right_ref.column for right_ref, _ in keys)
-        shape, left_keep, right_keep = _Shape.joined(left, right, required)
+        # a counting join's output carries nothing of its right input
+        shape, left_keep, right_keep = _Shape.joined(
+            left, _Shape([], {}, {}) if counting else right, required
+        )
         step = _Join(
             node.algorithm,
             node.build_side == "right",
@@ -870,6 +973,7 @@ class _Compiler:
             index_columns,
             left_keep,
             right_keep,
+            counting,
         )
         return step, shape
 
@@ -894,6 +998,7 @@ class _Compiler:
         child = self._compile(
             node.child,
             frozenset(ref.table for ref in group_by + tuple(columns)),
+            counted=True,
         )
         stream_keys = ()
         if node.method == "stream":

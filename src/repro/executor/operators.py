@@ -41,6 +41,22 @@ def join_indices(
     return index.probe(left)
 
 
+def join_counts(
+    left_arrays: List[np.ndarray],
+    right_arrays: List[np.ndarray],
+    index: Optional[JoinIndex] = None,
+) -> np.ndarray:
+    """Per left row, how many right rows :func:`join_indices` pairs it
+    with (int64), by the same build and fallback, without the pairs."""
+    left = int64_columns(left_arrays)
+    if left is not None and index is None:
+        index = JoinIndex.build(right_arrays)
+    if left is None or index is None:
+        left_keys, right_keys = joint_composite_keys(left_arrays, right_arrays)
+        return join_counts([left_keys], [right_keys])
+    return index.match_counts(left)
+
+
 def equi_join_indices(
     left_keys: np.ndarray, right_keys: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:

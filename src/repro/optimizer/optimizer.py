@@ -708,9 +708,10 @@ class Optimizer:
         concurrent correction update mid-flight leaves at worst an entry
         keyed under the old version, which the next lookup skips.
         Requests that already carry an explicit ``learned`` component are
-        passed through untouched.
+        passed through untouched, and so are degraded ones, which plan
+        without corrections.
         """
-        if request.learned is not None:
+        if request.learned is not None or request.degraded:
             return request
         learned = self._learned_version()
         if learned is None:
@@ -739,7 +740,9 @@ class Optimizer:
                 self._db,
                 self._config,
                 request.overrides_dict() if request.overrides else None,
-                corrections=self._corrections,
+                # learned factors correct statistics-based estimates, not
+                # a degraded plan's magic numbers
+                corrections=self._corrections if use_statistics else None,
                 use_statistics=use_statistics,
                 memo=memo,
             )

@@ -70,7 +70,8 @@ class JoinIndex:
 
     ``JoinIndex.build(right).probe(left)`` returns the matching
     ``(left_idx, right_idx)`` row pairs: left rows in order, each one's
-    matches in right row order, int64.  The key of a row is mixed-radix
+    matches in right row order, int64; :meth:`match_counts` returns only
+    how many pairs each left row has.  The key of a row is mixed-radix
     over per-column ``(low, span)`` taken from the build side; a probe
     value outside a column's range matches nothing.  Three forms, by the
     build side's keys alone, each holding only what its probe reads:
@@ -153,39 +154,18 @@ class JoinIndex:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Row pairs matching ``columns`` (int64, parallel to the build
         side's) against the indexed rows."""
-        radices = self._radices
-        if not radices or columns[0].shape[0] == 0:
+        encoded = self._encode(columns)
+        if encoded is None:
             return _NO_ROWS, _NO_ROWS
-        # rows with a value outside the build side's range match nothing,
-        # and must not reach the key arithmetic
-        inside = None
-        for column, (low, high, _) in zip(columns, radices):
-            if int(column.min()) < low or int(column.max()) > high:
-                within = (column >= low) & (column <= high)
-                inside = within if inside is None else inside & within
-        kept = None
-        if inside is not None:
-            kept = np.flatnonzero(inside)
-            if kept.shape[0] == 0:
-                return _NO_ROWS, _NO_ROWS
-            columns = [column[kept] for column in columns]
-        keys = mixed_radix_keys(columns, radices)
-        table = self._table
+        keys, kept = encoded
         if self._form == "unique":
-            hit = table[keys]
+            hit = self._table[keys]
             left_idx = np.flatnonzero(hit != self._rows)
             if left_idx.shape[0] != hit.shape[0]:
                 hit = hit[left_idx]
             right_idx = hit.astype(np.int64)
         else:
-            if self._form == "runs":
-                lo = table[keys].astype(np.int64)
-                counts = table[keys + 1].astype(np.int64) - lo
-            else:
-                # same dtype as the table, or searchsorted converts it
-                keys = keys.astype(table.dtype)
-                lo = np.searchsorted(table, keys, side="left")
-                counts = np.searchsorted(table, keys, side="right") - lo
+            lo, counts = self._runs(keys)
             ends = np.cumsum(counts, dtype=np.int64)
             total = int(ends[-1])
             if total == 0:
@@ -198,3 +178,67 @@ class JoinIndex:
         if kept is not None:
             left_idx = kept[left_idx]
         return left_idx, right_idx
+
+    def match_counts(self, columns: Sequence[np.ndarray]) -> np.ndarray:
+        """Per row of ``columns``, how many indexed rows :meth:`probe`
+        pairs it with (int64), without expanding the pairs: one gather
+        per row — from a count table over the key span, built per call
+        for the ``"sorted"`` form unless the span outgrows both sides
+        (:func:`counting_pays`), which then takes two binary searches."""
+        counts = np.zeros(columns[0].shape[0], dtype=np.int64)
+        encoded = self._encode(columns)
+        if encoded is None:
+            return counts
+        keys, kept = encoded
+        low, high, multiplier = self._radices[-1]
+        span = (high - low + 1) * multiplier
+        if self._form == "unique":
+            found = self._table[keys] != self._rows
+        elif self._form == "sorted" and counting_pays(
+            span, self._rows + keys.shape[0]
+        ):
+            # a count per key of the span costs less than two binary
+            # searches per probe row
+            table = self._table.astype(np.int64)
+            found = np.bincount(table, minlength=span)[keys]
+        else:
+            found = self._runs(keys)[1]
+        if kept is None:
+            counts[:] = found
+        else:
+            counts[kept] = found
+        return counts
+
+    def _encode(self, columns: Sequence[np.ndarray]):
+        """``(keys, kept)``: the mixed-radix keys of the rows of
+        ``columns`` inside the build side's ranges, and their positions
+        (``None``: every row) — or ``None`` when no row can match."""
+        radices = self._radices
+        if not radices or columns[0].shape[0] == 0:
+            return None
+        # rows with a value outside the build side's range match nothing,
+        # and must not reach the key arithmetic
+        inside = None
+        for column, (low, high, _) in zip(columns, radices):
+            if int(column.min()) < low or int(column.max()) > high:
+                within = (column >= low) & (column <= high)
+                inside = within if inside is None else inside & within
+        kept = None
+        if inside is not None:
+            kept = np.flatnonzero(inside)
+            if kept.shape[0] == 0:
+                return None
+            columns = [column[kept] for column in columns]
+        return mixed_radix_keys(columns, radices), kept
+
+    def _runs(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per key (``"runs"`` / ``"sorted"`` form), where its run of rows
+        starts in ``order`` and how long it is, int64."""
+        table = self._table
+        if self._form == "runs":
+            lo = table[keys].astype(np.int64)
+            return lo, table[keys + 1].astype(np.int64) - lo
+        # same dtype as the table, or searchsorted converts it
+        keys = keys.astype(table.dtype)
+        lo = np.searchsorted(table, keys, side="left")
+        return lo, np.searchsorted(table, keys, side="right") - lo

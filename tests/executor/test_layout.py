@@ -22,7 +22,13 @@ from repro.executor.dml import apply_dml
 from repro.executor.executor import Executor, PlanLayout
 from repro.optimizer import OptimizationRequest, Optimizer
 from repro.optimizer.cache import PlanCache
-from repro.optimizer.plans import AggregateNode, JoinAlgorithm, JoinNode, ScanNode
+from repro.optimizer.plans import (
+    AggregateNode,
+    JoinAlgorithm,
+    JoinNode,
+    ScanNode,
+    SortNode,
+)
 from repro.sql.binder import parse_and_bind
 from repro.sql.builder import QueryBuilder
 from repro.storage import Database
@@ -196,6 +202,52 @@ def test_a_join_carries_only_the_sources_its_ancestors_read():
     # the inner product carries ``a`` and ``c``: the top join reads both
     assert (inner.left_keep, inner.right_keep) == ((0,), (0,))
     assert (top.left_keep, top.right_keep) == ((0,), ())
+
+
+#: a recurring TPC-D read: ``customer`` and ``lineitem`` only multiply
+#: the groups of ``nation`` and ``region``
+_MULTIPLIED = (
+    "SELECT nation.n_regionkey, COUNT(*), {} FROM region, nation, "
+    "supplier, lineitem, customer WHERE nation.n_regionkey BETWEEN 0 AND 4 "
+    "AND nation.n_regionkey = region.r_regionkey AND nation.n_nationkey = "
+    "supplier.s_nationkey AND customer.c_nationkey = nation.n_nationkey "
+    "AND lineitem.l_suppkey = supplier.s_suppkey GROUP BY "
+    "nation.n_regionkey ORDER BY nation.n_regionkey"
+)
+
+
+@pytest.mark.parametrize(
+    "argument, counting",
+    [
+        ("SUM(region.r_regionkey)", [False, False, True, True]),
+        # the top join's right input is read: no join only multiplies
+        ("SUM(lineitem.l_quantity)", [False, False, False, False]),
+    ],
+    ids=["left-side sum", "right-side sum"],
+)
+def test_joins_whose_right_input_no_ancestor_reads_count(
+    fresh_tpcd_db, argument, counting
+):
+    """``(((supplier x nation) x region) x customer) x lineitem`` under a
+    GROUP BY and an ORDER BY: the last two joins count their matches
+    unless the aggregate reads the last one's right input."""
+    db = fresh_tpcd_db()
+    query = parse_and_bind(_MULTIPLIED.format(argument), db.schema)
+    plan, tables = _scan("supplier"), ("supplier",)
+    for table in ("nation", "region", "customer", "lineitem"):
+        right = ScanNode(table, query.predicates_of(table), 1.0, 1.0)
+        joins = query.joins_between(tables, (table,))
+        plan = JoinNode(JoinAlgorithm.HASH, plan, right, joins, 1.0, 1.0)
+        tables += (table,)
+    grouped = AggregateNode(
+        plan, query.group_by, query.all_aggregates(), 1.0, 1.0
+    )
+    plan = SortNode(grouped, query.order_by, 1.0)
+    rows = Executor(db).execute(plan, query).rows()
+    assert rows == _sqlite_rows(db, query) and len(rows) > 1
+    steps = plan.execution_layout.steps
+    joins = [step for step in steps if type(step).__name__ == "_Join"]
+    assert [join.counting for join in joins] == counting
 
 
 def test_aggregates_of_columns_and_expressions_equal_sqlite():

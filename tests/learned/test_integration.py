@@ -111,6 +111,22 @@ class TestPlanCacheKeying:
         plain.optimize(query)  # the plain entry is untouched
         assert cache.counters()["hits"] == 2
 
+    def test_a_degraded_request_plans_uncorrected_under_a_fixed_key(self, db):
+        """A degraded plan's selectivities are magic numbers: no learned
+        factor applies to them, and no version move may re-plan them."""
+        cache = PlanCache()
+        store = trained_store()
+        corrected = Optimizer(db, cache=cache, corrections=store)
+        request = OptimizationRequest(filter_query(db), degraded=True)
+        plain = Optimizer(db).optimize_request(request)
+        first = corrected.optimize_request(request)
+        assert (first.cost, first.rows) == (plain.cost, plain.rows)
+        assert cache.counters()["misses"] == 1
+        store.invalidate("emp")  # version bump
+        store.record_all([observation()])
+        assert corrected.optimize_request(request) is first
+        assert cache.counters()["misses"] == 1
+
     def test_explicit_learned_component_is_respected(self, db):
         query = filter_query(db)
         request = OptimizationRequest(query, learned=3)

@@ -12,6 +12,8 @@ the oracles:
   replaced, verbatim: one mixed-radix encoding over *both* sides' value
   ranges, then a counting table or a sort of the right side's keys;
 * ``unique_groups`` — ``np.unique`` over the composite keys;
+* ``probed_counts`` — a counting join's per-row match counts, as the
+  ``np.bincount`` of the probe's left row ids;
 * ``Eager`` — one numpy gather per column per ``take`` / ``filter``.
 """
 
@@ -26,6 +28,7 @@ from repro.executor.operators import (
     composite_keys,
     equi_join_indices,
     group_indices,
+    join_counts,
     join_indices,
     joint_composite_keys,
 )
@@ -561,6 +564,128 @@ class TestJoinIndex:
             _assert_same_pairs(
                 index.probe([left]), joint_sort_probe_join([left], [keys])
             )
+
+
+# ----------------------------------------------------------------------
+# per-row match counts
+# ----------------------------------------------------------------------
+
+
+def probed_counts(left, right):
+    """How many right rows each left row joins, from the expanded pairs."""
+    left_idx, _ = join_indices(left, right)
+    return np.bincount(left_idx, minlength=np.asarray(left[0]).shape[0])
+
+
+def _assert_same_counts(got, left, right):
+    assert got.dtype == np.int64
+    assert got.tobytes() == probed_counts(left, right).astype(np.int64).tobytes()
+
+
+class TestMatchCounts:
+    @given(sides=join_sides())
+    @settings(max_examples=300, deadline=None)
+    def test_counts_equal_the_bincount_of_the_probe(self, sides):
+        left, right = sides
+        index = JoinIndex.build(right)
+        _assert_same_counts(index.match_counts(int64_columns(left)), left, right)
+        # ... and through the entry point a counting join takes
+        _assert_same_counts(join_counts(left, right), left, right)
+        _assert_same_counts(join_counts(left, right, index), left, right)
+
+    @pytest.mark.parametrize(
+        "keys, form",
+        [
+            (np.arange(50) * 3 - 70, "unique"),
+            ((np.arange(60) // 4) * 2 - 9, "runs"),
+            # sparse: counted through a table only when the probe is long
+            (np.concatenate([np.arange(0, 2500, 50)] * 2), "sorted"),
+        ],
+        ids=["unique", "runs", "sorted"],
+    )
+    @pytest.mark.parametrize("probe_rows", [30, 600])
+    def test_every_form_with_values_outside_the_range(
+        self, keys, form, probe_rows
+    ):
+        index = JoinIndex.build([keys])
+        assert index._form == form
+        rng = np.random.default_rng(probe_rows)
+        low, high = int(keys.min()), int(keys.max())
+        left = rng.integers(low - 40, high + 40, size=probe_rows)
+        left[:3] = [low - 1, high + 1, low]
+        _assert_same_counts(index.match_counts([left]), [left], [keys])
+
+    def test_the_sorted_form_counts_by_table_or_by_search(self, monkeypatch):
+        """A probe long enough for the key span counts through a table,
+        a short one searches — the same counts either way."""
+        keys = np.array([0, 4000, 4000, 2, 1999], dtype=np.int64)
+        index = JoinIndex.build([keys])
+        assert index._form == "sorted"
+        searches = []
+        search = np.searchsorted
+        monkeypatch.setattr(
+            np,
+            "searchsorted",
+            lambda *a, **k: searches.append(1) or search(*a, **k),
+        )
+        short = np.array([4000, 1, 2, -5, 1999], dtype=np.int64)
+        assert not counting_pays(4001, keys.shape[0] + short.shape[0])
+        assert index.match_counts([short]).tolist() == [2, 0, 1, 0, 1]
+        assert searches
+        searches.clear()
+        long = np.resize(short, 1000)
+        assert counting_pays(4001, keys.shape[0] + long.shape[0])
+        assert index.match_counts([long]).tolist() == np.resize(
+            [2, 0, 1, 0, 1], 1000
+        ).tolist()
+        assert not searches
+
+    def test_multi_column_keys(self):
+        right = [
+            np.array([1, 1, 2, 2, 2, 9], dtype=np.int32),
+            np.array([5, 5, 5, 6, 6, -3], dtype=np.int16),
+        ]
+        left = [
+            np.array([1, 2, 2, 9, 0, 1, 3], dtype=np.int32),
+            np.array([5, 6, 5, -3, 5, 6, 99], dtype=np.int16),
+        ]
+        got = JoinIndex.build(right).match_counts(int64_columns(left))
+        assert got.tolist() == [2, 2, 1, 1, 0, 0, 0]
+        _assert_same_counts(got, left, right)
+
+    def test_an_empty_side_matches_nothing(self):
+        empty = [np.empty(0, dtype=np.int64)] * 2
+        some = [np.array([1, 2, 3]), np.array([4, 5, 6])]
+        index = JoinIndex.build(empty)
+        assert index.match_counts(some).tolist() == [0, 0, 0]
+        assert join_counts(some, empty).tolist() == [0, 0, 0]
+        got = join_counts(empty, some)
+        assert got.dtype == np.int64 and got.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "dtype, values",
+        [
+            (np.float64, [0.5, -1.25, 0.5, 3.0, np.nan]),
+            (np.uint64, [2**64 - 1, 7, 2**64 - 1, 0, 2**63]),
+        ],
+        ids=["float", "uint64"],
+    )
+    def test_float_and_uint64_keys_count_through_the_joint_keys(
+        self, monkeypatch, dtype, values
+    ):
+        calls = []
+        fallback = operators.joint_composite_keys
+        monkeypatch.setattr(
+            operators,
+            "joint_composite_keys",
+            lambda left, right: calls.append(1) or fallback(left, right),
+        )
+        right = [np.asarray(values, dtype=dtype)]
+        left = [np.asarray(values[::-1] + values[:2], dtype=dtype)]
+        got = join_counts(left, right)
+        assert calls
+        _assert_same_counts(got, left, right)
+        assert got.sum() > 0
 
 
 # ----------------------------------------------------------------------
