@@ -1,13 +1,16 @@
-"""Benchmark-harness plumbing.
+"""Benchmark-harness plumbing for the system benches.
 
-Run with::
+Run one with::
 
-    pytest benchmarks/ --benchmark-only
+    REPRO_BENCH_SCALE=0.002 REPRO_BENCH_QUERIES=20 \
+        python -m pytest benchmarks/bench_plan_cache.py -q
 
-Every bench computes its paper-reproduction metrics once (module-scoped
-fixture), asserts the paper's qualitative shape, and registers the wall
-clock of one full experiment run with pytest-benchmark.  The
-paper-vs-measured rows are printed in the terminal summary.
+Each bench computes its arms once (module-scoped fixture), asserts its
+claim, writes ``BENCH_<name>.json`` (``compare_baselines.py`` holds it
+to ``baselines/``); some add a table to the terminal summary.  The
+paper's experiments are not benches: ``python -m repro.cli experiment``
+runs them, and ``tests/experiments/test_experiments_golden.py`` pins
+them.
 
 Environment knobs:
 
@@ -22,7 +25,7 @@ import os
 
 import pytest
 
-from repro.experiments.common import DATABASE_SPECS, default_database_factory
+from repro.experiments.common import default_database_factory
 
 _SECTIONS = []
 
@@ -54,11 +57,6 @@ def write_bench_json(name: str, payload: dict) -> str:
 def factory():
     """Fresh-database factory shared by all benches."""
     return default_database_factory(scale=bench_scale())
-
-
-@pytest.fixture(scope="session")
-def database_specs():
-    return DATABASE_SPECS
 
 
 @pytest.fixture(scope="session")

@@ -9,10 +9,12 @@
     python -m repro.cli tune --db /tmp/tpcd --workload /tmp/w.sql \
         --mode offline
     python -m repro.cli serve --workload U25-S-100 --workers 2
-    python -m repro.cli experiment figure4 --z 2
+    python -m repro.cli experiment figure4 table1 --z 2
 
-Every subcommand prints human-readable output; ``experiment`` prints the
-same rows the benchmark harness reports (see EXPERIMENTS.md).
+Every subcommand prints human-readable output.  ``experiment`` runs the
+named entries of :data:`repro.experiments.EXPERIMENTS` (all 15 when none
+are named) and prints each one's markdown table, the tables
+EXPERIMENTS.md shows.
 """
 
 from __future__ import annotations
@@ -22,7 +24,19 @@ import sys
 from typing import List, Optional
 
 from repro.backends.base import BACKEND_NAMES
-from repro.experiments.common import DATABASE_SPECS, format_table
+from repro.experiments import EXPERIMENTS, SCALE, default_database_factory
+from repro.experiments.common import format_table
+
+EXPERIMENT_NAMES = [experiment.name for experiment in EXPERIMENTS]
+
+
+def _experiment_name(text: str) -> str:
+    if text not in EXPERIMENT_NAMES:
+        raise argparse.ArgumentTypeError(
+            f"unknown experiment {text!r} (choose from "
+            f"{', '.join(EXPERIMENT_NAMES)})"
+        )
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,38 +264,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     experiment = sub.add_parser(
-        "experiment", help="reproduce a paper table or figure"
+        "experiment",
+        help="reproduce the paper's tables and figures and the ablations",
     )
     experiment.add_argument(
-        "which",
-        choices=("intro", "figure3", "figure4", "single-column", "table1"),
-    )
-    experiment.add_argument("--scale", type=float, default=0.002)
-    experiment.add_argument(
-        "--z", default=None, help="restrict to one skew setting"
-    )
-    experiment.add_argument("--queries", type=int, default=30)
-
-    ablation = sub.add_parser(
-        "ablation", help="run one of the design-choice ablations"
-    )
-    ablation.add_argument(
-        "which",
-        choices=(
-            "threshold",
-            "next-stat",
-            "shrinking",
-            "equivalence",
-            "histograms",
-            "sampling",
-            "joint",
-            "join-estimation",
-            "aging",
-            "maintenance",
+        "names",
+        nargs="*",
+        type=_experiment_name,
+        metavar="NAME",
+        help=(
+            "experiments to run, in EXPERIMENTS.md's order by default: "
+            + ", ".join(EXPERIMENT_NAMES)
         ),
     )
-    ablation.add_argument("--scale", type=float, default=0.002)
-    ablation.add_argument("--z", default="2")
+    experiment.add_argument("--scale", type=float, default=SCALE)
+    experiment.add_argument(
+        "--z", default=None, help="run only this skew setting (or 'mix')"
+    )
+    experiment.add_argument(
+        "--queries",
+        type=int,
+        default=None,
+        help="cap each workload at this many queries instead of the "
+        "documented cap",
+    )
 
     lint = sub.add_parser(
         "lint",
@@ -388,7 +394,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serve": _cmd_serve,
         "feedback": _cmd_feedback,
         "experiment": _cmd_experiment,
-        "ablation": _cmd_ablation,
         "lint": _cmd_lint,
     }[args.command]
     return handler(args)
@@ -733,272 +738,16 @@ def _cmd_feedback(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from repro.experiments import (
-        run_figure3,
-        run_figure4,
-        run_intro_experiment,
-        run_single_column_mnsa,
-        run_table1,
-    )
-    from repro.experiments.common import default_database_factory
-
     factory = default_database_factory(scale=args.scale)
-    specs = DATABASE_SPECS
-    if args.z is not None:
-        z = _parse_z(args.z)
-        specs = [(f"z={args.z}", z)]
-
-    if args.which == "intro":
-        result = run_intro_experiment(factory(_parse_z(args.z or "2")))
-        rows = [
-            [qid, "changed" if c else "same", f"{b:.0f}", f"{a:.0f}"]
-            for qid, c, b, a in zip(
-                result.query_ids,
-                result.plan_changed,
-                result.cost_before,
-                result.cost_after,
-            )
-        ]
-        print(
-            format_table(
-                ["query", "plan", "cost before", "cost after"], rows
-            )
-        )
-        print(
-            f"\n{result.changed_count}/17 plans changed "
-            "(paper: 15/17)"
-        )
-        return 0
-
-    runner = {
-        "figure3": run_figure3,
-        "figure4": run_figure4,
-        "single-column": run_single_column_mnsa,
-        "table1": run_table1,
-    }[args.which]
-    rows = []
-    for _, z in specs:
-        result = runner(factory, z, max_queries=args.queries)
-        if args.which == "figure3":
-            rows.append(
-                [
-                    result.database,
-                    f"{result.creation_reduction_percent:.0f}%",
-                    f"{result.execution_increase_percent:+.1f}%",
-                ]
-            )
-        elif args.which == "table1":
-            rows.append(
-                [
-                    result.database,
-                    f"{result.update_cost_reduction_percent:.0f}%",
-                    f"{result.execution_increase_percent:+.1f}%",
-                ]
-            )
-        else:
-            rows.append(
-                [
-                    result.database,
-                    f"{result.creation_reduction_percent:.0f}%",
-                    f"{result.execution_increase_percent:+.1f}%",
-                ]
-            )
-    metric = (
-        "update-cost reduction"
-        if args.which == "table1"
-        else "creation reduction"
-    )
-    print(format_table(["database", metric, "exec increase"], rows))
-    return 0
-
-
-def _cmd_ablation(args) -> int:
-    from repro.experiments import (
-        run_aging_experiment,
-        run_equivalence_ablation,
-        run_histogram_kind_ablation,
-        run_joint_histogram_ablation,
-        run_next_stat_ablation,
-        run_sampling_ablation,
-        run_shrinking_ablation,
-        run_threshold_sweep,
-    )
-    from repro.experiments.common import default_database_factory
-
-    factory = default_database_factory(scale=args.scale)
-    z = _parse_z(args.z)
-
-    if args.which == "threshold":
-        rows = run_threshold_sweep(factory, z)
-        print(
-            format_table(
-                ["t", "stats built", "creation cost", "execution cost"],
-                [
-                    [
-                        f"{r.t_percent:g}%",
-                        r.created_count,
-                        f"{r.creation_cost:.0f}",
-                        f"{r.execution_cost:.0f}",
-                    ]
-                    for r in rows
-                ],
-            )
-        )
-    elif args.which == "next-stat":
-        result = run_next_stat_ablation(factory, z)
-        print(
-            format_table(
-                ["strategy", "stats built", "creation cost"],
-                [
-                    [
-                        "costliest-operator",
-                        result.heuristic_created,
-                        f"{result.heuristic_creation_cost:.0f}",
-                    ],
-                    [
-                        "arbitrary",
-                        result.arbitrary_created,
-                        f"{result.arbitrary_creation_cost:.0f}",
-                    ],
-                ],
-            )
-        )
-    elif args.which == "shrinking":
-        result = run_shrinking_ablation(factory, z)
-        print(
-            format_table(
-                ["strategy", "retained", "update cost", "optimizer calls"],
-                [
-                    [
-                        "MNSA + Shrinking Set",
-                        result.shrink_retained,
-                        f"{result.shrink_update_cost:.0f}",
-                        result.shrink_optimizer_calls,
-                    ],
-                    [
-                        "MNSA/D",
-                        result.mnsad_retained,
-                        f"{result.mnsad_update_cost:.0f}",
-                        result.mnsad_optimizer_calls,
-                    ],
-                ],
-            )
-        )
-    elif args.which == "equivalence":
-        rows = run_equivalence_ablation(factory, z)
-        print(
-            format_table(
-                ["criterion", "retained", "update cost"],
-                [
-                    [r.criterion, r.retained, f"{r.update_cost:.0f}"]
-                    for r in rows
-                ],
-            )
-        )
-    elif args.which == "histograms":
-        rows = run_histogram_kind_ablation(factory, z)
-        print(
-            format_table(
-                ["kind", "q-error geomean", "q-error max", "exec cost"],
-                [
-                    [
-                        r.kind,
-                        f"{r.q_error_geomean:.2f}",
-                        f"{r.q_error_max:.1f}",
-                        f"{r.execution_cost:.0f}",
-                    ]
-                    for r in rows
-                ],
-            )
-        )
-    elif args.which == "sampling":
-        rows = run_sampling_ablation(factory, z)
-        print(
-            format_table(
-                ["sample rows", "creation cost", "q-error geomean"],
-                [
-                    [
-                        "full" if r.sample_rows is None else r.sample_rows,
-                        f"{r.creation_cost:.0f}",
-                        f"{r.q_error_geomean:.2f}",
-                    ]
-                    for r in rows
-                ],
-            )
-        )
-    elif args.which == "joint":
-        rows = run_joint_histogram_ablation(factory, z)
-        print(
-            format_table(
-                ["configuration", "q-error geomean", "q-error max"],
-                [
-                    [
-                        r.configuration,
-                        f"{r.q_error_geomean:.2f}",
-                        f"{r.q_error_max:.1f}",
-                    ]
-                    for r in rows
-                ],
-            )
-        )
-    elif args.which == "join-estimation":
-        from repro.experiments import run_join_estimation_ablation
-
-        rows = run_join_estimation_ablation(factory, z)
-        print(
-            format_table(
-                ["configuration", "q-error geomean", "q-error max"],
-                [
-                    [
-                        r.configuration,
-                        f"{r.q_error_geomean:.2f}",
-                        f"{r.q_error_max:.1f}",
-                    ]
-                    for r in rows
-                ],
-            )
-        )
-    elif args.which == "maintenance":
-        from repro.experiments import run_incremental_maintenance_experiment
-
-        rows = run_incremental_maintenance_experiment(factory, z)
-        print(
-            format_table(
-                [
-                    "scenario",
-                    "strategy",
-                    "maintenance cost",
-                    "rebuilds",
-                    "q-error",
-                ],
-                [
-                    [
-                        r.scenario,
-                        r.strategy,
-                        f"{r.maintenance_cost:.0f}",
-                        r.full_rebuilds,
-                        f"{r.q_error_geomean:.2f}",
-                    ]
-                    for r in rows
-                ],
-            )
-        )
-    else:  # aging
-        rows = run_aging_experiment(factory, z)
-        print(
-            format_table(
-                ["configuration", "created", "creation cost", "exec cost"],
-                [
-                    [
-                        "aging on" if r.aging_enabled else "aging off",
-                        r.statistics_created,
-                        f"{r.creation_cost:.0f}",
-                        f"{r.execution_cost:.0f}",
-                    ]
-                    for r in rows
-                ],
-            )
-        )
+    zs = None if args.z is None else [_parse_z(args.z)]
+    by_name = {experiment.name: experiment for experiment in EXPERIMENTS}
+    for name in args.names or EXPERIMENT_NAMES:
+        experiment = by_name[name]
+        records = experiment.records(factory, zs, args.queries)
+        print(f"## {experiment.title}\n")
+        if experiment.band:
+            print(f"paper: {experiment.band}\n")
+        print(experiment.table(records) + "\n")
     return 0
 
 

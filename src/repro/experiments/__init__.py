@@ -2,9 +2,11 @@
 
 Each runner is a pure function over freshly built databases (supplied via
 a factory, because statistics accumulate), returning a result dataclass
-whose fields mirror the metric the paper reports.  The benchmark harness
-(``benchmarks/``) and the examples both call into this package; see
-EXPERIMENTS.md for the paper-vs-measured record.
+whose fields mirror the metric the paper reports.  :data:`EXPERIMENTS`
+(:mod:`repro.experiments.registry`) describes each experiment once: its
+documented arguments, its records and its table.  ``repro experiment``,
+the golden ``tests/experiments/golden_experiments.json`` and
+EXPERIMENTS.md's tables all come from it.
 
 | Paper artifact | Runner |
 |---|---|
@@ -24,7 +26,6 @@ instrumentation in :mod:`repro.experiments.accuracy`.
 """
 
 from repro.experiments.common import (
-    ExperimentDatabases,
     default_database_factory,
     workload_execution_cost,
 )
@@ -50,7 +51,6 @@ from repro.experiments.ablations import (
 from repro.experiments.accuracy import (
     AccuracyReport,
     estimation_accuracy,
-    q_error,
 )
 from repro.experiments.statistics_ablations import (
     HistogramKindRow,
@@ -67,11 +67,14 @@ from repro.experiments.incremental import (
     MaintenanceRow,
     run_incremental_maintenance_experiment,
 )
+from repro.experiments.registry import EXPERIMENTS, SCALE, Experiment
 
 __all__ = [
     "AccuracyReport",
     "estimation_accuracy",
-    "q_error",
+    "EXPERIMENTS",
+    "Experiment",
+    "SCALE",
     "HistogramKindRow",
     "run_histogram_kind_ablation",
     "JointHistogramRow",
@@ -92,7 +95,6 @@ __all__ = [
     "run_shrinking_ablation",
     "EquivalenceAblationRow",
     "run_equivalence_ablation",
-    "ExperimentDatabases",
     "default_database_factory",
     "workload_execution_cost",
     "IntroResult",

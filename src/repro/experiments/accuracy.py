@@ -5,7 +5,8 @@ statistics means estimated cardinalities closer to actual ones, which is
 what flips plans.  The q-error of an estimate e against actual a is
 ``max(e, a) / min(e, a)`` (>= 1, 1 is perfect); we report the geometric
 mean over a workload, the standard metric in the cardinality-estimation
-literature.
+literature.  The q-error itself is
+:func:`repro.feedback.observation.q_error`, the one the feedback loop uses.
 """
 
 from __future__ import annotations
@@ -15,15 +16,9 @@ from dataclasses import dataclass
 from typing import Iterable, List
 
 from repro.executor import Executor
+from repro.feedback.observation import q_error
 from repro.optimizer import Optimizer
 from repro.sql.query import Query
-
-
-def q_error(estimated: float, actual: float) -> float:
-    """``max(e, a) / min(e, a)`` with a floor of one row on both sides."""
-    estimated = max(1.0, float(estimated))
-    actual = max(1.0, float(actual))
-    return max(estimated, actual) / min(estimated, actual)
 
 
 @dataclass

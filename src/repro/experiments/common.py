@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, List
 
 from repro.datagen import make_tpcd_database
@@ -33,17 +32,6 @@ def default_database_factory(
         return make_tpcd_database(scale=scale, z=z, seed=seed)
 
     return build
-
-
-@dataclass
-class ExperimentDatabases:
-    """Convenience bundle: a factory plus the paper's four z settings."""
-
-    factory: Callable
-    specs: tuple = DATABASE_SPECS
-
-    def fresh(self, z):
-        return self.factory(z)
 
 
 def workload_execution_cost(database, queries: Iterable[Query]) -> float:
@@ -77,16 +65,13 @@ def percent_increase(baseline: float, changed: float) -> float:
 
 
 def format_table(headers: List[str], rows: List[List[str]]) -> str:
-    """Plain-text table used by the benchmark reports."""
-    widths = [
-        max(len(str(headers[i])), *(len(str(r[i])) for r in rows))
-        if rows
-        else len(str(headers[i]))
-        for i in range(len(headers))
-    ]
-    def fmt(row):
-        return "  ".join(str(v).ljust(w) for v, w in zip(row, widths))
+    """A markdown table, columns padded to their widest cell."""
+    table = [[str(cell) for cell in row] for row in [headers, *rows]]
+    widths = [max(3, *(len(row[i]) for row in table)) for i in range(len(headers))]
 
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(row) for row in rows)
+    def fmt(row):
+        return "| " + " | ".join(v.ljust(w) for v, w in zip(row, widths)) + " |"
+
+    lines = [fmt(table[0]), fmt(["-" * w for w in widths])]
+    lines.extend(fmt(row) for row in table[1:])
     return "\n".join(lines)

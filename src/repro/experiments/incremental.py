@@ -16,7 +16,8 @@ from typing import Callable, List
 import numpy as np
 
 from repro.catalog import ColumnRef
-from repro.experiments.accuracy import q_error
+from repro.experiments.accuracy import AccuracyReport
+from repro.feedback.observation import q_error
 from repro.stats.statistic import StatKey
 
 
@@ -60,8 +61,6 @@ def _insert_batch(db, rng, batch_rows: int, drift: bool) -> None:
 
 def _accuracy(db, rng, probes: int = 20) -> float:
     """Geometric-mean q-error of range estimates on o_totalprice."""
-    import math
-
     values = db.table("orders").column_array("o_totalprice")
     hist = db.stats.get(StatKey("orders", ("o_totalprice",))).histogram
     errors = []
@@ -72,7 +71,7 @@ def _accuracy(db, rng, probes: int = 20) -> float:
         errors.append(
             q_error(estimate * values.shape[0], true * values.shape[0])
         )
-    return math.exp(sum(math.log(e) for e in errors) / len(errors))
+    return AccuracyReport(q_errors=errors).geometric_mean
 
 
 def run_incremental_maintenance_experiment(

@@ -18,8 +18,9 @@ from typing import Callable, List, Optional
 
 from repro.config import OptimizerConfig
 from repro.core.candidates import workload_candidate_statistics
-from repro.experiments.accuracy import estimation_accuracy
+from repro.experiments.accuracy import AccuracyReport, estimation_accuracy
 from repro.experiments.common import workload_execution_cost
+from repro.feedback.observation import q_error
 from repro.stats.histogram import HistogramKind
 from repro.workload import generate_workload
 
@@ -141,11 +142,10 @@ def run_join_estimation_ablation(
     dangling — the ndv rule never notices the shrunken overlap, while
     histogram alignment accounts for it.
     """
-    import math
-
     import numpy as np
 
-    from repro.experiments.accuracy import q_error
+    from repro.executor import Executor
+    from repro.optimizer import Optimizer
     from repro.sql.builder import QueryBuilder
     from repro.stats.statistic import StatKey
 
@@ -156,18 +156,12 @@ def run_join_estimation_ablation(
         suppkeys = db.table("supplier").column_array("s_suppkey")
         median = float(np.median(suppkeys))
         db.delete("supplier", suppkeys < median)
-        db.stats.config = OptimizerConfig(
-            enable_histogram_join_estimation=enabled
-        )
+        config = OptimizerConfig(enable_histogram_join_estimation=enabled)
+        db.stats.config = config
         db.stats.create(StatKey("lineitem", ("l_suppkey",)))
         db.stats.create(StatKey("supplier", ("s_suppkey",)))
         db.stats.create(StatKey("lineitem", ("l_quantity",)))
 
-        from repro.config import OptimizerConfig as OC
-        from repro.executor import Executor
-        from repro.optimizer import Optimizer
-
-        config = OC(enable_histogram_join_estimation=enabled)
         optimizer = Optimizer(db, config)
         executor = Executor(db, config)
         errors = []
@@ -184,12 +178,12 @@ def run_join_estimation_ablation(
             result = optimizer.optimize(query)
             executed = executor.execute(result.plan, query)
             errors.append(q_error(result.rows, executed.row_count))
-        geomean = math.exp(sum(math.log(e) for e in errors) / len(errors))
+        accuracy = AccuracyReport(q_errors=errors)
         rows.append(
             JoinEstimationRow(
                 configuration=label,
-                q_error_geomean=geomean,
-                q_error_max=max(errors),
+                q_error_geomean=accuracy.geometric_mean,
+                q_error_max=accuracy.max_error,
             )
         )
     return rows

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.experiments.accuracy import (
-    AccuracyReport,
-    estimation_accuracy,
-    q_error,
-)
+from repro.experiments.accuracy import AccuracyReport, estimation_accuracy
+from repro.feedback.observation import q_error
 from repro.experiments import (
     default_database_factory,
     run_aging_experiment,

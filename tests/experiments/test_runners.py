@@ -38,10 +38,13 @@ class TestCommonHelpers:
         assert percent_increase(0.0, 5.0) == 0.0
 
     def test_format_table(self):
-        text = format_table(["a", "bb"], [["1", "222"]])
-        lines = text.splitlines()
-        assert len(lines) == 3
-        assert "222" in lines[2]
+        """A markdown table: EXPERIMENTS.md pastes it in verbatim."""
+        text = format_table(["a", "bb"], [["1", "2222"]])
+        assert text.splitlines() == [
+            "| a   | bb   |",
+            "| --- | ---- |",
+            "| 1   | 2222 |",
+        ]
 
     def test_workload_execution_cost_positive(self, factory):
         from repro.workload import generate_workload

@@ -444,9 +444,10 @@ class TestFeedbackCommand:
 
 class TestExperiments:
     def test_intro(self, capsys):
-        main(["experiment", "intro", "--scale", "0.002"])
+        assert main(["experiment", "intro", "--scale", "0.002"]) == 0
         out = capsys.readouterr().out
-        assert "plans changed" in out
+        assert "| total | 11 of 17" in out
+        assert "paper: 15 of 17 plans change" in out
 
     def test_figure4_single_z(self, capsys):
         main(
@@ -463,6 +464,13 @@ class TestExperiments:
         )
         out = capsys.readouterr().out
         assert "creation reduction" in out
+        # --z keeps one database per workload, --queries caps each
+        rows = [line for line in out.splitlines() if line.startswith("| TPCD")]
+        assert [row.split("|")[1:3] for row in rows] == [
+            [" TPCD_2   ", " U25-S-100 "],
+            [" TPCD_2   ", " U0-S-500  "],
+        ]
+        assert "| 24 " in rows[0]  # candidates of 10 queries, not 30 (40)
 
     def test_figure3_single_z(self, capsys):
         main(
@@ -492,7 +500,9 @@ class TestExperiments:
                 "4",
             ]
         )
-        assert "update-cost reduction" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "update-cost reduction" in out
+        assert "TPCD_0" in out and "TPCD_2" not in out
 
     def test_single_column_experiment(self, capsys):
         main(
@@ -510,9 +520,23 @@ class TestExperiments:
         assert "creation reduction" in capsys.readouterr().out
 
     def test_join_estimation_ablation(self, capsys):
-        main(["ablation", "join-estimation", "--scale", "0.002"])
+        main(["experiment", "join-estimation", "--scale", "0.002"])
         out = capsys.readouterr().out
         assert "histogram join" in out
+
+    def test_several_names_print_in_the_order_given(self, capsys):
+        assert main(["experiment", "join-estimation", "histograms"]) == 0
+        out = capsys.readouterr().out
+        assert out.index("half the suppliers deleted") < out.index(
+            "MaxDiff vs. equi-depth"
+        )
+        assert "Figure 3" not in out
+
+    def test_unknown_experiment_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "joint", "figure5"])
+        assert exit_info.value.code == 2
+        assert "unknown experiment 'figure5'" in capsys.readouterr().err
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -520,19 +544,30 @@ class TestExperiments:
 
 
 class TestAblations:
+    """The former ``ablation`` subcommand's names run through
+    ``experiment``.  These are the cheap ones; the golden experiments
+    test runs every entry, and CI runs ``experiment aging``."""
+
+    def test_ablation_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ablation", "joint", "--scale", "0.002"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'ablation'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
-        "which", ["threshold", "histograms", "sampling", "joint"]
+        "which",
+        ["threshold", "histograms", "sampling", "joint", "maintenance"],
     )
     def test_ablation_commands(self, capsys, which):
-        code = main(["ablation", which, "--scale", "0.002"])
+        code = main(["experiment", which, "--scale", "0.002"])
         out = capsys.readouterr().out
         assert code == 0
-        assert out.strip()
+        assert out.startswith("## ") and "\n| ---" in out
 
     def test_next_stat_ablation(self, capsys):
-        main(["ablation", "next-stat", "--scale", "0.002"])
-        assert "costliest-operator" in capsys.readouterr().out
+        main(["experiment", "next-stat", "--scale", "0.002"])
+        assert "costliest operator" in capsys.readouterr().out
 
     def test_shrinking_ablation(self, capsys):
-        main(["ablation", "shrinking", "--scale", "0.002"])
+        main(["experiment", "shrinking", "--scale", "0.002"])
         assert "Shrinking Set" in capsys.readouterr().out
