@@ -12,7 +12,8 @@ consumes a database engine through a deliberately narrow interface:
   and ``probe(query, epsilon)`` — the whole test's inputs: the missing
   variables plus the ε and 1−ε plans;
 * statistics lifecycle with the paper's scope semantics: create / drop,
-  the Sec 5 drop-list (hidden but not deleted), and visibility;
+  the Sec 5 drop-list (hidden but not deleted), and visibility, plus
+  MNSA/D's two-phase build (a sampled create, then ``complete_stats``);
 * table cardinalities.  ``execute`` applies DML itself, so an engine
   keeps its own cardinalities and statistics inputs in step.
 
@@ -28,7 +29,7 @@ for the contract details and how to add a backend.
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.optimizer.cache import OptimizationRequest
 from repro.optimizer.optimizer import OptimizationResult
@@ -133,8 +134,22 @@ class Backend(abc.ABC):
     # ------------------------------------------------------------------
 
     @abc.abstractmethod
-    def create_stats(self, key: StatKey) -> None:
-        """Build a statistic; creating a drop-listed one revives it."""
+    def create_stats(
+        self, key: StatKey, sample_rows: Optional[int] = None
+    ) -> None:
+        """Build a statistic; creating a drop-listed one revives it.
+
+        With ``sample_rows``, the engine may build it from a sample of
+        that many rows, to be paid in full by :meth:`complete_stats`
+        only if it is kept (MNSA/D's two-phase build); an engine that
+        builds in full anyway ignores it.
+        """
+
+    @abc.abstractmethod
+    def complete_stats(self, keys: Sequence[StatKey]) -> List[StatKey]:
+        """Rebuild in full those of ``keys`` a sampled
+        :meth:`create_stats` built, charging the full build as creation
+        cost; returns the keys rebuilt (none: nothing changed)."""
 
     @abc.abstractmethod
     def drop_stats(self, key: StatKey) -> None:

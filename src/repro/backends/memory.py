@@ -10,7 +10,7 @@ against the pair directly — the parity suite relies on that.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.backends.base import Backend
 from repro.executor import Executor
@@ -120,8 +120,13 @@ class MemoryBackend(Backend):
         # counters and the data versions themselves.
         return DmlExecution(apply_dml(self._db, statement))
 
-    def create_stats(self, key: StatKey) -> None:
-        self._db.stats.create(key)
+    def create_stats(
+        self, key: StatKey, sample_rows: Optional[int] = None
+    ) -> None:
+        self._db.stats.create(key, sample_rows=sample_rows)
+
+    def complete_stats(self, keys: Sequence[StatKey]) -> List[StatKey]:
+        return self._db.stats.complete(keys)
 
     def drop_stats(self, key: StatKey) -> None:
         self._db.stats.drop(key)

@@ -5,11 +5,12 @@ The adapter loads a :class:`~repro.storage.Database` (the
 the protocol onto real engine mechanisms:
 
 * **statistics** — ``create_stats`` builds an index over the key's
-  columns and runs ``ANALYZE`` on it, harvesting the resulting
-  ``sqlite_stat1`` row (``"nrow n1 n2 ..."``, where ``nK`` is the average
-  number of rows matching the first K index columns) into per-prefix
-  densities and distinct counts, plus the leading column's MIN/MAX for
-  range interpolation;
+  columns and runs ``ANALYZE`` on it (always in full: a sampled create
+  is a full one, and ``complete_stats`` rebuilds nothing), harvesting
+  the resulting ``sqlite_stat1`` row (``"nrow n1 n2 ..."``, where
+  ``nK`` is the average number of rows matching the first K index
+  columns) into per-prefix densities and distinct counts, plus the
+  leading column's MIN/MAX for range interpolation;
 * **scope semantics** — the drop-list and per-request ignore-sets are
   implemented by *stat withholding*: a hidden statistic's index is
   dematerialized (``DROP INDEX`` removes its ``sqlite_stat1`` row, so
@@ -496,7 +497,11 @@ class SqliteBackend(Backend):
     # Backend protocol: statistics lifecycle
     # ------------------------------------------------------------------
 
-    def create_stats(self, key: StatKey) -> None:
+    def create_stats(
+        self, key: StatKey, sample_rows: Optional[int] = None
+    ) -> None:
+        # ANALYZE reads the whole index whatever the caller would accept,
+        # so every build is a full one and complete_stats has nothing to do
         key = as_stat_key(key)
         with self._db_lock:
             existing = self._stats.get(key)
@@ -534,6 +539,9 @@ class SqliteBackend(Backend):
             )
             self._creation_cost += build_cost
             self._conn.commit()
+
+    def complete_stats(self, keys: Sequence[StatKey]) -> List[StatKey]:
+        return []
 
     def drop_stats(self, key: StatKey) -> None:
         key = as_stat_key(key)

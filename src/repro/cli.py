@@ -514,12 +514,26 @@ def _cmd_tune(args) -> int:
         f"(creation cost {report.creation_cost:,.0f}), execution cost "
         f"{report.execution_cost:,.0f}"
     )
+    if args.mode == "mnsad":
+        first = report.creation_cost - report.completion_cost
+        print(
+            f"  creation cost split: sampled builds and optimizer calls "
+            f"{first:,.0f}, completions {report.completion_cost:,.0f}"
+        )
     for key in db.stats.visible_keys():
-        print(f"  visible {key}")
+        print(f"  visible {key}{_sampled_mark(db.stats.get(key))}")
     drop_list = db.stats.drop_list()
     if drop_list:
-        print(f"  drop-list: {', '.join(str(k) for k in drop_list)}")
+        listed = [f"{k}{_sampled_mark(db.stats.get(k))}" for k in drop_list]
+        print(f"  drop-list: {', '.join(listed)}")
     return 0
+
+
+def _sampled_mark(statistic) -> str:
+    """`` (sampled N rows)`` for a statistic MNSA/D left sampled."""
+    if statistic.sample_rows is None:
+        return ""
+    return f" (sampled {statistic.sample_rows} rows)"
 
 
 def _cmd_serve(args) -> int:

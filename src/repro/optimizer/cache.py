@@ -27,11 +27,11 @@ invalidation layers:
 * **fingerprint revalidation** — on a version mismatch the entry is only
   reused if its :func:`statistics_fingerprint` still matches: per-table
   ``(row_count, rows_modified_since_stats)`` plus
-  ``(update_count, row_count)`` of every *visible statistic relevant to
-  the query* outside the request's ignore-set.  A mutation of the
-  query's tables that cannot change its plan therefore costs one cheap
-  fingerprint comparison, not a re-optimization; the matching entry is
-  promoted to the current versions.
+  ``(update_count, row_count, sample_rows)`` of every *visible statistic
+  relevant to the query* outside the request's ignore-set.  A mutation of
+  the query's tables that cannot change its plan therefore costs one
+  cheap fingerprint comparison, not a re-optimization; the matching entry
+  is promoted to the current versions.
 
 Both keys are content keys, not counters: a mutation and its undo (A →
 B → A) return them to where they were, so nothing may mutate a table's
@@ -202,10 +202,11 @@ def statistics_fingerprint(
     Covers, for each table of the query, ``(row_count,
     rows_modified_since_stats)``; and, for each *visible* statistic
     relevant to the query and outside ``ignore``, ``(key, update_count,
-    row_count)``.  Creating, dropping, drop-listing, refreshing, or
-    incrementally maintaining a relevant statistic — or running DML
-    against a referenced table — all change the digest; mutations
-    elsewhere in the database do not.
+    row_count, sample_rows)``.  Creating, dropping, drop-listing,
+    refreshing, completing a sampled build of, or incrementally
+    maintaining a relevant statistic — or running DML against a
+    referenced table — all change the digest; mutations elsewhere in the
+    database do not.
     """
     stats = database.stats
     hidden = set(ignore)
@@ -227,7 +228,9 @@ def statistics_fingerprint(
         for key, stat in stats.visible_on_table(name):
             if key in hidden or columns.isdisjoint(key.columns):
                 continue
-            relevant.append((key, stat.update_count, stat.row_count))
+            relevant.append(
+                (key, stat.update_count, stat.row_count, stat.sample_rows)
+            )
     relevant.sort()
     return (tuple(tables), tuple(relevant))
 

@@ -25,7 +25,9 @@ from repro.stats.statistic import StatKey
 @dataclass(frozen=True)
 class LockStepReport:
     """A run's totals, read off the service's metrics.  ``created``
-    lists distinct statistics in first-creation order, ``update_cost``
+    lists distinct statistics in first-creation order,
+    ``completion_cost`` is the part of ``creation_cost`` MNSA/D spent
+    rebuilding sampled statistics in full, ``update_cost``
     is refresh plus incremental maintenance, ``dropped`` counts physical
     drops, and ``skipped`` the analyses the step skipped (nothing on a
     magic number, or a verdict the ledger held)."""
@@ -33,6 +35,7 @@ class LockStepReport:
     statements: int
     created: List[StatKey]
     creation_cost: float
+    completion_cost: float
     update_cost: float
     execution_cost: float
     dropped: int
@@ -80,6 +83,7 @@ class LockStepAdvisor:
             int(count("service.queries") + count("service.dml_statements")),
             self.service.created_off_path,
             count("advisor.creation_cost"),
+            count("advisor.completion_cost"),
             count("monitor.refresh_cost") + count("service.incremental_cost"),
             count("service.execution_cost"),
             int(count("monitor.dropped") + count("monitor.purged")),

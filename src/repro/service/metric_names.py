@@ -22,6 +22,7 @@ from typing import Dict
 
 #: metric name -> one-line description (R007's source of truth)
 METRICS: Dict[str, str] = {
+    "advisor.completion_cost": "advisor.creation_cost spent completing sampled MNSA/D builds",
     "advisor.creation_cost": "statistics creation cost spent by advisor workers",
     "advisor.errors": "exceptions raised while processing capture events",
     "advisor.events": "capture-log events processed by advisor workers",

@@ -162,6 +162,10 @@ class AdvisorWorker(threading.Thread):
         self._metrics.inc("advisor.events")
         self._metrics.inc("advisor.optimizer_calls", result.optimizer_calls)
         self._metrics.inc("advisor.creation_cost", result.creation_cost)
+        if result.completion_cost:
+            self._metrics.inc(
+                "advisor.completion_cost", result.completion_cost
+            )
         if result.created:
             self._metrics.inc("advisor.stats_created", len(result.created))
         if result.dropped:

@@ -82,6 +82,7 @@ def build_statistics(
     config: OptimizerConfig,
     histogram_kind: HistogramKind = HistogramKind.MAXDIFF,
     rng: Optional[np.random.Generator] = None,
+    sample_rows: Optional[int] = None,
 ) -> List[Statistic]:
     """Build statistics over each of ``keys`` (all on ``table``) in one
     pass: the row sample, if any, is drawn once, and a column is
@@ -89,18 +90,27 @@ def build_statistics(
 
     If ``config.sample_rows`` is set, histograms and densities come from
     a uniform row sample (scaled back to the full table), otherwise from
-    a full scan.  Each statistic's ``build_cost`` is the work-unit charge
-    from :func:`~repro.stats.cost.statistic_build_cost` — what building
-    it alone would cost.
+    a full scan.  ``sample_rows`` asks for a smaller sample than that: a
+    two-phase build's first phase, recorded on each statistic as its
+    :attr:`~repro.stats.statistic.Statistic.sample_rows`.  A table it
+    would not cut (no more rows than the cap, or a config sample no
+    larger) builds in full.  Each statistic's ``build_cost`` is the
+    work-unit charge from :func:`~repro.stats.cost.statistic_build_cost`
+    — what building it alone would cost.
     """
     if not keys:
         return []
     row_count = table.row_count
+    full = config.sample_rows
+    if sample_rows is None or row_count <= sample_rows or (
+        full is not None and full <= sample_rows
+    ):
+        sample_rows, cap = None, full
+    else:
+        cap = sample_rows
     columns = list(dict.fromkeys(c for key in keys for c in key.columns))
-    if config.sample_rows is not None and row_count > config.sample_rows:
-        arrays = table.sample_rows(
-            config.sample_rows, rng=rng, columns=columns
-        )
+    if cap is not None and row_count > cap:
+        arrays = table.sample_rows(cap, rng=rng, columns=columns)
         scale = row_count / max(1, arrays[columns[0]].shape[0])
     else:
         arrays = {name: table.column_array(name) for name in columns}
@@ -121,13 +131,23 @@ def build_statistics(
             scale,
             config,
             histogram_kind,
+            cap,
+            sample_rows,
         )
         for key in keys
     ]
 
 
 def _build_one(
-    key, arrays, summaries, row_count, scale, config, histogram_kind
+    key,
+    arrays,
+    summaries,
+    row_count,
+    scale,
+    config,
+    histogram_kind,
+    cap,
+    sample_rows,
 ) -> Statistic:
     distinct, freqs, _ = summaries[0]
     histogram = histogram_from_summary(
@@ -158,16 +178,14 @@ def _build_one(
             for cell in joint.cells:
                 cell.count *= scale
             joint.row_count = row_count
-    build_cost = statistic_build_cost(
-        row_count, key, config.cost, config.sample_rows
-    )
     return Statistic(
         key=key,
         histogram=histogram,
         prefix_densities=densities,
         row_count=row_count,
-        build_cost=build_cost,
+        build_cost=statistic_build_cost(row_count, key, config.cost, cap),
         joint_histogram=joint,
+        sample_rows=sample_rows,
     )
 
 
@@ -177,7 +195,10 @@ def build_statistic(
     config: OptimizerConfig,
     histogram_kind: HistogramKind = HistogramKind.MAXDIFF,
     rng: Optional[np.random.Generator] = None,
+    sample_rows: Optional[int] = None,
 ) -> Statistic:
     """Build one statistic over ``key``'s columns from the stored data;
     see :func:`build_statistics`."""
-    return build_statistics(table, (key,), config, histogram_kind, rng)[0]
+    return build_statistics(
+        table, (key,), config, histogram_kind, rng, sample_rows
+    )[0]

@@ -121,7 +121,12 @@ class StatsShard:
     # lifecycle
     # ------------------------------------------------------------------
 
-    def create(self, key: StatKey, histogram_kind: HistogramKind) -> Statistic:
+    def create(
+        self,
+        key: StatKey,
+        histogram_kind: HistogramKind,
+        sample_rows: Optional[int] = None,
+    ) -> Statistic:
         with self._lock:
             if key in self._statistics:
                 if key in self._drop_list:
@@ -133,12 +138,37 @@ class StatsShard:
             for column in key.columns:
                 table.schema.column(column)  # validates
             statistic = build_statistic(
-                table, key, self._config, histogram_kind=histogram_kind
+                table,
+                key,
+                self._config,
+                histogram_kind=histogram_kind,
+                sample_rows=sample_rows,
             )
             self._statistics[key] = statistic
             self._creation_cost += statistic.build_cost
             self._discard_views((key.table,))
             return statistic
+
+    def complete(self, keys: Iterable[StatKey]) -> List[StatKey]:
+        """Rebuild in full those of ``keys`` built from a sample; see
+        :meth:`StatisticsManager.complete`."""
+        with self._lock:
+            sampled: Dict[str, List[StatKey]] = {}
+            for key in keys:
+                if self.get(key).sample_rows is not None:
+                    sampled.setdefault(key.table, []).append(key)
+            for table, table_keys in sampled.items():
+                data = self._db.table(table)
+                for key in table_keys:
+                    old = self._statistics[key]
+                    fresh = build_statistic(
+                        data, key, self._config, old.histogram.kind
+                    )
+                    fresh.update_count = old.update_count
+                    self._statistics[key] = fresh
+                    self._creation_cost += fresh.build_cost
+                self._discard_views((table,))
+            return [key for keys in sampled.values() for key in keys]
 
     def drop(self, key: StatKey) -> None:
         with self._lock:
@@ -629,16 +659,38 @@ class StatisticsManager:
         self,
         key_or_refs,
         histogram_kind: HistogramKind = HistogramKind.MAXDIFF,
+        sample_rows: Optional[int] = None,
     ) -> Statistic:
         """Build and register a statistic.
 
         Accepts a :class:`StatKey`, a single :class:`ColumnRef`, or an
         ordered iterable of refs.  Creating an existing statistic is an
         error; creating one that sits on the drop-list revives it instead
-        of rebuilding (paper Sec 5).
+        of rebuilding (paper Sec 5).  With ``sample_rows``, a table of
+        more rows is built from a seeded sample of that many
+        (:meth:`~repro.storage.table_data.TableData.sample_rows`' fixed
+        ``default_rng(0)``) and charged the sampled build cost; a later
+        :meth:`complete` pays for the full build.
         """
         key = self._as_key(key_or_refs)
-        return self._shard_for_key(key).create(key, histogram_kind)
+        shard = self._shard_for_key(key)
+        return shard.create(key, histogram_kind, sample_rows)
+
+    def complete(self, keys: Iterable) -> List[StatKey]:
+        """Rebuild in full each of ``keys`` that a sampled :meth:`create`
+        built, keeping its histogram kind and ``update_count``, and charge
+        the full build as creation cost: a completion finishes a first
+        build, it is not a refresh.  Returns the keys rebuilt; the others
+        (built in full, or revived full) stay as they are.
+        """
+        by_shard: Dict[int, List[StatKey]] = {}
+        for key in map(self._as_key, keys):
+            shard_id = self._router.shard_of(key.table)
+            by_shard.setdefault(shard_id, []).append(key)
+        completed: List[StatKey] = []
+        for shard_id, shard_keys in sorted(by_shard.items()):
+            completed.extend(self._shards[shard_id].complete(shard_keys))
+        return completed
 
     def drop(self, key_or_refs) -> None:
         """Physically remove a statistic.

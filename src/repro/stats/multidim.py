@@ -178,11 +178,13 @@ def build_mhist(
         return best
 
     working = [_Work(np.arange(n))]
+    # best_split of each working cell, in the same order: a cell's best
+    # split depends on its rows alone, so it is computed once
+    splits = [best_split(working[0])]
     while len(working) < max_cells:
-        candidates = [(best_split(w), i) for i, w in enumerate(working)]
         candidates = [
             (score, dim, value, i)
-            for (score, dim, value), i in candidates
+            for i, (score, dim, value) in enumerate(splits)
             if dim is not None
         ]
         if not candidates:
@@ -198,7 +200,9 @@ def build_mhist(
         if left.rows.shape[0] == 0 or right.rows.shape[0] == 0:
             working.insert(i, work)
             break
+        splits.pop(i)
         working.extend([left, right])
+        splits.extend([best_split(left), best_split(right)])
 
     cells = []
     for work in working:

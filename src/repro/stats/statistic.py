@@ -118,6 +118,10 @@ class Statistic:
             its identity without a reference to it.  A refresh, rebuild
             or incremental fold installs a new object, hence a new
             serial: a serial names one content.
+        sample_rows: the row cap of a two-phase build's first, sampled
+            phase (see
+            :meth:`~repro.stats.manager.StatisticsManager.complete`);
+            ``None`` for a full build — one as ``OptimizerConfig`` asks.
     """
 
     def __init__(
@@ -128,6 +132,7 @@ class Statistic:
         row_count: int,
         build_cost: float = 0.0,
         joint_histogram=None,
+        sample_rows: Optional[int] = None,
     ) -> None:
         if len(prefix_densities) != len(key.columns):
             raise StatisticsError(
@@ -149,6 +154,7 @@ class Statistic:
         #: optional :class:`~repro.stats.multidim.JointHistogram` over the
         #: first two columns (built when ``enable_joint_histograms`` is on)
         self.joint_histogram = joint_histogram
+        self.sample_rows = sample_rows
 
     def with_inserts(self, values) -> "Statistic":
         """A copy with ``values`` folded into the histogram and the row
@@ -160,6 +166,7 @@ class Statistic:
             self.row_count + len(values),
             self.build_cost,
             self.joint_histogram,
+            self.sample_rows,
         )
         folded.update_count = self.update_count
         return folded

@@ -240,7 +240,8 @@ def _always_probe_mnsad_for_query(
     feedback=None,
 ):
     """The oracle: ``mnsad_for_query`` as it was when every iteration
-    probed, kept verbatim."""
+    probed, kept verbatim but for the two-phase build (a sampled create,
+    and a completion plus a second step 11 when the plan moves)."""
     result = MnsaResult()
     criterion = config.cost_criterion()
     drop_criterion = config.drop_criterion()
@@ -279,10 +280,13 @@ def _always_probe_mnsad_for_query(
             result.stop_reason = "exhausted"
             break
         for key in group:
-            backend.create_stats(key)
+            backend.create_stats(key, mnsa.MNSAD_SAMPLE_ROWS)
             result.created.append(key)
             remaining.remove(key)
         new_plan = backend.optimize_query(query)
+        if not drop_criterion.equivalent(new_plan, plan):
+            if backend.complete_stats(group):
+                new_plan = backend.optimize_query(query)
         if drop_criterion.equivalent(new_plan, plan):
             # the new statistics changed nothing: heuristically non-essential
             for key in group:
@@ -338,9 +342,9 @@ class ReprobingSpy:
         self._backend.mark_stat_droppable(key)
         self._drop_listed = True
 
-    def create_stats(self, key):
+    def create_stats(self, key, sample_rows=None):
         self._check_reused_probe()
-        self._backend.create_stats(key)
+        self._backend.create_stats(key, sample_rows)
 
     def query_ended(self, result):
         if self._drop_listed:

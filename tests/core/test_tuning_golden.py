@@ -11,7 +11,11 @@ lists as strings, ``iterations``, ``optimizer_calls``, ``stop_reason``,
 The ``mnsa <workload>`` entries pin ``mnsa_for_workload`` the same way:
 ``created`` / ``skipped``, the counts, the stop reason, the creation
 cost and the epoch.  They were generated before MNSA and MNSA/D were
-folded into one loop, which left every one of them in place.
+folded into one loop, which left every one of them in place.  The
+``full-build <workload>`` entries pin MNSA/D with
+:data:`~repro.core.mnsa.MNSAD_SAMPLE_ROWS` above every table's size, so
+that every statistic builds in full once: they are the MNSA/D entries as
+they stood before the two-phase build, copied over unchanged.
 
 The file was generated on the commit where MNSA/D stopped re-probing
 after a drop-listed group: only ``optimizer_calls`` and ``creation_cost``
@@ -32,10 +36,12 @@ or MNSA/D pass must decide and cost exactly what the uncached one does.
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from repro.backends.memory import MemoryBackend
+from repro.core import mnsa
 from repro.core.mnsa import MnsaConfig, mnsa_for_workload
 from repro.core.mnsad import mnsad_for_workload
 from repro.datagen import make_tpcd_database
@@ -47,10 +53,21 @@ GOLDEN = Path(__file__).with_name("golden_tuning.json")
 #: workload -> TPC-D scale factor
 WORKLOADS = {"U25-S-100": 0.01, "U25-C-30": 0.002}
 
+
+def full_build_mnsad_for_workload(backend, queries, config):
+    """MNSA/D with a sample no table exceeds: every build a full one."""
+    with mock.patch.object(mnsa, "MNSAD_SAMPLE_ROWS", sys.maxsize):
+        return mnsad_for_workload(backend, queries, config)
+
+
 #: golden entry -> (workload, tuner); MNSA/D's entries are the bare names
 ENTRIES = {
     **{name: (name, mnsad_for_workload) for name in WORKLOADS},
     **{f"mnsa {name}": (name, mnsa_for_workload) for name in WORKLOADS},
+    **{
+        f"full-build {name}": (name, full_build_mnsad_for_workload)
+        for name in WORKLOADS
+    },
 }
 
 

@@ -331,7 +331,8 @@ class TestFingerprint:
     ):
         """The digest is pinned to what the per-key filter it replaced
         produced: (tables, sorted visible statistics sharing a relevant
-        column with the query), for every query x statistics state."""
+        column with the query), for every query x statistics state.  The
+        sampled-build field joined both sides with the two-phase build."""
         from repro.core.candidates import workload_candidate_statistics
         from repro.workload import generate_workload
 
@@ -359,7 +360,9 @@ class TestFingerprint:
                 if not set(key.columns) & columns:
                     continue
                 stat = db.stats.get(key)
-                relevant.append((key, stat.update_count, stat.row_count))
+                relevant.append(
+                    (key, stat.update_count, stat.row_count, stat.sample_rows)
+                )
             return (tables, tuple(sorted(relevant)))
 
         candidates = list(workload_candidate_statistics(queries))

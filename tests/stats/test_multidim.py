@@ -125,3 +125,65 @@ class TestEstimation:
         narrow = hist.selectivity_box(20, 40, 20, 40)
         wide = hist.selectivity_box(10, 60, 10, 60)
         assert wide >= narrow
+
+
+def _mhist_recomputing_every_split(x, y, max_cells=64):
+    """``build_mhist`` as it was before it kept each cell's best split,
+    kept verbatim: every working cell's split recomputed at every step.
+    Returns the cells as tuples."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+
+    def best_split(rows):
+        best = (0.0, None, None)
+        for dimension, values in (("x", x[rows]), ("y", y[rows])):
+            distinct, freqs = np.unique(values, return_counts=True)
+            if distinct.shape[0] < 2:
+                continue
+            diffs = np.abs(np.diff(freqs.astype(np.float64)))
+            idx = int(np.argmax(diffs))
+            score = float(diffs[idx])
+            if score > best[0]:
+                best = (score, dimension, float(distinct[idx]))
+        return best
+
+    working = [np.arange(x.shape[0])]
+    while len(working) < max_cells:
+        candidates = [(best_split(w), i) for i, w in enumerate(working)]
+        candidates = [
+            (score, dim, value, i)
+            for (score, dim, value), i in candidates
+            if dim is not None
+        ]
+        if not candidates:
+            break
+        score, dim, value, i = max(candidates, key=lambda c: c[0])
+        if score <= 0:
+            break
+        rows = working.pop(i)
+        values = x[rows] if dim == "x" else y[rows]
+        left_mask = values <= value
+        left, right = rows[left_mask], rows[~left_mask]
+        if left.shape[0] == 0 or right.shape[0] == 0:
+            working.insert(i, rows)
+            break
+        working.extend([left, right])
+    return [
+        (x[r].min(), x[r].max(), y[r].min(), y[r].max(), float(r.shape[0]))
+        for r in working
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("max_cells", [2, 16, 64, 256])
+def test_mhist_keeping_best_splits_matches_recomputing_them(seed, max_cells):
+    """Same cells in the same order, ties included (small domains make
+    equal jumps common, and the first maximal cell must still win)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(50, 3000))
+    domain = int(rng.integers(3, 60))
+    x = rng.integers(0, domain, size=n)
+    y = (x * int(rng.integers(0, 3)) + rng.integers(0, domain, size=n)) % 97
+    hist = build_mhist(x, y, max_cells=max_cells)
+    cells = [(c.x_lo, c.x_hi, c.y_lo, c.y_hi, c.count) for c in hist.cells]
+    assert cells == _mhist_recomputing_every_split(x, y, max_cells)

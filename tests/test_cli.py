@@ -33,6 +33,10 @@ def tpcd_dir(tmp_path):
     return path
 
 
+def _number(text: str) -> float:
+    return float(text.replace(",", ""))
+
+
 class TestGenerate:
     def test_generates_and_reports(self, tpcd_dir, capsys):
         # fixture already ran generate; re-run to capture its output
@@ -161,6 +165,22 @@ class TestWorkloadAndTune:
         out = capsys.readouterr().out
         assert code == 0
         assert "created" in out
+        lines = out.splitlines()
+        split = [line for line in lines if "creation cost split" in line]
+        sampled = [line for line in lines if "(sampled 2000 rows)" in line]
+        if mode != "mnsad":
+            assert split == [] and sampled == []
+            return
+        # MNSA/D: the split adds up, and only drop-listed statistics
+        # are left sampled
+        total = _number(lines[0].split("creation cost ")[1].split(")")[0])
+        first, completions = (
+            _number(part.rsplit(" ", 1)[1]) for part in split[0].split(", ")
+        )
+        assert completions > 0
+        assert abs(first + completions - total) <= 1
+        assert sampled
+        assert all(line.startswith("  drop-list: ") for line in sampled)
 
     def test_tune_offline(self, tpcd_dir, tmp_path, capsys):
         out_file = str(tmp_path / "w.sql")
