@@ -508,11 +508,16 @@ def _cmd_tune(args) -> int:
         mnsa_config=config,
     )
     report = advisor.run_workload(workload.statements)
+    calls = (
+        ""
+        if args.mode == "syntactic"
+        else f", {report.optimizer_calls:,} optimizer calls"
+    )
     print(
         f"{args.mode}: processed {report.statements} statements, created "
         f"{len(report.created)} statistics "
-        f"(creation cost {report.creation_cost:,.0f}), execution cost "
-        f"{report.execution_cost:,.0f}"
+        f"(creation cost {report.creation_cost:,.0f}{calls}), execution "
+        f"cost {report.execution_cost:,.0f}"
     )
     if args.mode == "mnsad":
         first = report.creation_cost - report.completion_cost

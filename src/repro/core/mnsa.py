@@ -11,7 +11,10 @@ expensive operator of the default plan, and the loop repeats.
 
 Overhead: three optimizer calls per statistic created (Sec 4.3) — the
 two probe plans and the re-optimize after the build — charged to the
-creation-cost ledger via ``optimizer_call_cost``.
+creation-cost ledger via ``optimizer_call_cost``.  The default plan of
+step 2 is paid for only when step 8 reads it: a query whose first probe
+stops the loop (no missing variable, or insensitive) costs the two probe
+calls alone.
 
 :func:`figure1` is the one loop.  MNSA/D (:mod:`repro.core.mnsad`) runs
 it with the Sec 5.1 drop step on; that step pays all three calls only
@@ -240,6 +243,11 @@ def figure1(
     those of probing every time (``tests/core/test_mnsad.py`` holds that
     loop as its oracle).
 
+    Step 2's default plan is made at the first step 8, not before the
+    first probe.  No statistic changes between the two, so ``_pick``
+    reads the plan an eager step 2 would have made, and a query the
+    first probe stops makes no default-plan call at all.
+
     With ``drop``, step 10 builds each new statistic from a
     :data:`MNSAD_SAMPLE_ROWS` sample.  A group that moves the plan is
     completed — rebuilt in full, charged as creation cost — and step 11
@@ -268,7 +276,7 @@ def figure1(
                 result.retained.append(key)
                 remaining.remove(key)
 
-    plan = backend.optimize_query(query)  # step 2: default magic numbers
+    plan = None  # step 2's plan, made when step 8 first needs it
     reprobe = True
     for _ in range(len(remaining) + 1):
         result.iterations += 1
@@ -281,6 +289,8 @@ def figure1(
             if criterion.equivalent(low, high):  # step 7
                 result.stop_reason = "insensitive"
                 break
+        if plan is None:  # step 2: default magic numbers
+            plan = backend.optimize_query(query)
         group = _pick(plan.plan, query, remaining, feedback=feedback)  # step 8
         if not group:
             result.stop_reason = "exhausted"

@@ -27,7 +27,9 @@ class LockStepReport:
     """A run's totals, read off the service's metrics.  ``created``
     lists distinct statistics in first-creation order,
     ``completion_cost`` is the part of ``creation_cost`` MNSA/D spent
-    rebuilding sampled statistics in full, ``update_cost``
+    rebuilding sampled statistics in full, ``optimizer_calls`` the
+    analyses' optimizer calls (their share of ``creation_cost`` is
+    ``optimizer_call_cost`` each), ``update_cost``
     is refresh plus incremental maintenance, ``dropped`` counts physical
     drops, and ``skipped`` the analyses the step skipped (nothing on a
     magic number, or a verdict the ledger held)."""
@@ -36,6 +38,7 @@ class LockStepReport:
     created: List[StatKey]
     creation_cost: float
     completion_cost: float
+    optimizer_calls: int
     update_cost: float
     execution_cost: float
     dropped: int
@@ -84,6 +87,7 @@ class LockStepAdvisor:
             self.service.created_off_path,
             count("advisor.creation_cost"),
             count("advisor.completion_cost"),
+            int(count("advisor.optimizer_calls")),
             count("monitor.refresh_cost") + count("service.incremental_cost"),
             count("service.execution_cost"),
             int(count("monitor.dropped") + count("monitor.purged")),

@@ -236,7 +236,7 @@ class Query(Statement):
     @cached_property
     def join_graph(self) -> JoinGraph:
         """The join graph, built on first use (the first optimize) and
-        kept: MNSA optimizes each query at least three times."""
+        kept: MNSA optimizes a query it analyses several times."""
         return JoinGraph(self.tables, self.joins)
 
     def joins_between(self, left_tables, right_tables) -> Tuple:

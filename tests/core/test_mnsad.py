@@ -241,7 +241,9 @@ def _always_probe_mnsad_for_query(
 ):
     """The oracle: ``mnsad_for_query`` as it was when every iteration
     probed, kept verbatim but for the two-phase build (a sampled create,
-    and a completion plus a second step 11 when the plan moves)."""
+    and a completion plus a second step 11 when the plan moves).  Its
+    step 2 stays eager: the default plan is made before the first
+    probe."""
     result = MnsaResult()
     criterion = config.cost_criterion()
     drop_criterion = config.drop_criterion()
@@ -368,6 +370,10 @@ class ReprobingSpy:
         self.reused += 1
 
 
+#: the stop reasons of the probe; at iteration 1 they leave step 8 unrun
+FIRST_PROBE_STOPS = ("no_missing_variables", "insensitive")
+
+
 def assert_reused_probes_exact(backend_of, workload, run=mnsad_for_query):
     """Run ``run`` (MNSA/D) through a :class:`ReprobingSpy` and the
     always-probe oracle side by side, query by query, over ``workload``
@@ -375,7 +381,9 @@ def assert_reused_probes_exact(backend_of, workload, run=mnsad_for_query):
     ``backend_of(database)``.  Returns how many probes ``run`` reused.
 
     Every reused probe equals a real one, and each query's decisions
-    equal the oracle's at two optimizer calls fewer per reused probe.
+    equal the oracle's at two optimizer calls fewer per reused probe,
+    and one fewer when the first probe stops the query: the oracle keeps
+    the eager step 2, ``run`` makes the default plan only for step 8.
     The online advisor gets the same guarantee: an ``AdvisorWorker``
     analysis holds the statement locks of the query's tables throughout,
     so no DML or statistics change lands between a probe and its reuse,
@@ -400,6 +408,8 @@ def assert_reused_probes_exact(backend_of, workload, run=mnsad_for_query):
         assert got.iterations == want.iterations
         assert got.stop_reason == want.stop_reason
         saved = 2 * (spy.reused - reused_before)
+        if want.iterations == 1 and want.stop_reason in FIRST_PROBE_STOPS:
+            saved += 1  # no default plan: step 8 never ran
         assert got.optimizer_calls == want.optimizer_calls - saved
     return spy.reused
 
@@ -439,3 +449,90 @@ class TestReusedProbe:
                 "U25-C-30",
                 run=functools.partial(module.figure1, drop=True),
             )
+
+
+# ----------------------------------------------------------------------
+# step 2's default plan, made only when step 8 reads it
+# ----------------------------------------------------------------------
+
+
+class DefaultPlanCounter:
+    """Delegates to ``backend`` and counts the default-request
+    optimizes (``optimize_query``) made through it; the probe's pinned
+    requests go straight to ``backend``."""
+
+    def __init__(self, backend):
+        self._backend = backend
+        self.default_plans = 0
+
+    def __getattr__(self, name):
+        return getattr(self._backend, name)
+
+    def optimize_query(self, query):
+        self.default_plans += 1
+        return self._backend.optimize_query(query)
+
+
+def assert_step8_reads_the_eager_plan(backend_of, workload):
+    """Run MNSA/D over ``workload`` on a fresh scale-0.002 TPC-D
+    database wrapped by ``backend_of(database)``, with a ``_pick`` that
+    checks each query's first step 8.  Returns how many queries stopped
+    at their first probe and how many reached step 8.
+
+    The plan step 8 reads first equals a fresh default optimize made at
+    that moment (cost, rows and execution tree), so it is the plan an
+    eager step 2 would have made: nothing changed the statistics since
+    the loop began.  A query the first probe stops makes no
+    default-request optimize at all.
+    """
+    database = make_tpcd_database(scale=0.002, z=2.0, seed=42)
+    queries = generate_workload(database, workload, seed=7).queries()
+    backend = backend_of(database)
+    counter = DefaultPlanCounter(backend)
+    first_picks = []
+
+    def pick(plan, query, remaining, feedback=None):
+        if not first_picks[-1]:
+            fresh = backend.optimize_query(query).plan
+            assert plan.cost == fresh.cost
+            assert plan.rows == fresh.rows
+            assert plan.signature_key() == fresh.signature_key()
+            first_picks[-1] = True
+        return find_next_stat_to_build(
+            plan, query, remaining, feedback=feedback
+        )
+
+    stopped_at_first_probe = 0
+    for query in queries:
+        first_picks.append(False)
+        before = counter.default_plans
+        result = mnsa.figure1(counter, query, drop=True, _pick=pick)
+        if result.iterations == 1 and result.stop_reason in FIRST_PROBE_STOPS:
+            assert counter.default_plans == before, query
+            stopped_at_first_probe += 1
+        else:
+            assert first_picks[-1], query
+    return stopped_at_first_probe, sum(first_picks)
+
+
+@pytest.mark.parametrize("workload", ["U25-S-100", "U25-C-30"])
+@pytest.mark.parametrize("engine", ["memory", "sqlite"])
+def test_step8_reads_the_plan_an_eager_step2_made(engine, workload):
+    opened = []
+
+    def backend_of(database):
+        if engine == "memory":
+            return MemoryBackend(database)
+        from repro.backends.sqlite import SqliteBackend
+
+        opened.append(SqliteBackend(database))
+        return opened[-1]
+
+    try:
+        stopped, picked = assert_step8_reads_the_eager_plan(
+            backend_of, workload
+        )
+    finally:
+        for backend in opened:
+            backend.close()
+    assert stopped > 0 and picked > 0

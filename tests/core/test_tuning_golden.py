@@ -15,12 +15,15 @@ folded into one loop, which left every one of them in place.  The
 ``full-build <workload>`` entries pin MNSA/D with
 :data:`~repro.core.mnsa.MNSAD_SAMPLE_ROWS` above every table's size, so
 that every statistic builds in full once: they are the MNSA/D entries as
-they stood before the two-phase build, copied over unchanged.
+they stood before the two-phase build, less the default-plan calls the
+lazy step 2 saves.
 
-The file was generated on the commit where MNSA/D stopped re-probing
-after a drop-listed group: only ``optimizer_calls`` and ``creation_cost``
-moved then (547 -> 345 calls on U25-S-100, 198 -> 134 on U25-C-30, 5
-work units per call saved), every list, count and epoch stayed; regenerate
+The file was last regenerated on the commit where step 2's default plan
+became lazy (made at the first step 8): only ``optimizer_calls`` and
+``creation_cost`` moved (MNSA/D 353 -> 312 calls on U25-S-100, 143 -> 139
+on U25-C-30; MNSA 216 -> 154 and 107 -> 99; full-build 345 -> 304 and
+134 -> 130; 5 work units per call saved), every list, count and epoch
+stayed; regenerate
 (only when a change to the tuning outcome is intended) with
 ``PYTHONPATH=src python tests/core/test_tuning_golden.py``.
 ``... test_tuning_golden.py --diff`` recomputes the fields without

@@ -128,9 +128,10 @@ def test_with_no_table_above_the_sample_mnsad_is_the_full_build(
     name, monkeypatch
 ):
     """Every table within the sample: each statistic builds in full
-    once and nothing is completed, so MNSA/D decides and costs what it
-    did before the two-phase build (the ``full-build`` golden entries
-    are those entries, unchanged)."""
+    once and nothing is completed, so MNSA/D decides what it did before
+    the two-phase build (the ``full-build`` golden entries are those
+    entries; only their calls and creation cost moved since, when step
+    2's default plan became lazy)."""
     golden = json.loads(GOLDEN.read_text())[f"full-build {name}"]
     monkeypatch.setattr(mnsa, "MNSAD_SAMPLE_ROWS", 10**9)
     assert tuning_outcome(name) == golden

@@ -37,6 +37,12 @@ def _number(text: str) -> float:
     return float(text.replace(",", ""))
 
 
+def _creation_parenthesis(line: str) -> list:
+    """The parts of ``(creation cost N, M optimizer calls)`` in a
+    ``tune`` summary line."""
+    return line.split("creation cost ")[1].split(")")[0].split(", ")
+
+
 class TestGenerate:
     def test_generates_and_reports(self, tpcd_dir, capsys):
         # fixture already ran generate; re-run to capture its output
@@ -166,6 +172,7 @@ class TestWorkloadAndTune:
         assert code == 0
         assert "created" in out
         lines = out.splitlines()
+        assert ("optimizer calls" in lines[0]) == (mode != "syntactic")
         split = [line for line in lines if "creation cost split" in line]
         sampled = [line for line in lines if "(sampled 2000 rows)" in line]
         if mode != "mnsad":
@@ -173,7 +180,7 @@ class TestWorkloadAndTune:
             return
         # MNSA/D: the split adds up, and only drop-listed statistics
         # are left sampled
-        total = _number(lines[0].split("creation cost ")[1].split(")")[0])
+        total = _number(_creation_parenthesis(lines[0])[0])
         first, completions = (
             _number(part.rsplit(" ", 1)[1]) for part in split[0].split(", ")
         )
@@ -181,6 +188,48 @@ class TestWorkloadAndTune:
         assert abs(first + completions - total) <= 1
         assert sampled
         assert all(line.startswith("  drop-list: ") for line in sampled)
+
+    def test_tune_prints_the_analyses_optimizer_calls(
+        self, tpcd_dir, tmp_path, capsys, monkeypatch
+    ):
+        """MNSA/D's summary line names the optimizer calls its analyses
+        made, next to the creation cost they are charged into."""
+        from repro.service import worker
+
+        out_file = str(tmp_path / "w.sql")
+        main(
+            [
+                "workload",
+                "--db",
+                tpcd_dir,
+                "--name",
+                "U25-S-20",
+                "--seed",
+                "7",
+                "--out",
+                out_file,
+            ]
+        )
+        capsys.readouterr()
+        results = []
+        analyze = worker.mnsad_for_query
+
+        def recording(*args, **kwargs):
+            results.append(analyze(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(worker, "mnsad_for_query", recording)
+        code = main(
+            ["tune", "--db", tpcd_dir, "--workload", out_file, "--mode", "mnsad"]
+        )
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert code == 0
+        _cost, calls = _creation_parenthesis(summary)
+        assert calls.endswith(" optimizer calls")
+        assert results
+        assert _number(calls.split()[0]) == sum(
+            result.optimizer_calls for result in results
+        )
 
     def test_tune_offline(self, tpcd_dir, tmp_path, capsys):
         out_file = str(tmp_path / "w.sql")
