@@ -20,6 +20,7 @@ EXPERIMENTS.md shows.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -396,7 +397,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         "experiment": _cmd_experiment,
         "lint": _cmd_lint,
     }[args.command]
-    return handler(args)
+    try:
+        status = handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (``repro tune ... | head``): stop
+        # quietly.  Point stdout at devnull, so that the interpreter's
+        # flush at exit does not raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 # ----------------------------------------------------------------------

@@ -37,10 +37,11 @@ part depends on — graph → schedule → scalar DP → materialize:
    table set gets the ``(rows, cost, sort cost)`` of its cheapest join,
    the operator chosen cost-first on those floats
    (:func:`_join_chooser`; :func:`select_join` is its form over plan
-   nodes, for the SQLite backend).
+   nodes, for the SQLite backend).  A table set whose inputs equal those
+   of an earlier search of the same query takes that search's result
+   instead (the **memo**, below).
 4. **Materialize**: a :class:`JoinNode` is built for each join of the
-   winning tree, n−1 of them — and, during the search, for the two sides
-   of an exact cost tie.
+   winning tree, n−1 of them, and for nothing else.
 
 Plans, costs and row estimates are bit-identical to building and
 comparing every candidate plan (``tests/optimizer/golden_plans_u25c.json``
@@ -63,10 +64,27 @@ tie-break:
   their scans — go to the smaller ``str(plan.signature())``
   (:func:`~repro.optimizer.plans.better`).  That is a total order, so
   the candidate order (extensions in sorted-name order, then splits,
-  cross products only as the fallback) decides nothing but which nodes
-  get built; :meth:`JoinNode.signature_key` composes the string from the
-  children's cached keys and the edge's cached predicate ``repr``
-  instead of rendering the nested tuple, and must stay equal to it.
+  cross products only as the fallback) decides nothing.  The search
+  compares two tied joins' :func:`~repro.optimizer.plans.join_key_parts`
+  as tuples — algorithm, index and hash side ``repr``, the edge's cached
+  predicate ``repr``, then each side's signature string, made once per
+  decided table set from its winner — which orders them as their whole
+  strings do, and builds no node for a tie.
+
+The memo: Figure 1 optimizes one query again and again (the default
+plan, P_low and P_high per probe, one re-optimize per build and per
+completion), and between calls only a few tables' inputs move.  An
+:class:`Optimizer` keeps the last few searches of its most recent query
+of three or more tables in one slot that each such search replaces.  A
+table set's result is a function of the access path ``(rows, cost,
+signature key)`` of each member table, the selectivity of each table
+pair inside the set, the edges' index names and the
+:class:`~repro.config.OptimizerConfig`; a search takes it from the
+newest earlier search whose values of all of these were equal.  Keyed on
+values, not versions, the memo is sound under pins, ignore sets,
+degraded requests, corrections and index changes without invalidation,
+and a race between two searches loses reuse, never correctness
+(``tests/optimizer/test_join_memo.py``).
 
 Optimization is therefore fully deterministic — essential for
 Execution-Tree equivalence experiments.
@@ -77,7 +95,7 @@ from __future__ import annotations
 import contextlib
 import threading
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.concurrency import guarded_by, plan_source
 from repro.config import DEFAULT_CONFIG, OptimizerConfig
@@ -97,13 +115,15 @@ from repro.optimizer.plans import (
     ScanNode,
     SortNode,
     better,
+    join_key_parts,
+    join_signature_key,
 )
 from repro.optimizer.schedule import join_schedule
 from repro.optimizer.selectivity import SelectivityEstimator
 from repro.optimizer.variables import (
     GroupByVariable,
-    JoinVariable,
     SelectivityVariable,
+    join_variables,
 )
 from repro.sql.predicates import (
     BetweenPredicate,
@@ -138,8 +158,8 @@ def pair_selectivities(graph, estimator: SelectivityEstimator) -> List[float]:
     """Selectivity of each joined table pair of ``graph`` (one per entry
     of ``graph.groups``), estimated once per request."""
     return [
-        estimator.join_group_selectivity(JoinVariable(group))
-        for group in graph.groups
+        estimator.join_group_selectivity(variable)
+        for variable in join_variables(graph)
     ]
 
 
@@ -364,6 +384,40 @@ def _add_order_by(
     return SortNode(plan, query.order_by, plan.cost + cost_model.sort(plan.rows))
 
 
+class _Pass(NamedTuple):
+    """One finished join search, kept for the later searches of the same
+    query: its inputs, and per table mask what it decided.  Never
+    mutated once stored."""
+
+    #: per table: its access path's ``(rows, cost, signature key)``
+    leaves: tuple
+    #: per table pair: its selectivity
+    pairs: tuple
+    #: per schedule edge: the inner index name, or ``None``
+    edge_index: tuple
+    #: per table mask: ``(rows, cost, sort cost)`` of its cheapest join
+    plans: tuple
+    #: per table mask: ``(candidate, algorithm)`` of that join
+    winners: tuple
+    #: per table mask: the join's signature string, where one was made
+    keys: tuple
+
+
+class _JoinMemo(NamedTuple):
+    """The last join searches of one query, newest first: an
+    :class:`Optimizer`'s memo slot, replaced whole by each search."""
+
+    graph: object
+    config: Optional[OptimizerConfig]
+    passes: Tuple[_Pass, ...]
+
+
+#: an optimizer's memo slot before its first search of three or more tables
+_NO_MEMO = _JoinMemo(None, None, ())
+#: earlier searches a memo keeps
+_MEMO_PASSES = 4
+
+
 class _JoinSearch:
     """One request's join enumeration: dynamic programming over the
     compiled schedule of the query's join graph
@@ -373,17 +427,24 @@ class _JoinSearch:
     join and which candidate that was.  Per request, each table pair's
     selectivity is estimated once and each schedule edge's combined
     selectivity and usable inner index are resolved once.  Plan nodes are
-    built afterwards, for the joins of the winning tree — and, during the
-    search, for the two sides of an exact cost tie, which
-    :func:`~repro.optimizer.plans.better` decides.  The module docstring
-    lists what keeps the result bit-identical to a search that builds and
-    compares every plan.
+    built afterwards, for the joins of the winning tree only; an exact
+    cost tie compares the two joins' :func:`join_key_parts` over the
+    sub-sets' signature strings, each made once from the winners.  The
+    module docstring lists what keeps the result bit-identical to a
+    search that builds and compares every plan.
 
     ``paths`` are the access paths of ``graph.tables``, in that order.
+    ``memo`` is the optimizer's memo slot, or ``None`` for a search that
+    neither reads nor extends one.  A table set takes its result from
+    the newest earlier search of the same graph and config whose inputs
+    to that set were equal: the index names of every edge, and the
+    access path ``(rows, cost, signature key)`` of each member table and
+    the selectivity of each table pair inside the set.  Those are all
+    the set's result depends on, so the memo needs no invalidation.
     """
 
     def __init__(
-        self, graph, paths, estimator, cost_model, config, indexes
+        self, graph, paths, estimator, cost_model, config, indexes, memo=None
     ) -> None:
         self._schedule = schedule = join_schedule(
             graph, config.enable_bushy_joins
@@ -393,7 +454,7 @@ class _JoinSearch:
         pair_selectivity = pair_selectivities(graph, estimator)
         #: edge id -> name of the first index on one of the inner
         #: table's join columns
-        self._edge_index: List[Optional[str]] = [None] * len(schedule.inner)
+        edge_index: List[Optional[str]] = [None] * len(schedule.inner)
         if config.enable_index_paths:
             for e, inner in enumerate(schedule.inner):
                 if inner is None:
@@ -401,11 +462,12 @@ class _JoinSearch:
                 for join in schedule.predicates[e]:
                     index = indexes.index_on(join.side_for(inner))
                     if index is not None:
-                        self._edge_index[e] = index.name
+                        edge_index[e] = index.name
                         break
+        self._edge_index = tuple(edge_index)
         #: edge id -> (equi, selectivity, indexed) for the chooser
         self._edges = []
-        for groups, index in zip(schedule.shape.groups, self._edge_index):
+        for groups, index in zip(schedule.shape.groups, edge_index):
             selectivity = 1.0
             for group in groups:
                 selectivity *= pair_selectivity[group]
@@ -416,11 +478,48 @@ class _JoinSearch:
         self._plans: List[Optional[tuple]] = [None] * size
         #: table mask -> (candidate, algorithm) of its cheapest join
         self._winners: List[Optional[tuple]] = [None] * size
+        #: table mask -> signature string of its cheapest plan, once made
+        self._keys: List[Optional[str]] = [None] * size
         #: table mask -> plan node, where one has been built
         self._nodes: List[Optional[PlanNode]] = [None] * size
         for i, path in enumerate(paths):
             self._nodes[1 << i] = path
             self._plans[1 << i] = self._summary(path.rows, path.cost)
+        #: the memo's passes over this graph and config, newest first
+        self._passes: Tuple[_Pass, ...] = ()
+        #: (stale, pass): those whose edges had these index names;
+        #: ``stale`` is a bitmap over masks of the sets whose other
+        #: inputs differ from this search's
+        self._earlier: List[tuple] = []
+        if memo is None:
+            return
+        self._graph, self._config = graph, config
+        self._pairs = tuple(pair_selectivity)
+        self._leaves = tuple(
+            (path.rows, path.cost, path.signature_key()) for path in paths
+        )
+        if memo.graph is graph and memo.config == config:
+            self._passes = memo.passes
+            self._earlier = [
+                (self._stale(done), done)
+                for done in memo.passes
+                if done.edge_index == self._edge_index
+            ]
+
+    def _stale(self, done: _Pass) -> int:
+        """The table sets whose access paths or pair selectivities
+        differ from ``done``'s, as a bitmap over masks."""
+        shape = self._schedule.shape
+        stale = 0
+        for holding, now, then in zip(shape.holding, self._leaves, done.leaves):
+            if now != then:
+                stale |= holding
+        for holding, now, then in zip(
+            shape.pair_holding, self._pairs, done.pairs
+        ):
+            if now != then:
+                stale |= holding
+        return stale
 
     def _summary(self, rows: float, cost: float) -> tuple:
         """What a sub-plan contributes to the joins over it; its sort
@@ -428,30 +527,83 @@ class _JoinSearch:
         return rows, cost, self._sort(rows) if self._sort is not None else 0.0
 
     def best_plan(self) -> PlanNode:
-        plans, edges, choose = self._plans, self._edges, self._choose
+        plans, winners, keys = self._plans, self._winners, self._keys
+        edges, choose, earlier = self._edges, self._choose, self._earlier
         shape = self._schedule.shape
         for mask, candidates in zip(shape.masks, shape.candidates):
-            best_cost = None
-            for candidate in candidates:
-                left, right, e = candidate
-                cost, rows, algorithm = choose(
-                    plans[left], plans[right], edges[e]
-                )
-                if best_cost is None or cost < best_cost:
-                    best_cost, best_rows = cost, rows
-                    best = (candidate, algorithm)
-                    best_node = None
-                elif cost == best_cost:
-                    node = self._join(candidate, algorithm, rows, cost)
-                    if best_node is None:
-                        best_node = self._join(*best, best_rows, best_cost)
-                    if better(node, best_node):
-                        best_rows = rows
+            for stale, done in earlier:
+                if not stale >> mask & 1:
+                    plans[mask] = done.plans[mask]
+                    winners[mask] = done.winners[mask]
+                    keys[mask] = done.keys[mask]
+                    break
+            else:
+                best_cost = None
+                for candidate in candidates:
+                    left, right, e = candidate
+                    cost, rows, algorithm = choose(
+                        plans[left], plans[right], edges[e]
+                    )
+                    if best_cost is None or cost < best_cost:
+                        best_cost, best_rows = cost, rows
                         best = (candidate, algorithm)
-                        best_node = node
-            plans[mask] = self._summary(best_rows, best_cost)
-            self._winners[mask], self._nodes[mask] = best, best_node
+                        best_parts = None
+                    elif cost == best_cost:
+                        parts = self._parts(candidate, algorithm)
+                        if best_parts is None:
+                            best_parts = self._parts(*best)
+                        if parts < best_parts:
+                            best_rows = rows
+                            best = (candidate, algorithm)
+                            best_parts = parts
+                plans[mask] = self._summary(best_rows, best_cost)
+                winners[mask] = best
         return self._node(len(plans) - 1)
+
+    def memo(self) -> _JoinMemo:
+        """The optimizer's memo slot after this search: this pass first,
+        then the earlier passes of the same query that differ from it in
+        some input."""
+        done = _Pass(
+            self._leaves,
+            self._pairs,
+            self._edge_index,
+            tuple(self._plans),
+            tuple(self._winners),
+            tuple(self._keys),
+        )
+        identical = {id(p) for stale, p in self._earlier if not stale}
+        older = tuple(p for p in self._passes if id(p) not in identical)
+        return _JoinMemo(
+            self._graph, self._config, (done,) + older[: _MEMO_PASSES - 1]
+        )
+
+    def _parts(self, candidate, algorithm) -> Tuple[str, ...]:
+        """:func:`join_key_parts` of a candidate join of decided sets."""
+        left, right, e = candidate
+        return join_key_parts(
+            algorithm,
+            self._edge_index[e]
+            if algorithm is JoinAlgorithm.NESTED_LOOP_INDEX
+            else None,
+            _build_side(algorithm, self._plans[left][0], self._plans[right][0]),
+            self._schedule.predicates_key(e),
+            self._key(left),
+            self._key(right),
+        )
+
+    def _key(self, mask: int) -> str:
+        """The signature string of a decided table set's plan, made on
+        first use from its winner without building a node."""
+        key = self._keys[mask]
+        if key is None:
+            winner = self._winners[mask]
+            if winner is None:
+                key = self._nodes[mask].signature_key()
+            else:
+                key = join_signature_key(self._parts(*winner))
+            self._keys[mask] = key
+        return key
 
     def _node(self, mask: int) -> PlanNode:
         """The plan node of a decided table set, built on first use."""
@@ -503,6 +655,7 @@ class Optimizer:
 
     # repro-lint: optimize-path
     # repro-lint: plan-state-exempt=_cache: set once in __init__ and never swapped, so entries never migrate between caches
+    # repro-lint: plan-state-exempt=_join_memo: value-keyed, so no version is needed: a table set is reused only when every input its result depends on is equal, and the slot is replaced by one assignment, so a race loses reuse, never correctness
 
     _call_count = guarded_by("_count_lock")
     _cold_count = guarded_by("_count_lock")
@@ -523,6 +676,9 @@ class Optimizer:
         self._count_lock = threading.Lock()
         self._call_count = 0
         self._cold_count = 0
+        #: the join searches of the last query of three or more tables
+        #: (:class:`_JoinMemo`), one slot that each such search replaces
+        self._join_memo = _NO_MEMO
 
     @property
     def config(self) -> OptimizerConfig:
@@ -819,6 +975,9 @@ class Optimizer:
         if len(access) == 1:
             return access[query.tables[0]]
         graph = query.join_graph
+        # a single join leaves a memo nothing to reuse: the slot stays
+        # with the last query of three or more tables
+        remember = len(access) > 2
         search = _JoinSearch(
             graph,
             [access[name] for name in graph.tables],
@@ -826,5 +985,9 @@ class Optimizer:
             self._cost,
             self._config,
             self._db.indexes,
+            self._join_memo if remember else None,
         )
-        return search.best_plan()
+        plan = search.best_plan()
+        if remember:
+            self._join_memo = search.memo()
+        return plan

@@ -222,22 +222,23 @@ class JoinNode(PlanNode):
 
     def signature_key(self) -> str:
         """``str(self.signature())`` composed from the children's cached
-        keys, without building the nested signature tuple: the join
-        enumerator compares keys of sub-plans that never reach a final
-        plan."""
+        keys (:func:`join_signature_key`), without building the nested
+        signature tuple."""
         if self._signature_key is None:
             predicates = self._predicates_key
             if predicates is None:
                 predicates = repr(
                     tuple(sorted(str(p) for p in self.join_predicates))
                 )
-            hash_side = (
-                self.build_side if self.algorithm == JoinAlgorithm.HASH else None
-            )
-            self._signature_key = (
-                f"('join', {self.algorithm.value!r}, {self.inner_index!r}, "
-                f"{hash_side!r}, {predicates}, "
-                f"{self.left.signature_key()}, {self.right.signature_key()})"
+            self._signature_key = join_signature_key(
+                join_key_parts(
+                    self.algorithm,
+                    self.inner_index,
+                    self.build_side,
+                    predicates,
+                    self.left.signature_key(),
+                    self.right.signature_key(),
+                )
             )
         return self._signature_key
 
@@ -337,6 +338,40 @@ class SortNode(PlanNode):
 
     def _label(self) -> str:
         return f"Sort(by {', '.join(str(k) for k in self.keys)})"
+
+
+def join_key_parts(
+    algorithm: JoinAlgorithm,
+    inner_index: Optional[str],
+    build_side: str,
+    predicates_key: str,
+    left_key: str,
+    right_key: str,
+) -> Tuple[str, ...]:
+    """The elements of a join's signature string after ``'join'``, each
+    rendered as in ``str(signature())``.
+
+    Each element is a complete ``repr`` — a quoted string, ``None`` or a
+    bracketed tuple — so none is a proper prefix of another, and
+    comparing two joins' parts as tuples orders them as comparing their
+    whole :func:`join_signature_key` strings does.  The join enumerator
+    breaks exact cost ties that way, on the sub-plans' cached keys,
+    without building a node.
+    """
+    return (
+        repr(algorithm.value),
+        repr(inner_index),
+        repr(build_side if algorithm is JoinAlgorithm.HASH else None),
+        predicates_key,
+        left_key,
+        right_key,
+    )
+
+
+def join_signature_key(parts: Tuple[str, ...]) -> str:
+    """``str(signature())`` of the join with :func:`join_key_parts`
+    ``parts``."""
+    return f"('join', {', '.join(parts)})"
 
 
 def better(a: PlanNode, b: PlanNode) -> bool:

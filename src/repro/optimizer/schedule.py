@@ -48,9 +48,16 @@ class ShapeSchedule:
             extension (``-1`` for a bushy split or a cross product).
         groups: per edge id, the ids of the crossing table pairs,
             ascending, i.e. in sorted table-pair order.
+        holding: per table, the table masks that hold it, as a bitmap
+            over masks (bit ``m`` set for each mask ``m`` with the
+            table's bit).
+        pair_holding: per table-pair id, the masks that hold both of its
+            tables, as a bitmap over masks.
     """
 
-    __slots__ = ("masks", "candidates", "edges", "groups")
+    __slots__ = (
+        "masks", "candidates", "edges", "groups", "holding", "pair_holding"
+    )
 
     def __init__(self, neighbors: Tuple[int, ...], bushy: bool) -> None:
         tables = len(neighbors)
@@ -122,6 +129,13 @@ class ShapeSchedule:
         self.candidates = tuple(by_mask)
         self.edges = tuple(edges)
         self.groups = tuple(groups)
+        self.holding = tuple(
+            sum(1 << m for m in range(1 << tables) if m >> i & 1)
+            for i in range(tables)
+        )
+        self.pair_holding = tuple(
+            self.holding[i] & self.holding[j] for i, j in pairs
+        )
 
 
 @lru_cache(maxsize=128)

@@ -78,7 +78,19 @@ class GroupByVariable(SelectivityVariable):
         return f"ndv[{self.table}.({', '.join(self.columns)})]"
 
 
+def join_variables(graph) -> Tuple[JoinVariable, ...]:
+    """A join graph's predicates as per-table-pair variables, one per
+    entry of ``graph.groups``: built on first use and kept on the graph
+    (two threads building at once build equal tuples)."""
+    variables = graph.join_variables
+    if variables is None:
+        variables = graph.join_variables = tuple(
+            JoinVariable(group) for group in graph.groups
+        )
+    return variables
+
+
 def join_variables_of(query) -> list:
     """A query's join predicates as per-table-pair variables, in sorted
     table-pair order."""
-    return [JoinVariable(group) for group in query.join_graph.groups]
+    return list(join_variables(query.join_graph))

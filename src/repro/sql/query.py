@@ -56,6 +56,9 @@ class JoinGraph:
         schedules: the optimizer's compiled enumeration schedules for
             this graph, by ``enable_bushy_joins``
             (:func:`repro.optimizer.schedule.join_schedule` fills it).
+        join_variables: the optimizer's join selectivity variables, one
+            per entry of ``groups``, or ``None`` until
+            :func:`repro.optimizer.variables.join_variables` builds them.
     """
 
     def __init__(
@@ -77,6 +80,7 @@ class JoinGraph:
         self.groups = tuple(tuple(group) for group in groups)
         self.edges = tuple(edges)
         self.schedules: Dict[bool, object] = {}
+        self.join_variables: Optional[tuple] = None
 
     def mask(self, tables: Iterable[str]) -> int:
         """Bits of ``tables`` (names outside the query contribute none)."""

@@ -2,7 +2,7 @@
 
 ``repro.optimizer.optimizer._JoinSearch`` runs a schedule compiled from
 the join graph, costs candidates on floats and builds plan nodes only
-for the winning tree (and the two sides of an exact cost tie).  Its
+for the winning tree.  Its
 contract is bit-identity with the node-per-candidate dynamic programme
 it replaced, which is kept below **verbatim** as the oracle (the way
 ``test_build_kernel_props.py`` keeps ``_prefix_density``): the old
@@ -17,9 +17,12 @@ algorithm switch, bushy on and off, MNSA's ε / 1−ε pins — must produce
 ``(repr(signature), cost.hex(), rows.hex())`` equal to the oracle's.
 
 Two count tests pin what the kernel no longer does: a join tree of n
-tables costs n−1 ``JoinNode`` constructions when no costs tie, and the
-schedule is compiled once per query (its structural part once per graph
-shape), not once per optimizer call.
+tables costs n−1 ``JoinNode`` constructions, ties or not (a tie compares
+cached signature strings), and the schedule is compiled once per query
+(its structural part once per graph shape), not once per optimizer
+call.  On every tie the oracle meets, the kernel's tie order — the
+joins' parts compared as tuples — must equal the oracle's order on whole
+signature strings.
 """
 
 from typing import List, Optional, Tuple
@@ -36,7 +39,13 @@ from repro.optimizer import CostModel, OptimizationRequest, Optimizer
 from repro.optimizer import optimizer as optimizer_module
 from repro.optimizer import schedule as schedule_module
 from repro.optimizer.optimizer import crossing_joins, pair_selectivities
-from repro.optimizer.plans import JoinAlgorithm, JoinNode, PlanNode
+from repro.optimizer.plans import (
+    JoinAlgorithm,
+    JoinNode,
+    PlanNode,
+    join_key_parts,
+    join_signature_key,
+)
 from repro.optimizer.variables import EPSILON
 from repro.sql.builder import QueryBuilder
 from repro.storage import Database
@@ -435,7 +444,9 @@ def _chain(database, tables: int):
 def test_a_tree_without_cost_ties_constructs_one_node_per_join(monkeypatch):
     """Hash and merge joins cost the same with their inputs swapped, so
     every two-table set ties; nested loops over tables of distinct sizes
-    do not."""
+    do not.  A tie compares :func:`join_key_parts` over the sub-sets'
+    signature strings (``_JoinSearch._parts``, which nothing else
+    starts), so ties build no node either."""
     database = _database((3, 7, 12, 20, 33, 50), seed=1)
     built: List[JoinNode] = []
 
@@ -445,12 +456,13 @@ def test_a_tree_without_cost_ties_constructs_one_node_per_join(monkeypatch):
             built.append(self)
 
     ties = []
-    real_better = optimizer_module.better
+    search = optimizer_module._JoinSearch
+    real_parts = search._parts
     monkeypatch.setattr(optimizer_module, "JoinNode", CountingJoinNode)
     monkeypatch.setattr(
-        optimizer_module,
-        "better",
-        lambda a, b: ties.append((a, b)) or real_better(a, b),
+        search,
+        "_parts",
+        lambda self, *args: ties.append(args) or real_parts(self, *args),
     )
     config = OptimizerConfig(enable_hash_join=False, enable_merge_join=False)
     optimizer = Optimizer(database, config)
@@ -464,12 +476,77 @@ def test_a_tree_without_cost_ties_constructs_one_node_per_join(monkeypatch):
         assert {id(n) for n in built} == {
             id(n) for n in plan.walk() if isinstance(n, JoinNode)
         }
-    # with hash joins the two-table sets tie and cost extra nodes
+    # with hash joins the two-table sets tie, and still cost no extra node
     del built[:]
     Optimizer(database).optimize_request(
         OptimizationRequest(_chain(database, 4))
     )
-    assert ties and len(built) > 3
+    assert ties and len(built) == 3
+
+
+def _node_parts(node: JoinNode) -> Tuple[str, ...]:
+    """:func:`join_key_parts` of a built join."""
+    return join_key_parts(
+        node.algorithm,
+        node.inner_index,
+        node.build_side,
+        repr(tuple(sorted(str(p) for p in node.join_predicates))),
+        node.left.signature_key(),
+        node.right.signature_key(),
+    )
+
+
+def _oracle_ties(database, query, config, overrides) -> list:
+    """The pairs of plans the oracle search compared on an exact cost
+    tie."""
+    seen = []
+
+    def spy(a, b):
+        seen.append((a, b))
+        return real(a, b)
+
+    real = globals()["_old_better"]
+    globals()["_old_better"] = spy
+    try:
+        _OldOptimizer(database, config).optimize_request(
+            OptimizationRequest(query, overrides)
+        )
+    finally:
+        globals()["_old_better"] = real
+    return seen
+
+
+@given(cases())
+@settings(max_examples=150, deadline=None)
+def test_the_tie_order_on_parts_is_the_order_on_signature_strings(case):
+    """On every tie the node-per-candidate search meets, comparing the
+    two joins' parts as tuples agrees with comparing their whole
+    ``str(signature())``, both ways."""
+    database, query, config, pin = _build(case)
+    overrides = None
+    if pin is not None:
+        overrides = {
+            v: pin for v in Optimizer(database, config).magic_variables(query)
+        }
+    for a, b in _oracle_ties(database, query, config, overrides):
+        parts, strings = (
+            (_node_parts(a), _node_parts(b)),
+            (str(a.signature()), str(b.signature())),
+        )
+        assert join_signature_key(parts[0]) == strings[0]
+        assert (parts[0] < parts[1]) == (strings[0] < strings[1])
+        assert (parts[1] < parts[0]) == (strings[1] < strings[0])
+
+
+def test_the_oracle_meets_ties_on_a_chain_with_hash_joins():
+    """The property above is not vacuous: hash joins tie on swapped
+    inputs."""
+    database = _database((3, 7, 12, 20, 33, 50), seed=1)
+    ties = _oracle_ties(
+        database, _chain(database, 4), OptimizerConfig(), None
+    )
+    assert ties
+    assert all(isinstance(node, JoinNode) for pair in ties for node in pair)
 
 
 def test_schedule_compiled_once_per_query_and_once_per_shape(monkeypatch):

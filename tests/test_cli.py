@@ -1,9 +1,12 @@
 """Tests for repro.cli."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.storage.persistence import save_database
 
@@ -129,6 +132,38 @@ class TestQuery:
             ]
         )
         assert "row(s) affected" in capsys.readouterr().out
+
+
+class TestClosedPipe:
+    def test_a_reader_that_stops_early_gets_no_traceback(self, tpcd_dir):
+        """``repro query ... | head -1``: the output is far larger than a
+        pipe buffer, so the program is still writing when the reader
+        closes its end."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "query", "--db", tpcd_dir,
+                "--limit", "100000", "SELECT * FROM lineitem",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            assert process.stdout.readline()
+            process.stdout.close()
+            err = process.stderr.read().decode()
+            code = process.wait(timeout=120)
+        finally:
+            process.kill()
+            process.stderr.close()
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err
+        assert code == 1
 
 
 class TestWorkloadAndTune:
