@@ -5,7 +5,7 @@ Quickstart::
 
     from repro import (
         make_tpcd_database, Optimizer, OptimizationRequest, PlanCache,
-        Executor, mnsa_for_query, candidate_statistics, parse_and_bind,
+        MemoryBackend, mnsa_for_query, parse_and_bind,
     )
 
     db = make_tpcd_database(scale=0.005, z=2.0)
@@ -35,9 +35,7 @@ from repro.catalog import (
     TableSchema,
 )
 from repro.config import (
-    CostModelConfig,
     DEFAULT_CONFIG,
-    MagicNumbers,
     OptimizerConfig,
     RefreshPolicy,
     ServiceConfig,
@@ -129,8 +127,6 @@ __all__ = [
     "TableSchema",
     "Database",
     # config
-    "MagicNumbers",
-    "CostModelConfig",
     "OptimizerConfig",
     "ServiceConfig",
     "RefreshPolicy",

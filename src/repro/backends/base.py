@@ -111,11 +111,6 @@ class Backend(abc.ABC):
     def optimizer_calls(self) -> int:
         """Optimizer invocations so far (the paper's overhead metric)."""
 
-    @property
-    @abc.abstractmethod
-    def optimizer_call_cost(self) -> float:
-        """Work units one optimizer call is charged at (Sec 4.3)."""
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------

@@ -59,7 +59,7 @@ class MemoryBackend(Backend):
             optimizer = Optimizer(database, cache=cache)
         self._optimizer = optimizer
         if executor is None:
-            executor = Executor(database, optimizer.config)
+            executor = Executor(database)
         self._executor = executor
 
     # ------------------------------------------------------------------
@@ -105,10 +105,6 @@ class MemoryBackend(Backend):
     @property
     def optimizer_calls(self) -> int:
         return self._optimizer.call_count
-
-    @property
-    def optimizer_call_cost(self) -> float:
-        return self._optimizer.config.cost.optimizer_call_cost
 
     def execute(self, statement):
         if isinstance(statement, Query):

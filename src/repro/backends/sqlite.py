@@ -57,7 +57,7 @@ from repro.optimizer.optimizer import (
     select_join,
 )
 from repro.optimizer.plans import JoinNode, PlanNode, ScanNode
-from repro.optimizer.selectivity import SelectivityEstimator
+from repro.optimizer.selectivity import MAGIC_RANGE, SelectivityEstimator
 from repro.sql.query import DmlStatement, Query
 from repro.sql.render import _Renderer, render_statement
 from repro.stats.statistic import StatKey, as_stat_key
@@ -144,9 +144,8 @@ class _Stat1Histogram:
     fidelity caveats.
     """
 
-    def __init__(self, stat: _Stat1Stat, range_magic: float) -> None:
+    def __init__(self, stat: _Stat1Stat) -> None:
         self._stat = stat
-        self._range_magic = float(range_magic)
 
     @property
     def distinct_count(self) -> float:
@@ -174,7 +173,7 @@ class _Stat1Histogram:
     ) -> float:
         stat = self._stat
         if not stat.numeric or stat.lo is None or stat.hi <= stat.lo:
-            return self._range_magic
+            return MAGIC_RANGE
         lo = stat.lo if low is None else max(stat.lo, low)
         hi = stat.hi if high is None else min(stat.hi, high)
         width = stat.hi - stat.lo
@@ -264,7 +263,7 @@ class _SqliteStatsView:
         stat = single if single is not None else leading
         if stat is None:
             return None
-        return _Stat1Histogram(stat, self._backend._config.magic.range_)
+        return _Stat1Histogram(stat)
 
     def density_for_columns(
         self, table: str, columns: Iterable[str]
@@ -360,7 +359,7 @@ class SqliteBackend(Backend):
 
         self._schema = database.schema
         self._config = config
-        self._cost = CostModel(config)
+        self._cost = CostModel()
         self._renderer = _SqliteRenderer(self._schema)
         self._db_lock = threading.RLock()
         # the statement cache would serve stale plans across our
@@ -466,10 +465,6 @@ class SqliteBackend(Backend):
     def optimizer_calls(self) -> int:
         with self._db_lock:
             return self._calls
-
-    @property
-    def optimizer_call_cost(self) -> float:
-        return self._config.cost.optimizer_call_cost
 
     # ------------------------------------------------------------------
     # Backend protocol: execution
@@ -785,7 +780,6 @@ class SqliteBackend(Backend):
             estimator,
             plan,
             self._cost,
-            self._config,
             self._cached_row_count,
         )
 

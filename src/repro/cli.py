@@ -40,6 +40,16 @@ def _experiment_name(text: str) -> str:
     return text
 
 
+def _skew(text: str):
+    """A ``--z`` value: a Zipf exponent, or ``mix``."""
+    try:
+        return text if text == "mix" else float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid skew {text!r} (a number or 'mix')"
+        ) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -54,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--scale", type=float, default=0.005)
     gen.add_argument(
         "--z",
-        default="0",
+        type=_skew,
+        default=0.0,
         help="Zipfian skew: a number in [0,4] or 'mix'",
     )
     gen.add_argument("--seed", type=int, default=42)
@@ -119,7 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
         "generate a TPC-D database in memory)"
     )
     serve.add_argument("--scale", type=float, default=0.002)
-    serve.add_argument("--z", default="2", help="Zipfian skew for --db-less runs")
+    serve.add_argument(
+        "--z", type=_skew, default=2.0, help="Zipfian skew for --db-less runs"
+    )
     serve.add_argument("--seed", type=int, default=42)
     serve.add_argument(
         "--workload", default="U25-S-100", help="U<pct>-<S|C>-<n> spec"
@@ -168,12 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=256,
         help="shared plan-cache capacity (0 disables caching)",
-    )
-    serve.add_argument(
-        "--parallelism",
-        type=int,
-        default=None,
-        help="analysis parallelism: overrides --workers when given",
     )
     serve.add_argument(
         "--feedback",
@@ -230,18 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     feedback.add_argument(
-        "action",
-        nargs="?",
-        choices=("report",),
-        default="report",
-        help="what to do with the captured feedback (default: report)",
-    )
-    feedback.add_argument(
         "--db", default=None, help="existing database directory (default: "
         "generate a TPC-D database in memory)"
     )
     feedback.add_argument("--scale", type=float, default=0.002)
-    feedback.add_argument("--z", default="2")
+    feedback.add_argument("--z", type=_skew, default=2.0)
     feedback.add_argument("--seed", type=int, default=42)
     feedback.add_argument(
         "--workload", default="U25-S-100", help="U<pct>-<S|C>-<n> spec"
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument("--scale", type=float, default=SCALE)
     experiment.add_argument(
-        "--z", default=None, help="run only this skew setting (or 'mix')"
+        "--z", type=_skew, help="run only this skew setting (or 'mix')"
     )
     experiment.add_argument(
         "--queries",
@@ -413,17 +413,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 # ----------------------------------------------------------------------
 
 
-def _parse_z(text):
-    return text if text == "mix" else float(text)
-
-
 def _cmd_generate(args) -> int:
     from repro.datagen import make_tpcd_database
     from repro.storage.persistence import save_database
 
-    db = make_tpcd_database(
-        scale=args.scale, z=_parse_z(args.z), seed=args.seed
-    )
+    db = make_tpcd_database(scale=args.scale, z=args.z, seed=args.seed)
     save_database(db, args.out)
     rows = [[t, f"{db.row_count(t):,}"] for t in db.table_names()]
     print(f"wrote {db.name} (scale {args.scale}) to {args.out}")
@@ -565,19 +559,14 @@ def _cmd_serve(args) -> int:
 
         db = load_database(args.db)
     else:
-        db = make_tpcd_database(
-            scale=args.scale, z=_parse_z(args.z), seed=args.seed
-        )
+        db = make_tpcd_database(scale=args.scale, z=args.z, seed=args.seed)
     workload = generate_workload(db, args.workload, seed=args.seed)
-    workers = (
-        args.parallelism if args.parallelism is not None else args.workers
-    )
     feedback_on = (
         args.feedback or args.learned or args.refresh_policy != "churn"
     )
     config = ServiceConfig(
         capture_capacity=args.capture,
-        advisor_workers=workers,
+        advisor_workers=args.workers,
         creation_policy=args.policy,
         staleness_fraction=args.refresh_fraction,
         refresh_budget_per_cycle=args.refresh_budget,
@@ -604,7 +593,7 @@ def _cmd_serve(args) -> int:
         feedback_note += f", {args.backend} analysis backend"
     print(
         f"serving workload {args.workload} over {db.name}: "
-        f"{clients} client(s), {workers} advisor worker(s), "
+        f"{clients} client(s), {args.workers} advisor worker(s), "
         f"{args.shards} shard(s), "
         f"policy {args.policy}, plan cache {args.cache_size}"
         f"{feedback_note}"
@@ -712,9 +701,7 @@ def _cmd_feedback(args) -> int:
 
         db = load_database(args.db)
     else:
-        db = make_tpcd_database(
-            scale=args.scale, z=_parse_z(args.z), seed=args.seed
-        )
+        db = make_tpcd_database(scale=args.scale, z=args.z, seed=args.seed)
     workload = generate_workload(db, args.workload, seed=args.seed)
     store = FeedbackStore(corrections=args.learned)
     optimizer = Optimizer(db, corrections=store if args.learned else None)
@@ -769,7 +756,7 @@ def _cmd_feedback(args) -> int:
 
 def _cmd_experiment(args) -> int:
     factory = default_database_factory(scale=args.scale)
-    zs = None if args.z is None else [_parse_z(args.z)]
+    zs = None if args.z is None else [args.z]
     by_name = {experiment.name: experiment for experiment in EXPERIMENTS}
     for name in args.names or EXPERIMENT_NAMES:
         experiment = by_name[name]

@@ -1,18 +1,18 @@
-"""Tunable constants for the optimizer, statistics, and MNSA algorithms.
+"""Configuration of the optimizer and of the statistics service.
 
 The paper treats several values as system-wide constants of the database
 engine (Sec 4.1: "Magic numbers are system wide constants between 0 and 1
-that are predetermined for various kinds of predicates").  We gather them
-here so experiments can vary them explicitly instead of monkey-patching.
+that are predetermined for various kinds of predicates").  They are
+constants here too, each in the module that reads it: the magic numbers
+in :mod:`repro.optimizer.selectivity`, the operator prices in
+:mod:`repro.optimizer.cost_model`, and the statistics build and
+optimizer-call prices in :mod:`repro.stats.cost`.
 
-Four config dataclasses exist:
+Two config dataclasses hold what callers do set:
 
-* :class:`MagicNumbers` — the default selectivities an optimizer falls back
-  to when no statistic covers a predicate.
-* :class:`CostModelConfig` — per-row / per-page constants of the physical
-  cost model, plus statistics build/update cost constants.
-* :class:`OptimizerConfig` — everything the optimizer needs, including the
-  two above plus histogram resolution and sampling defaults.
+* :class:`OptimizerConfig` — the plan space the optimizer searches, the
+  statistics it builds (sampling, joint histograms) and how it reads
+  them (histogram join estimation).
 * :class:`ServiceConfig` — knobs of the online statistics-management
   service (:mod:`repro.service`): capture-log capacity, advisor worker
   pool, staleness-monitor cadence and refresh budget.
@@ -24,7 +24,7 @@ next to the algorithm it parameterizes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class RefreshPolicy(enum.Enum):
@@ -49,110 +49,12 @@ class RefreshPolicy(enum.Enum):
 
 
 @dataclass(frozen=True)
-class MagicNumbers:
-    """Default selectivities used when no applicable statistic exists.
-
-    These follow the System-R lineage the paper alludes to (it quotes 0.30
-    for a range predicate in Sec 4.1).  All values are fractions in (0, 1).
-
-    Attributes:
-        equality: selectivity of ``col = const`` without statistics.
-        range_: selectivity of ``col < const`` / ``col > const`` etc.
-        between: selectivity of ``col BETWEEN lo AND hi``.
-        inequality: selectivity of ``col <> const``.
-        in_list_per_item: per-item selectivity for ``col IN (...)``; the
-            predicate selectivity is ``min(1, n_items * in_list_per_item)``.
-        join: selectivity of an equijoin predicate with no statistics on
-            either side (fraction of the cross product retained).
-        group_by_fraction: assumed fraction of rows that are distinct in the
-            grouping column(s) — the paper's Sec 4.1 example uses 0.01.
-        like: selectivity of a LIKE pattern predicate.
-    """
-
-    equality: float = 0.10
-    range_: float = 0.30
-    between: float = 0.25
-    inequality: float = 0.90
-    in_list_per_item: float = 0.10
-    join: float = 0.10
-    group_by_fraction: float = 0.01
-    like: float = 0.10
-
-    def __post_init__(self) -> None:
-        for name in (
-            "equality",
-            "range_",
-            "between",
-            "inequality",
-            "in_list_per_item",
-            "join",
-            "group_by_fraction",
-            "like",
-        ):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(
-                    f"magic number {name!r} must be in (0, 1], got {value}"
-                )
-
-
-@dataclass(frozen=True)
-class CostModelConfig:
-    """Constants of the physical cost model (arbitrary "work units").
-
-    The absolute scale is meaningless; only ratios matter, exactly as in a
-    real optimizer.  Statistics build/update costs use the same units so the
-    Figure 3/4 and Table 1 reductions are directly comparable.
-
-    Attributes:
-        page_size_bytes: bytes per page for I/O cost computation.
-        io_page_cost: cost to read or write one page sequentially.
-        random_io_factor: multiplier for a random page access (index lookup).
-        cpu_tuple_cost: cost to process one tuple through an operator.
-        cpu_compare_cost: cost of one comparison (sorting, probing).
-        hash_build_cost: per-tuple cost of inserting into a hash table.
-        hash_probe_cost: per-tuple cost of probing a hash table.
-        sort_constant: multiplier on ``n * log2(n)`` comparisons for sorts.
-        stat_scan_cost_per_row: per-row cost of scanning a table to build a
-            statistic (per column included in the statistic).
-        stat_sort_constant: multiplier on ``n * log2(n)`` for the sort that
-            histogram construction performs.
-        stat_fixed_cost: fixed per-statistic overhead (catalog writes etc.).
-        optimizer_call_cost: cost charged for one optimizer invocation; MNSA
-            pays three of these per statistic created (Sec 4.3); MNSA/D
-            pays one for a statistic it drop-lists.
-        stat_incremental_cost_per_row: per-inserted-row cost of folding a
-            value into an existing histogram (incremental maintenance,
-            paper ref [8]); orders of magnitude below a full rebuild.
-    """
-
-    page_size_bytes: int = 8192
-    io_page_cost: float = 1.0
-    random_io_factor: float = 4.0
-    cpu_tuple_cost: float = 0.01
-    cpu_compare_cost: float = 0.005
-    hash_build_cost: float = 0.02
-    hash_probe_cost: float = 0.01
-    sort_constant: float = 0.012
-    stat_scan_cost_per_row: float = 0.02
-    stat_sort_constant: float = 0.01
-    stat_fixed_cost: float = 50.0
-    optimizer_call_cost: float = 5.0
-    stat_incremental_cost_per_row: float = 0.002
-
-
-@dataclass(frozen=True)
 class OptimizerConfig:
     """Aggregate configuration handed to :class:`repro.optimizer.Optimizer`.
 
     Attributes:
-        magic: the magic-number table.
-        cost: the cost-model constants.
-        histogram_buckets: number of buckets built per histogram.
         sample_rows: if not ``None``, statistics are built from a random
             sample of at most this many rows instead of a full scan.
-        max_in_list_items: IN lists longer than this are estimated as a
-            range predicate rather than a union of equalities.
         enable_index_paths: whether index access paths are considered.
         enable_merge_join: whether sort-merge joins are considered.
         enable_hash_join: whether hash joins are considered.
@@ -160,13 +62,11 @@ class OptimizerConfig:
             addition to left-deep ones (System R's default is left-deep;
             bushy enlarges the plan space at extra optimization cost).
         enable_joint_histograms: build a 2-D joint histogram (paper
-            Sec 3's Phased strategy) inside every two-column statistic,
+            Sec 3's MHIST strategy) inside every two-column statistic,
             improving range-conjunction estimates on correlated columns.
             Off by default: SQL Server 7.0's statistics carry only
             prefix densities, and fidelity to it is the baseline.
         joint_histogram_cells: cell budget per joint histogram.
-        joint_histogram_kind: construction strategy, ``"mhist"`` or
-            ``"phased"`` (paper Sec 3's two named strategies).
         enable_histogram_join_estimation: estimate single-column equijoin
             selectivity by aligning the two sides' histograms (exact on
             disjoint/partially-overlapping domains) instead of the global
@@ -175,18 +75,13 @@ class OptimizerConfig:
             reproduction benches are calibrated against it.
     """
 
-    magic: MagicNumbers = field(default_factory=MagicNumbers)
-    cost: CostModelConfig = field(default_factory=CostModelConfig)
-    histogram_buckets: int = 50
     sample_rows: int | None = None
-    max_in_list_items: int = 16
     enable_index_paths: bool = True
     enable_merge_join: bool = True
     enable_hash_join: bool = True
     enable_bushy_joins: bool = False
     enable_joint_histograms: bool = False
     joint_histogram_cells: int = 256
-    joint_histogram_kind: str = "mhist"
     enable_histogram_join_estimation: bool = False
 
 
@@ -247,9 +142,6 @@ class ServiceConfig:
             feedback policy drive refresh/re-tune decisions.  Off by
             default: the paper's experiments predate execution feedback
             and must stay byte-identical.
-        feedback_capacity: maximum (table, column-set) targets the
-            feedback store tracks (q-error aggregates and correction
-            factors alike) before least-recently-observed eviction.
         refresh_policy: which trigger drives the staleness monitor
             (:class:`RefreshPolicy`; a plain ``"churn"`` / ``"qerror"``
             / ``"hybrid"`` string is accepted and coerced).
@@ -262,10 +154,7 @@ class ServiceConfig:
             service optimizers apply them inside selectivity estimation
             (the store's correction view).  Requires
             ``feedback_enabled``: the corrections live in the same
-            entries, under the same ``feedback_capacity`` bound.
-        learned_decay: EWMA decay of each correction factor, in (0, 1).
-        learned_max_factor: corrections are bounded to
-            ``[1/learned_max_factor, learned_max_factor]``.
+            entries, under the same capacity bound.
         shards: number of service/statistics shards.  Each shard owns the
             statistics, capture-log segment, advisor workers, and
             staleness monitor of the tables routed to it (see
@@ -278,14 +167,10 @@ class ServiceConfig:
             queue.  ``0`` (the default) keeps the submit path
             synchronous — requests execute on the caller's thread with
             no queueing, exactly the pre-async behaviour.
-        queue_capacity: hard bound of the admission queue (async mode).
-        queue_high_water: backpressure threshold — once the queue holds
-            this many requests, new submissions are rejected with a
+        queue_capacity: hard bound of the admission queue (async mode);
+            a submission to a full queue is rejected with a
             :class:`~repro.errors.ServiceRejectedError` carrying a
-            retry-after hint.  ``None`` means ``queue_capacity`` (reject
-            only when full).
-        retry_after_seconds: the retry-after hint attached to
-            queue-full / rate-limit rejections.
+            retry-after hint.
         session_rate_limit: per-session sustained request rate in
             requests/second, enforced with a token bucket; ``None``
             (default) disables per-session rate limiting.
@@ -302,11 +187,6 @@ class ServiceConfig:
         degraded_backlog_low: hysteresis release — degradation stays
             engaged until the backlog falls back to this level.  Must be
             below ``degraded_backlog_high``.
-        starvation_cycles: staleness-monitor fairness bound — a due
-            table deferred by the refresh budget for this many
-            consecutive cycles counts as starved (``monitor.starved``);
-            the monitor refreshes longest-waiting tables first so the
-            counter stays at zero under any steady-state budget.
         backend: the engine the advisor workers run their analyses
             against — a name from
             :data:`repro.backends.base.BACKEND_NAMES` (``"memory"``,
@@ -333,23 +213,17 @@ class ServiceConfig:
     execute_queries: bool = True
     plan_cache_size: int = 256
     feedback_enabled: bool = False
-    feedback_capacity: int = 512
     refresh_policy: RefreshPolicy = RefreshPolicy.CHURN
     qerror_refresh_threshold: float = 4.0
     qerror_retune_threshold: float = 10.0
     learned_enabled: bool = False
-    learned_decay: float = 0.8
-    learned_max_factor: float = 32.0
     shards: int = 1
     service_workers: int = 0
     queue_capacity: int = 256
-    queue_high_water: int | None = None
-    retry_after_seconds: float = 0.05
     session_rate_limit: float | None = None
     session_rate_burst: int = 16
     degraded_backlog_high: int | None = None
     degraded_backlog_low: int = 0
-    starvation_cycles: int = 8
     backend: str = "memory"
 
     def __post_init__(self) -> None:
@@ -408,11 +282,6 @@ class ServiceConfig:
         object.__setattr__(
             self, "refresh_policy", RefreshPolicy(self.refresh_policy)
         )
-        if self.feedback_capacity < 1:
-            raise ValueError(
-                f"feedback_capacity must be >= 1, got "
-                f"{self.feedback_capacity}"
-            )
         if self.qerror_refresh_threshold < 1.0:
             raise ValueError(
                 f"qerror_refresh_threshold must be >= 1, got "
@@ -433,15 +302,6 @@ class ServiceConfig:
                 f"refresh_policy {self.refresh_policy.value!r} requires "
                 "feedback_enabled=True"
             )
-        if not 0.0 < self.learned_decay < 1.0:
-            raise ValueError(
-                f"learned_decay must be in (0, 1), got {self.learned_decay}"
-            )
-        if self.learned_max_factor <= 1.0:
-            raise ValueError(
-                f"learned_max_factor must be > 1, got "
-                f"{self.learned_max_factor}"
-            )
         if self.learned_enabled and not self.feedback_enabled:
             raise ValueError(
                 "learned_enabled=True requires feedback_enabled=True "
@@ -456,18 +316,6 @@ class ServiceConfig:
         if self.queue_capacity < 1:
             raise ValueError(
                 f"queue_capacity must be >= 1, got {self.queue_capacity}"
-            )
-        if self.queue_high_water is not None and not (
-            1 <= self.queue_high_water <= self.queue_capacity
-        ):
-            raise ValueError(
-                "queue_high_water must be in [1, queue_capacity], got "
-                f"{self.queue_high_water} (capacity {self.queue_capacity})"
-            )
-        if self.retry_after_seconds <= 0:
-            raise ValueError(
-                f"retry_after_seconds must be > 0, got "
-                f"{self.retry_after_seconds}"
             )
         if (
             self.session_rate_limit is not None
@@ -498,11 +346,6 @@ class ServiceConfig:
         elif self.degraded_backlog_low != 0:
             raise ValueError(
                 "degraded_backlog_low requires degraded_backlog_high"
-            )
-        if self.starvation_cycles < 1:
-            raise ValueError(
-                f"starvation_cycles must be >= 1, got "
-                f"{self.starvation_cycles}"
             )
         # local import: repro.backends.sqlite imports this module
         from repro.backends.base import BACKEND_NAMES

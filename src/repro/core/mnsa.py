@@ -11,7 +11,7 @@ expensive operator of the default plan, and the loop repeats.
 
 Overhead: three optimizer calls per statistic created (Sec 4.3) — the
 two probe plans and the re-optimize after the build — charged to the
-creation-cost ledger via ``optimizer_call_cost``.  The default plan of
+creation-cost ledger at :data:`~repro.stats.cost.OPTIMIZER_CALL_COST`.  The default plan of
 step 2 is paid for only when step 8 reads it: a query whose first probe
 stops the loop (no missing variable, or insensitive) costs the two probe
 calls alone.
@@ -37,6 +37,7 @@ from repro.core.equivalence import (
 from repro.core.next_stat import find_next_stat_to_build
 from repro.optimizer.variables import EPSILON
 from repro.sql.query import Query
+from repro.stats.cost import OPTIMIZER_CALL_COST
 from repro.stats.statistic import StatKey
 
 
@@ -323,7 +324,7 @@ def figure1(
     result.skipped = remaining
     result.optimizer_calls = backend.optimizer_calls - calls_before
     build_cost = backend.creation_cost_total - build_cost_before
-    overhead = result.optimizer_calls * backend.optimizer_call_cost
+    overhead = result.optimizer_calls * OPTIMIZER_CALL_COST
     result.creation_cost = build_cost + overhead
     return result
 

@@ -51,7 +51,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.catalog import ColumnRef, ColumnType
-from repro.config import DEFAULT_CONFIG, OptimizerConfig
 from repro.errors import ExecutionError
 from repro.executor.evaluate import (
     COMPARATORS,
@@ -68,7 +67,7 @@ from repro.executor.operators import (
 )
 from repro.executor.relation import Relation
 from repro.feedback.observation import OperatorObservation, PlanInstrumenter
-from repro.optimizer.cost_model import CostModel
+from repro.optimizer.cost_model import CPU_COMPARE_COST, CostModel
 from repro.optimizer.plans import (
     AggregateNode,
     HavingNode,
@@ -189,12 +188,9 @@ class ExecutionResult:
 class Executor:
     """Executes physical plans over one database."""
 
-    def __init__(
-        self, database, config: OptimizerConfig = DEFAULT_CONFIG
-    ) -> None:
+    def __init__(self, database) -> None:
         self._db = database
-        self._config = config
-        self._cost = CostModel(config)
+        self._cost = CostModel()
         self._instrumenter = PlanInstrumenter()
 
     # ------------------------------------------------------------------
@@ -709,9 +705,7 @@ class _Having(NamedTuple):
         for slot, op, value in self.conditions:
             mask &= COMPARATORS[op](_read(sources, slot), value)
         kept = np.flatnonzero(mask)
-        cost = child_cost + row_count * (
-            len(self.conditions) * executor._config.cost.cpu_compare_cost
-        )
+        cost = child_cost + row_count * (len(self.conditions) * CPU_COMPARE_COST)
         sources = [_take(source, kept) for source in sources]
         stack.append((sources, kept.shape[0], cost, None))
 

@@ -163,7 +163,7 @@ def run_join_estimation_ablation(
         db.stats.create(StatKey("lineitem", ("l_quantity",)))
 
         optimizer = Optimizer(db, config)
-        executor = Executor(db, config)
+        executor = Executor(db)
         errors = []
         rng = np.random.default_rng(3)
         quantities = rng.integers(1, 51, size=query_count)

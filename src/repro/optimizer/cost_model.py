@@ -16,14 +16,30 @@ from __future__ import annotations
 
 import math
 
-from repro.config import CostModelConfig, DEFAULT_CONFIG, OptimizerConfig
+# The prices of the physical cost model, in work units (DESIGN.md §2).
+# The absolute scale is meaningless, only the ratios matter, exactly as in
+# a real optimizer.  Statistics build prices live in repro.stats.cost.
+
+#: bytes per page, for I/O costs
+PAGE_SIZE_BYTES = 8192
+#: reading or writing one page sequentially
+IO_PAGE_COST = 1.0
+#: multiplier for a random page access (an index lookup)
+RANDOM_IO_FACTOR = 4.0
+#: processing one tuple through an operator
+CPU_TUPLE_COST = 0.01
+#: one comparison (sorting, probing, a predicate or HAVING test)
+CPU_COMPARE_COST = 0.005
+#: inserting one tuple into a hash table
+HASH_BUILD_COST = 0.02
+#: probing a hash table with one tuple
+HASH_PROBE_COST = 0.01
+#: multiplier on ``n * log2(n)`` comparisons for a sort
+SORT_CONSTANT = 0.012
 
 
 class CostModel:
-    """Stateless cost formulas parameterized by :class:`CostModelConfig`."""
-
-    def __init__(self, config: OptimizerConfig = DEFAULT_CONFIG) -> None:
-        self._c: CostModelConfig = config.cost
+    """Stateless cost formulas over the module's prices."""
 
     # ------------------------------------------------------------------
     # access paths
@@ -31,16 +47,15 @@ class CostModel:
 
     def pages(self, rows: float, row_width_bytes: int) -> float:
         """Pages occupied by ``rows`` rows of the given width."""
-        return max(1.0, rows * row_width_bytes / self._c.page_size_bytes)
+        return max(1.0, rows * row_width_bytes / PAGE_SIZE_BYTES)
 
     def table_scan(
         self, table_rows: float, row_width_bytes: int, predicate_count: int
     ) -> float:
         """Full scan applying ``predicate_count`` predicates to each row."""
-        c = self._c
-        io = self.pages(table_rows, row_width_bytes) * c.io_page_cost
+        io = self.pages(table_rows, row_width_bytes) * IO_PAGE_COST
         cpu = table_rows * (
-            c.cpu_tuple_cost + predicate_count * c.cpu_compare_cost
+            CPU_TUPLE_COST + predicate_count * CPU_COMPARE_COST
         )
         return io + cpu
 
@@ -48,10 +63,9 @@ class CostModel:
         self, matching_rows: float, residual_predicate_count: int
     ) -> float:
         """Seek returning ``matching_rows``, one random page per row."""
-        c = self._c
-        io = c.random_io_factor * c.io_page_cost * (1.0 + matching_rows)
+        io = RANDOM_IO_FACTOR * IO_PAGE_COST * (1.0 + matching_rows)
         cpu = matching_rows * (
-            c.cpu_tuple_cost + residual_predicate_count * c.cpu_compare_cost
+            CPU_TUPLE_COST + residual_predicate_count * CPU_COMPARE_COST
         )
         return io + cpu
 
@@ -63,9 +77,8 @@ class CostModel:
         self, outer_rows: float, matches_per_outer: float
     ) -> float:
         """Index nested loops: one seek into the inner side per outer row."""
-        c = self._c
-        per_outer = c.random_io_factor * c.io_page_cost + (
-            matches_per_outer * c.cpu_tuple_cost
+        per_outer = RANDOM_IO_FACTOR * IO_PAGE_COST + (
+            matches_per_outer * CPU_TUPLE_COST
         )
         return outer_rows * per_outer
 
@@ -78,11 +91,10 @@ class CostModel:
     def hash_join(
         self, build_rows: float, probe_rows: float, output_rows: float
     ) -> float:
-        c = self._c
         return (
-            build_rows * c.hash_build_cost
-            + probe_rows * c.hash_probe_cost
-            + output_rows * c.cpu_tuple_cost
+            build_rows * HASH_BUILD_COST
+            + probe_rows * HASH_PROBE_COST
+            + output_rows * CPU_TUPLE_COST
         )
 
     def merge_join(
@@ -108,12 +120,11 @@ class CostModel:
         """:meth:`merge_join` given each input's :meth:`sort` cost — the
         join enumerator computes that once per sub-plan, not once per
         candidate join over it."""
-        c = self._c
         return (
             left_sort
             + right_sort
-            + (left_rows + right_rows) * c.cpu_compare_cost
-            + output_rows * c.cpu_tuple_cost
+            + (left_rows + right_rows) * CPU_COMPARE_COST
+            + output_rows * CPU_TUPLE_COST
         )
 
     # ------------------------------------------------------------------
@@ -121,11 +132,10 @@ class CostModel:
     # ------------------------------------------------------------------
 
     def sort(self, rows: float) -> float:
-        return self._c.sort_constant * rows * math.log2(rows + 2.0)
+        return SORT_CONSTANT * rows * math.log2(rows + 2.0)
 
     def hash_aggregate(self, input_rows: float, groups: float) -> float:
-        c = self._c
-        return input_rows * c.hash_build_cost + groups * c.cpu_tuple_cost
+        return input_rows * HASH_BUILD_COST + groups * CPU_TUPLE_COST
 
     def stream_aggregate(self, input_rows: float, groups: float) -> float:
         """Sort-based aggregation: sort the input, then one pass.
@@ -135,5 +145,4 @@ class CostModel:
         :meth:`hash_aggregate` is decided by the *estimated* group count,
         which makes the choice statistics-sensitive.
         """
-        c = self._c
-        return self.sort(input_rows) + input_rows * c.cpu_tuple_cost
+        return self.sort(input_rows) + input_rows * CPU_TUPLE_COST

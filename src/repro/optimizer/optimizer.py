@@ -104,7 +104,7 @@ from repro.optimizer.cache import (
     PlanCache,
     statistics_fingerprint,
 )
-from repro.optimizer.cost_model import CostModel
+from repro.optimizer.cost_model import CPU_COMPARE_COST, CostModel
 from repro.optimizer.plans import (
     AggregateNode,
     HavingNode,
@@ -119,7 +119,12 @@ from repro.optimizer.plans import (
     join_signature_key,
 )
 from repro.optimizer.schedule import join_schedule
-from repro.optimizer.selectivity import SelectivityEstimator
+from repro.optimizer.selectivity import (
+    MAGIC_EQUALITY,
+    MAGIC_INEQUALITY,
+    MAGIC_RANGE,
+    SelectivityEstimator,
+)
 from repro.optimizer.variables import (
     GroupByVariable,
     SelectivityVariable,
@@ -288,7 +293,6 @@ def finish_plan(
     estimator: SelectivityEstimator,
     plan: PlanNode,
     cost_model: CostModel,
-    config: OptimizerConfig,
     row_count,
 ) -> PlanNode:
     """Aggregation, HAVING and ORDER BY above the join tree ``plan``.
@@ -331,15 +335,13 @@ def finish_plan(
             method=method,
         )
         candidates.append(
-            _add_order_by(query, _add_having(query, grouped, config), cost_model)
+            _add_order_by(query, _add_having(query, grouped), cost_model)
         )
     hash_full, stream_full = candidates
     return stream_full if better(stream_full, hash_full) else hash_full
 
 
-def _add_having(
-    query: Query, plan: PlanNode, config: OptimizerConfig
-) -> PlanNode:
+def _add_having(query: Query, plan: PlanNode) -> PlanNode:
     """Group filter after aggregation.
 
     HAVING selectivity cannot come from base-table statistics, so it
@@ -348,19 +350,16 @@ def _add_having(
     """
     if not query.having:
         return plan
-    magic = config.magic
     selectivity = 1.0
     for condition in query.having:
         if condition.op == "=":
-            selectivity *= magic.equality
+            selectivity *= MAGIC_EQUALITY
         elif condition.op == "<>":
-            selectivity *= magic.inequality
+            selectivity *= MAGIC_INEQUALITY
         else:
-            selectivity *= magic.range_
+            selectivity *= MAGIC_RANGE
     rows = plan.rows * selectivity
-    cost = plan.cost + plan.rows * (
-        len(query.having) * config.cost.cpu_compare_cost
-    )
+    cost = plan.cost + plan.rows * (len(query.having) * CPU_COMPARE_COST)
     return HavingNode(plan, query.having, rows, cost)
 
 
@@ -670,7 +669,7 @@ class Optimizer:
     ) -> None:
         self._db = database
         self._config = config
-        self._cost = CostModel(config)
+        self._cost = CostModel()
         self._cache = cache
         self._corrections = corrections
         self._count_lock = threading.Lock()
@@ -907,7 +906,6 @@ class Optimizer:
                 estimator,
                 self._enumerate_joins(query, estimator),
                 self._cost,
-                self._config,
                 self._db.row_count,
             )
         return OptimizationResult(plan=plan, cost=plan.cost, rows=plan.rows)

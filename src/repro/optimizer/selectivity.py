@@ -44,7 +44,32 @@ from repro.sql.predicates import (
     Predicate,
 )
 
+# The magic numbers (Sec 4.1: "system wide constants between 0 and 1 that
+# are predetermined for various kinds of predicates"): the selectivity a
+# variable without statistics takes unless an override pins it.  They follow
+# the System-R lineage the paper alludes to (it quotes 0.30 for a range).
+
+#: ``col = const``
+MAGIC_EQUALITY = 0.10
+#: ``col < const``, ``col >= const`` etc.
+MAGIC_RANGE = 0.30
+#: ``col BETWEEN lo AND hi``
+MAGIC_BETWEEN = 0.25
+#: ``col <> const``
+MAGIC_INEQUALITY = 0.90
+#: per item of ``col IN (...)``: ``min(1, n_items * MAGIC_IN_LIST_PER_ITEM)``
+MAGIC_IN_LIST_PER_ITEM = 0.10
+#: an equijoin with no statistics on either side (of the cross product)
+MAGIC_JOIN = 0.10
+#: the fraction of rows distinct in the grouping column(s), as in Sec 4.1
+MAGIC_GROUP_BY_FRACTION = 0.01
+#: a LIKE pattern
+MAGIC_LIKE = 0.10
+
 _MAX_LIKE_CODES = 512
+
+#: IN lists longer than this are estimated as if they had this many items
+MAX_IN_LIST_ITEMS = 16
 
 #: "not read yet" in an estimator's memo, where ``None`` is an answer
 _UNREAD = object()
@@ -56,7 +81,7 @@ class SelectivityEstimator:
     Args:
         database: the :class:`~repro.storage.Database` (for statistics and
             string dictionaries).
-        config: optimizer configuration (magic numbers).
+        config: optimizer configuration (histogram join estimation).
         overrides: optional mapping variable -> forced selectivity in
             [0, 1], applied only where statistics are missing.
         corrections: optional :class:`~repro.feedback.store.FeedbackStore`
@@ -91,7 +116,6 @@ class SelectivityEstimator:
     ) -> None:
         self._db = database
         self._config = config
-        self._magic = config.magic
         self._overrides = dict(overrides or {})
         self._corrections = corrections
         self._use_statistics = use_statistics
@@ -142,20 +166,19 @@ class SelectivityEstimator:
     # repro-lint: dispatch=Predicate except=JoinPredicate
     def _magic_for(self, predicate: Predicate) -> float:
         kind = predicate.kind
-        magic = self._magic
         if isinstance(predicate, ComparisonPredicate):
             if predicate.op == "=":
-                return magic.equality
+                return MAGIC_EQUALITY
             if predicate.op == "<>":
-                return magic.inequality
-            return magic.range_
+                return MAGIC_INEQUALITY
+            return MAGIC_RANGE
         if isinstance(predicate, BetweenPredicate):
-            return magic.between
+            return MAGIC_BETWEEN
         if isinstance(predicate, InPredicate):
-            n = min(len(predicate.values), self._config.max_in_list_items)
-            return min(1.0, n * magic.in_list_per_item)
+            n = min(len(predicate.values), MAX_IN_LIST_ITEMS)
+            return min(1.0, n * MAGIC_IN_LIST_PER_ITEM)
         if isinstance(predicate, LikePredicate):
-            return magic.like
+            return MAGIC_LIKE
         raise OptimizerError(f"no magic number for predicate kind {kind}")
 
     # repro-lint: dispatch=Predicate except=JoinPredicate
@@ -429,7 +452,7 @@ class SelectivityEstimator:
             return 1.0 / max(known)
         if variable in self._overrides:
             return self._overrides[variable]
-        return self._magic.join
+        return MAGIC_JOIN
 
     # ------------------------------------------------------------------
     # aggregation
@@ -449,7 +472,7 @@ class SelectivityEstimator:
         elif variable in self._overrides:
             fraction = self._overrides[variable]
         else:
-            fraction = self._magic.group_by_fraction
+            fraction = MAGIC_GROUP_BY_FRACTION
         if self._corrections is not None:
             fraction = self._corrections.correct_group(
                 variable.table, variable.columns, fraction

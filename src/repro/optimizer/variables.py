@@ -20,6 +20,7 @@ MNSA pins variables that *lack statistics* to ε or 1-ε via the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 from repro.sql.predicates import JoinPredicate, Predicate
@@ -55,8 +56,9 @@ class JoinVariable(SelectivityVariable):
         ordered = tuple(sorted(self.predicates, key=str))
         object.__setattr__(self, "predicates", ordered)
 
-    @property
+    @cached_property
     def tables(self) -> Tuple[str, ...]:
+        # read per estimate; the variable lives as long as its query
         return self.predicates[0].tables()
 
     def __str__(self) -> str:

@@ -27,6 +27,10 @@ from typing import Callable, Dict, List, Optional
 from repro.concurrency import guarded_by
 from repro.errors import ServiceError, ServiceRejectedError
 
+#: the retry-after hint, in seconds, a queue-full rejection carries and
+#: the floor of a rate-limit rejection's hint
+RETRY_AFTER_SECONDS = 0.05
+
 
 class TokenBucket:
     """Classic token-bucket rate limiter with an injectable clock.
@@ -151,7 +155,7 @@ class AdmissionQueue:
         self,
         capacity: int,
         high_water: Optional[int] = None,
-        retry_after: float = 0.05,
+        retry_after: float = RETRY_AFTER_SECONDS,
     ) -> None:
         if capacity < 1:
             raise ServiceError(f"capacity must be >= 1, got {capacity}")

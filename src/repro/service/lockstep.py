@@ -29,7 +29,7 @@ class LockStepReport:
     ``completion_cost`` is the part of ``creation_cost`` MNSA/D spent
     rebuilding sampled statistics in full, ``optimizer_calls`` the
     analyses' optimizer calls (their share of ``creation_cost`` is
-    ``optimizer_call_cost`` each), ``update_cost``
+    ``OPTIMIZER_CALL_COST`` each), ``update_cost``
     is refresh plus incremental maintenance, ``dropped`` counts physical
     drops, and ``skipped`` the analyses the step skipped (nothing on a
     magic number, or a verdict the ledger held)."""

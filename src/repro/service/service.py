@@ -65,7 +65,11 @@ from repro.executor.executor import ExecutionResult, Executor
 from repro.feedback import FeedbackPolicy, FeedbackStore, worst_plan_q_error
 from repro.optimizer.cache import OptimizationRequest, PlanCache
 from repro.optimizer.optimizer import OptimizationResult, Optimizer
-from repro.service.admission import AdmissionQueue, TokenBucket
+from repro.service.admission import (
+    RETRY_AFTER_SECONDS,
+    AdmissionQueue,
+    TokenBucket,
+)
 from repro.service.api import ServiceRequest, ServiceResponse
 from repro.service.events import CaptureLog, QueryEvent
 from repro.service.ledger import VerdictLedger
@@ -284,11 +288,8 @@ class StatsService:
         self.feedback_policy: Optional[FeedbackPolicy] = None
         if self.config.feedback_enabled:
             self.feedback = FeedbackStore(
-                capacity=self.config.feedback_capacity,
                 metrics=self.metrics,
                 corrections=self.config.learned_enabled,
-                correction_decay=self.config.learned_decay,
-                max_factor=self.config.learned_max_factor,
             )
             self.feedback_policy = FeedbackPolicy(
                 self.feedback,
@@ -377,7 +378,6 @@ class StatsService:
             policy=self.feedback_policy,
             router=self._router,
             shard_id=shard.shard_id,
-            starvation_cycles=cfg.starvation_cycles,
             drop_after_refreshes=cfg.drop_after_refreshes,
             drop_list_only=cfg.drop_list_only,
             aging=self.aging,
@@ -398,11 +398,7 @@ class StatsService:
                 worker.start()
             shard.monitor.start()
         if cfg.service_workers > 0:
-            self._queue = AdmissionQueue(
-                cfg.queue_capacity,
-                cfg.queue_high_water,
-                retry_after=cfg.retry_after_seconds,
-            )
+            self._queue = AdmissionQueue(cfg.queue_capacity)
             self._request_workers = [
                 _RequestWorker(index, self, self._queue)
                 for index in range(cfg.service_workers)
@@ -501,7 +497,7 @@ class StatsService:
             limiter = TokenBucket(
                 self.config.session_rate_limit,
                 self.config.session_rate_burst,
-                retry_after_floor=self.config.retry_after_seconds,
+                retry_after_floor=RETRY_AFTER_SECONDS,
             )
         session = Session(
             self, next(self._session_ids), rate_limiter=limiter,

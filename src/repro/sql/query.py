@@ -233,9 +233,17 @@ class Query(Statement):
 
     def predicates_of(self, table: str) -> Tuple[Predicate, ...]:
         """Selection predicates that apply to ``table``."""
-        return tuple(
-            pred for pred in self.predicates if pred.tables() == (table,)
-        )
+        return self._predicates_by_table.get(table, ())
+
+    @cached_property
+    def _predicates_by_table(self) -> Dict[str, Tuple[Predicate, ...]]:
+        # asked per table by every optimize and estimate of this query;
+        # each selection predicate touches exactly one table
+        by_table: Dict[str, List[Predicate]] = {}
+        for pred in self.predicates:
+            (table,) = pred.tables()
+            by_table.setdefault(table, []).append(pred)
+        return {table: tuple(preds) for table, preds in by_table.items()}
 
     @cached_property
     def join_graph(self) -> JoinGraph:

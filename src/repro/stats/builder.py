@@ -30,6 +30,9 @@ from repro.stats.statistic import StatKey, Statistic
 from repro.storage.join_index import counting_pays
 from repro.storage.table_data import TableData
 
+#: buckets of every histogram a build makes
+HISTOGRAM_BUCKETS = 50
+
 #: largest mixed-radix product the int64 group ids can hold
 _MAX_GROUP_CODE = np.iinfo(np.int64).max
 
@@ -151,7 +154,7 @@ def _build_one(
 ) -> Statistic:
     distinct, freqs, _ = summaries[0]
     histogram = histogram_from_summary(
-        distinct, freqs, config.histogram_buckets, histogram_kind
+        distinct, freqs, HISTOGRAM_BUCKETS, histogram_kind
     )
     if scale != 1.0:
         # scale bucket counts back up to full-table cardinality
@@ -163,16 +166,10 @@ def _build_one(
     )
     joint = None
     if config.enable_joint_histograms and len(arrays) >= 2:
-        from repro.stats.multidim import (
-            JointHistogramKind,
-            build_joint_histogram,
-        )
+        from repro.stats.multidim import build_mhist
 
-        joint = build_joint_histogram(
-            arrays[0],
-            arrays[1],
-            kind=JointHistogramKind(config.joint_histogram_kind),
-            budget=config.joint_histogram_cells,
+        joint = build_mhist(
+            arrays[0], arrays[1], max_cells=config.joint_histogram_cells
         )
         if scale != 1.0:
             for cell in joint.cells:
@@ -183,7 +180,7 @@ def _build_one(
         histogram=histogram,
         prefix_densities=densities,
         row_count=row_count,
-        build_cost=statistic_build_cost(row_count, key, config.cost, cap),
+        build_cost=statistic_build_cost(row_count, key, cap),
         joint_histogram=joint,
         sample_rows=sample_rows,
     )

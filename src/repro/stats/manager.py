@@ -51,7 +51,10 @@ from repro.concurrency import guarded_by
 from repro.config import DEFAULT_CONFIG, OptimizerConfig
 from repro.errors import StatisticsError
 from repro.stats.builder import build_statistic, build_statistics
-from repro.stats.cost import statistic_update_cost
+from repro.stats.cost import (
+    STAT_INCREMENTAL_COST_PER_ROW,
+    statistic_update_cost,
+)
 from repro.stats.histogram import HistogramKind
 from repro.stats.router import ShardRouter
 from repro.stats.statistic import StatKey, Statistic, as_stat_key
@@ -418,10 +421,7 @@ class StatsShard:
                     fresh.update_count = self._statistics[key].update_count + 1
                     self._statistics[key] = fresh
                     total += statistic_update_cost(
-                        data.row_count,
-                        key,
-                        self._config.cost,
-                        self._config.sample_rows,
+                        data.row_count, key, self._config.sample_rows
                     )
                 self._update_cost += total
                 self._discard_views((table_name,))
@@ -432,7 +432,6 @@ class StatsShard:
         self, table_name: str, inserted: Dict[str, "object"]
     ) -> float:
         total = 0.0
-        per_row = self._config.cost.stat_incremental_cost_per_row
         with self._lock:
             # copy-on-write: estimators read a statistic they fetched
             # earlier outside this lock
@@ -442,7 +441,7 @@ class StatsShard:
                 if values is None:
                     continue
                 fresh[key] = self._statistics[key].with_inserts(values)
-                total += len(values) * per_row
+                total += len(values) * STAT_INCREMENTAL_COST_PER_ROW
             if not fresh:
                 return total  # no statistic covers the inserted columns
             self._statistics.update(fresh)
@@ -472,10 +471,7 @@ class StatsShard:
             fresh.update_count = old.update_count + 1
             self._statistics[key] = fresh
             cost = statistic_update_cost(
-                data.row_count,
-                key,
-                self._config.cost,
-                self._config.sample_rows,
+                data.row_count, key, self._config.sample_rows
             )
             self._update_cost += cost
             self._discard_views((key.table,))
@@ -980,9 +976,7 @@ class StatisticsManager:
         for key_or_refs in keys:
             key = self._as_key(key_or_refs)
             rows = self._db.table(key.table).row_count
-            total += statistic_update_cost(
-                rows, key, self.config.cost, self.config.sample_rows
-            )
+            total += statistic_update_cost(rows, key, self.config.sample_rows)
         return total
 
     # ------------------------------------------------------------------

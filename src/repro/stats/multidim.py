@@ -7,14 +7,10 @@ statistics carry only prefix densities (Sec 7.1), which answer equality
 conjunctions; a joint histogram additionally answers *range* conjunctions
 over correlated column pairs, where the independence assumption fails.
 
-Two construction strategies, both from Poosala & Ioannidis:
-
-* **Phased** — bucket the first dimension with a 1-D MaxDiff histogram,
-  then bucket the second dimension independently *within* each first-
-  dimension bucket.
-* **MHIST-2** — greedy binary splits: repeatedly pick the cell whose
-  marginal frequency distribution has the largest MaxDiff jump along
-  either dimension and split it there.
+We build the second of the two, MHIST-2 (Poosala & Ioannidis): greedy
+binary splits that repeatedly pick the cell whose marginal frequency
+distribution has the largest MaxDiff jump along either dimension and
+split it there.
 
 Estimation assumes uniformity within each cell, as in 1-D.
 """
@@ -23,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -31,7 +27,6 @@ from repro.errors import StatisticsError
 
 
 class JointHistogramKind(enum.Enum):
-    PHASED = "phased"
     MHIST = "mhist"
 
 
@@ -47,10 +42,11 @@ class _Cell:
 class JointHistogram:
     """A bag of disjoint rectangular cells covering the joint domain."""
 
-    def __init__(self, cells: List[_Cell], row_count: int, kind) -> None:
+    kind = JointHistogramKind.MHIST
+
+    def __init__(self, cells: List[_Cell], row_count: int) -> None:
         self.cells = cells
         self.row_count = int(row_count)
-        self.kind = kind
 
     @property
     def cell_count(self) -> int:
@@ -97,50 +93,6 @@ def _overlap_1d(lo, hi, q_lo, q_hi) -> float:
     return (effective_hi - effective_lo) / width
 
 
-def _maxdiff_boundaries(values: np.ndarray, buckets: int) -> np.ndarray:
-    """Start indexes of MaxDiff buckets over the distinct values."""
-    distinct, freqs = np.unique(values, return_counts=True)
-    buckets = max(1, min(buckets, distinct.shape[0]))
-    if buckets == 1 or distinct.shape[0] == 1:
-        return distinct, np.asarray([0])
-    diffs = np.abs(np.diff(freqs.astype(np.float64)))
-    top = np.argsort(-diffs, kind="stable")[: buckets - 1]
-    starts = np.asarray([0] + sorted(int(i) + 1 for i in top))
-    return distinct, starts
-
-
-def build_phased(
-    x: np.ndarray, y: np.ndarray, buckets_per_dim: int = 8
-) -> JointHistogram:
-    """Phased construction: MaxDiff on x, then MaxDiff on y per x-slice."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise StatisticsError("joint histogram inputs must align")
-    if x.shape[0] == 0:
-        return JointHistogram([], 0, JointHistogramKind.PHASED)
-    distinct_x, starts = _maxdiff_boundaries(x, buckets_per_dim)
-    boundaries = list(starts) + [distinct_x.shape[0]]
-    cells: List[_Cell] = []
-    for begin, end in zip(boundaries[:-1], boundaries[1:]):
-        if begin >= end:
-            continue
-        x_lo, x_hi = distinct_x[begin], distinct_x[end - 1]
-        in_slice = (x >= x_lo) & (x <= x_hi)
-        ys = y[in_slice]
-        if ys.shape[0] == 0:
-            continue
-        distinct_y, y_starts = _maxdiff_boundaries(ys, buckets_per_dim)
-        y_bounds = list(y_starts) + [distinct_y.shape[0]]
-        for y_begin, y_end in zip(y_bounds[:-1], y_bounds[1:]):
-            if y_begin >= y_end:
-                continue
-            y_lo, y_hi = distinct_y[y_begin], distinct_y[y_end - 1]
-            count = float(((ys >= y_lo) & (ys <= y_hi)).sum())
-            cells.append(_Cell(x_lo, x_hi, y_lo, y_hi, count))
-    return JointHistogram(cells, x.shape[0], JointHistogramKind.PHASED)
-
-
 def build_mhist(
     x: np.ndarray, y: np.ndarray, max_cells: int = 64
 ) -> JointHistogram:
@@ -151,7 +103,7 @@ def build_mhist(
         raise StatisticsError("joint histogram inputs must align")
     n = x.shape[0]
     if n == 0:
-        return JointHistogram([], 0, JointHistogramKind.MHIST)
+        return JointHistogram([], 0)
 
     # each working cell holds its member indexes for exact refinement
     @dataclass
@@ -210,19 +162,4 @@ def build_mhist(
         cells.append(
             _Cell(x_lo, x_hi, y_lo, y_hi, float(work.rows.shape[0]))
         )
-    return JointHistogram(cells, n, JointHistogramKind.MHIST)
-
-
-def build_joint_histogram(
-    x: np.ndarray,
-    y: np.ndarray,
-    kind: JointHistogramKind = JointHistogramKind.PHASED,
-    budget: int = 64,
-) -> JointHistogram:
-    """Build a joint histogram with roughly ``budget`` cells."""
-    if kind == JointHistogramKind.PHASED:
-        per_dim = max(2, int(budget ** 0.5))
-        return build_phased(x, y, buckets_per_dim=per_dim)
-    if kind == JointHistogramKind.MHIST:
-        return build_mhist(x, y, max_cells=budget)
-    raise StatisticsError(f"unknown joint histogram kind {kind!r}")
+    return JointHistogram(cells, n)

@@ -10,6 +10,7 @@ from repro.core.mnsa import MnsaConfig, MnsaResult, mnsa_for_query, mnsa_for_wor
 from repro.core.candidates import candidate_statistics
 from repro.optimizer import Optimizer
 from repro.sql.builder import QueryBuilder
+from repro.stats.cost import OPTIMIZER_CALL_COST
 from repro.stats.statistic import StatKey
 
 from tests.util import simple_db
@@ -105,9 +106,7 @@ class TestMnsaForQuery:
         build_cost = sum(
             db.stats.get(key).build_cost for key in result.created
         )
-        overhead = (
-            result.optimizer_calls * backend.optimizer_call_cost
-        )
+        overhead = result.optimizer_calls * OPTIMIZER_CALL_COST
         assert result.creation_cost == pytest.approx(build_cost + overhead)
 
     def test_explicit_candidates_used(self, db):

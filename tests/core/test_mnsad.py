@@ -17,6 +17,7 @@ from repro.core.next_stat import find_next_stat_to_build
 from repro.datagen import make_tpcd_database
 from repro.optimizer import Optimizer
 from repro.sql.builder import QueryBuilder
+from repro.stats.cost import OPTIMIZER_CALL_COST
 from repro.workload import generate_workload
 
 from tests.util import plan_fingerprint, simple_db
@@ -303,7 +304,7 @@ def _always_probe_mnsad_for_query(
     result.optimizer_calls = backend.optimizer_calls - calls_before
     build_cost = backend.creation_cost_total - build_cost_before
     result.creation_cost = build_cost + (
-        result.optimizer_calls * backend.optimizer_call_cost
+        result.optimizer_calls * OPTIMIZER_CALL_COST
     )
     return result
 

@@ -106,11 +106,10 @@ def test_drop_listed_statistics_stay_sampled(run):
 def test_creation_cost_is_sampled_charges_plus_completed_full_charges(run):
     """Summed in the order the manager charged them, so to the bit."""
     database, backend = run
-    cost = database.stats.config.cost
     expected = 0.0
     for key, sample_rows in backend.charges:
         rows = database.row_count(key.table)
-        expected += statistic_build_cost(rows, key, cost, sample_rows)
+        expected += statistic_build_cost(rows, key, sample_rows)
     assert {s for _, s in backend.charges} == {MNSAD_SAMPLE_ROWS, None}
     assert database.stats.creation_cost_total == expected
 

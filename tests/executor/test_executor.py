@@ -14,7 +14,7 @@ from tests.util import simple_db
 
 def _run(db, query, config=None):
     opt = Optimizer(db, config) if config else Optimizer(db)
-    exe = Executor(db, config) if config else Executor(db)
+    exe = Executor(db)
     result = opt.optimize(query)
     return exe.execute(result.plan, query)
 

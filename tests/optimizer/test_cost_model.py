@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.config import DEFAULT_CONFIG
 from repro.optimizer.cost_model import CostModel
 
 
 @pytest.fixture
 def cost():
-    return CostModel(DEFAULT_CONFIG)
+    return CostModel()
 
 
 class TestAccessPaths:

@@ -282,7 +282,7 @@ class TestTieBreak:
             plan.cost,
             build_side="left" if plan.build_side == "right" else "right",
         )
-        cost_model = CostModel(OptimizerConfig())
+        cost_model = CostModel()
         mirror_cost = (
             mirror.left.cost
             + mirror.right.cost
@@ -299,7 +299,7 @@ class TestTieBreak:
         """Cost-first selection must pick what ``better`` picks among
         fully built candidates, including on equal costs."""
         query = QueryBuilder(db.schema).join("emp.dept_id", "dept.id").build()
-        cost_model = CostModel(OptimizerConfig())
+        cost_model = CostModel()
         sides = [
             ScanNode(table, (), rows, cost)
             for table in ("emp", "dept")

@@ -288,7 +288,7 @@ class TestBushyJoins:
             .where("emp.age", "=", 30)
             .build()
         )
-        result = Executor(db, config).execute(
+        result = Executor(db).execute(
             Optimizer(db, config).optimize(query).plan, query
         )
         expected = int((db.table("emp").column_array("age") == 30).sum())

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from repro.catalog import ColumnRef
-from repro.config import DEFAULT_CONFIG
 from repro.errors import OptimizerError
-from repro.optimizer.selectivity import SelectivityEstimator
+from repro.optimizer.selectivity import (
+    MAGIC_BETWEEN,
+    MAGIC_EQUALITY,
+    MAGIC_GROUP_BY_FRACTION,
+    MAGIC_INEQUALITY,
+    MAGIC_JOIN,
+    MAGIC_LIKE,
+    MAGIC_RANGE,
+    SelectivityEstimator,
+)
 from repro.optimizer.variables import (
     GroupByVariable,
     JoinVariable,
@@ -31,29 +39,29 @@ DID = ColumnRef("dept", "id")
 
 
 class TestMagicFallbacks:
-    """Without statistics, predicates use the configured magic numbers."""
+    """Without statistics, predicates use the magic numbers."""
 
     def test_equality_magic(self, db):
         est = SelectivityEstimator(db)
         pred = ComparisonPredicate(AGE, "=", 30)
-        assert est.predicate_selectivity(pred) == DEFAULT_CONFIG.magic.equality
+        assert est.predicate_selectivity(pred) == MAGIC_EQUALITY
 
     def test_range_magic(self, db):
         est = SelectivityEstimator(db)
         pred = ComparisonPredicate(AGE, "<", 30)
-        assert est.predicate_selectivity(pred) == DEFAULT_CONFIG.magic.range_
+        assert est.predicate_selectivity(pred) == MAGIC_RANGE
 
     def test_between_magic(self, db):
         est = SelectivityEstimator(db)
         pred = BetweenPredicate(AGE, 20, 40)
-        assert est.predicate_selectivity(pred) == DEFAULT_CONFIG.magic.between
+        assert est.predicate_selectivity(pred) == MAGIC_BETWEEN
 
     def test_inequality_magic(self, db):
         est = SelectivityEstimator(db)
         pred = ComparisonPredicate(AGE, "<>", 30)
         assert (
             est.predicate_selectivity(pred)
-            == DEFAULT_CONFIG.magic.inequality
+            == MAGIC_INEQUALITY
         )
 
     def test_in_list_magic_scales_with_items(self, db):
@@ -66,20 +74,20 @@ class TestMagicFallbacks:
         est = SelectivityEstimator(db)
         assert (
             est.predicate_selectivity(LikePredicate(NAME, "e%"))
-            == DEFAULT_CONFIG.magic.like
+            == MAGIC_LIKE
         )
 
     def test_join_magic(self, db):
         est = SelectivityEstimator(db)
         var = JoinVariable((JoinPredicate(DEPT_ID, DID),))
-        assert est.join_group_selectivity(var) == DEFAULT_CONFIG.magic.join
+        assert est.join_group_selectivity(var) == MAGIC_JOIN
 
     def test_group_by_magic(self, db):
         est = SelectivityEstimator(db)
         var = GroupByVariable("emp", ("age",))
         assert (
             est.group_by_fraction(var)
-            == DEFAULT_CONFIG.magic.group_by_fraction
+            == MAGIC_GROUP_BY_FRACTION
         )
 
 

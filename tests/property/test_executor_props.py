@@ -110,7 +110,7 @@ class TestFilterEquivalence:
                 .where("emp.age", op, value)
                 .build()
             )
-            result = Executor(db, config).execute(
+            result = Executor(db).execute(
                 Optimizer(db, config).optimize(query).plan, query
             )
             counts.add(result.row_count)
@@ -282,7 +282,7 @@ def _assert_rows_equal_sqlite(data, query, config=None):
     for name, columns in data.items():
         db.load_table(name, columns)
     plan = Optimizer(db, config).optimize(query).plan
-    result = Executor(db, config).execute(plan, query)
+    result = Executor(db).execute(plan, query)
     oracle = SqliteBackend(db)
     try:
         expected = oracle.execute(query).rows()

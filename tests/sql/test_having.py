@@ -184,7 +184,7 @@ class TestExecution:
         assert any(isinstance(n, HavingNode) for n in plan.walk())
 
     def test_having_estimate_uses_magic(self, db):
-        from repro.config import DEFAULT_CONFIG
+        from repro.optimizer.selectivity import MAGIC_RANGE
         from repro.optimizer import Optimizer
 
         base = parse_and_bind(
@@ -200,5 +200,5 @@ class TestExecution:
         rows_base = opt.optimize(base).rows
         rows_filtered = opt.optimize(filtered).rows
         assert rows_filtered == pytest.approx(
-            rows_base * DEFAULT_CONFIG.magic.range_
+            rows_base * MAGIC_RANGE
         )

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.config import DEFAULT_CONFIG, CostModelConfig, OptimizerConfig
+from repro.config import DEFAULT_CONFIG, OptimizerConfig
 from repro.stats.builder import build_statistic
-from repro.stats.cost import statistic_build_cost, statistic_update_cost
+from repro.stats.cost import (
+    STAT_FIXED_COST,
+    statistic_build_cost,
+    statistic_update_cost,
+)
 from repro.stats.statistic import StatKey
 
 from tests.util import simple_db
@@ -69,35 +73,29 @@ class TestBuildStatistic:
 
 class TestCostModel:
     def test_more_rows_cost_more(self):
-        cost = CostModelConfig()
         key = StatKey("t", ("a",))
-        assert statistic_build_cost(10_000, key, cost) > statistic_build_cost(
-            100, key, cost
+        assert statistic_build_cost(10_000, key) > statistic_build_cost(
+            100, key
         )
 
     def test_more_columns_cost_more(self):
-        cost = CostModelConfig()
         assert statistic_build_cost(
-            1000, StatKey("t", ("a", "b")), cost
-        ) > statistic_build_cost(1000, StatKey("t", ("a",)), cost)
+            1000, StatKey("t", ("a", "b"))
+        ) > statistic_build_cost(1000, StatKey("t", ("a",)))
 
     def test_sampling_reduces_cost(self):
-        cost = CostModelConfig()
         key = StatKey("t", ("a",))
         assert statistic_build_cost(
-            100_000, key, cost, sample_rows=1000
-        ) < statistic_build_cost(100_000, key, cost)
+            100_000, key, sample_rows=1000
+        ) < statistic_build_cost(100_000, key)
 
     def test_update_equals_build(self):
-        cost = CostModelConfig()
         key = StatKey("t", ("a",))
-        assert statistic_update_cost(5000, key, cost) == statistic_build_cost(
-            5000, key, cost
+        assert statistic_update_cost(5000, key) == statistic_build_cost(
+            5000, key
         )
 
     def test_fixed_cost_floor(self):
-        cost = CostModelConfig()
         assert (
-            statistic_build_cost(0, StatKey("t", ("a",)), cost)
-            >= cost.stat_fixed_cost
+            statistic_build_cost(0, StatKey("t", ("a",))) >= STAT_FIXED_COST
         )

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stats.multidim import (
-    JointHistogramKind,
-    build_joint_histogram,
-    build_mhist,
-    build_phased,
-)
+from repro.stats.multidim import build_mhist
 
 
 def _correlated(n=4000, seed=0):
@@ -39,25 +34,22 @@ def _true_box(x, y, x_lo, x_hi, y_lo, y_hi):
 
 class TestConstruction:
     def test_empty_inputs(self):
-        hist = build_phased(np.array([]), np.array([]))
+        hist = build_mhist(np.array([]), np.array([]))
         assert hist.cell_count == 0
         assert hist.selectivity_box(x_lo=0) == 0.0
 
     def test_misaligned_rejected(self):
         with pytest.raises(Exception):
-            build_phased(np.arange(3), np.arange(4))
+            build_mhist(np.arange(3), np.arange(4))
 
     def test_counts_cover_all_rows(self):
         x, y = _correlated()
-        for build in (build_phased, build_mhist):
-            hist = build(x, y)
-            assert sum(c.count for c in hist.cells) == pytest.approx(
-                x.shape[0]
-            )
+        hist = build_mhist(x, y)
+        assert sum(c.count for c in hist.cells) == pytest.approx(x.shape[0])
 
     def test_full_box_is_one(self):
         x, y = _correlated()
-        hist = build_phased(x, y)
+        hist = build_mhist(x, y)
         assert hist.selectivity_box() == pytest.approx(1.0)
 
     def test_cells_bounded_by_budget(self):
@@ -65,27 +57,16 @@ class TestConstruction:
         hist = build_mhist(x, y, max_cells=16)
         assert hist.cell_count <= 16
 
-    def test_dispatch(self):
-        x, y = _independent(100)
-        assert (
-            build_joint_histogram(x, y, JointHistogramKind.PHASED).kind
-            == JointHistogramKind.PHASED
-        )
-        assert (
-            build_joint_histogram(x, y, JointHistogramKind.MHIST).kind
-            == JointHistogramKind.MHIST
-        )
-
     def test_single_point_data(self):
         x = np.full(10, 5.0)
         y = np.full(10, 7.0)
-        hist = build_phased(x, y)
+        hist = build_mhist(x, y)
         assert hist.selectivity_box(5, 5, 7, 7) == pytest.approx(1.0)
         assert hist.selectivity_box(0, 1, 0, 1) == 0.0
 
 
 class TestEstimation:
-    @pytest.mark.parametrize("build", [build_phased, build_mhist])
+    @pytest.mark.parametrize("build", [build_mhist])
     def test_box_estimates_bounded(self, build):
         x, y = _correlated()
         hist = build(x, y)
@@ -93,7 +74,7 @@ class TestEstimation:
             sel = hist.selectivity_box(*box)
             assert 0.0 <= sel <= 1.0
 
-    @pytest.mark.parametrize("build", [build_phased, build_mhist])
+    @pytest.mark.parametrize("build", [build_mhist])
     def test_reasonable_on_independent_data(self, build):
         x, y = _independent()
         hist = build(x, y)
@@ -105,7 +86,7 @@ class TestEstimation:
     def test_joint_beats_independence_on_correlation(self):
         """The reason to build joint histograms at all."""
         x, y = _correlated()
-        hist = build_phased(x, y)
+        hist = build_mhist(x, y)
         # anti-correlated box: x small AND y large is (nearly) empty,
         # but independence predicts ~25% of rows
         true = _true_box(x, y, None, 30, 70, None)
@@ -121,7 +102,7 @@ class TestEstimation:
 
     def test_monotone_in_box_width(self):
         x, y = _independent()
-        hist = build_phased(x, y)
+        hist = build_mhist(x, y)
         narrow = hist.selectivity_box(20, 40, 20, 40)
         wide = hist.selectivity_box(10, 60, 10, 60)
         assert wide >= narrow

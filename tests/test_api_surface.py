@@ -16,7 +16,6 @@ EXPECTED = [
     "Column",
     "ColumnRef",
     "ColumnType",
-    "CostModelConfig",
     "DEFAULT_CONFIG",
     "Database",
     "EquivalenceCriterion",
@@ -28,7 +27,6 @@ EXPECTED = [
     "FeedbackStore",
     "ForeignKey",
     "LockStepAdvisor",
-    "MagicNumbers",
     "MemoryBackend",
     "MetricsRegistry",
     "MnsaConfig",

@@ -166,6 +166,38 @@ class TestClosedPipe:
         assert code == 1
 
 
+class TestSkewArgument:
+    """``--z`` is parsed by argparse on every subcommand that takes it, so
+    a bad value is a usage error (exit 2), not a ``ValueError``."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--out", "unused", "--z", "abc"],
+            ["serve", "--z", "abc"],
+            ["feedback", "--z", "abc"],
+            ["experiment", "aging", "--z", "abc"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_bad_skew_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid skew 'abc'" in err
+        assert "Traceback" not in err
+
+    def test_mix_and_numbers_parse(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        assert parser.parse_args(["serve", "--z", "mix"]).z == "mix"
+        assert parser.parse_args(["serve", "--z", "1.5"]).z == 1.5
+        assert parser.parse_args(["serve"]).z == 2.0
+        assert parser.parse_args(["generate", "--out", "d"]).z == 0.0
+
+
 class TestWorkloadAndTune:
     def test_workload_to_file(self, tpcd_dir, tmp_path, capsys):
         out_file = str(tmp_path / "w.sql")
@@ -527,7 +559,6 @@ class TestFeedbackCommand:
         code = main(
             [
                 "feedback",
-                "report",
                 "--scale",
                 "0.002",
                 "--workload",

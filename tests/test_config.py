@@ -3,71 +3,48 @@
 import pytest
 
 from repro.config import (
-    CostModelConfig,
     DEFAULT_CONFIG,
-    MagicNumbers,
     OptimizerConfig,
     RefreshPolicy,
     ServiceConfig,
 )
+from repro.optimizer import cost_model, selectivity
+from repro.stats import cost as stats_cost
+from repro.stats.builder import HISTOGRAM_BUCKETS
+
+MAGIC_NUMBERS = [
+    name for name in dir(selectivity) if name.startswith("MAGIC_")
+]
 
 
 class TestMagicNumbers:
     def test_defaults_in_unit_interval(self):
-        magic = MagicNumbers()
-        for name in (
-            "equality",
-            "range_",
-            "between",
-            "inequality",
-            "in_list_per_item",
-            "join",
-            "group_by_fraction",
-            "like",
-        ):
-            assert 0.0 < getattr(magic, name) <= 1.0
+        assert len(MAGIC_NUMBERS) == 8
+        for name in MAGIC_NUMBERS:
+            assert 0.0 < getattr(selectivity, name) <= 1.0, name
 
     def test_classic_values(self):
         """The System-R lineage the paper alludes to (Sec 4.1)."""
-        magic = MagicNumbers()
-        assert magic.range_ == 0.30
-        assert magic.equality == 0.10
-        assert magic.group_by_fraction == 0.01
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            MagicNumbers(equality=0.0)
-
-    def test_above_one_rejected(self):
-        with pytest.raises(ValueError):
-            MagicNumbers(join=1.5)
-
-    def test_custom_values_accepted(self):
-        assert MagicNumbers(range_=0.5).range_ == 0.5
-
-    def test_frozen(self):
-        with pytest.raises(AttributeError):
-            MagicNumbers().equality = 0.5
+        assert selectivity.MAGIC_RANGE == 0.30
+        assert selectivity.MAGIC_EQUALITY == 0.10
+        assert selectivity.MAGIC_GROUP_BY_FRACTION == 0.01
 
 
 class TestCostModelConfig:
     def test_positive_constants(self):
-        cost = CostModelConfig()
-        assert cost.io_page_cost > 0
-        assert cost.cpu_tuple_cost > 0
-        assert cost.optimizer_call_cost > 0
-        assert cost.stat_incremental_cost_per_row > 0
+        assert cost_model.IO_PAGE_COST > 0
+        assert cost_model.CPU_TUPLE_COST > 0
+        assert stats_cost.OPTIMIZER_CALL_COST > 0
+        assert stats_cost.STAT_INCREMENTAL_COST_PER_ROW > 0
 
     def test_incremental_far_below_full_scan(self):
-        cost = CostModelConfig()
         assert (
-            cost.stat_incremental_cost_per_row
-            < cost.stat_scan_cost_per_row
+            stats_cost.STAT_INCREMENTAL_COST_PER_ROW
+            < stats_cost.STAT_SCAN_COST_PER_ROW
         )
 
     def test_random_io_more_expensive(self):
-        cost = CostModelConfig()
-        assert cost.random_io_factor > 1.0
+        assert cost_model.RANDOM_IO_FACTOR > 1.0
 
 
 class TestOptimizerConfig:
@@ -83,12 +60,8 @@ class TestOptimizerConfig:
         assert config.sample_rows is None
 
     def test_default_config_shared_instance(self):
-        assert DEFAULT_CONFIG.histogram_buckets == 50
-
-    def test_nested_configs_composed(self):
-        config = OptimizerConfig(magic=MagicNumbers(equality=0.2))
-        assert config.magic.equality == 0.2
-        assert config.cost.io_page_cost == 1.0
+        assert DEFAULT_CONFIG == OptimizerConfig()
+        assert HISTOGRAM_BUCKETS == 50
 
 
 class TestRefreshPolicyConfig:
@@ -122,11 +95,7 @@ class TestRefreshPolicyConfig:
             )
 
     @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("feedback_capacity", 0),
-            ("qerror_refresh_threshold", 0.5),
-        ],
+        "field, value", [("qerror_refresh_threshold", 0.5)]
     )
     def test_bad_feedback_values_rejected(self, field, value):
         with pytest.raises(ValueError):
@@ -145,19 +114,3 @@ class TestLearnedConfig:
     def test_learned_with_feedback_accepted(self):
         config = ServiceConfig(feedback_enabled=True, learned_enabled=True)
         assert config.learned_enabled is True
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("learned_decay", 0.0),
-            ("learned_decay", 1.0),
-            ("learned_max_factor", 1.0),
-        ],
-    )
-    def test_bad_learned_values_rejected(self, field, value):
-        with pytest.raises(ValueError):
-            ServiceConfig(
-                feedback_enabled=True,
-                learned_enabled=True,
-                **{field: value},
-            )
